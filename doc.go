@@ -186,30 +186,43 @@
 // searcher: a steady-state cycle whose results do not change performs no
 // allocations beyond the Update payloads it returns.
 //
-// At pub/sub-scale query counts the dual batching kicks in: instead of
-// per-query influence lists (O(queries × cells) memory, every arrival
-// scored once per influenced query), the engine maintains one shared
-// query index (internal/qindex). Queries clump into columnar clusters by
-// preference-function family — weight vectors packed dims-strided next to
-// a parallel bound column, exactly the layout the multi-query kernels
-// want — and each cluster keeps the minimum of its members' kth-score
-// bounds. A cycle probes the index once per touched cell: per-cell
-// cluster upper bounds (cached, epoch-invalidated when a member's bound
-// moves) prune whole clusters whose best member cannot be affected, a
-// second filter scores the actual block against the cluster's weight
-// envelope (the componentwise member maximum — one single-query kernel
-// call bounding every member bitwise) and skips the cluster when even
-// that cannot reach its minimum bound, surviving clusters score the
-// cell's new sub-block for all members in one GEMM-shaped internal/simd
-// call (DotBlockMulti and friends — four query rows share each
-// coordinate load, every row bit-identical to the single-query kernel),
-// and a per-member row-max filter delivers only the (member, block)
-// pairs containing a score reaching that member's exact bound. Delivery is superset-safe — handlers re-check scores against
-// per-query state — so transcripts stay byte-identical to the
-// influence-list engine (kept behind WithoutQueryIndex and differentially
-// fuzzed against). The `querycount` experiment measures the payoff:
-// per-cycle cost sublinear in registered queries out to 1M
-// near-duplicate subscriptions, with index memory O(queries + cells).
+// Each query has one delivery structure, fixed by its kind at Register —
+// there is no switch. A top-k query (TMA or SMA, constrained or not) has a
+// small influence region that moves at every recomputation: it lives on
+// the grid's per-cell influence lists, exactly the paper's lazy
+// bookkeeping (Section 4.3), and every arrival in a listed cell is scored
+// once per listed query. A threshold query has a fixed bound and a region
+// that can cover most of the workspace, and is the kind that arrives at
+// pub/sub scale (very many near-duplicate standing subscriptions, rare
+// matches), where lists would cost O(queries × cells) memory: it lives in
+// the query index (internal/qindex). Measured, the split is a 3-4×
+// crossover in each direction (ROADMAP, "Collapse the stack (a)"): lists
+// win for independent top-k queries at every query count, the index is
+// the only structure that carries 100k+ subscriptions. In the index
+// queries clump into columnar clusters by preference-function family —
+// weight vectors packed dims-strided next to a parallel threshold column,
+// exactly the layout the multi-query kernels want — and each cluster
+// keeps the minimum of its members' thresholds. A cycle probes the index
+// once per touched cell, then walks the cell's influence list (each is a
+// no-op when empty): per-cell cluster upper bounds (cached,
+// epoch-invalidated only when a registration could add a cell to a
+// cluster's reach) prune whole clusters whose best member cannot be
+// affected, a second filter scores the actual block against the cluster's
+// weight envelope (the componentwise member maximum — one single-query
+// kernel call bounding every member bitwise) and skips the cluster when
+// even that cannot reach its minimum threshold, surviving clusters score
+// the cell's new sub-block for all members in one GEMM-shaped
+// internal/simd call (DotBlockMulti and friends — four query rows share
+// each coordinate load, every row bit-identical to the single-query
+// kernel), and a per-member row-max filter delivers only the (member,
+// block) pairs containing a score reaching that member's threshold.
+// Index delivery is superset-safe — the threshold handlers re-check
+// every score and expirations are membership tests — so transcripts are
+// byte-identical to per-query delivery, which the differential harness
+// checks against the naive reference with both structures live in one
+// engine. The `querycount` experiment measures the index: per-cycle cost
+// sublinear in registered queries out to 1M near-duplicate
+// subscriptions, with index memory O(queries + cells).
 //
 // The performance trajectory is pinned by a benchmark-regression harness:
 // internal/benchsuite defines the hot-path benchmarks (the Figure 14
@@ -217,7 +230,7 @@
 // kernel-vs-pointwise, MultiQueryKernel multi-vs-per-query,
 // QueryIndexProbe, the PubSubCycle query-count series and
 // TopKComputation), reachable both via `go test -bench` and via `go run
-// ./cmd/benchreport`, which emits BENCH_8.json (ns/op, allocs/op, MB/s
+// ./cmd/benchreport`, which emits BENCH_9.json (ns/op, allocs/op, MB/s
 // per benchmark, plus the ScoreBlockLeg/MultiQueryKernelLeg per-leg
 // series). CI regenerates the report on every push and gates it against
 // the committed baseline at ±15%, plus hardware-independent speedup
@@ -226,7 +239,7 @@
 // re-runs the kernel equivalence tests and fuzz smokes to pin
 // bit-identity on a fusing architecture, and both arch jobs re-run the
 // kernel suites under every TOPK_SIMD-forcible leg. Refresh the baseline
-// with `go run ./cmd/benchreport -out BENCH_8.json` when a PR
+// with `go run ./cmd/benchreport -out BENCH_9.json` when a PR
 // intentionally shifts it.
 //
 // # SIMD dispatch
@@ -324,8 +337,8 @@
 //	internal/difftest  randomized differential harness: all modes vs a naive scorer
 //	internal/tsl       the TSL baseline
 //	internal/geom      scoring functions and workspace geometry
-//	internal/grid      the grid index: columnar cells, sorted influence lists
-//	internal/qindex    the shared query index: columnar clusters, cell-probe caches
+//	internal/grid      the grid index: columnar cells, sorted influence lists (top-k queries)
+//	internal/qindex    the query index (threshold queries): columnar clusters, cell-probe caches
 //	internal/simd      batch scoring kernels over dims-strided blocks
 //	internal/topk      the top-k computation module (best-first cell search)
 //	internal/benchsuite the hot-path benchmarks behind cmd/benchreport

@@ -359,12 +359,13 @@ func multiQueryKernelPerQuery(b *testing.B) {
 	}
 }
 
-// queryIndexProbe measures the steady-state cost of probing the shared
-// query index from every cell of an 8^4 grid with 10000 near-duplicate
-// threshold queries registered — the per-cycle dispatch skeleton that
-// replaced influenceWalk's per-cell lists. One op visits every cell,
-// fetches its cached cluster entries and applies the cluster-level
-// upper-bound skip, exactly like the engine's insert/expire batch paths.
+// queryIndexProbe measures the steady-state cost of probing the query
+// index from every cell of an 8^4 grid with 10000 near-duplicate
+// threshold queries registered — the per-cycle dispatch skeleton for
+// threshold queries, as influenceWalk's per-cell lists are for top-k
+// queries. One op visits every cell, fetches its cached cluster entries
+// and applies the cluster-level upper-bound skip, exactly like the
+// engine's insert/expire batch paths.
 func queryIndexProbe(b *testing.B) {
 	const dims, res, nq = 4, 8, 10000
 	g := grid.New(dims, res, grid.FIFO)

@@ -93,16 +93,18 @@ type Engine struct {
 	w    *window.Window // nil in UpdateStream mode
 	s    *topk.Searcher
 
-	// qi is the shared query index (nil under Options.DisableQueryIndex,
-	// which selects the paper's per-cell influence lists instead). The
-	// two structures answer the same question — which queries must see a
-	// stream event in this cell — with opposite scaling: influence lists
-	// cost O(queries × cells) memory and a pruning walk per
-	// recomputation, the query index costs O(queries + cells) and a
-	// bound update. Event delivery through the index is a superset of
-	// the influence-list delivery, which the admission filters and
-	// membership-test expire handlers absorb, so transcripts are
-	// byte-identical either way.
+	// qi is the query index, the home of every threshold query; top-k
+	// queries live on the grid's influence lists instead. Both answer
+	// "which queries must see a stream event in this cell", and each
+	// query is in exactly one of them, chosen by kind at Register: a
+	// top-k query's small influence region moves at every recomputation,
+	// which the paper's lazy per-cell lists (Section 4.3) absorb with a
+	// registration loop and a pruning walk; a threshold query's region
+	// is fixed and can cover most of the workspace, so it is indexed
+	// once by its bound at O(queries + cells) memory, where lists would
+	// cost O(queries × cells). Index delivery is a superset of what the
+	// lists would deliver, which the threshold handlers' score filter
+	// and membership test absorb (see probeInsert and probeExpire).
 	qi *qindex.Index
 
 	// byID locates tuples for explicit deletions (UpdateStream mode only).
@@ -185,9 +187,7 @@ func NewEngine(opts Options) (*Engine, error) {
 		walkVisited: make([]uint32, g.NumCells()),
 		cellMark:    make([]int32, g.NumCells()),
 		curIDs:      make(map[uint64]struct{}),
-	}
-	if !opts.DisableQueryIndex {
-		e.qi = qindex.New(opts.Dims, g)
+		qi:          qindex.New(opts.Dims, g),
 	}
 	if opts.Mode == AppendOnly {
 		if !opts.ExternalExpiry {
@@ -273,33 +273,19 @@ func (e *Engine) Register(spec QuerySpec) (QueryID, error) {
 	}
 	e.nextID++
 	e.queries[q.id] = q
-	if e.qi != nil {
-		// Parked at +Inf: invisible to probes until the initial
-		// computation below installs the real bound (no cycle can run in
-		// between).
-		if err := e.qi.Add(q.id, spec.F, math.Inf(1)); err != nil {
+
+	// Initial result computation (Figure 6). A threshold query is indexed
+	// by its fixed bound; a top-k query registers influence lists over the
+	// cells its computation processed.
+	if q.kind == thresholdKind {
+		if err := e.qi.Add(q.id, spec.F, *spec.Threshold); err != nil {
 			panic(err)
 		}
-	}
-
-	// Initial result computation (Figure 6), registering influence lists
-	// over the processed cells (or the query-index bound).
-	if q.kind == thresholdKind {
 		work := e.s.CellsProcessed
-		entries, processed := e.s.Threshold(spec.F, *spec.Threshold, spec.Constraint)
-		q.cost += e.s.CellsProcessed - work
-		if e.qi != nil {
-			if err := e.qi.SetBound(q.id, *spec.Threshold); err != nil {
-				panic(err)
-			}
-		} else {
-			for _, idx := range processed {
-				e.g.AddInfluence(idx, q.id)
-			}
-		}
-		for _, en := range entries {
+		for _, en := range e.s.Threshold(spec.F, *spec.Threshold, spec.Constraint) {
 			q.thr[en.T.ID] = Entry{T: en.T, Score: en.Score}
 		}
+		q.cost += e.s.CellsProcessed - work
 	} else {
 		e.computeFromScratch(q)
 		e.stats.InitialComputations++
@@ -312,8 +298,9 @@ func (e *Engine) Register(spec QuerySpec) (QueryID, error) {
 }
 
 // Unregister implements Monitor: it deletes the query from the query table
-// and removes its entries from all influence lists by walking worse-ward
-// from the cell with the maximum maxscore (Section 4.3).
+// and from its delivery structure — a threshold query leaves the query
+// index, a top-k query's entries are removed from all influence lists by
+// walking worse-ward from the cell with the maximum maxscore (Section 4.3).
 func (e *Engine) Unregister(id QueryID) error {
 	q, ok := e.queries[id]
 	if !ok {
@@ -323,7 +310,7 @@ func (e *Engine) Unregister(id QueryID) error {
 	if q.sky != nil {
 		e.numSMA--
 	}
-	if e.qi != nil {
+	if q.kind == thresholdKind {
 		if err := e.qi.Remove(id); err != nil {
 			panic(err)
 		}
@@ -575,17 +562,19 @@ func (e *Engine) Result(id QueryID) ([]Entry, error) {
 	return q.currentResult(nil), nil
 }
 
-// insertBatch indexes one cycle's arrival batch and updates every query
-// whose influence list covers a touched cell (Figure 9 lines 3-7 /
-// Figure 11 lines 4-11). Arrivals are grouped by destination cell: the
-// grid appends each cell's share to its columnar block, and every
-// influenced query scores the whole new sub-block with one vectorized
-// kernel call instead of one interface call per tuple. Per-query outcomes
-// are order-independent within a cycle (TMA's bounded top list and the
-// threshold result set are set-semantics; SMA admissions are buffered and
-// replayed in sequence order by flushPending), so the cell-grouped order
-// produces exactly the per-arrival transcript. skip lists same-batch
-// tuple ids that must not be indexed (DeletionsFirst).
+// insertBatch indexes one cycle's arrival batch and delivers every touched
+// cell's new sub-block to the queries that must see it: threshold queries
+// through the query-index probe, top-k queries through the cell's
+// influence list (Figure 9 lines 3-7 / Figure 11 lines 4-11). Arrivals are
+// grouped by destination cell: the grid appends each cell's share to its
+// columnar block, and every influenced query scores the whole new
+// sub-block with one vectorized kernel call instead of one interface call
+// per tuple. Per-query outcomes are order-independent within a cycle
+// (TMA's bounded top list and the threshold result set are set-semantics;
+// SMA admissions are buffered and replayed in sequence order by
+// flushPending), so the cell-grouped order produces exactly the
+// per-arrival transcript. skip lists same-batch tuple ids that must not be
+// indexed (DeletionsFirst).
 //
 //topk:hot
 func (e *Engine) insertBatch(arrivals []*stream.Tuple, skip map[uint64]struct{}) {
@@ -607,20 +596,14 @@ func (e *Engine) insertBatch(arrivals []*stream.Tuple, skip map[uint64]struct{})
 	for _, idx := range e.touched {
 		from := int(e.cellMark[idx]) - 1
 		e.cellMark[idx] = 0
-		if e.qi != nil {
-			blk := e.g.CellBlockFrom(idx, from)
-			if blk.Len() > 0 {
-				e.probeInsert(idx, blk, dims)
-			}
-			continue
-		}
-		il := e.g.Influence(idx)
-		if len(il) == 0 {
-			continue
-		}
 		blk := e.g.CellBlockFrom(idx, from)
 		n := blk.Len()
 		if n == 0 {
+			continue
+		}
+		e.probeInsert(idx, blk, dims)
+		il := e.g.Influence(idx)
+		if len(il) == 0 {
 			continue
 		}
 		if cap(e.scoreBuf) < n {
@@ -642,21 +625,14 @@ func (e *Engine) insertBatch(arrivals []*stream.Tuple, skip map[uint64]struct{})
 	e.flushPending()
 }
 
-// probeInsert delivers one cell's new sub-block through the query index:
-// for each cluster cached on the cell whose score upper bound reaches
-// the cluster's lowest member bound, the block is scored against up to
-// qTile members per multi-query kernel call, and each member at least
-// one of whose block scores reaches its own bound receives the scored
-// block through the same applyInsertBlock as the influence-list path.
-// Skipped members could not admit anything — every insert handler
-// filters on score ≥ the member's current bound (threshold, TMA kth,
-// SMA topScore), so a member none of whose scores reach it sees only
-// no-ops — and skipping them (without charging their counters) leaves
-// the transcript exactly what per-query delivery would produce. The one
-// place a handler admits below the bound — a TMA top list underfull
-// mid-cycle after losing a result tuple — is already marked affected and
-// recomputed from scratch at finishCycle, erasing any difference before
-// updates are emitted.
+// probeInsert delivers one cell's new sub-block to the threshold queries
+// through the query index: for each cluster cached on the cell whose score
+// upper bound reaches the cluster's lowest member threshold, the block is
+// scored against up to qTile members per multi-query kernel call, and each
+// member at least one of whose block scores reaches its own threshold
+// admits the tuples scoring strictly above it. Skipped members could not
+// admit anything, and skipping them (without charging their counters)
+// leaves the transcript exactly what per-query delivery would produce.
 //
 //topk:hot
 func (e *Engine) probeInsert(idx int, blk grid.Block, dims int) {
@@ -693,7 +669,18 @@ func (e *Engine) probeInsert(idx int, blk grid.Block, dims int) {
 				q := e.queries[cl.IDAt(j)]
 				e.stats.InfluenceEvents += int64(n)
 				q.cost += int64(n)
-				e.applyInsertBlock(q, blk, row, dims)
+				cons := q.spec.Constraint
+				for i, score := range row {
+					if score <= bnd {
+						continue
+					}
+					if cons != nil && !cons.Contains(geom.Vector(blk.Coords[i*dims:(i+1)*dims])) {
+						continue
+					}
+					t := blk.Ptrs[i]
+					q.thr[t.ID] = Entry{T: t, Score: score}
+					e.markDirty(q)
+				}
 			}
 		}
 	}
@@ -728,9 +715,9 @@ func (e *Engine) skipByEnvelope(cl *qindex.Cluster, coords []float64, n int) boo
 }
 
 // rowReaches reports whether any score in row reaches bound. Equality
-// counts as reaching: tie-break admissions (stream.Better on equal
-// scores) and entries sitting exactly on a member's bound must keep
-// flowing; only members strictly out of reach are skipped.
+// counts as reaching, matching the cell-level UB < bound skips: a
+// threshold query admits strictly above its bound, so this only errs
+// toward delivery.
 //
 //topk:hot
 func rowReaches(row []float64, bound float64) bool {
@@ -742,62 +729,46 @@ func rowReaches(row []float64, bound float64) bool {
 	return false
 }
 
-// applyInsertBlock feeds one scored cell block to one query's maintenance
-// state — the per-event logic of the old per-tuple path, with the score
-// already computed.
+// applyInsertBlock feeds one scored cell block to one top-k query's
+// maintenance state — the per-event logic of the old per-tuple path, with
+// the score already computed.
 //
 //topk:hot
 func (e *Engine) applyInsertBlock(q *query, blk grid.Block, scores []float64, dims int) {
 	cons := q.spec.Constraint
-	switch q.kind {
-	case thresholdKind:
-		thr := *q.spec.Threshold
+	if q.spec.Policy == SMA {
+		// Stale filter: kth score at the last from-scratch computation
+		// (-Inf while underfull, admitting everything). topScore only
+		// changes at recomputation — never inside a cycle's insert
+		// phase — so filtering the whole block against it is exact.
 		for j, score := range scores {
-			if score <= thr {
+			if score < q.topScore {
 				continue
 			}
 			if cons != nil && !cons.Contains(geom.Vector(blk.Coords[j*dims:(j+1)*dims])) {
 				continue
 			}
-			t := blk.Ptrs[j]
-			q.thr[t.ID] = Entry{T: t, Score: score}
+			if len(q.pending) == 0 {
+				e.pendingQs = append(e.pendingQs, q)
+			}
+			q.pending = append(q.pending, Entry{T: blk.Ptrs[j], Score: score})
 			e.markDirty(q)
 		}
-	case topkKind:
-		if q.spec.Policy == SMA {
-			// Stale filter: kth score at the last from-scratch computation
-			// (-Inf while underfull, admitting everything). topScore only
-			// changes at recomputation — never inside a cycle's insert
-			// phase — so filtering the whole block against it is exact.
-			for j, score := range scores {
-				if score < q.topScore {
-					continue
-				}
-				if cons != nil && !cons.Contains(geom.Vector(blk.Coords[j*dims:(j+1)*dims])) {
-					continue
-				}
-				if len(q.pending) == 0 {
-					e.pendingQs = append(e.pendingQs, q)
-				}
-				q.pending = append(q.pending, Entry{T: blk.Ptrs[j], Score: score})
-				e.markDirty(q)
-			}
-			return
-		}
-		// TMA: maintain exactly the top-k list.
-		for j, score := range scores {
-			if len(q.top) == q.spec.K {
-				kth := q.top[q.spec.K-1]
-				if !stream.Better(score, blk.Seqs[j], kth.Score, kth.T.Seq) {
-					continue
-				}
-			}
-			if cons != nil && !cons.Contains(geom.Vector(blk.Coords[j*dims:(j+1)*dims])) {
+		return
+	}
+	// TMA: maintain exactly the top-k list.
+	for j, score := range scores {
+		if len(q.top) == q.spec.K {
+			kth := q.top[q.spec.K-1]
+			if !stream.Better(score, blk.Seqs[j], kth.Score, kth.T.Seq) {
 				continue
 			}
-			q.insertTop(Entry{T: blk.Ptrs[j], Score: score})
-			e.markDirty(q)
 		}
+		if cons != nil && !cons.Contains(geom.Vector(blk.Coords[j*dims:(j+1)*dims])) {
+			continue
+		}
+		q.insertTop(Entry{T: blk.Ptrs[j], Score: score})
+		e.markDirty(q)
 	}
 }
 
@@ -827,7 +798,8 @@ func (e *Engine) flushPending() {
 }
 
 // expireBatch removes one cycle's expiration run from the index and
-// updates the queries whose influence lists cover the touched cells
+// delivers each touched cell's share to the threshold queries through the
+// query-index probe and to the top-k queries on the cell's influence list
 // (Figure 9 lines 8-11 / Figure 11 lines 12-16). Expirations are grouped
 // by cell so each influenced query handles a whole block per lookup;
 // per-event outcomes are order-independent (TMA's affected flag and the
@@ -859,18 +831,15 @@ func (e *Engine) expireBatch(expirations []*stream.Tuple) {
 		b := &e.expBuckets[i]
 		e.cellMark[b.idx] = 0
 		n := int64(len(b.tuples))
-		if e.qi != nil {
-			e.probeExpire(b.idx, b.tuples)
-		} else {
-			for _, id := range e.g.Influence(b.idx) {
-				q, ok := e.queries[id]
-				if !ok {
-					continue
-				}
-				e.stats.InfluenceEvents += n
-				q.cost += n
-				e.applyExpireBlock(q, b.tuples)
+		e.probeExpire(b.idx, b.tuples)
+		for _, id := range e.g.Influence(b.idx) {
+			q, ok := e.queries[id]
+			if !ok {
+				continue
 			}
+			e.stats.InfluenceEvents += n
+			q.cost += n
+			e.applyExpireBlock(q, b.tuples)
 		}
 		// Release the tuple references so expired tuples are not pinned
 		// until the bucket's next reuse.
@@ -881,21 +850,22 @@ func (e *Engine) expireBatch(expirations []*stream.Tuple) {
 	}
 }
 
-// probeExpire delivers one cell's expired tuples through the query index,
-// mirroring probeInsert's two-level skip: clusters whose cell upper bound
-// misses their lowest member bound are dropped wholesale, the rest have
-// the expired coordinates scored per member with the multi-query kernels,
-// and only members with at least one score reaching their own bound run
-// the membership-test handler. The skip is exact for expirations too:
-// every entry a query holds scores at or above the query's current bound
-// (threshold results are strictly above the threshold; top lists and
-// skybands are rebuilt against the bound at every from-scratch
-// recomputation and admit only at-or-above it in between), so an expired
-// tuple scoring below the bound cannot be held and its removal is a
-// no-op.
+// probeExpire delivers one cell's expired tuples to the threshold queries
+// through the query index, mirroring probeInsert's two-level skip:
+// clusters whose cell upper bound misses their lowest member threshold are
+// dropped wholesale, the rest have the expired coordinates scored per
+// member with the multi-query kernels, and only members with at least one
+// score reaching their own threshold run the membership test. The skip is
+// exact: every entry a threshold query holds scores strictly above its
+// threshold, so an expired tuple scoring below it cannot be held and its
+// removal is a no-op.
 //
 //topk:hot
 func (e *Engine) probeExpire(idx int, tuples []*stream.Tuple) {
+	entries := e.qi.CellEntries(idx)
+	if len(entries) == 0 {
+		return
+	}
 	n := len(tuples)
 	dims := e.g.Dims()
 	if cap(e.expCoords) < n*dims {
@@ -905,7 +875,7 @@ func (e *Engine) probeExpire(idx int, tuples []*stream.Tuple) {
 	for _, t := range tuples {
 		coords = append(coords, t.Vec...)
 	}
-	for _, ce := range e.qi.CellEntries(idx) {
+	for _, ce := range entries {
 		cl := ce.C
 		m := cl.Len()
 		if m == 0 || ce.UB < cl.MinBound() {
@@ -936,42 +906,37 @@ func (e *Engine) probeExpire(idx int, tuples []*stream.Tuple) {
 				q := e.queries[cl.IDAt(j)]
 				e.stats.InfluenceEvents += int64(n)
 				q.cost += int64(n)
-				e.applyExpireBlock(q, tuples)
+				for _, t := range tuples {
+					if _, ok := q.thr[t.ID]; ok {
+						delete(q.thr, t.ID)
+						e.markDirty(q)
+					}
+				}
 			}
 		}
 	}
 }
 
-// applyExpireBlock feeds one cell's expired tuples to one query's
+// applyExpireBlock feeds one cell's expired tuples to one top-k query's
 // maintenance state.
 //
 //topk:hot
 func (e *Engine) applyExpireBlock(q *query, tuples []*stream.Tuple) {
-	switch q.kind {
-	case thresholdKind:
+	if q.spec.Policy == SMA {
 		for _, t := range tuples {
-			if _, ok := q.thr[t.ID]; ok {
-				delete(q.thr, t.ID)
+			if q.sky.Remove(t.ID) {
+				q.skyChanged = true
 				e.markDirty(q)
 			}
 		}
-	case topkKind:
-		if q.spec.Policy == SMA {
-			for _, t := range tuples {
-				if q.sky.Remove(t.ID) {
-					q.skyChanged = true
-					e.markDirty(q)
-				}
-			}
-			return
-		}
-		for _, t := range tuples {
-			if _, ok := q.topIDs[t.ID]; ok {
-				// Result tuple expired: mark affected; recomputation happens
-				// after the whole deletion batch (Figure 9 line 11-13).
-				q.affected = true
-				e.markDirty(q)
-			}
+		return
+	}
+	for _, t := range tuples {
+		if _, ok := q.topIDs[t.ID]; ok {
+			// Result tuple expired: mark affected; recomputation happens
+			// after the whole deletion batch (Figure 9 line 11-13).
+			q.affected = true
+			e.markDirty(q)
 		}
 	}
 }
@@ -1100,14 +1065,6 @@ func (e *Engine) computeFromScratch(q *query) {
 	}
 	q.regScore = q.topScore
 
-	if e.qi != nil {
-		// The query index replaces both the registration loop and the
-		// pruning walk with one bound update.
-		if err := e.qi.SetBound(q.id, q.regScore); err != nil {
-			panic(err)
-		}
-		return
-	}
 	// Register the new influence region...
 	for _, idx := range res.Processed {
 		e.g.AddInfluence(idx, q.id)
@@ -1254,9 +1211,7 @@ func (e *Engine) MemoryBytes() int64 {
 		total += int64(len(q.thr)) * (entrySize + mapEntrySize)
 		total += int64(len(q.lastIDs)) * (entrySize + mapEntrySize)
 	}
-	if e.qi != nil {
-		total += e.qi.MemoryBytes()
-	}
+	total += e.qi.MemoryBytes()
 	if total > e.memHW {
 		e.memHW = total
 	}

@@ -13,7 +13,11 @@ import (
 
 // TestEngineLifecycleStress drives a long randomized session: queries of
 // all kinds registering and unregistering mid-stream, bursty arrival
-// rates, and per-cycle differential checks against the oracle.
+// rates, and per-cycle differential checks against the oracle. Both
+// delivery structures are live in the one engine throughout: after every
+// cycle the top-k queries must sit on the influence lists, the threshold
+// queries — and nothing else — in the query index, and every query in
+// exactly one of the two (CheckInfluence).
 func TestEngineLifecycleStress(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	e := mustEngine(t, Options{Dims: 3, Window: window.Count(400), TargetCells: 512})
@@ -45,6 +49,23 @@ func TestEngineLifecycleStress(t *testing.T) {
 		}
 		live = append(live, liveQuery{id, spec})
 	}
+	// One of each kind that never leaves (the churn below spares the
+	// first slots), so both structures stay populated.
+	thr := 0.8
+	region := geom.Rect{Lo: geom.Vector{0.1, 0.2, 0.3}, Hi: geom.Vector{0.6, 0.7, 0.8}}
+	pinned := []QuerySpec{
+		{F: qg.Next(), K: 4, Policy: TMA},
+		{F: qg.Next(), K: 6, Policy: SMA},
+		{F: qg.Next(), K: 3, Policy: SMA, Constraint: &region},
+		{F: qg.Next(), Threshold: &thr},
+	}
+	for _, spec := range pinned {
+		id, err := e.Register(spec)
+		if err != nil {
+			t.Fatalf("register: %v", err)
+		}
+		live = append(live, liveQuery{id, spec})
+	}
 	for i := 0; i < 6; i++ {
 		registerRandom()
 	}
@@ -62,8 +83,8 @@ func TestEngineLifecycleStress(t *testing.T) {
 		}
 
 		// Churn the query population.
-		if rng.Intn(5) == 0 && len(live) > 2 {
-			i := rng.Intn(len(live))
+		if rng.Intn(5) == 0 && len(live) > len(pinned) {
+			i := len(pinned) + rng.Intn(len(live)-len(pinned))
 			if err := e.Unregister(live[i].id); err != nil {
 				t.Fatalf("unregister: %v", err)
 			}
@@ -93,10 +114,20 @@ func TestEngineLifecycleStress(t *testing.T) {
 				}
 			}
 		}
-		if ts%25 == 0 {
-			if err := e.CheckInfluence(); err != nil {
-				t.Fatalf("ts=%d: %v", ts, err)
+		if err := e.CheckInfluence(); err != nil {
+			t.Fatalf("ts=%d: %v", ts, err)
+		}
+		thresholds := 0
+		for _, q := range live {
+			if q.spec.Threshold != nil {
+				thresholds++
 			}
+		}
+		if n := e.QueryIndex().NumQueries(); n != thresholds {
+			t.Fatalf("ts=%d: query index holds %d queries, want the %d thresholds", ts, n, thresholds)
+		}
+		if n := e.Grid().TotalInfluenceEntries(); n <= 0 {
+			t.Fatalf("ts=%d: influence lists hold %d entries with top-k queries registered", ts, n)
 		}
 	}
 }

@@ -21,8 +21,10 @@ type QueryInfo struct {
 	TopScore float64
 	// SkybandSize is the current skyband cardinality (SMA queries only).
 	SkybandSize int
-	// InfluenceCells counts the grid cells currently holding an entry for
-	// this query (the O(C) bookkeeping term of Section 6).
+	// InfluenceCells counts the cells of the query's influence region:
+	// for a top-k query the grid cells currently holding an entry for it
+	// (the O(C) bookkeeping term of Section 6), for a threshold query the
+	// cells its fixed bound reaches.
 	InfluenceCells int
 	// Cost is the maintenance work attributed to this query so far:
 	// influence events examined plus the cells/heap operations of its
@@ -32,28 +34,28 @@ type QueryInfo struct {
 }
 
 // Queries returns a snapshot of every registered query, ordered by id.
-// In influence-list mode it is O(Q + cells): cardinalities are gathered in
-// one pass over the grid. In query-index mode the grid holds no entries, so
-// InfluenceCells is reconstructed from the registration rule — O(Q × cells),
-// acceptable for an introspection surface and identical in value to what
-// the influence lists would report.
+// Top-k cardinalities are gathered in one pass over the grid's influence
+// lists, O(Q + cells). The query index stores no per-cell entries, so a
+// threshold query's InfluenceCells is reconstructed from the registration
+// rule — O(cells) per threshold query, acceptable for an introspection
+// surface.
 func (e *Engine) Queries() []QueryInfo {
 	perQuery := make(map[QueryID]int, len(e.queries))
-	if e.qi != nil {
-		r := e.scratchRect()
-		for id, q := range e.queries {
-			for idx := 0; idx < e.g.NumCells(); idx++ {
-				if e.ruleWants(q, idx, &r) {
-					perQuery[id]++
-				}
-			}
+	for idx := 0; idx < e.g.NumCells(); idx++ {
+		e.g.InfluenceDo(idx, func(id QueryID) bool {
+			perQuery[id]++
+			return true
+		})
+	}
+	r := e.scratchRect()
+	for id, q := range e.queries {
+		if q.kind != thresholdKind {
+			continue
 		}
-	} else {
 		for idx := 0; idx < e.g.NumCells(); idx++ {
-			e.g.InfluenceDo(idx, func(id QueryID) bool {
+			if e.ruleWants(q, idx, &r) {
 				perQuery[id]++
-				return true
-			})
+			}
 		}
 	}
 	out := make([]QueryInfo, 0, len(e.queries))

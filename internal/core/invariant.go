@@ -17,9 +17,9 @@ import (
 //
 // r is caller-provided scratch sized to the workspace dimensionality; its
 // contents are overwritten. The rule is the single source of truth for
-// both engine modes: the influence lists materialize it per (query, cell)
-// pair, the query index reproduces it from per-query bounds, and the
-// introspection surface reports it identically for either.
+// both delivery structures: the influence lists materialize it per
+// (top-k query, cell) pair, the query index covers it from per-query
+// thresholds, and the introspection surface reports it for either.
 func (e *Engine) ruleWants(q *query, idx int, r *geom.Rect) bool {
 	e.g.RectInto(idx, r)
 	if q.spec.Constraint != nil {
@@ -43,51 +43,39 @@ func (e *Engine) scratchRect() geom.Rect {
 	return geom.Rect{Lo: make(geom.Vector, d), Hi: make(geom.Vector, d)}
 }
 
-// CheckInfluence verifies the per-query delivery bookkeeping.
+// CheckInfluence verifies the per-query delivery bookkeeping: every query
+// is in exactly one structure, chosen by kind.
 //
-// In influence-list mode it checks, for every registered query, that the
-// set of cells holding an entry for the query is exactly the influence
-// region given by ruleWants at the time the lists were last registered.
-//
-// In query-index mode the grid holds no influence entries at all; instead
-// the check validates the index's internal invariants (locator
-// consistency, weight-envelope dominance, bound ordering, cell-cache
-// completeness), that every query's indexed bound equals its registration
-// score (threshold queries: the threshold), and that the grid's influence
-// store is empty.
+// For every top-k query the set of cells holding an influence-list entry
+// must be exactly the influence region given by ruleWants at the time the
+// lists were last registered. For every threshold query the query index
+// must hold it at exactly its threshold and the lists must not name it;
+// the index's own invariants (locator consistency, weight-envelope
+// dominance, bound ordering, cell-cache completeness) are validated too,
+// and it must hold nothing but the threshold queries.
 //
 // It is O(Q × cells) and intended for continuous verification in tests:
 // the shard monitors and the ingestion pipeline expose it as well, so
 // stress and differential suites can assert the invariant after every
 // processing cycle rather than only at end-of-run.
 func (e *Engine) CheckInfluence() error {
-	if e.qi != nil {
-		if err := e.qi.Validate(); err != nil {
-			return err
-		}
-		for id, q := range e.queries {
-			want := q.regScore
-			if q.kind == thresholdKind {
-				want = *q.spec.Threshold
-			}
-			got, ok := e.qi.BoundOf(id)
-			if !ok {
-				return fmt.Errorf("query %d: not present in the query index", id)
-			}
-			if got != want {
-				return fmt.Errorf("query %d: indexed bound %g, want %g", id, got, want)
-			}
-		}
-		if e.qi.NumQueries() != len(e.queries) {
-			return fmt.Errorf("query index holds %d queries, engine %d", e.qi.NumQueries(), len(e.queries))
-		}
-		if n := e.g.TotalInfluenceEntries(); n != 0 {
-			return fmt.Errorf("grid holds %d influence entries in query-index mode, want 0", n)
-		}
-		return nil
+	if err := e.qi.Validate(); err != nil {
+		return err
 	}
 	r := e.scratchRect()
+	thresholds, listed := 0, 0
 	for id, q := range e.queries {
+		if q.kind == thresholdKind {
+			thresholds++
+			got, ok := e.qi.BoundOf(id)
+			if !ok {
+				return fmt.Errorf("threshold query %d: not present in the query index", id)
+			}
+			if got != *q.spec.Threshold {
+				return fmt.Errorf("threshold query %d: indexed bound %g, want %g", id, got, *q.spec.Threshold)
+			}
+			continue
+		}
 		for idx := 0; idx < e.g.NumCells(); idx++ {
 			want := e.ruleWants(q, idx, &r)
 			got := e.g.HasInfluence(idx, id)
@@ -95,7 +83,18 @@ func (e *Engine) CheckInfluence() error {
 				return fmt.Errorf("query %d cell %d: registered=%v want %v (regScore=%g, maxscore=%g)",
 					id, idx, got, want, q.regScore, geom.MaxScore(q.spec.F, e.g.Rect(idx)))
 			}
+			if got {
+				listed++
+			}
 		}
+	}
+	if n := e.qi.NumQueries(); n != thresholds {
+		return fmt.Errorf("query index holds %d queries, engine has %d threshold queries", n, thresholds)
+	}
+	// The lists hold exactly the entries counted above, so none names a
+	// threshold (or unregistered) query.
+	if n := e.g.TotalInfluenceEntries(); n != listed {
+		return fmt.Errorf("grid holds %d influence entries, top-k queries account for %d", n, listed)
 	}
 	return nil
 }

@@ -17,8 +17,9 @@ import (
 // What moves: the spec, the admission filters (TopScore/RegScore), the
 // policy state (TMA top list, SMA skyband with dominance counters, or the
 // threshold result set), the reporting baseline (LastReported — the result
-// as last handed to the client, which anchors future Update deltas), the
-// registered influence-cell set, and the attributed maintenance cost.
+// as last handed to the client, which anchors future Update deltas), a
+// top-k query's registered influence-cell set, and the attributed
+// maintenance cost.
 //
 // What is re-derived: nothing. The importing engine must already index the
 // same tuple stream under identical Options (same dimensionality, grid
@@ -52,7 +53,9 @@ type QuerySnapshot struct {
 	// total order: the baseline future Update deltas diff against.
 	LastReported []Entry
 	// InfluenceCells lists the grid cells currently holding an influence
-	// entry for the query, ascending.
+	// entry for a top-k query, ascending. Threshold queries live in the
+	// query index, whose placement is implied by the threshold: they
+	// export no cells, and import ignores the field for them.
 	InfluenceCells []int
 	// Cost is the accumulated attributed maintenance cost (see Stats), so
 	// cost-aware placement keeps seeing the query's history after a move.
@@ -107,17 +110,7 @@ func (e *Engine) ExportQuery(id QueryID) (QuerySnapshot, error) {
 		snap.LastReported = append(snap.LastReported, en)
 	}
 	sortEntriesBetter(snap.LastReported)
-	if e.qi != nil {
-		// The index stores no per-cell entries; reconstruct the influence
-		// region from the registration rule so snapshots stay portable to
-		// engines running in either mode.
-		r := e.scratchRect()
-		for idx := 0; idx < e.g.NumCells(); idx++ {
-			if e.ruleWants(q, idx, &r) {
-				snap.InfluenceCells = append(snap.InfluenceCells, idx)
-			}
-		}
-	} else {
+	if q.kind == topkKind {
 		for idx := 0; idx < e.g.NumCells(); idx++ {
 			if e.g.HasInfluence(idx, id) {
 				snap.InfluenceCells = append(snap.InfluenceCells, idx)
@@ -128,7 +121,8 @@ func (e *Engine) ExportQuery(id QueryID) (QuerySnapshot, error) {
 }
 
 // ImportQuery installs a query from a snapshot, assigning it a fresh local
-// id and registering its influence cells, without running any computation:
+// id and registering its influence cells (top-k) or indexing its threshold,
+// without running any computation:
 // the imported query resumes exactly where the exported one stopped. The
 // engine must have been constructed with the same workspace dimensionality,
 // grid resolution and stream mode, and must index the same tuple stream as
@@ -213,15 +207,8 @@ func (e *Engine) importAt(snap QuerySnapshot, id QueryID) error {
 	if q.sky != nil {
 		e.numSMA++
 	}
-	if e.qi != nil {
-		// The snapshot's cell list is implied by the bound; index the query
-		// directly at its registration score (threshold queries: the fixed
-		// threshold).
-		bound := snap.RegScore
-		if q.kind == thresholdKind {
-			bound = *snap.Spec.Threshold
-		}
-		if err := e.qi.Add(q.id, snap.Spec.F, bound); err != nil {
+	if q.kind == thresholdKind {
+		if err := e.qi.Add(q.id, snap.Spec.F, *snap.Spec.Threshold); err != nil {
 			panic(err)
 		}
 	} else {

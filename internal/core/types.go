@@ -5,6 +5,13 @@
 // (Skyband Monitoring Algorithm, Figure 11) — plus the constrained,
 // threshold and update-stream extensions of Section 7.
 //
+// Stream events reach queries through one delivery structure per query
+// kind, fixed at Register: top-k queries (TMA or SMA, constrained or not)
+// live on the grid's per-cell influence lists, exactly the paper's
+// bookkeeping; threshold queries live in the query index
+// (internal/qindex), which carries the pub/sub regime of very many
+// near-duplicate standing subscriptions that per-cell lists cannot.
+//
 // The //topk:deterministic directive below puts this package under the
 // topklint determinism analyzer: no wall-clock reads, no unseeded
 // randomness, no map-iteration-order leaks into outputs, no ad-hoc
@@ -193,15 +200,6 @@ type Options struct {
 	// recomputations become more frequent. This exists purely as an
 	// ablation of the design decision; leave it false in production.
 	DeletionsFirst bool
-	// DisableQueryIndex falls back to the per-query influence lists of
-	// the paper (each query registered on every cell of its influence
-	// region) instead of the shared query index. The index is the
-	// default: it collapses the O(queries × cells) influence memory to
-	// O(queries + cells) and makes per-cycle cost sublinear in the query
-	// count for clustered workloads. Results are byte-identical either
-	// way; this switch exists for comparison runs and as an escape
-	// hatch.
-	DisableQueryIndex bool
 	// ExternalExpiry hands window management to the caller: the engine
 	// holds no window of its own and cycles run through StepExternal, which
 	// receives the expiring tuples alongside the arrivals. Expirations must
@@ -246,7 +244,9 @@ type Stats struct {
 	Arrivals    int64
 	Expirations int64
 	// InfluenceEvents counts (event, query) pairs examined because the
-	// event fell in a cell of the query's influence list.
+	// event fell in a cell of a top-k query's influence list, or because
+	// the query-index probe delivered the cell's block to a threshold
+	// query.
 	InfluenceEvents int64
 	// Recomputes counts from-scratch top-k computations triggered by
 	// maintenance (excluding initial registrations).
@@ -260,7 +260,8 @@ type Stats struct {
 	// behind per-query cost attribution (shard rebalancing).
 	HeapOps int64
 	// CellsWalked counts cells visited by influence-list pruning walks
-	// (after recomputations and at query termination).
+	// (after top-k recomputations and at top-k query termination).
+	// Threshold queries never walk.
 	CellsWalked int64
 	// SkybandSizeSum / SkybandSamples track the per-cycle skyband sizes of
 	// SMA queries (Table 2).

@@ -68,14 +68,6 @@ func sync(build func(opts core.Options) (core.StreamMonitor, error)) func(core.O
 
 func engineBuild(opts core.Options) (core.StreamMonitor, error) { return core.NewEngine(opts) }
 
-// legacyBuild runs the single engine with the shared query index disabled
-// — per-cell influence lists, the paper's original bookkeeping. Keeping it
-// in the matrix makes every scenario a direct index-vs-influence-list
-// differential on top of the naive reference.
-func legacyBuild(opts core.Options) (core.StreamMonitor, error) {
-	opts.DisableQueryIndex = true
-	return core.NewEngine(opts)
-}
 func shardedBuild(n int) func(core.Options) (core.StreamMonitor, error) {
 	return func(opts core.Options) (core.StreamMonitor, error) { return shard.New(opts, n) }
 }
@@ -104,7 +96,6 @@ func rebalancedBuild(n int) func(core.Options) (core.StreamMonitor, error) {
 func allModes() []execMode {
 	return []execMode{
 		{name: "engine", build: sync(engineBuild)},
-		{name: "legacy-influence-engine", build: sync(legacyBuild)},
 		{name: "query-sharded-3", build: sync(shardedBuild(diffShards))},
 		{name: "data-sharded-3", build: sync(dataShardedBuild(diffShards))},
 		{name: "rebalanced-query-sharded-3", build: sync(rebalancedBuild(diffShards)), forceMigrate: true},
@@ -117,8 +108,8 @@ func allModes() []execMode {
 
 // runDifferential replays the scenario derived from seed through the
 // naive reference and every execution mode, asserting byte-identical
-// transcripts. checkInvariants additionally runs the influence-list
-// checker after every cycle of the synchronous grid modes.
+// transcripts. checkInvariants additionally runs the delivery-structure
+// checker (CheckInfluence) after every cycle of the synchronous grid modes.
 func runDifferential(t *testing.T, seed int64, checkInvariants bool) {
 	t.Helper()
 	s := GenScenario(seed)
@@ -160,6 +151,24 @@ func TestDifferentialSeeds(t *testing.T) {
 	n := int64(20)
 	if testing.Short() {
 		n = 6
+	}
+	// The engine keeps top-k queries on influence lists and threshold
+	// queries in the query index: the seed set must hold both kinds live in
+	// one scenario, or neither structure is tested next to the other.
+	mixed := false
+	for seed := int64(1); seed <= n && !mixed; seed++ {
+		var topk, thr bool
+		for _, spec := range GenScenario(seed).Initial {
+			if spec.Threshold != nil {
+				thr = true
+			} else {
+				topk = true
+			}
+		}
+		mixed = topk && thr
+	}
+	if !mixed {
+		t.Fatalf("no scenario among seeds 1..%d registers top-k and threshold queries together", n)
 	}
 	for seed := int64(1); seed <= n; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {

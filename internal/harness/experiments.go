@@ -528,15 +528,12 @@ func Experiments() []Experiment {
 		},
 		{
 			ID:    "querycount",
-			Title: "Query count: per-cycle cost at pub/sub-scale query counts — shared query index vs per-query influence lists (beyond the paper)",
+			Title: "Query count: query-index per-cycle cost and space at pub/sub-scale threshold-query counts (beyond the paper)",
 			Run: func(scale float64, seed int64) ([]Table, error) {
-				// The influence-list leg is the O(queries × cells) baseline
-				// this sweep exists to retire; cap it so the sweep completes.
-				const legacyCap = 20000
 				tbl := Table{
 					Title:  "Query count: per-cycle CPU time and space, near-dup threshold queries (d=4, IND)",
 					XLabel: "Q",
-					Cols:   []string{"index/cycle", "lists/cycle", "index space", "index space HW", "lists space"},
+					Cols:   []string{"index/cycle", "index space", "index space HW"},
 				}
 				// The query-count axis is deliberately NOT scaled: the point
 				// of this sweep is registration scale itself, so even the CI
@@ -550,19 +547,8 @@ func Experiments() []Experiment {
 						return nil, fmt.Errorf("querycount [Q=%d]: %w", q, err)
 					}
 					row := Row{X: fmt.Sprintf("%d", q)}
-					legCycle, legSpace := "-", "-"
-					if q <= legacyCap {
-						cfg.DisableQueryIndex = true
-						leg, err := Run(cfg)
-						if err != nil {
-							return nil, fmt.Errorf("querycount legacy [Q=%d]: %w", q, err)
-						}
-						legCycle = FormatDuration(leg.PerCycle())
-						legSpace = FormatMB(leg.SpaceBytes)
-					}
 					row.Cells = append(row.Cells,
-						FormatDuration(res.PerCycle()), legCycle,
-						FormatMB(res.SpaceBytes), FormatMB(res.MemoryHighWater), legSpace)
+						FormatDuration(res.PerCycle()), FormatMB(res.SpaceBytes), FormatMB(res.MemoryHighWater))
 					tbl.Rows = append(tbl.Rows, row)
 				}
 				return []Table{tbl}, nil

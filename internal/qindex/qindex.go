@@ -1,37 +1,40 @@
-// Package qindex is the query index: the dual of the grid's per-cell
-// influence lists. Instead of every query registering itself on every
-// cell of its influence region (O(queries × cells) memory, rebuilt by
-// walks on every recomputation), queries of the same preference-function
-// family are stored columnar — weight vectors packed in one flat
-// dims-strided []float64 with parallel id/bound columns — and clustered
-// by quantized normalized weight vector. An arrival probes the index:
-// per cell the engine gets the short list of clusters whose score upper
-// bound over the cell reaches the cluster's lowest member bound, scores
-// the cell's new tuples against a whole cluster with one multi-query
-// kernel call, and skips members whose own bound exceeds the cell bound.
+// Package qindex is the query index: the engine's delivery structure for
+// threshold queries, the dual of the grid's per-cell influence lists that
+// carry the top-k queries. A threshold query's bound is fixed for its
+// lifetime and its influence region can cover most of the workspace, so
+// instead of registering it on every cell of that region (O(queries ×
+// cells) memory) queries of the same preference-function family are
+// stored columnar — weight vectors packed in one flat dims-strided
+// []float64 with parallel id/bound columns — and clustered by quantized
+// normalized weight vector. An arrival probes the index: per cell the
+// engine gets the short list of clusters whose score upper bound over the
+// cell reaches the cluster's lowest member bound, scores the cell's new
+// tuples against a whole cluster with one multi-query kernel call, and
+// skips members whose own bound exceeds the cell bound. This is what
+// carries the pub/sub regime of very many near-duplicate standing
+// subscriptions with rare matches.
 //
-// Correctness rests on one property of the engine's event handlers:
-// delivering a superset of the (event, query) pairs the influence lists
-// would deliver never changes results — insert admissions re-check every
-// tuple against the query's own filter, and expire handlers are
-// membership tests. The index therefore only needs conservative upper
-// bounds, and keeps them cheap with lazy staleness in the safe
-// direction:
+// Correctness rests on one property of the engine's threshold handlers:
+// delivering a superset of the (event, query) pairs influence lists would
+// deliver never changes results — insert admissions re-check every tuple
+// against the query's threshold, and expire handlers are membership
+// tests. The index therefore only needs conservative upper bounds, and
+// keeps them cheap with lazy staleness in the safe direction:
 //
 //   - a cluster's componentwise weight envelope (wHi) only ever grows in
 //     place; removals leave it stale-high (bounds stay conservative);
-//   - a cluster's minimum member bound (minBound) lowers eagerly and is
-//     re-tightened only after enough raises accumulate (stale-low: the
-//     cluster is probed a little more often than necessary);
+//   - a cluster's minimum member bound (minBound) is exact: member bounds
+//     never move, Add lowers it and Remove rescans the column when the
+//     departing member held it;
 //   - per-cell cluster lists are cached and invalidated by one global
-//     epoch, bumped only by events that could add a (cell, cluster)
-//     pair: a new cluster, envelope growth, or a walk bound dropping.
-//     Everything else (member removal, bound raises, cluster death)
-//     leaves caches valid as supersets.
+//     epoch, bumped only by an Add that could create a (cell, cluster)
+//     pair: a new cluster, envelope growth, or a bound below the
+//     cluster's walk bound. Removal and cluster death leave caches valid
+//     as supersets.
 //
-// The walk bound carries hysteresis: it sits a few percent below the
-// minimum member bound, so small oscillations of a query's kth score
-// do not bump the epoch every cycle.
+// The walk bound carries slack: it sits a few percent below the minimum
+// member bound, so a subscription arriving slightly below its cluster's
+// current minimum does not bump the epoch.
 //
 // The //topk:deterministic directive below puts this package under the
 // topklint determinism analyzer: no wall-clock reads, no unseeded
@@ -108,23 +111,21 @@ type Cluster struct {
 	// in place (growth bumps the index epoch); removals leave it
 	// stale-high. nil for famGeneric.
 	wHi []float64
-	// minBound tracks the minimum member bound, possibly stale-low.
+	// minBound is the minimum member bound.
 	minBound float64
 	// walkBound is the bound the cached cell lists were published
 	// against: a cell whose upper bound is below walkBound appears in
-	// no cache. Invariant: walkBound <= minBound <= every member bound
-	// (up to staleness in the safe direction). Lowering it bumps the
-	// epoch; it sits slack below minBound so bound oscillations don't.
+	// no cache. Invariant: walkBound <= minBound <= every member bound.
+	// Lowering it bumps the epoch; it sits slack below minBound so a
+	// new member just under the current minimum doesn't.
 	walkBound float64
-	// raises counts bound raises since minBound was last re-tightened.
-	raises int
 }
 
 // Len returns the member count.
 func (c *Cluster) Len() int { return len(c.ids) }
 
-// MinBound returns the cluster's (possibly stale-low) minimum member
-// bound — the cluster-level skip threshold.
+// MinBound returns the cluster's minimum member bound — the
+// cluster-level skip threshold.
 func (c *Cluster) MinBound() float64 { return c.minBound }
 
 // IDAt returns member j's query id.
@@ -307,10 +308,11 @@ func (ix *Index) clusterKey(fam family, w []float64) string {
 	return string(buf)
 }
 
-// walkSlack returns the hysteresis gap kept between a cluster's minimum
-// member bound and its published walk bound: a few percent of the
-// bound's magnitude, so small downward oscillations of a kth score stay
-// inside the already-published region instead of bumping the epoch.
+// walkSlack returns the gap kept between a cluster's minimum member bound
+// and its published walk bound: a few percent of the bound's magnitude,
+// so near-duplicate subscriptions arriving just below the cluster's
+// current minimum stay inside the already-published region instead of
+// each bumping the epoch.
 func walkSlack(b float64) float64 {
 	if math.IsInf(b, 0) {
 		return 0
@@ -318,11 +320,10 @@ func walkSlack(b float64) float64 {
 	return 0.05 * math.Abs(b)
 }
 
-// Add registers a query with the index. bound is the delivery threshold:
-// the query must see every stream event in a cell whose clipped maximum
-// score reaches bound (the engine passes regScore for top-k queries and
-// the threshold for threshold queries; +Inf parks a query that will
-// receive its real bound via SetBound before the next cycle).
+// Add registers a query with the index. bound is the delivery threshold,
+// fixed for the query's lifetime: the query must see every stream event
+// in a cell whose maximum score reaches bound (the engine passes a
+// threshold query's threshold).
 func (ix *Index) Add(id QueryID, f geom.ScoringFunction, bound float64) error {
 	if _, dup := ix.loc[id]; dup {
 		return fmt.Errorf("qindex: query %d already indexed", id)
@@ -381,40 +382,10 @@ func (ix *Index) Add(id QueryID, f geom.ScoringFunction, bound float64) error {
 	return nil
 }
 
-// SetBound updates a query's delivery bound (after a from-scratch
-// recomputation changed its regScore).
-func (ix *Index) SetBound(id QueryID, bound float64) error {
-	p, ok := ix.loc[id]
-	if !ok {
-		return fmt.Errorf("qindex: unknown query %d", id)
-	}
-	c := p.c
-	old := c.bounds[p.slot]
-	c.bounds[p.slot] = bound
-	switch {
-	case bound < old:
-		if bound < c.minBound {
-			c.minBound = bound
-		}
-		if bound < c.walkBound {
-			c.walkBound = bound - walkSlack(bound)
-			ix.epoch++
-		}
-	case bound > old:
-		// minBound may now be stale-low; re-tighten once enough raises
-		// accumulate rather than rescanning the column every time.
-		c.raises++
-		if c.raises >= 16 && c.raises >= len(c.ids)/4 {
-			c.refreshMinBound()
-		}
-	}
-	return nil
-}
-
-// refreshMinBound rescans the bound column, tightening minBound and
-// lifting walkBound back under it. Raising walkBound never invalidates
-// caches (already-published lists remain supersets; future rebuilds
-// publish less), so no epoch bump.
+// refreshMinBound rescans the bound column after the member holding the
+// minimum left, tightening minBound and lifting walkBound back under it.
+// Raising walkBound never invalidates caches (already-published lists
+// remain supersets; future rebuilds publish less), so no epoch bump.
 func (c *Cluster) refreshMinBound() {
 	mb := math.Inf(1)
 	for _, b := range c.bounds {
@@ -426,7 +397,6 @@ func (c *Cluster) refreshMinBound() {
 	if wb := mb - walkSlack(mb); wb > c.walkBound {
 		c.walkBound = wb
 	}
-	c.raises = 0
 }
 
 // Remove drops a query from the index. An emptied cluster is unlinked
@@ -440,6 +410,7 @@ func (ix *Index) Remove(id QueryID) error {
 	}
 	delete(ix.loc, id)
 	c, slot := p.c, p.slot
+	gone := c.bounds[slot]
 	last := len(c.ids) - 1
 	if slot != last {
 		c.ids[slot] = c.ids[last]
@@ -460,8 +431,10 @@ func (ix *Index) Remove(id QueryID) error {
 	} else {
 		c.weights = c.weights[:last*c.dims]
 	}
-	// wHi and minBound go stale in the safe direction; empty clusters
-	// are unlinked entirely.
+	// wHi goes stale in the safe direction; empty clusters are unlinked
+	// entirely; a cluster that lost its lowest bound is re-tightened, or
+	// it would be probed (and its members scored) at the departed bound
+	// for the rest of its life.
 	if len(c.ids) == 0 {
 		delete(ix.byKey, c.key)
 		for i, cc := range ix.clusters {
@@ -471,6 +444,8 @@ func (ix *Index) Remove(id QueryID) error {
 				break
 			}
 		}
+	} else if gone == c.minBound {
+		c.refreshMinBound()
 	}
 	return nil
 }
@@ -550,7 +525,7 @@ func (ix *Index) MemoryBytes() int64 {
 //
 //   - locator consistency: every indexed query sits where loc says;
 //   - per cluster: wHi dominates every member componentwise, minBound
-//     is <= every member bound, walkBound <= minBound;
+//     is exactly the smallest member bound, walkBound <= minBound;
 //   - cache completeness: on every fresh cell (cache epoch == current),
 //     each live cluster whose upper bound reaches its walkBound is
 //     present with exactly that bound (the envelope cannot have changed
@@ -575,8 +550,8 @@ func (ix *Index) Validate() error {
 				}
 			}
 		}
-		if c.minBound > mb {
-			return fmt.Errorf("qindex: cluster %q minBound %g above true min %g", c.key, c.minBound, mb)
+		if c.minBound != mb {
+			return fmt.Errorf("qindex: cluster %q minBound %g, true min %g", c.key, c.minBound, mb)
 		}
 		if c.walkBound > c.minBound {
 			return fmt.Errorf("qindex: cluster %q walkBound %g above minBound %g", c.key, c.walkBound, c.minBound)

@@ -56,7 +56,7 @@ func mustValidate(t *testing.T, ix *Index) {
 	}
 }
 
-func TestAddSetBoundRemove(t *testing.T) {
+func TestAddRemove(t *testing.T) {
 	ix := newTestIndex(t, 2, 4)
 	f1 := geom.NewLinear(0.5, 0.5)
 	f2 := geom.NewLinear(0.52, 0.48) // same quantized direction
@@ -80,24 +80,14 @@ func TestAddSetBoundRemove(t *testing.T) {
 	}
 	mustValidate(t, ix)
 
-	if err := ix.SetBound(2, 0.3); err != nil {
-		t.Fatal(err)
-	}
-	if b, _ := ix.BoundOf(2); b != 0.3 {
-		t.Fatalf("BoundOf(2) after lower = %v", b)
-	}
-	mustValidate(t, ix)
-
-	if err := ix.SetBound(2, 0.9); err != nil {
-		t.Fatal(err)
-	}
-	mustValidate(t, ix) // minBound now stale-low: still valid
-
 	if err := ix.Remove(1); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := ix.BoundOf(1); ok {
 		t.Fatal("removed query still resolvable")
+	}
+	if err := ix.Remove(1); err == nil {
+		t.Fatal("second Remove of the same query accepted")
 	}
 	mustValidate(t, ix)
 	if err := ix.Remove(2); err != nil {
@@ -106,8 +96,40 @@ func TestAddSetBoundRemove(t *testing.T) {
 	if got := ix.NumClusters(); got != 0 {
 		t.Fatalf("emptied cluster survived: NumClusters = %d", got)
 	}
-	if err := ix.SetBound(2, 0.1); err == nil {
-		t.Fatal("SetBound on removed query accepted")
+	mustValidate(t, ix)
+}
+
+// TestRemoveRetightensMinBound: when the member holding a cluster's
+// lowest bound leaves, the cluster-level skip threshold must rise to the
+// survivors' minimum — otherwise the cluster is probed, and its members
+// scored, at the departed bound for the rest of its life.
+func TestRemoveRetightensMinBound(t *testing.T) {
+	ix := newTestIndex(t, 2, 4)
+	if err := ix.Add(1, geom.NewLinear(0.5, 0.5), 0.5); err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Add(2, geom.NewLinear(0.52, 0.48), 0.9); err != nil {
+		t.Fatal(err)
+	}
+	if ix.NumClusters() != 1 {
+		t.Fatalf("want one cluster, got %d", ix.NumClusters())
+	}
+	for idx := 0; idx < 4; idx++ {
+		ix.CellEntries(idx)
+	}
+	cl := ix.loc[2].c
+	if cl.MinBound() != 0.5 {
+		t.Fatalf("MinBound = %g before removal, want 0.5", cl.MinBound())
+	}
+	epoch := ix.Epoch()
+	if err := ix.Remove(1); err != nil {
+		t.Fatal(err)
+	}
+	if cl.MinBound() != 0.9 {
+		t.Fatalf("MinBound = %g after the 0.5 member left, want 0.9", cl.MinBound())
+	}
+	if ix.Epoch() != epoch {
+		t.Fatal("re-tightening bumped the epoch; published caches are still supersets")
 	}
 	mustValidate(t, ix)
 }
@@ -182,35 +204,39 @@ func TestEpochSemantics(t *testing.T) {
 	mustValidate(t, ix)
 	e1 := ix.Epoch()
 
-	// A raise must not invalidate caches.
-	if err := ix.SetBound(1, 0.9); err != nil {
+	// A second member at a higher bound must not invalidate caches.
+	if err := ix.Add(3, geom.NewLinear(0.5, 0.5), 0.9); err != nil {
 		t.Fatal(err)
 	}
 	if ix.Epoch() != e1 {
-		t.Fatal("bound raise bumped epoch")
+		t.Fatal("member above the cluster minimum bumped epoch")
 	}
 
-	// A small lowering inside the hysteresis gap must not either.
-	if err := ix.SetBound(1, 0.88); err != nil {
+	// A member slightly below the minimum, inside the walk slack, must
+	// not either.
+	if err := ix.Add(4, geom.NewLinear(0.5, 0.5), 0.78); err != nil {
 		t.Fatal(err)
 	}
 	if ix.Epoch() != e1 {
-		t.Fatal("lowering within walk slack bumped epoch")
+		t.Fatal("member within walk slack bumped epoch")
 	}
 
-	// A lowering below the walk bound must.
-	if err := ix.SetBound(1, 0.2); err != nil {
+	// A member below the walk bound must.
+	if err := ix.Add(5, geom.NewLinear(0.5, 0.5), 0.2); err != nil {
 		t.Fatal(err)
 	}
 	if ix.Epoch() == e1 {
-		t.Fatal("lowering below walk bound did not bump epoch")
+		t.Fatal("member below walk bound did not bump epoch")
 	}
 	mustValidate(t, ix)
 
 	// Removal never bumps: published caches stay supersets.
 	e2 := ix.Epoch()
-	if err := ix.Remove(1); err != nil {
-		t.Fatal(err)
+	for _, id := range []QueryID{5, 1, 3, 4} {
+		if err := ix.Remove(id); err != nil {
+			t.Fatal(err)
+		}
+		mustValidate(t, ix)
 	}
 	if ix.Epoch() != e2 {
 		t.Fatal("removal bumped epoch")
@@ -300,15 +326,19 @@ func TestNoUnderDelivery(t *testing.T) {
 	}
 	check()
 
-	// Churn: lower/raise bounds and remove a third of the queries, then
-	// re-check. Exercises stale minBound/wHi and cache reuse.
+	// Churn: replace a third of the queries under new bounds and remove
+	// another third, then re-check. Exercises minBound re-tightening,
+	// stale wHi and cache reuse.
 	kept := queries[:0]
 	for i := range queries {
 		q := &queries[i]
 		switch i % 3 {
 		case 0:
+			if err := ix.Remove(q.id); err != nil {
+				t.Fatal(err)
+			}
 			q.bound = rng.Float64()*2 - 0.5
-			if err := ix.SetBound(q.id, q.bound); err != nil {
+			if err := ix.Add(q.id, q.f, q.bound); err != nil {
 				t.Fatal(err)
 			}
 			kept = append(kept, *q)

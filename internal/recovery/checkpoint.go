@@ -33,8 +33,10 @@ import (
 const (
 	ckptMagic = "TOPKCKPT"
 	// ckptVersion 2 added the layoutDataSharded tuple-routing sections
-	// (bucket table + divergent placements).
-	ckptVersion = 2
+	// (bucket table + divergent placements); 3 dropped the query-index
+	// switch from the options block, and threshold snapshots carry no
+	// influence cells.
+	ckptVersion = 3
 	// ckptHeaderSize is magic + version + payload length.
 	ckptHeaderSize = len(ckptMagic) + 2 + 8
 	manifestName   = "MANIFEST.ckpt"

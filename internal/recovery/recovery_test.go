@@ -1,6 +1,7 @@
 package recovery
 
 import (
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -284,6 +285,80 @@ func TestCrashRestoreRoundTrip(t *testing.T) {
 	}
 }
 
+// TestMixedKindsCheckpointRoundTrip checkpoints an engine holding both
+// query kinds — top-k queries on the influence lists, a threshold query in
+// the query index — and restores it: the threshold snapshot carries no
+// influence cells (its placement is implied by the threshold; exporting
+// them cost a pass over every grid cell per subscription), the top-k
+// snapshots carry theirs, the restored engine has every query back in its
+// own structure, and the transcript continues byte-identical to a
+// reference that never stopped.
+func TestMixedKindsCheckpointRoundTrip(t *testing.T) {
+	for name, opts := range roundTripConfigs() {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			eng, err := core.NewEngine(opts)
+			if err != nil {
+				t.Fatalf("engine: %v", err)
+			}
+			g, err := NewGuard(eng, dir, GuardOptions{})
+			if err != nil {
+				t.Fatalf("NewGuard: %v", err)
+			}
+			d := newDriver(t, opts, g)
+			d.cycle(60, 0)
+			specs := specsFor(opts)
+			for _, spec := range specs {
+				d.register(spec)
+			}
+			for i := 0; i < 4; i++ {
+				d.cycle(25, 5)
+			}
+			if err := g.Checkpoint(); err != nil {
+				t.Fatalf("checkpoint: %v", err)
+			}
+			_, states, err := readCheckpoint(dir)
+			if err != nil {
+				t.Fatalf("readCheckpoint: %v", err)
+			}
+			if len(states) != 1 || len(states[0].snaps) != len(specs) {
+				t.Fatalf("checkpoint holds %d engine states, want 1 with %d queries", len(states), len(specs))
+			}
+			for i, snap := range states[0].snaps {
+				switch cells := len(snap.InfluenceCells); {
+				case snap.Spec.Threshold != nil && cells != 0:
+					t.Fatalf("threshold q%d checkpointed %d influence cells, want none", states[0].ids[i], cells)
+				case snap.Spec.Threshold == nil && cells == 0:
+					t.Fatalf("top-k q%d checkpointed no influence cells", states[0].ids[i])
+				}
+			}
+			// A WAL suffix past the checkpoint, then the crash.
+			d.cycle(25, 5)
+			if err := g.Abandon(); err != nil {
+				t.Fatalf("abandon: %v", err)
+			}
+
+			restored, _, err := Restore(dir, RestoreOptions{})
+			if err != nil {
+				t.Fatalf("Restore: %v", err)
+			}
+			defer restored.Close()
+			if err := restored.CheckInfluence(); err != nil {
+				t.Fatalf("restored engine: %v", err)
+			}
+			d.mon = restored
+			d.checkState()
+			for i := 0; i < 6; i++ {
+				d.cycle(25, 5)
+				if err := restored.CheckInfluence(); err != nil {
+					t.Fatalf("cycle %d after restore: %v", i, err)
+				}
+			}
+			d.checkState()
+		})
+	}
+}
+
 // TestRestoreReopenedWALKeepsWatermark is the regression test for a
 // silent data-loss bug: a reopened rotated (hence empty) WAL derived its
 // next index from the surviving records — zero — while the manifest
@@ -494,6 +569,25 @@ func TestRestoreErrors(t *testing.T) {
 		}
 		buf[len(ckptMagic)] = 0xfe // version field
 		buf[len(ckptMagic)+1] = 0xca
+		if err := os.WriteFile(path, buf, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := Restore(dir, RestoreOptions{}); !errors.Is(err, ErrVersion) {
+			t.Fatalf("got %v, want ErrVersion", err)
+		}
+	})
+
+	t.Run("version-2-lineage", func(t *testing.T) {
+		// The format before this one (options block with the query-index
+		// switch, threshold snapshots carrying influence cells) must be
+		// refused by version, not misparsed.
+		dir := freshLineage(t)
+		path := filepath.Join(dir, manifestName)
+		buf, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint16(buf[len(ckptMagic):], 2)
 		if err := os.WriteFile(path, buf, 0o644); err != nil {
 			t.Fatal(err)
 		}

@@ -258,20 +258,18 @@ func encodeOptions(e *enc, o core.Options) {
 	e.uvarint(uint64(o.GridRes))
 	e.uvarint(uint64(o.TargetCells))
 	e.boolean(o.DeletionsFirst)
-	e.boolean(o.DisableQueryIndex)
 	e.boolean(o.ExternalExpiry)
 }
 
 func decodeOptions(d *dec) core.Options {
 	return core.Options{
-		Dims:              int(d.uvarint()),
-		Window:            window.Spec{Kind: window.Kind(d.u8()), N: int(d.uvarint()), Span: d.varint()},
-		Mode:              core.StreamMode(d.u8()),
-		GridRes:           int(d.uvarint()),
-		TargetCells:       int(d.uvarint()),
-		DeletionsFirst:    d.boolean(),
-		DisableQueryIndex: d.boolean(),
-		ExternalExpiry:    d.boolean(),
+		Dims:           int(d.uvarint()),
+		Window:         window.Spec{Kind: window.Kind(d.u8()), N: int(d.uvarint()), Span: d.varint()},
+		Mode:           core.StreamMode(d.u8()),
+		GridRes:        int(d.uvarint()),
+		TargetCells:    int(d.uvarint()),
+		DeletionsFirst: d.boolean(),
+		ExternalExpiry: d.boolean(),
 	}
 }
 
@@ -293,7 +291,7 @@ func encodeSnapshot(e *enc, snap core.QuerySnapshot) error {
 	}
 	encodeEntries(e, snap.Threshold)
 	encodeEntries(e, snap.LastReported)
-	// Influence cells ascend; delta-encode them.
+	// Influence cells (top-k queries only) ascend; delta-encode them.
 	e.uvarint(uint64(len(snap.InfluenceCells)))
 	prev := 0
 	for _, idx := range snap.InfluenceCells {

@@ -53,10 +53,30 @@ func TestMigrationPreservesBehavior(t *testing.T) {
 		}
 		diffUpdates(t, ts, refUpd, shUpd)
 
-		// Rotate a different query to a different shard every cycle.
-		id := shIDs[int(ts)%len(shIDs)]
-		if err := sh.MigrateQuery(id, int(ts)%shards); err != nil {
-			t.Fatalf("cycle %d migrate q%d: %v", ts, id, err)
+		// Every cycle one batch moves a top-k query (influence lists) and a
+		// threshold query (query index) off their current shards, rotating
+		// through the set: both export/import paths run on whatever state
+		// the cycle just left.
+		_, routes := sh.ExportRouting()
+		shardOf := make(map[core.QueryID]int, len(routes))
+		for _, r := range routes {
+			shardOf[r.Global] = r.Shard
+		}
+		topkIdx := int(ts) % len(shIDs)
+		if topkIdx%4 == 3 {
+			topkIdx--
+		}
+		thrIdx := 3 + 4*(int(ts)%(len(shIDs)/4)) // registerMixedQueries: every 4th is a threshold
+		var moves []QueryMove
+		for _, id := range []core.QueryID{shIDs[topkIdx], shIDs[thrIdx]} {
+			moves = append(moves, QueryMove{Query: id, Target: (shardOf[id] + 1 + int(ts)%(shards-1)) % shards})
+		}
+		before := sh.Migrations()
+		if err := sh.MigrateQueries(moves); err != nil {
+			t.Fatalf("cycle %d migrate %v: %v", ts, moves, err)
+		}
+		if got := sh.Migrations() - before; got != 2 {
+			t.Fatalf("cycle %d: batch %v executed %d moves, want a top-k and a threshold move", ts, moves, got)
 		}
 		if err := sh.CheckInfluence(); err != nil {
 			t.Fatalf("cycle %d after migration: %v", ts, err)

@@ -224,15 +224,13 @@ func (s *Searcher) TopK(req Request) Result {
 
 // Threshold collects every tuple with score strictly above the threshold,
 // visiting cells from the best corner with a plain list (Section 7: the
-// visiting order does not matter for threshold queries). It returns the
-// matching entries (unordered) and the set of processed cells, which is
-// exactly the set of cells whose maxscore exceeds the threshold — the
-// query's influence region. Like Result, the returned slices alias pooled
-// searcher buffers valid until the next computation.
-func (s *Searcher) Threshold(f geom.ScoringFunction, threshold float64, constraint *geom.Rect) ([]Entry, []int) {
+// visiting order does not matter for threshold queries). It processes
+// exactly the cells whose maxscore exceeds the threshold and returns the
+// matching entries (unordered). Like Result, the returned slice aliases a
+// pooled searcher buffer valid until the next computation.
+func (s *Searcher) Threshold(f geom.ScoringFunction, threshold float64, constraint *geom.Rect) []Entry {
 	s.nextGen()
 	s.thrEntries = s.thrEntries[:0]
-	s.processed = s.processed[:0]
 	dims := s.g.Dims()
 
 	start := s.g.BestCell(f)
@@ -249,7 +247,6 @@ func (s *Searcher) Threshold(f geom.ScoringFunction, threshold float64, constrai
 			continue
 		}
 		s.CellsProcessed++
-		s.processed = append(s.processed, idx)
 		blk := s.scoreCell(idx, f)
 		for j, sc := range s.scores {
 			if sc <= threshold {
@@ -271,7 +268,7 @@ func (s *Searcher) Threshold(f geom.ScoringFunction, threshold float64, constrai
 		}
 	}
 	s.frontier = queue[:0]
-	return s.thrEntries, s.processed
+	return s.thrEntries
 }
 
 // topList maintains the best-k candidates in descending total order during

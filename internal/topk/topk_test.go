@@ -147,7 +147,7 @@ func TestThresholdAgainstOracle(t *testing.T) {
 		// small but usually non-empty.
 		threshold := geom.MaxScore(f, geom.UnitRect(d)) * (0.5 + rng.Float64()*0.5)
 		s := NewSearcher(g)
-		entries, processed := s.Threshold(f, threshold, nil)
+		entries := s.Threshold(f, threshold, nil)
 		want := validate.Threshold(pts, f, threshold, nil)
 		if len(entries) != len(want) {
 			t.Fatalf("trial %d: %d entries want %d", trial, len(entries), len(want))
@@ -171,8 +171,8 @@ func TestThresholdAgainstOracle(t *testing.T) {
 				wantCells++
 			}
 		}
-		if len(processed) != wantCells {
-			t.Fatalf("trial %d: processed %d cells want %d", trial, len(processed), wantCells)
+		if processed := s.CellsProcessed; processed != int64(wantCells) {
+			t.Fatalf("trial %d: processed %d cells want %d", trial, processed, wantCells)
 		}
 	}
 }

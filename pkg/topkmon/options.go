@@ -123,7 +123,6 @@ type config struct {
 	backpressure       Backpressure
 	admission          *AdmissionConfig
 	memLimit           int64
-	noQueryIndex       bool
 	checkpointDir      string
 	checkpointEvery    int
 	checkpointSync     bool
@@ -158,7 +157,8 @@ func WithPlacement(p Placement) Option { return func(c *config) { c.placement = 
 // WithRebalance enables periodic cost-aware shard rebalancing. Every
 // interval processing cycles the monitor compares per-shard costs built
 // from deterministic counters (influence events, cells processed, heap
-// operations, cells walked — never wall time), and when the hottest
+// operations, and the cells walked by top-k queries' influence-list
+// pruning — never wall time), and when the hottest
 // shard's cost exceeds threshold × the mean it sheds load onto the
 // coldest shard. What moves depends on the partitioning: under
 // PartitionQueries the most expensive movable queries migrate live;
@@ -272,16 +272,6 @@ func WithCountWindow(n int) Option { return func(c *config) { c.window = window.
 // (time-based window).
 func WithTimeWindow(span int64) Option { return func(c *config) { c.window = window.Time(span) } }
 
-// WithoutQueryIndex falls back to per-query influence lists — the paper's
-// original bookkeeping, where every query registers itself on every cell
-// of its influence region — instead of the shared columnar query index.
-// Results are byte-identical either way; the index is the default because
-// it keeps memory O(queries + cells) instead of O(queries × cells) and
-// per-cycle cost sublinear in the query count when queries share
-// preference directions (the pub/sub regime). This switch exists for
-// comparison runs and as an escape hatch.
-func WithoutQueryIndex() Option { return func(c *config) { c.noQueryIndex = true } }
-
 // WithCheckpoint enables durability: the monitor write-ahead-logs every
 // batch and query operation into dir and checkpoints its full state there
 // every `every` successful cycles (and at Close). After a crash, Restore
@@ -337,11 +327,10 @@ func (c *config) engineOptions(dims int) (core.Options, error) {
 		return core.Options{}, fmt.Errorf("topkmon: append-only mode needs WithCountWindow or WithTimeWindow")
 	}
 	return core.Options{
-		Dims:              dims,
-		Window:            c.window,
-		Mode:              c.mode,
-		GridRes:           c.gridRes,
-		TargetCells:       c.cells,
-		DisableQueryIndex: c.noQueryIndex,
+		Dims:        dims,
+		Window:      c.window,
+		Mode:        c.mode,
+		GridRes:     c.gridRes,
+		TargetCells: c.cells,
 	}, nil
 }
