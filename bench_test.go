@@ -378,6 +378,16 @@ func BenchmarkQueryIndexProbe(b *testing.B) { benchsuite.RunGroup(b, "QueryIndex
 // registered. Ratios across the query counts are the scaling claim.
 func BenchmarkPubSubCycle(b *testing.B) { benchsuite.RunGroup(b, "PubSubCycle") }
 
+// BenchmarkReportFanOut is the cycle PubSubCycle keeps out of its span: one
+// match delivered to every one of 12 500 near-duplicate subscribers, each
+// holding a fifty-tuple result. Cost per update must follow the change.
+func BenchmarkReportFanOut(b *testing.B) { benchsuite.RunGroup(b, "ReportFanOut") }
+
+// BenchmarkReportTopK is a steady-state SMA cycle with 1000 top-20
+// queries, where diffing the touched results is a visible share of the
+// cycle.
+func BenchmarkReportTopK(b *testing.B) { benchsuite.RunGroup(b, "ReportTopK") }
+
 // BenchmarkAdmissionOverhead is the governor's free-when-idle A/B pair:
 // the same steady-state ingest cycle with and without the Normal-state
 // per-batch governor calls. cmd/benchreport gates governed within 2% of

@@ -186,6 +186,23 @@
 // searcher: a steady-state cycle whose results do not change performs no
 // allocations beyond the Update payloads it returns.
 //
+// Reporting ("report changes to the client", the last line of Figures 9
+// and 11) costs what changed, not what the results hold, and touches no
+// hash map. A threshold query logs a tuple at the moment it admits or
+// drops it, so its delta is read off a per-cycle log (an admit and a drop
+// of one tuple within a cycle cancel) and its result set is never
+// scanned; a top-k query keeps the result it last reported as one ordered
+// list and merges it against the current one under the stream.Better
+// order, tuple id as identity, so Added and Removed come out ordered. The
+// same merge (core.DiffResults) reports for the data-sharded router and
+// the TSL baseline. A cycle that reports anything allocates twice: one
+// arena holding every payload and one []Update. The caller owns what Step
+// returns and may keep it indefinitely — the engine retains no reference.
+// The Added and Removed slices of one cycle are adjacent, capacity-clipped
+// windows of that one arena: appending to any of them copies it out and
+// never overwrites a neighbour, and keeping one of them alive keeps the
+// cycle's whole arena (not the engine's state) alive.
+//
 // Each query has one delivery structure, fixed by its kind at Register —
 // there is no switch. A top-k query (TMA or SMA, constrained or not) has a
 // small influence region that moves at every recomputation: it lives on
@@ -228,9 +245,9 @@
 // internal/benchsuite defines the hot-path benchmarks (the Figure 14
 // per-cycle benchmark plus InsertTupleBatch, InfluenceWalk, ScoreBlock
 // kernel-vs-pointwise, MultiQueryKernel multi-vs-per-query,
-// QueryIndexProbe, the PubSubCycle query-count series and
-// TopKComputation), reachable both via `go test -bench` and via `go run
-// ./cmd/benchreport`, which emits BENCH_9.json (ns/op, allocs/op, MB/s
+// QueryIndexProbe, the PubSubCycle query-count series, the ReportFanOut
+// and ReportTopK reporting cycles and TopKComputation), reachable both via `go test -bench` and via `go run
+// ./cmd/benchreport`, which emits BENCH_10.json (ns/op, allocs/op, MB/s
 // per benchmark, plus the ScoreBlockLeg/MultiQueryKernelLeg per-leg
 // series). CI regenerates the report on every push and gates it against
 // the committed baseline at ±15%, plus hardware-independent speedup
@@ -239,7 +256,7 @@
 // re-runs the kernel equivalence tests and fuzz smokes to pin
 // bit-identity on a fusing architecture, and both arch jobs re-run the
 // kernel suites under every TOPK_SIMD-forcible leg. Refresh the baseline
-// with `go run ./cmd/benchreport -out BENCH_9.json` when a PR
+// with `go run ./cmd/benchreport -out BENCH_10.json` when a PR
 // intentionally shifts it.
 //
 // # SIMD dispatch
@@ -301,7 +318,12 @@
 //     their widest loop — the chain count fixes the rounding order.
 //   - //topk:hot (function doc) marks hot-path functions: no defer, no
 //     goroutine spawns, no variable-capturing closures, no fmt/errors/log
-//     calls, no make(map)/make(chan), no string<->[]byte conversions.
+//     calls, no make(map)/make(chan), no string<->[]byte conversions,
+//     and no operation on a Go map at all (index, assignment, delete,
+//     range, clear — rule mapop): hot state lives in slices and id
+//     columns. The maps that survive on the cycle path (a threshold
+//     query's result set, the grid's Random-mode slot map) each carry a
+//     //topk:allow naming what will replace them.
 //     Heap escapes inside hot functions are budgeted by the committed
 //     allowlist internal/analysis/escapes.txt, checked in CI against
 //     `go build -gcflags=-m` output and refreshed with

@@ -27,6 +27,12 @@ import (
 //     maps are handed in, not created)
 //     rule "conv"      — string<->[]byte conversions and string
 //     concatenation (each one copies)
+//     rule "mapop"     — any operation on a Go map: index, assignment,
+//     delete, range, clear (a hash and a probe per touch,
+//     cache-hostile at the table sizes the cycle path
+//     sees; hot state lives in slices and id columns, and
+//     each surviving map carries a //topk:allow naming
+//     what replaces it)
 //
 //   - The escape checker (`topklint escapes`, escape.go) diffs the
 //     compiler's actual -gcflags=-m escape verdicts for hot functions
@@ -36,7 +42,7 @@ import (
 //     cannot see (interface boxing, growslice, inlining changes).
 var Hotalloc = &Analyzer{
 	Name: "hotalloc",
-	Doc:  "flag always-allocating constructs (defer, capturing closures, fmt/errors calls, make(map), string copies) in //topk:hot functions",
+	Doc:  "flag always-allocating constructs (defer, capturing closures, fmt/errors calls, make(map), string copies) and map operations in //topk:hot functions",
 	Run:  runHotalloc,
 }
 
@@ -76,6 +82,14 @@ func checkHotFunc(pass *Pass, fn *ast.FuncDecl) {
 			}
 		case *ast.CallExpr:
 			checkHotCall(pass, n)
+		case *ast.IndexExpr:
+			if isMap(pass, n.X) {
+				pass.Reportf(n.Pos(), "mapop", "map index on hot path: a hash and a probe per touch; keep hot state in slices or id columns")
+			}
+		case *ast.RangeStmt:
+			if isMap(pass, n.X) {
+				pass.Reportf(n.Pos(), "mapop", "range over a map on hot path: iterate a slice instead")
+			}
 		case *ast.BinaryExpr:
 			if n.Op == token.ADD {
 				if t := pass.TypesInfo.TypeOf(n); t != nil && isString(t) {
@@ -99,7 +113,11 @@ func checkHotCall(pass *Pass, call *ast.CallExpr) {
 	}
 	switch fun := call.Fun.(type) {
 	case *ast.Ident:
-		if b, ok := pass.TypesInfo.Uses[fun].(*types.Builtin); ok && b.Name() == "make" && len(call.Args) > 0 {
+		b, ok := pass.TypesInfo.Uses[fun].(*types.Builtin)
+		if ok && (b.Name() == "delete" || b.Name() == "clear") && len(call.Args) > 0 && isMap(pass, call.Args[0]) {
+			pass.Reportf(call.Pos(), "mapop", "%s on a map on hot path: keep hot state in slices or id columns", b.Name())
+		}
+		if ok && b.Name() == "make" && len(call.Args) > 0 {
 			if t := pass.TypesInfo.TypeOf(call.Args[0]); t != nil {
 				switch t.Underlying().(type) {
 				case *types.Map:
@@ -170,6 +188,15 @@ func capturesVariables(pass *Pass, fn *ast.FuncDecl, lit *ast.FuncLit) bool {
 		return true
 	})
 	return captured
+}
+
+func isMap(pass *Pass, x ast.Expr) bool {
+	t := pass.TypesInfo.TypeOf(x)
+	if t == nil {
+		return false
+	}
+	_, ok := t.Underlying().(*types.Map)
+	return ok
 }
 
 func isString(t types.Type) bool {

@@ -18,7 +18,7 @@ type engine struct {
 func (e *engine) insertBatch(ids []uint64) error {
 	defer release(e) // want `defer on hot path`
 	for _, id := range ids {
-		e.scratch[id] = struct{}{}
+		e.scratch[id] = struct{}{} // want `map index on hot path`
 	}
 	go flush(e)                // want `goroutine spawn on hot path`
 	m := make(map[uint64]bool) // want `make\(map\) on hot path`
@@ -62,6 +62,30 @@ func (e *engine) pooledOK(buf []int) []int {
 	tmp := make([]int, 0, 8)
 	tmp = append(tmp, len(buf))
 	return append(buf, tmp...)
+}
+
+//topk:hot
+func (e *engine) mapOps(id uint64, ids []uint64) int {
+	n := 0
+	if _, ok := e.scratch[id]; ok { // want `map index on hot path`
+		n++
+	}
+	for k := range e.scratch { // want `range over a map on hot path`
+		n += int(k)
+	}
+	delete(e.scratch, id) // want `delete on a map on hot path`
+	clear(e.scratch)      // want `clear on a map on hot path`
+	// Slices are the replacement and are not flagged.
+	for _, v := range ids {
+		n += int(v)
+	}
+	clear(ids)
+	n += int(ids[0])
+	//topk:allow mapop membership set pending the tuple table
+	if _, ok := e.scratch[id]; ok {
+		n++
+	}
+	return n
 }
 
 //topk:hot

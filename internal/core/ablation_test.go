@@ -103,3 +103,50 @@ func TestDeletionsFirstSameCycleExpiry(t *testing.T) {
 		}
 	}
 }
+
+// TestDeletionsFirstExternalExpiry: an engine fed its expirations by the
+// caller (the data-sharded layout) handles the inverted order exactly as an
+// engine with its own window does, including batches larger than the window
+// (whose overflow must never be indexed) and batches of which it receives
+// nothing.
+func TestDeletionsFirstExternalExpiry(t *testing.T) {
+	opts := Options{Dims: 2, Window: window.Count(12), TargetCells: 16, DeletionsFirst: true}
+	own := mustEngine(t, opts)
+	opts.ExternalExpiry = true
+	ext := mustEngine(t, opts)
+	win := window.New(window.Count(12))
+	thr := 0.8
+	for _, spec := range []QuerySpec{
+		{F: geom.NewLinear(1, 1), K: 3, Policy: TMA},
+		{F: geom.NewLinear(1, 2), K: 4, Policy: SMA},
+		{F: geom.NewLinear(2, 1), Threshold: &thr},
+	} {
+		for _, e := range []*Engine{own, ext} {
+			if _, err := e.Register(spec); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	gen := stream.NewGenerator(stream.IND, 2, 84)
+	for ts, r := range []int{5, 30, 0, 13, 2, 40, 12, 1} {
+		batch := gen.Batch(r, int64(ts))
+		for _, tu := range batch {
+			win.Push(tu)
+		}
+		want, err := own.Step(int64(ts), batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ext.StepExternal(int64(ts), batch, win.Expire(int64(ts)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a, b := renderUpdates(got), renderUpdates(want); a != b {
+			t.Fatalf("cycle %d (r=%d): external expiry reported %s, own window %s", ts, r, a, b)
+		}
+		if ext.NumPoints() != own.NumPoints() || ext.Stats().Arrivals != own.Stats().Arrivals {
+			t.Fatalf("cycle %d (r=%d): external expiry indexes %d points after %d arrivals, own window %d after %d",
+				ts, r, ext.NumPoints(), ext.Stats().Arrivals, own.NumPoints(), own.Stats().Arrivals)
+		}
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"topkmon/internal/geom"
 	"topkmon/internal/grid"
@@ -46,10 +45,10 @@ type query struct {
 	// it. Used by the invariant checker.
 	regScore float64
 
-	// TMA state: the top list in descending total order plus an id set for
-	// O(1) membership tests on expiration.
-	top    []Entry
-	topIDs map[uint64]struct{}
+	// TMA state: the top list in descending total order plus its tuple ids
+	// as a parallel column, which the expiration path scans for membership.
+	top   []Entry
+	topID []uint64
 	// affected marks a TMA query whose result lost an expiring tuple; it
 	// is recomputed from scratch once the whole expiration batch has been
 	// applied (Figure 9 lines 12-13).
@@ -68,9 +67,14 @@ type query struct {
 	// Threshold-query state: the current result set.
 	thr map[uint64]Entry
 
-	// Reporting state: the result as last reported to the client.
-	lastIDs map[uint64]Entry
-	dirty   bool
+	// Reporting state (report.go): a top-k query's result as last reported,
+	// in descending total order; a threshold query's chains of this cycle's
+	// admissions and drops in Engine.thrLog (between cycles thr is what it
+	// last reported).
+	reported []Entry
+	addHead  int32
+	remHead  int32
+	dirty    bool
 
 	// cost accumulates the maintenance work attributed to this query:
 	// influence events examined, cells processed and heap operations of its
@@ -104,22 +108,25 @@ type Engine struct {
 	// once by its bound at O(queries + cells) memory, where lists would
 	// cost O(queries × cells). Index delivery is a superset of what the
 	// lists would deliver, which the threshold handlers' score filter
-	// and membership test absorb (see probeInsert and probeExpire).
+	// and membership test absorb (see probe).
 	qi *qindex.Index
 
 	// byID locates tuples for explicit deletions (UpdateStream mode only).
 	byID map[uint64]*stream.Tuple
 
-	queries map[QueryID]*query
-	nextID  QueryID
+	// queries is the query table, indexed by query id (ids are issued
+	// densely from nextID); numQueries counts its non-nil slots.
+	queries    []*query
+	numQueries int
+	nextID     QueryID
 
 	now     int64
 	started bool
 	haveSeq bool
 	lastSeq uint64
 
-	// dirtyList collects queries touched during the current cycle.
-	dirtyList []*query
+	// dirtyList collects the ids of queries touched in the current cycle.
+	dirtyList []QueryID
 
 	// scratch state for influence-list walks.
 	walkVisited []uint32
@@ -142,15 +149,20 @@ type Engine struct {
 	ubRow      []float64
 	skyScratch []skyband.Entry
 	resScratch []Entry
-	curIDs     map[uint64]struct{}
 	batchIDs   map[uint64]struct{}
 	goneIDs    map[uint64]struct{}
 
-	// numSMA counts registered SMA queries, so cycles without any skip
-	// the per-cycle skyband sampling loop (O(queries) — the one loop
-	// that would break sublinear per-cycle cost at pub/sub query
-	// counts).
-	numSMA int
+	// Pooled reporting scratch (report.go): the cycle's threshold log, the
+	// staged update payloads and their spans, one query's Removed.
+	thrLog     []thrEvent
+	payload    []Entry
+	spans      []updateSpan
+	remScratch []Entry
+
+	// sma lists the registered SMA queries, so the per-cycle skyband
+	// sampling loop never scans the whole table (at pub/sub query counts
+	// that would break sublinear per-cycle cost).
+	sma []*query
 	// memHW is the high-water of MemoryBytes results (pull-model: only
 	// MemoryBytes calls move it).
 	memHW int64
@@ -183,10 +195,8 @@ func NewEngine(opts Options) (*Engine, error) {
 		opts:        opts,
 		g:           g,
 		s:           topk.NewSearcher(g),
-		queries:     make(map[QueryID]*query),
 		walkVisited: make([]uint32, g.NumCells()),
 		cellMark:    make([]int32, g.NumCells()),
-		curIDs:      make(map[uint64]struct{}),
 		qi:          qindex.New(opts.Dims, g),
 	}
 	if opts.Mode == AppendOnly {
@@ -215,7 +225,27 @@ func (e *Engine) Now() int64 { return e.now }
 func (e *Engine) NumPoints() int { return e.g.NumPoints() }
 
 // NumQueries returns the number of registered queries.
-func (e *Engine) NumQueries() int { return len(e.queries) }
+func (e *Engine) NumQueries() int { return e.numQueries }
+
+// lookup returns the registered query with the given id, or nil.
+func (e *Engine) lookup(id QueryID) *query {
+	if int(id) < len(e.queries) {
+		return e.queries[id]
+	}
+	return nil
+}
+
+// install enters q into the query table (and the SMA list).
+func (e *Engine) install(q *query) {
+	if n := int(q.id) + 1; n > len(e.queries) {
+		e.queries = append(e.queries, make([]*query, n-len(e.queries))...)
+	}
+	e.queries[q.id] = q
+	e.numQueries++
+	if q.sky != nil {
+		e.sma = append(e.sma, q)
+	}
+}
 
 // Stats returns a snapshot of the engine counters. CellsProcessed and
 // HeapOps are read from the searcher.
@@ -245,11 +275,7 @@ func (e *Engine) Register(spec QuerySpec) (QueryID, error) {
 	if spec.Constraint != nil && spec.Constraint.Dims() != e.opts.Dims {
 		return 0, fmt.Errorf("core: constraint dimensionality %d != workspace %d", spec.Constraint.Dims(), e.opts.Dims)
 	}
-	q := &query{
-		id:      e.nextID,
-		spec:    spec,
-		lastIDs: make(map[uint64]Entry),
-	}
+	q := &query{id: e.nextID, spec: spec}
 	if spec.Threshold != nil {
 		q.kind = thresholdKind
 		q.topScore = *spec.Threshold
@@ -268,11 +294,10 @@ func (e *Engine) Register(spec QuerySpec) (QueryID, error) {
 		q.kind = topkKind
 		if spec.Policy == SMA {
 			q.sky = skyband.New(spec.K)
-			e.numSMA++
 		}
 	}
 	e.nextID++
-	e.queries[q.id] = q
+	e.install(q)
 
 	// Initial result computation (Figure 6). A threshold query is indexed
 	// by its fixed bound; a top-k query registers influence lists over the
@@ -290,9 +315,7 @@ func (e *Engine) Register(spec QuerySpec) (QueryID, error) {
 		e.computeFromScratch(q)
 		e.stats.InitialComputations++
 		e.stats.Recomputes-- // computeFromScratch counted it as a recompute
-	}
-	for _, en := range q.currentResult(nil) {
-		q.lastIDs[en.T.ID] = en
+		q.reported = q.currentResult(nil)
 	}
 	return q.id, nil
 }
@@ -302,13 +325,14 @@ func (e *Engine) Register(spec QuerySpec) (QueryID, error) {
 // index, a top-k query's entries are removed from all influence lists by
 // walking worse-ward from the cell with the maximum maxscore (Section 4.3).
 func (e *Engine) Unregister(id QueryID) error {
-	q, ok := e.queries[id]
-	if !ok {
+	q := e.lookup(id)
+	if q == nil {
 		return fmt.Errorf("core: unknown query %d", id)
 	}
-	delete(e.queries, id)
+	e.queries[id] = nil
+	e.numQueries--
 	if q.sky != nil {
-		e.numSMA--
+		e.sma = slices.DeleteFunc(e.sma, func(s *query) bool { return s == q })
 	}
 	if q.kind == thresholdKind {
 		if err := e.qi.Remove(id); err != nil {
@@ -322,12 +346,7 @@ func (e *Engine) Unregister(id QueryID) error {
 		e.walkInfluence(q, []int{start})
 	}
 	// Drop the query from the dirty list if the current cycle touched it.
-	for i, dq := range e.dirtyList {
-		if dq == q {
-			e.dirtyList = append(e.dirtyList[:i], e.dirtyList[i+1:]...)
-			break
-		}
-	}
+	e.dirtyList = slices.DeleteFunc(e.dirtyList, func(d QueryID) bool { return d == id })
 	return nil
 }
 
@@ -344,68 +363,36 @@ func (e *Engine) Step(now int64, arrivals []*stream.Tuple) ([]Update, error) {
 	if err := e.admitCycle(now, arrivals); err != nil {
 		return nil, err
 	}
-
-	if e.opts.DeletionsFirst {
-		// Ablation: apply the cycle's expirations before its arrivals.
-		// The window must still account for the arrivals when deciding
-		// what expires, so they are pushed first and only the event
-		// handlers run in inverted order. A tuple that arrives and expires
-		// within the same cycle (r > N) must not be indexed at all: it was
-		// never inserted, so its expiration is a no-op too.
-		for _, t := range arrivals {
-			e.w.Push(t)
-		}
-		e.expFilter = e.w.ExpireAppend(now, e.expFilter[:0])
-		gone := e.splitSameBatch(arrivals)
-		e.expireBatch(e.expFilter)
-		e.releaseExpFilter()
-		e.insertBatch(arrivals, gone)
-		return e.finishCycle(), nil
-	}
-
-	// Phase 1 — Pins. Handled before expirations so that an arrival
-	// replacing an expiring result tuple avoids a from-scratch
-	// recomputation (Figure 8a discussion).
+	// The window decides what expires with the arrivals accounted for; it
+	// never looks at the index, so it can run ahead of both phases.
 	for _, t := range arrivals {
 		e.w.Push(t)
 	}
-	e.insertBatch(arrivals, nil)
-
-	// Phase 2 — Pdel.
 	e.expFilter = e.w.ExpireAppend(now, e.expFilter[:0])
-	e.expireBatch(e.expFilter)
+	updates := e.applyCycle(arrivals, e.expFilter)
 	e.releaseExpFilter()
-
-	return e.finishCycle(), nil
+	return updates, nil
 }
 
-// splitSameBatch partitions the pending expiration run (e.expFilter) under
-// DeletionsFirst semantics: expirations that are also in this cycle's
-// arrival batch are removed from the run and returned as the skip set for
-// the insert phase (pooled; valid until the next call).
-func (e *Engine) splitSameBatch(arrivals []*stream.Tuple) map[uint64]struct{} {
-	if e.batchIDs == nil {
-		e.batchIDs = make(map[uint64]struct{}, len(arrivals))
-		e.goneIDs = make(map[uint64]struct{})
-	}
-	clear(e.batchIDs)
-	clear(e.goneIDs)
-	for _, t := range arrivals {
-		e.batchIDs[t.ID] = struct{}{}
-	}
-	keep := e.expFilter[:0]
-	for _, t := range e.expFilter {
-		if _, sameBatch := e.batchIDs[t.ID]; sameBatch {
-			e.goneIDs[t.ID] = struct{}{}
-			continue
+// applyCycle runs the two event phases of an append-only cycle and reports:
+// Pins before Pdel, so that an arrival replacing an expiring result tuple
+// avoids a from-scratch recomputation (Figure 8a discussion). Under the
+// DeletionsFirst ablation a tuple that arrives and expires within the cycle
+// (r > N) must never be indexed; both lists are in arrival order, so those
+// tuples are a prefix of the arrivals and the suffix of the expirations.
+func (e *Engine) applyCycle(arrivals, expirations []*stream.Tuple) []Update {
+	if e.opts.DeletionsFirst {
+		same := 0
+		for same < len(arrivals) && same < len(expirations) && expirations[len(expirations)-1-same].Seq >= arrivals[0].Seq {
+			same++
 		}
-		keep = append(keep, t)
+		e.expireBatch(expirations[:len(expirations)-same])
+		e.insertBatch(arrivals[same:])
+	} else {
+		e.insertBatch(arrivals)
+		e.expireBatch(expirations)
 	}
-	for i := len(keep); i < len(e.expFilter); i++ {
-		e.expFilter[i] = nil
-	}
-	e.expFilter = keep
-	return e.goneIDs
+	return e.finishCycle()
 }
 
 // admitCycle validates one append-only cycle's inputs and advances the
@@ -451,24 +438,7 @@ func (e *Engine) StepExternal(now int64, arrivals, expirations []*stream.Tuple) 
 				expirations[i].Seq, expirations[i-1].Seq)
 		}
 	}
-
-	if e.opts.DeletionsFirst {
-		// Ablation parity with Step: expirations before arrivals, with a
-		// tuple that arrives and expires within the same cycle never
-		// touching the index at all.
-		e.expFilter = append(e.expFilter[:0], expirations...)
-		gone := e.splitSameBatch(arrivals)
-		e.expireBatch(e.expFilter)
-		e.releaseExpFilter()
-		e.insertBatch(arrivals, gone)
-		return e.finishCycle(), nil
-	}
-
-	// Phase 1 — Pins.
-	e.insertBatch(arrivals, nil)
-	// Phase 2 — Pdel.
-	e.expireBatch(expirations)
-	return e.finishCycle(), nil
+	return e.applyCycle(arrivals, expirations), nil
 }
 
 // AppendResult appends the current result of query id to out and returns
@@ -477,8 +447,8 @@ func (e *Engine) StepExternal(now int64, arrivals, expirations []*stream.Tuple) 
 // after every cycle: each engine's result is the exact (local) top-k /
 // threshold set over the tuples it indexes.
 func (e *Engine) AppendResult(id QueryID, out []Entry) ([]Entry, error) {
-	q, ok := e.queries[id]
-	if !ok {
+	q := e.lookup(id)
+	if q == nil {
 		return out, fmt.Errorf("core: unknown query %d", id)
 	}
 	return q.currentResult(out), nil
@@ -529,7 +499,7 @@ func (e *Engine) StepUpdate(now int64, arrivals []*stream.Tuple, deletions []uin
 	for _, t := range arrivals {
 		e.byID[t.ID] = t
 	}
-	e.insertBatch(arrivals, nil)
+	e.insertBatch(arrivals)
 	// Deletions naming same-cycle arrivals resolve against the freshly
 	// inserted tuples, preserving the old insert-then-delete semantics.
 	e.expFilter = e.expFilter[:0]
@@ -554,13 +524,7 @@ func (e *Engine) releaseExpFilter() {
 }
 
 // Result implements Monitor.
-func (e *Engine) Result(id QueryID) ([]Entry, error) {
-	q, ok := e.queries[id]
-	if !ok {
-		return nil, fmt.Errorf("core: unknown query %d", id)
-	}
-	return q.currentResult(nil), nil
-}
+func (e *Engine) Result(id QueryID) ([]Entry, error) { return e.AppendResult(id, nil) }
 
 // insertBatch indexes one cycle's arrival batch and delivers every touched
 // cell's new sub-block to the queries that must see it: threshold queries
@@ -573,17 +537,11 @@ func (e *Engine) Result(id QueryID) ([]Entry, error) {
 // (TMA's bounded top list and the threshold result set are set-semantics;
 // SMA admissions are buffered and replayed in sequence order by
 // flushPending), so the cell-grouped order produces exactly the
-// per-arrival transcript. skip lists same-batch tuple ids that must not be
-// indexed (DeletionsFirst).
+// per-arrival transcript.
 //
 //topk:hot
-func (e *Engine) insertBatch(arrivals []*stream.Tuple, skip map[uint64]struct{}) {
+func (e *Engine) insertBatch(arrivals []*stream.Tuple) {
 	for _, t := range arrivals {
-		if skip != nil {
-			if _, gone := skip[t.ID]; gone {
-				continue
-			}
-		}
 		e.stats.Arrivals++
 		idx := e.g.IndexOf(t.Vec)
 		if e.cellMark[idx] == 0 {
@@ -601,7 +559,7 @@ func (e *Engine) insertBatch(arrivals []*stream.Tuple, skip map[uint64]struct{})
 		if n == 0 {
 			continue
 		}
-		e.probeInsert(idx, blk, dims)
+		e.probe(idx, blk.Coords, blk.Ptrs, dims)
 		il := e.g.Influence(idx)
 		if len(il) == 0 {
 			continue
@@ -611,8 +569,8 @@ func (e *Engine) insertBatch(arrivals []*stream.Tuple, skip map[uint64]struct{})
 		}
 		scores := e.scoreBuf[:n]
 		for _, id := range il {
-			q, ok := e.queries[id]
-			if !ok {
+			q := e.lookup(id)
+			if q == nil {
 				continue
 			}
 			e.stats.InfluenceEvents += int64(n)
@@ -625,25 +583,44 @@ func (e *Engine) insertBatch(arrivals []*stream.Tuple, skip map[uint64]struct{})
 	e.flushPending()
 }
 
-// probeInsert delivers one cell's new sub-block to the threshold queries
-// through the query index: for each cluster cached on the cell whose score
-// upper bound reaches the cluster's lowest member threshold, the block is
-// scored against up to qTile members per multi-query kernel call, and each
-// member at least one of whose block scores reaches its own threshold
-// admits the tuples scoring strictly above it. Skipped members could not
-// admit anything, and skipping them (without charging their counters)
-// leaves the transcript exactly what per-query delivery would produce.
+// probe delivers one cell's block of stream events — its new sub-block, or
+// its expired tuples (coords nil: gathered here) — to the threshold queries
+// through the query index. Clusters cached on the cell whose score upper
+// bound misses their lowest member threshold are dropped wholesale; the
+// rest score the block against up to qTile members per multi-query kernel
+// call, and only a member with a score reaching its own threshold handles
+// it: admits the arrivals scoring strictly above, or drops the expired
+// tuples it holds. The skips are exact (a held entry scores strictly above
+// its query's threshold) and skipped members are not charged, so the
+// transcript is exactly what per-query delivery would produce.
 //
 //topk:hot
-func (e *Engine) probeInsert(idx int, blk grid.Block, dims int) {
-	n := blk.Len()
-	for _, ce := range e.qi.CellEntries(idx) {
+func (e *Engine) probe(idx int, coords []float64, tuples []*stream.Tuple, dims int) {
+	if e.qi.NumQueries() == 0 {
+		return // even an empty lookup costs a cache miss on the cell's cache epoch
+	}
+	entries := e.qi.CellEntries(idx)
+	if len(entries) == 0 {
+		return
+	}
+	n := len(tuples)
+	arriving := coords != nil
+	if !arriving {
+		if cap(e.expCoords) < n*dims {
+			e.expCoords = make([]float64, 0, n*dims+n*dims/2+8)
+		}
+		coords = e.expCoords[:0]
+		for _, t := range tuples {
+			coords = append(coords, t.Vec...)
+		}
+	}
+	for _, ce := range entries {
 		cl := ce.C
 		m := cl.Len()
 		if m == 0 || ce.UB < cl.MinBound() {
 			continue
 		}
-		if e.skipByEnvelope(cl, blk.Coords, n) {
+		if e.skipByEnvelope(cl, coords, n) {
 			continue
 		}
 		for base := 0; base < m; base += qTile {
@@ -656,7 +633,7 @@ func (e *Engine) probeInsert(idx int, blk grid.Block, dims int) {
 				e.mqDst = make([]float64, 0, need+need/2+8)
 			}
 			dst := e.mqDst[:need]
-			cl.ScoreMembers(dst, blk.Coords, base, end, dims)
+			cl.ScoreMembers(dst, coords, base, end, dims)
 			for j := base; j < end; j++ {
 				bnd := cl.BoundAt(j)
 				if ce.UB < bnd {
@@ -669,16 +646,33 @@ func (e *Engine) probeInsert(idx int, blk grid.Block, dims int) {
 				q := e.queries[cl.IDAt(j)]
 				e.stats.InfluenceEvents += int64(n)
 				q.cost += int64(n)
+				if !arriving {
+					for _, t := range tuples {
+						//topk:allow mapop q.thr, the result set keyed by tuple id for this membership test, goes with ROADMAP item 2's tuple table
+						if en, ok := q.thr[t.ID]; ok {
+							//topk:allow mapop q.thr membership, see above
+							delete(q.thr, t.ID)
+							e.logThreshold(&q.remHead, en)
+							e.markDirty(q)
+						}
+					}
+					continue
+				}
 				cons := q.spec.Constraint
 				for i, score := range row {
 					if score <= bnd {
 						continue
 					}
-					if cons != nil && !cons.Contains(geom.Vector(blk.Coords[i*dims:(i+1)*dims])) {
+					if cons != nil && !cons.Contains(geom.Vector(coords[i*dims:(i+1)*dims])) {
 						continue
 					}
-					t := blk.Ptrs[i]
-					q.thr[t.ID] = Entry{T: t, Score: score}
+					en := Entry{T: tuples[i], Score: score}
+					held := len(q.thr)
+					//topk:allow mapop q.thr membership, see above
+					q.thr[en.T.ID] = en
+					if len(q.thr) > held {
+						e.logThreshold(&q.addHead, en)
+					}
 					e.markDirty(q)
 				}
 			}
@@ -831,10 +825,10 @@ func (e *Engine) expireBatch(expirations []*stream.Tuple) {
 		b := &e.expBuckets[i]
 		e.cellMark[b.idx] = 0
 		n := int64(len(b.tuples))
-		e.probeExpire(b.idx, b.tuples)
+		e.probe(b.idx, nil, b.tuples, e.g.Dims())
 		for _, id := range e.g.Influence(b.idx) {
-			q, ok := e.queries[id]
-			if !ok {
+			q := e.lookup(id)
+			if q == nil {
 				continue
 			}
 			e.stats.InfluenceEvents += n
@@ -847,73 +841,6 @@ func (e *Engine) expireBatch(expirations []*stream.Tuple) {
 			b.tuples[j] = nil
 		}
 		b.tuples = b.tuples[:0]
-	}
-}
-
-// probeExpire delivers one cell's expired tuples to the threshold queries
-// through the query index, mirroring probeInsert's two-level skip:
-// clusters whose cell upper bound misses their lowest member threshold are
-// dropped wholesale, the rest have the expired coordinates scored per
-// member with the multi-query kernels, and only members with at least one
-// score reaching their own threshold run the membership test. The skip is
-// exact: every entry a threshold query holds scores strictly above its
-// threshold, so an expired tuple scoring below it cannot be held and its
-// removal is a no-op.
-//
-//topk:hot
-func (e *Engine) probeExpire(idx int, tuples []*stream.Tuple) {
-	entries := e.qi.CellEntries(idx)
-	if len(entries) == 0 {
-		return
-	}
-	n := len(tuples)
-	dims := e.g.Dims()
-	if cap(e.expCoords) < n*dims {
-		e.expCoords = make([]float64, 0, n*dims+n*dims/2+8)
-	}
-	coords := e.expCoords[:0]
-	for _, t := range tuples {
-		coords = append(coords, t.Vec...)
-	}
-	for _, ce := range entries {
-		cl := ce.C
-		m := cl.Len()
-		if m == 0 || ce.UB < cl.MinBound() {
-			continue
-		}
-		if e.skipByEnvelope(cl, coords, n) {
-			continue
-		}
-		for base := 0; base < m; base += qTile {
-			end := base + qTile
-			if end > m {
-				end = m
-			}
-			need := (end - base) * n
-			if cap(e.mqDst) < need {
-				e.mqDst = make([]float64, 0, need+need/2+8)
-			}
-			dst := e.mqDst[:need]
-			cl.ScoreMembers(dst, coords, base, end, dims)
-			for j := base; j < end; j++ {
-				bnd := cl.BoundAt(j)
-				if ce.UB < bnd {
-					continue
-				}
-				if !rowReaches(dst[(j-base)*n:(j-base+1)*n], bnd) {
-					continue
-				}
-				q := e.queries[cl.IDAt(j)]
-				e.stats.InfluenceEvents += int64(n)
-				q.cost += int64(n)
-				for _, t := range tuples {
-					if _, ok := q.thr[t.ID]; ok {
-						delete(q.thr, t.ID)
-						e.markDirty(q)
-					}
-				}
-			}
-		}
 	}
 }
 
@@ -932,7 +859,7 @@ func (e *Engine) applyExpireBlock(q *query, tuples []*stream.Tuple) {
 		return
 	}
 	for _, t := range tuples {
-		if _, ok := q.topIDs[t.ID]; ok {
+		if slices.Contains(q.topID, t.ID) {
 			// Result tuple expired: mark affected; recomputation happens
 			// after the whole deletion batch (Figure 9 line 11-13).
 			q.affected = true
@@ -947,7 +874,8 @@ func (e *Engine) applyExpireBlock(q *query, tuples []*stream.Tuple) {
 //topk:hot
 func (e *Engine) finishCycle() []Update {
 	// Recompute affected TMA queries and underflowing SMA skybands.
-	for _, q := range e.dirtyList {
+	for _, id := range e.dirtyList {
+		q := e.queries[id]
 		switch {
 		case q.kind != topkKind:
 		case q.spec.Policy == TMA && q.affected:
@@ -961,74 +889,14 @@ func (e *Engine) finishCycle() []Update {
 		}
 	}
 
-	// Sample skyband sizes for Table 2. Guarded so query sets without
-	// any SMA member (the pub/sub-scale workloads) keep per-cycle cost
-	// independent of the query count.
-	if e.numSMA > 0 {
-		for _, q := range e.queries {
-			if q.kind == topkKind && q.spec.Policy == SMA {
-				e.stats.SkybandSizeSum += int64(q.sky.Len())
-				e.stats.SkybandSamples++
-			}
-		}
+	// Sample skyband sizes for Table 2.
+	for _, q := range e.sma {
+		e.stats.SkybandSizeSum += int64(q.sky.Len())
+		e.stats.SkybandSamples++
 	}
 
 	// Report changes to the client (Figure 9 line 22 / Figure 11 line 23).
-	// The Update payloads are freshly allocated — they are handed to the
-	// caller — but the diffing itself runs on pooled scratch, so a cycle
-	// that changes no result allocates nothing here.
-	var updates []Update
-	for _, q := range e.dirtyList {
-		q.dirty = false
-		e.resScratch = q.currentResult(e.resScratch[:0])
-		scratch := e.resScratch
-		var upd Update
-		for _, en := range scratch {
-			if _, ok := q.lastIDs[en.T.ID]; !ok {
-				upd.Added = append(upd.Added, en)
-			}
-		}
-		if len(scratch) != len(q.lastIDs) || len(upd.Added) > 0 {
-			clear(e.curIDs)
-			for _, en := range scratch {
-				e.curIDs[en.T.ID] = struct{}{}
-			}
-			for id, en := range q.lastIDs {
-				if _, ok := e.curIDs[id]; !ok {
-					upd.Removed = append(upd.Removed, en)
-				}
-			}
-		}
-		if len(upd.Added) == 0 && len(upd.Removed) == 0 {
-			continue
-		}
-		upd.Query = q.id
-		clear(q.lastIDs)
-		for _, en := range scratch {
-			q.lastIDs[en.T.ID] = en
-		}
-		slices.SortFunc(upd.Added, entryBetter)
-		slices.SortFunc(upd.Removed, entryBetter)
-		updates = append(updates, upd)
-		e.stats.ResultUpdates++
-	}
-	e.dirtyList = e.dirtyList[:0]
-	slices.SortFunc(updates, func(a, b Update) int {
-		if a.Query < b.Query {
-			return -1
-		}
-		return 1
-	})
-	return updates
-}
-
-// entryBetter orders entries by the stream.Better total preference order
-// (descending), as a slices.SortFunc comparator.
-func entryBetter(a, b Entry) int {
-	if stream.Better(a.Score, a.T.Seq, b.Score, b.T.Seq) {
-		return -1
-	}
-	return 1
+	return e.report()
 }
 
 // computeFromScratch runs the top-k computation module for q, refreshes the
@@ -1047,15 +915,10 @@ func (e *Engine) computeFromScratch(q *query) {
 		}
 		q.sky.Rebuild(e.skyScratch)
 	} else {
-		q.top = q.top[:0]
-		if q.topIDs == nil {
-			q.topIDs = make(map[uint64]struct{}, q.spec.K)
-		} else {
-			clear(q.topIDs)
-		}
+		q.top, q.topID = q.top[:0], q.topID[:0]
 		for _, en := range res.Top {
 			q.top = append(q.top, Entry{T: en.T, Score: en.Score})
-			q.topIDs[en.T.ID] = struct{}{}
+			q.topID = append(q.topID, en.T.ID)
 		}
 	}
 	if len(res.Top) == q.spec.K {
@@ -1120,7 +983,7 @@ func (e *Engine) walkInfluence(q *query, seeds []int) {
 func (e *Engine) markDirty(q *query) {
 	if !q.dirty {
 		q.dirty = true
-		e.dirtyList = append(e.dirtyList, q)
+		e.dirtyList = append(e.dirtyList, q.id)
 	}
 }
 
@@ -1141,17 +1004,11 @@ func (q *query) insertTop(en Entry) {
 	}
 	if len(q.top) < q.spec.K {
 		q.top = append(q.top, Entry{})
-	} else {
-		evicted := q.top[len(q.top)-1]
-		delete(q.topIDs, evicted.T.ID)
+		q.topID = append(q.topID, 0)
 	}
 	copy(q.top[lo+1:], q.top[lo:])
-	q.top[lo] = en
-	if q.topIDs == nil {
-		//topk:allow hotalloc lazy once-per-query init of a long-lived map, amortized over the query lifetime
-		q.topIDs = make(map[uint64]struct{}, q.spec.K)
-	}
-	q.topIDs[en.T.ID] = struct{}{}
+	copy(q.topID[lo+1:], q.topID[lo:])
+	q.top[lo], q.topID[lo] = en, en.T.ID
 	if len(q.top) == q.spec.K {
 		q.topScore = q.top[q.spec.K-1].Score
 	}
@@ -1166,9 +1023,7 @@ func (q *query) currentResult(out []Entry) []Entry {
 		for _, en := range q.thr {
 			out = append(out, en)
 		}
-		sort.Slice(out, func(i, j int) bool {
-			return stream.Better(out[i].Score, out[i].T.Seq, out[j].Score, out[j].T.Seq)
-		})
+		slices.SortFunc(out, entryOrder)
 		return out
 	default:
 		if q.spec.Policy == SMA {
@@ -1192,6 +1047,7 @@ func (e *Engine) MemoryBytes() int64 {
 	const (
 		entrySize    = 24 // tuple pointer + score
 		skyEntrySize = 32 // tuple pointer + score + dominance counter
+		idSize       = 8  // one word of an id column
 		mapEntrySize = 16
 		queryBase    = 96
 	)
@@ -1202,14 +1058,19 @@ func (e *Engine) MemoryBytes() int64 {
 	if e.byID != nil {
 		total += int64(len(e.byID)) * mapEntrySize
 	}
+	// The table costs a pointer per issued id.
+	total += int64(len(e.queries)) * 8
 	for _, q := range e.queries {
+		if q == nil {
+			continue
+		}
 		total += queryBase + int64(q.spec.F.Dims())*8
-		total += int64(len(q.top))*entrySize + int64(len(q.topIDs))*mapEntrySize
+		total += int64(len(q.top)) * (entrySize + idSize)
 		if q.sky != nil {
-			total += int64(q.sky.Len()) * (skyEntrySize + mapEntrySize)
+			total += int64(q.sky.Len()) * (skyEntrySize + idSize)
 		}
 		total += int64(len(q.thr)) * (entrySize + mapEntrySize)
-		total += int64(len(q.lastIDs)) * (entrySize + mapEntrySize)
+		total += int64(len(q.reported)) * entrySize
 	}
 	total += e.qi.MemoryBytes()
 	if total > e.memHW {

@@ -10,7 +10,7 @@ import "topkmon/internal/qindex"
 // itself lives in invariant.go: the shard and pipeline suites verify the
 // invariant cross-package, continuously.)
 func (e *Engine) InfluenceEntriesFor(id QueryID) int {
-	q := e.queries[id]
+	q := e.lookup(id)
 	thr := q != nil && q.kind == thresholdKind
 	count := 0
 	r := e.scratchRect()
@@ -23,7 +23,7 @@ func (e *Engine) InfluenceEntriesFor(id QueryID) int {
 }
 
 // TopScoreOf exposes a query's admission threshold for white-box tests.
-func (e *Engine) TopScoreOf(id QueryID) float64 { return e.queries[id].topScore }
+func (e *Engine) TopScoreOf(id QueryID) float64 { return e.lookup(id).topScore }
 
 // QueryIndex exposes the engine's query index for white-box tests.
 func (e *Engine) QueryIndex() *qindex.Index { return e.qi }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // QueryInfo is a read-only snapshot of one registered query's state,
@@ -40,7 +39,7 @@ type QueryInfo struct {
 // rule — O(cells) per threshold query, acceptable for an introspection
 // surface.
 func (e *Engine) Queries() []QueryInfo {
-	perQuery := make(map[QueryID]int, len(e.queries))
+	perQuery := make([]int, len(e.queries))
 	for idx := 0; idx < e.g.NumCells(); idx++ {
 		e.g.InfluenceDo(idx, func(id QueryID) bool {
 			perQuery[id]++
@@ -49,7 +48,7 @@ func (e *Engine) Queries() []QueryInfo {
 	}
 	r := e.scratchRect()
 	for id, q := range e.queries {
-		if q.kind != thresholdKind {
+		if q == nil || q.kind != thresholdKind {
 			continue
 		}
 		for idx := 0; idx < e.g.NumCells(); idx++ {
@@ -58,10 +57,13 @@ func (e *Engine) Queries() []QueryInfo {
 			}
 		}
 	}
-	out := make([]QueryInfo, 0, len(e.queries))
+	out := make([]QueryInfo, 0, e.numQueries)
 	for id, q := range e.queries {
+		if q == nil {
+			continue
+		}
 		info := QueryInfo{
-			ID:             id,
+			ID:             q.id,
 			Spec:           q.spec,
 			Kind:           "topk",
 			InfluenceCells: perQuery[id],
@@ -88,7 +90,6 @@ func (e *Engine) Queries() []QueryInfo {
 		}
 		out = append(out, info)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 

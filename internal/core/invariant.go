@@ -64,7 +64,11 @@ func (e *Engine) CheckInfluence() error {
 	}
 	r := e.scratchRect()
 	thresholds, listed := 0, 0
-	for id, q := range e.queries {
+	for _, q := range e.queries {
+		if q == nil {
+			continue
+		}
+		id := q.id
 		if q.kind == thresholdKind {
 			thresholds++
 			got, ok := e.qi.BoundOf(id)

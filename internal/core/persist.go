@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"topkmon/internal/stream"
 )
@@ -65,7 +66,7 @@ func (e *Engine) WindowTail() []*stream.Tuple {
 			//topk:allow determinism the appended tail is sorted by Seq below
 			out = append(out, t)
 		}
-		sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
+		slices.SortFunc(out, func(a, b *stream.Tuple) int { return cmp.Compare(a.Seq, b.Seq) })
 		return out
 	}
 	return nil
@@ -77,12 +78,12 @@ func (e *Engine) NextQueryID() QueryID { return e.nextID }
 // QueryIDs returns the ids of all registered queries in ascending order —
 // the enumeration a checkpoint writer walks with ExportQuery.
 func (e *Engine) QueryIDs() []QueryID {
-	out := make([]QueryID, 0, len(e.queries))
-	for id := range e.queries {
-		//topk:allow determinism the ids are sorted below
-		out = append(out, id)
+	out := make([]QueryID, 0, e.numQueries)
+	for _, q := range e.queries {
+		if q != nil {
+			out = append(out, q.id)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -91,9 +92,9 @@ func (e *Engine) QueryIDs() []QueryID {
 // by unregistered queries, which plain re-registration cannot reproduce.
 // It refuses to move the watermark below an id already in use.
 func (e *Engine) SetNextQueryID(next QueryID) error {
-	for id := range e.queries {
-		if id >= next {
-			return fmt.Errorf("core: next query id %d conflicts with registered query %d", next, id)
+	for _, q := range e.queries {
+		if q != nil && q.id >= next {
+			return fmt.Errorf("core: next query id %d conflicts with registered query %d", next, q.id)
 		}
 	}
 	e.nextID = next
@@ -106,7 +107,7 @@ func (e *Engine) SetNextQueryID(next QueryID) error {
 // past it if necessary (restores then pin the exact watermark with
 // SetNextQueryID).
 func (e *Engine) ImportQueryAt(snap QuerySnapshot, id QueryID) error {
-	if _, ok := e.queries[id]; ok {
+	if e.lookup(id) != nil {
 		return fmt.Errorf("core: query id %d already registered", id)
 	}
 	if err := e.importAt(snap, id); err != nil {

@@ -2,10 +2,9 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"topkmon/internal/skyband"
-	"topkmon/internal/stream"
 )
 
 // QuerySnapshot is the complete portable state of one registered query:
@@ -50,7 +49,10 @@ type QuerySnapshot struct {
 	// total order (nil otherwise).
 	Threshold []Entry
 	// LastReported is the result as last reported to the client, descending
-	// total order: the baseline future Update deltas diff against.
+	// total order: the baseline future Update deltas diff against. For a
+	// threshold query it is always the Threshold set again (the engine
+	// reports those from a change log and keeps no separate baseline);
+	// import rejects a snapshot in which the two differ.
 	LastReported []Entry
 	// InfluenceCells lists the grid cells currently holding an influence
 	// entry for a top-k query, ascending. Threshold queries live in the
@@ -62,14 +64,6 @@ type QuerySnapshot struct {
 	Cost int64
 }
 
-// sortEntriesBetter orders entries by the stream.Better total order, making
-// exported map contents deterministic.
-func sortEntriesBetter(entries []Entry) {
-	sort.Slice(entries, func(i, j int) bool {
-		return stream.Better(entries[i].Score, entries[i].T.Seq, entries[j].Score, entries[j].T.Seq)
-	})
-}
-
 // ExportQuery snapshots the full state of query id. It must be called
 // between processing cycles — the engine refuses to export a query with
 // unfinished cycle work (dirty/affected flags set), because that state is
@@ -77,8 +71,8 @@ func sortEntriesBetter(entries []Entry) {
 // engine-owned containers; only the tuples themselves are shared by
 // pointer.
 func (e *Engine) ExportQuery(id QueryID) (QuerySnapshot, error) {
-	q, ok := e.queries[id]
-	if !ok {
+	q := e.lookup(id)
+	if q == nil {
 		return QuerySnapshot{}, fmt.Errorf("core: unknown query %d", id)
 	}
 	if q.dirty || q.affected || q.skyChanged {
@@ -93,23 +87,18 @@ func (e *Engine) ExportQuery(id QueryID) (QuerySnapshot, error) {
 		RegScore: q.regScore,
 		Cost:     q.cost,
 	}
+	snap.LastReported = slices.Clone(q.reported)
 	switch {
 	case q.kind == thresholdKind:
-		snap.Threshold = make([]Entry, 0, len(q.thr))
-		for _, en := range q.thr {
-			snap.Threshold = append(snap.Threshold, en)
-		}
-		sortEntriesBetter(snap.Threshold)
+		// Between cycles a threshold query's reported result is its
+		// result set (the engine keeps no second copy of it).
+		snap.Threshold = q.currentResult(make([]Entry, 0, len(q.thr)))
+		snap.LastReported = slices.Clone(snap.Threshold)
 	case q.spec.Policy == SMA:
-		snap.Skyband = append([]skyband.Entry(nil), q.sky.Entries()...)
+		snap.Skyband = slices.Clone(q.sky.Entries())
 	default:
-		snap.Top = append([]Entry(nil), q.top...)
+		snap.Top = slices.Clone(q.top)
 	}
-	snap.LastReported = make([]Entry, 0, len(q.lastIDs))
-	for _, en := range q.lastIDs {
-		snap.LastReported = append(snap.LastReported, en)
-	}
-	sortEntriesBetter(snap.LastReported)
 	if q.kind == topkKind {
 		for idx := 0; idx < e.g.NumCells(); idx++ {
 			if e.g.HasInfluence(idx, id) {
@@ -165,7 +154,6 @@ func (e *Engine) importAt(snap QuerySnapshot, id QueryID) error {
 		topScore: snap.TopScore,
 		regScore: snap.RegScore,
 		cost:     snap.Cost,
-		lastIDs:  make(map[uint64]Entry, len(snap.LastReported)),
 	}
 	switch {
 	case snap.Spec.Threshold != nil:
@@ -173,6 +161,16 @@ func (e *Engine) importAt(snap QuerySnapshot, id QueryID) error {
 		q.thr = make(map[uint64]Entry, len(snap.Threshold))
 		for _, en := range snap.Threshold {
 			q.thr[en.T.ID] = en
+		}
+		// No separate baseline is kept for a threshold query: a snapshot
+		// with a pending delta is rejected rather than silently losing it.
+		if len(snap.LastReported) != len(q.thr) {
+			return fmt.Errorf("core: threshold snapshot reports %d entries but holds %d", len(snap.LastReported), len(q.thr))
+		}
+		for _, en := range snap.LastReported {
+			if _, ok := q.thr[en.T.ID]; !ok {
+				return fmt.Errorf("core: threshold snapshot reports tuple %d outside its result set", en.T.ID)
+			}
 		}
 	case snap.Spec.Policy == SMA:
 		if e.opts.Mode == UpdateStream {
@@ -191,22 +189,21 @@ func (e *Engine) importAt(snap QuerySnapshot, id QueryID) error {
 			return fmt.Errorf("core: K must be positive, got %d", snap.Spec.K)
 		}
 		q.kind = topkKind
-		q.top = append([]Entry(nil), snap.Top...)
-		q.topIDs = make(map[uint64]struct{}, len(q.top))
+		q.top = slices.Clone(snap.Top)
 		for _, en := range q.top {
-			q.topIDs[en.T.ID] = struct{}{}
+			q.topID = append(q.topID, en.T.ID)
 		}
 	default:
 		return fmt.Errorf("core: unknown policy %v", snap.Spec.Policy)
 	}
-	for _, en := range snap.LastReported {
-		q.lastIDs[en.T.ID] = en
+	if q.kind == topkKind {
+		if !slices.IsSortedFunc(snap.Top, betterCmp) || !slices.IsSortedFunc(snap.LastReported, betterCmp) {
+			return fmt.Errorf("core: snapshot result lists not in descending total order")
+		}
+		q.reported = slices.Clone(snap.LastReported)
 	}
 
-	e.queries[q.id] = q
-	if q.sky != nil {
-		e.numSMA++
-	}
+	e.install(q)
 	if q.kind == thresholdKind {
 		if err := e.qi.Add(q.id, snap.Spec.F, *snap.Spec.Threshold); err != nil {
 			panic(err)
@@ -229,12 +226,10 @@ type QueryCost struct {
 // pair to out and returns the extended slice, ordered by id. This is the
 // cheap read the shard rebalancer polls each pass — O(Q), no grid scan.
 func (e *Engine) AppendQueryCosts(out []QueryCost) []QueryCost {
-	start := len(out)
-	for id, q := range e.queries {
-		//topk:allow determinism the appended tail is sorted by id via the tail re-slice below
-		out = append(out, QueryCost{ID: id, Cost: q.cost})
+	for _, q := range e.queries {
+		if q != nil {
+			out = append(out, QueryCost{ID: q.id, Cost: q.cost})
+		}
 	}
-	tail := out[start:]
-	sort.Slice(tail, func(i, j int) bool { return tail[i].ID < tail[j].ID })
 	return out
 }

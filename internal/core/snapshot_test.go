@@ -216,4 +216,43 @@ func TestSnapshotValidation(t *testing.T) {
 	if _, err := same.ImportQuery(bad); err == nil {
 		t.Fatal("out-of-grid influence cell should be rejected")
 	}
+
+	// The reporting baseline is merged against the result, not hashed: a
+	// top-k snapshot whose reported list is out of order is rejected...
+	gen := stream.NewGenerator(stream.IND, 2, 5)
+	if _, err := e.Step(0, gen.Batch(50, 0)); err != nil {
+		t.Fatal(err)
+	}
+	thr := 1.0
+	tid, err := e.Register(QuerySpec{F: geom.NewLinear(1, 1), Threshold: &thr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap, err = e.ExportQuery(id); err != nil || len(snap.LastReported) != 3 {
+		t.Fatalf("export: %v, %d reported entries", err, len(snap.LastReported))
+	}
+	bad = snap
+	bad.LastReported = []Entry{snap.LastReported[2], snap.LastReported[0], snap.LastReported[1]}
+	if _, err := e.ImportQuery(bad); err == nil {
+		t.Fatal("out-of-order reported list should be rejected")
+	}
+	// ...and a threshold snapshot must report exactly its result set: the
+	// engine keeps no second copy, so a pending delta could only be lost.
+	tsnap, err := e.ExportQuery(tid)
+	if err != nil || len(tsnap.Threshold) < 2 {
+		t.Fatalf("export: %v, %d threshold entries", err, len(tsnap.Threshold))
+	}
+	for name, reported := range map[string][]Entry{
+		"short":   tsnap.LastReported[1:],
+		"foreign": append([]Entry{{T: &stream.Tuple{ID: 1 << 40, Seq: 1 << 40}, Score: 9}}, tsnap.LastReported[1:]...),
+	} {
+		bad = tsnap
+		bad.LastReported = reported
+		if _, err := e.ImportQuery(bad); err == nil {
+			t.Fatalf("threshold snapshot with a %s reported list should be rejected", name)
+		}
+	}
+	if n := e.NumQueries(); n != 2 {
+		t.Fatalf("rejected imports left %d queries registered, want 2", n)
+	}
 }

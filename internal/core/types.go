@@ -124,7 +124,14 @@ type Entry struct {
 }
 
 // Update reports the result delta of one query after a processing cycle.
-// Queries whose result did not change produce no Update.
+// Queries whose result did not change produce no Update. Added and Removed
+// are each in descending total order and nil when empty.
+//
+// The updates a cycle returns belong to the caller, who may retain them
+// indefinitely: the engine keeps no reference. The Added and Removed
+// slices of one cycle share a backing array, each with its capacity
+// clipped to its length, so appending to one copies it (it cannot
+// overwrite a neighbour) and retaining one retains the cycle's array.
 type Update struct {
 	Query   QueryID
 	Added   []Entry

@@ -389,6 +389,7 @@ func (g *Grid) InsertAt(idx int, t *stream.Tuple) {
 			//topk:allow hotalloc lazy once-per-cell init of a long-lived slot map, reused until the cell drains
 			c.slot = make(map[uint64]int, 4)
 		}
+		//topk:allow mapop Random-mode id -> slot map, the random-deletion locator; ROADMAP item 2's engine-wide tuple table replaces it
 		c.slot[t.ID] = len(c.ptrs) - 1
 	}
 	g.points++
@@ -406,10 +407,12 @@ func (g *Grid) Remove(t *stream.Tuple) bool {
 	idx := g.IndexOf(t.Vec)
 	c := &g.cells[idx]
 	if g.mode == Random {
+		//topk:allow mapop Random-mode id -> slot map, see InsertAt
 		pos, ok := c.slot[t.ID]
 		if !ok {
 			return false
 		}
+		//topk:allow mapop Random-mode id -> slot map, see InsertAt
 		delete(c.slot, t.ID)
 		c.deleteSlot(pos, g.dims)
 		if len(c.ptrs) == 0 {

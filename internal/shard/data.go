@@ -35,8 +35,9 @@
 package shard
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -48,10 +49,10 @@ import (
 
 // mergedQuery is the router-side state of one query under data
 // partitioning: its spec (for the merge limit) and the merged result as
-// last reported to the client.
+// last reported to the client, in descending total order.
 type mergedQuery struct {
-	spec    core.QuerySpec
-	lastIDs map[uint64]core.Entry
+	spec     core.QuerySpec
+	reported []core.Entry
 }
 
 // limit returns the merge cutoff: k for top-k queries, unbounded for
@@ -216,7 +217,7 @@ func (d *DataSharded) GlobalTail() []*stream.Tuple {
 	for _, p := range per {
 		out = append(out, p...)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
+	slices.SortFunc(out, func(a, b *stream.Tuple) int { return cmp.Compare(a.Seq, b.Seq) })
 	return out
 }
 
@@ -260,17 +261,9 @@ func (d *DataSharded) ExportRouterQueries() []RouterQuery {
 	defer d.qmu.RUnlock()
 	out := make([]RouterQuery, 0, len(d.queries))
 	for id, st := range d.queries {
-		rq := RouterQuery{ID: id, Spec: st.spec}
-		for _, en := range st.lastIDs {
-			rq.LastReported = append(rq.LastReported, en)
-		}
-		sort.Slice(rq.LastReported, func(i, j int) bool {
-			return stream.Better(rq.LastReported[i].Score, rq.LastReported[i].T.Seq,
-				rq.LastReported[j].Score, rq.LastReported[j].T.Seq)
-		})
-		out = append(out, rq)
+		out = append(out, RouterQuery{ID: id, Spec: st.spec, LastReported: slices.Clone(st.reported)})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	slices.SortFunc(out, func(a, b RouterQuery) int { return cmp.Compare(a.ID, b.ID) })
 	return out
 }
 
@@ -291,11 +284,7 @@ func (d *DataSharded) RestoreRouterQueries(qs []RouterQuery) error {
 		if _, dup := d.queries[rq.ID]; dup {
 			return fmt.Errorf("shard: duplicate router query %d", rq.ID)
 		}
-		st := &mergedQuery{spec: rq.Spec, lastIDs: make(map[uint64]core.Entry, len(rq.LastReported))}
-		for _, en := range rq.LastReported {
-			st.lastIDs[en.T.ID] = en
-		}
-		d.queries[rq.ID] = st
+		d.queries[rq.ID] = &mergedQuery{spec: rq.Spec, reported: slices.Clone(rq.LastReported)}
 	}
 	return nil
 }
@@ -357,10 +346,8 @@ func (d *DataSharded) Register(spec core.QuerySpec) (core.QueryID, error) {
 		}
 	}
 
-	st := &mergedQuery{spec: spec, lastIDs: make(map[uint64]core.Entry)}
-	for _, en := range d.mergedResult(id, st.limit()) {
-		st.lastIDs[en.T.ID] = en
-	}
+	st := &mergedQuery{spec: spec}
+	st.reported = d.mergedResult(id, st.limit())
 	d.qmu.Lock()
 	d.queries[id] = st
 	d.qmu.Unlock()
@@ -596,20 +583,17 @@ func (d *DataSharded) runCycle(step func(i int, e *core.Engine) ([]core.Update, 
 		}
 	}
 
-	dirtySet := make(map[core.QueryID]struct{})
+	var dirty []core.QueryID
 	for _, r := range results {
 		for _, u := range r.updates {
-			dirtySet[u.Query] = struct{}{}
+			dirty = append(dirty, u.Query)
 		}
 	}
-	if len(dirtySet) == 0 {
+	if len(dirty) == 0 {
 		return nil, nil
 	}
-	dirty := make([]core.QueryID, 0, len(dirtySet))
-	for q := range dirtySet {
-		dirty = append(dirty, q)
-	}
-	sort.Slice(dirty, func(i, j int) bool { return dirty[i] < dirty[j] })
+	slices.Sort(dirty)
+	dirty = slices.Compact(dirty)
 
 	// Snapshot phase: every shard's partial result for every dirty query,
 	// gathered in parallel on the worker goroutines.
@@ -642,38 +626,12 @@ func (d *DataSharded) runCycle(step func(i int, e *core.Engine) ([]core.Update, 
 			parts[i] = snaps[i][j]
 		}
 		merged := mergeEntries(parts, st.limit(), nil)
-		var upd core.Update
-		for _, en := range merged {
-			if _, ok := st.lastIDs[en.T.ID]; !ok {
-				upd.Added = append(upd.Added, en)
-			}
-		}
-		if len(merged) != len(st.lastIDs) || len(upd.Added) > 0 {
-			current := make(map[uint64]struct{}, len(merged))
-			for _, en := range merged {
-				current[en.T.ID] = struct{}{}
-			}
-			for id, en := range st.lastIDs {
-				if _, ok := current[id]; !ok {
-					upd.Removed = append(upd.Removed, en)
-				}
-			}
-		}
-		if len(upd.Added) == 0 && len(upd.Removed) == 0 {
+		added, removed := core.DiffResults(st.reported, merged, nil, nil)
+		if len(added) == 0 && len(removed) == 0 {
 			continue
 		}
-		upd.Query = q
-		clear(st.lastIDs)
-		for _, en := range merged {
-			st.lastIDs[en.T.ID] = en
-		}
-		sort.Slice(upd.Added, func(i, j int) bool {
-			return stream.Better(upd.Added[i].Score, upd.Added[i].T.Seq, upd.Added[j].Score, upd.Added[j].T.Seq)
-		})
-		sort.Slice(upd.Removed, func(i, j int) bool {
-			return stream.Better(upd.Removed[i].Score, upd.Removed[i].T.Seq, upd.Removed[j].Score, upd.Removed[j].T.Seq)
-		})
-		updates = append(updates, upd)
+		st.reported = merged
+		updates = append(updates, core.Update{Query: q, Added: added, Removed: removed})
 		d.resultUpdates.Add(1)
 	}
 	return updates, nil
@@ -736,7 +694,7 @@ func (d *DataSharded) MemoryBytes() int64 {
 	const entrySize = 24
 	d.qmu.RLock()
 	for _, st := range d.queries {
-		total += int64(len(st.lastIDs)) * (mapEntrySize + entrySize)
+		total += int64(len(st.reported)) * entrySize
 	}
 	d.qmu.RUnlock()
 	// Routing state: the bucket table and hit counters are fixed-size;

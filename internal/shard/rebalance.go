@@ -175,9 +175,12 @@ func (s *Sharded) applyMovesDrained(moves []QueryMove) error {
 
 // migrateDrained executes one migration. Callers hold stepMu and
 // closeMu.RLock with the monitor open and the workers drained. The whole
-// move runs under mu, so concurrent Register/Unregister/Result calls
-// serialize against it and never observe the query on zero or two shards.
+// move runs under migMu and mu, so a Result or Unregister that resolved
+// the old route finishes first, later ones resolve the new one, and no
+// reader of the routing table sees the query on zero or two shards.
 func (s *Sharded) migrateDrained(id core.QueryID, target int) error {
+	s.migMu.Lock()
+	defer s.migMu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	r, ok := s.routes[id]

@@ -33,9 +33,10 @@
 package shard
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -106,6 +107,12 @@ type Sharded struct {
 	// while closing the channels. closed is written under the write lock.
 	closeMu sync.RWMutex //topk:lockrank 30
 	closed  bool
+
+	// migMu keeps a resolved route valid while it is used: Result and
+	// Unregister hold it shared from the routing-table read until their
+	// worker call returns (mu, a leaf lock, is released before the call),
+	// a migration holds it exclusively while the query changes shards.
+	migMu sync.RWMutex //topk:lockrank 35
 
 	// stepMu serializes processing cycles.
 	stepMu sync.Mutex //topk:lockrank 20
@@ -298,7 +305,7 @@ func (s *Sharded) ExportRouting() (core.QueryID, []QueryRoute) {
 	for g, r := range s.routes {
 		routes = append(routes, QueryRoute{Global: g, Shard: r.shard, Local: r.local})
 	}
-	sort.Slice(routes, func(i, j int) bool { return routes[i].Global < routes[j].Global })
+	slices.SortFunc(routes, func(a, b QueryRoute) int { return cmp.Compare(a.Global, b.Global) })
 	return s.nextID, routes
 }
 
@@ -409,6 +416,8 @@ func (s *Sharded) Unregister(id core.QueryID) error {
 	if s.closed {
 		return ErrStopped
 	}
+	s.migMu.RLock()
+	defer s.migMu.RUnlock()
 	s.mu.Lock()
 	r, ok := s.routes[id]
 	if ok {
@@ -435,6 +444,8 @@ func (s *Sharded) Result(id core.QueryID) ([]core.Entry, error) {
 	if s.closed {
 		return nil, ErrStopped
 	}
+	s.migMu.RLock()
+	defer s.migMu.RUnlock()
 	s.mu.Lock()
 	r, ok := s.routes[id]
 	s.mu.Unlock()
@@ -515,7 +526,7 @@ func mergeShardUpdates(results []shardResult) ([]core.Update, error) {
 	// Global ids are unique across shards, so sorting by id restores the
 	// single engine's global ordering regardless of how placement or
 	// migration distributed the queries.
-	sort.Slice(merged, func(i, j int) bool { return merged[i].Query < merged[j].Query })
+	slices.SortFunc(merged, func(a, b core.Update) int { return cmp.Compare(a.Query, b.Query) })
 	return merged, nil
 }
 

@@ -28,6 +28,7 @@ package skyband
 
 import (
 	"fmt"
+	"slices"
 
 	"topkmon/internal/container/ostree"
 	"topkmon/internal/stream"
@@ -48,8 +49,10 @@ type Skyband struct {
 	k int
 	// entries in descending total order (stream.Better).
 	entries []Entry
-	// ids provides O(1) membership tests for the expiration path.
-	ids map[uint64]struct{}
+	// ids is the tuple-id column parallel to entries: the expiration
+	// path's membership test scans it (a few contiguous words for a
+	// skyband of about k entries) without touching a tuple.
+	ids []uint64
 }
 
 // New returns an empty k-skyband. k must be positive.
@@ -57,7 +60,7 @@ func New(k int) *Skyband {
 	if k <= 0 {
 		panic(fmt.Sprintf("skyband: k must be positive, got %d", k))
 	}
-	return &Skyband{k: k, ids: make(map[uint64]struct{}, k)}
+	return &Skyband{k: k}
 }
 
 // K returns the skyband parameter.
@@ -67,10 +70,7 @@ func (s *Skyband) K() int { return s.k }
 func (s *Skyband) Len() int { return len(s.entries) }
 
 // Contains reports whether the tuple with the given id is in the skyband.
-func (s *Skyband) Contains(id uint64) bool {
-	_, ok := s.ids[id]
-	return ok
-}
+func (s *Skyband) Contains(id uint64) bool { return slices.Contains(s.ids, id) }
 
 // KthScore returns the score of the kth entry. ok is false when the
 // skyband holds fewer than k entries.
@@ -102,8 +102,7 @@ func (s *Skyband) Entries() []Entry { return s.entries }
 // entries best-first, DC(p) is the number of already-seen tuples with a
 // later arrival sequence — they are preferable to p and expire after it.
 func (s *Skyband) Rebuild(top []Entry) {
-	s.entries = s.entries[:0]
-	clear(s.ids)
+	s.entries, s.ids = s.entries[:0], s.ids[:0]
 	bt := ostree.New[uint64](func(a, b uint64) bool { return a < b })
 	for i := range top {
 		e := top[i]
@@ -119,7 +118,7 @@ func (s *Skyband) Rebuild(top []Entry) {
 			continue // already dominated k times; cannot appear in any result
 		}
 		s.entries = append(s.entries, e)
-		s.ids[e.T.ID] = struct{}{}
+		s.ids = append(s.ids, e.T.ID)
 	}
 }
 
@@ -129,9 +128,6 @@ func (s *Skyband) Rebuild(top []Entry) {
 // dominates has its counter incremented, and entries whose counter reaches
 // k are evicted. It returns the number of evicted entries.
 func (s *Skyband) Insert(t *stream.Tuple, score float64) int {
-	if _, dup := s.ids[t.ID]; dup {
-		panic(fmt.Sprintf("skyband: duplicate insert of tuple %d", t.ID))
-	}
 	// Locate the insertion position in the descending total order.
 	lo, hi := 0, len(s.entries)
 	for lo < hi {
@@ -143,10 +139,13 @@ func (s *Skyband) Insert(t *stream.Tuple, score float64) int {
 		}
 	}
 	pos := lo
-	s.entries = append(s.entries, Entry{})
-	copy(s.entries[pos+1:], s.entries[pos:])
-	s.entries[pos] = Entry{T: t, Score: score, DC: 0}
-	s.ids[t.ID] = struct{}{}
+	// A tuple scores the same every time, so a second insert of it would
+	// land exactly on the first.
+	if pos < len(s.ids) && s.ids[pos] == t.ID {
+		panic(fmt.Sprintf("skyband: duplicate insert of tuple %d", t.ID))
+	}
+	s.entries = slices.Insert(s.entries, pos, Entry{T: t, Score: score})
+	s.ids = slices.Insert(s.ids, pos, t.ID)
 
 	// The new arrival dominates every worse entry: bump their counters and
 	// evict the ones that reach k, compacting in a single pass.
@@ -156,14 +155,13 @@ func (s *Skyband) Insert(t *stream.Tuple, score float64) int {
 		e := s.entries[r]
 		e.DC++
 		if e.DC >= s.k {
-			delete(s.ids, e.T.ID)
 			evicted++
 			continue
 		}
-		s.entries[w] = e
+		s.entries[w], s.ids[w] = e, s.ids[r]
 		w++
 	}
-	s.entries = s.entries[:w]
+	s.entries, s.ids = s.entries[:w], s.ids[:w]
 	return evicted
 }
 
@@ -191,16 +189,16 @@ func (s *Skyband) InsertBatch(entries []Entry) int {
 // be in descending total order with counters in [0, k); Restore validates
 // and rejects malformed input without touching the current contents.
 func (s *Skyband) Restore(entries []Entry) error {
-	seen := make(map[uint64]struct{}, len(entries))
+	ids := make([]uint64, 0, len(entries))
 	for i := range entries {
 		e := entries[i]
 		if e.DC < 0 || e.DC >= s.k {
 			return fmt.Errorf("skyband: restore entry %d has DC=%d outside [0,%d)", e.T.ID, e.DC, s.k)
 		}
-		if _, dup := seen[e.T.ID]; dup {
+		if slices.Contains(ids, e.T.ID) {
 			return fmt.Errorf("skyband: restore has duplicate tuple %d", e.T.ID)
 		}
-		seen[e.T.ID] = struct{}{}
+		ids = append(ids, e.T.ID)
 		if i > 0 {
 			prev := entries[i-1]
 			if !stream.Better(prev.Score, prev.T.Seq, e.Score, e.T.Seq) {
@@ -208,11 +206,7 @@ func (s *Skyband) Restore(entries []Entry) error {
 			}
 		}
 	}
-	s.entries = append(s.entries[:0], entries...)
-	clear(s.ids)
-	for id := range seen {
-		s.ids[id] = struct{}{}
-	}
+	s.entries, s.ids = append(s.entries[:0], entries...), ids
 	return nil
 }
 
@@ -222,18 +216,13 @@ func (s *Skyband) Restore(entries []Entry) error {
 // top-k result (footnote 5); it dominates nothing, so no dominance counter
 // changes (Figure 11 line 16).
 func (s *Skyband) Remove(id uint64) bool {
-	if _, ok := s.ids[id]; !ok {
+	i := slices.Index(s.ids, id)
+	if i < 0 {
 		return false
 	}
-	for i := range s.entries {
-		if s.entries[i].T.ID == id {
-			copy(s.entries[i:], s.entries[i+1:])
-			s.entries = s.entries[:len(s.entries)-1]
-			delete(s.ids, id)
-			return true
-		}
-	}
-	return false
+	s.entries = slices.Delete(s.entries, i, i+1)
+	s.ids = slices.Delete(s.ids, i, i+1)
+	return true
 }
 
 // checkInvariants validates ordering and counter bounds; used by tests.
@@ -243,8 +232,8 @@ func (s *Skyband) checkInvariants() error {
 	}
 	for i := range s.entries {
 		e := s.entries[i]
-		if _, ok := s.ids[e.T.ID]; !ok {
-			return fmt.Errorf("skyband: entry %d missing from id set", e.T.ID)
+		if s.ids[i] != e.T.ID {
+			return fmt.Errorf("skyband: entry %d has id column %d", e.T.ID, s.ids[i])
 		}
 		if e.DC < 0 || e.DC >= s.k {
 			return fmt.Errorf("skyband: entry %d has DC=%d outside [0,%d)", e.T.ID, e.DC, s.k)

@@ -27,8 +27,9 @@
 package tsl
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"topkmon/internal/container/ostree"
 	"topkmon/internal/core"
@@ -65,8 +66,9 @@ type view struct {
 	// results even when k' < k — the window simply holds fewer tuples.
 	complete bool
 
-	lastIDs map[uint64]core.Entry
-	dirty   bool
+	// reported is the result as last reported, in descending total order.
+	reported []core.Entry
+	dirty    bool
 }
 
 // Stats aggregates TSL counters.
@@ -198,11 +200,10 @@ func (m *Monitor) Register(spec core.QuerySpec) (core.QueryID, error) {
 		return 0, fmt.Errorf("tsl: constrained and threshold queries are not supported by the baseline")
 	}
 	v := &view{
-		id:      m.nextID,
-		spec:    spec,
-		kmax:    m.kmaxFn(spec.K),
-		ids:     make(map[uint64]struct{}),
-		lastIDs: make(map[uint64]core.Entry),
+		id:   m.nextID,
+		spec: spec,
+		kmax: m.kmaxFn(spec.K),
+		ids:  make(map[uint64]struct{}),
 	}
 	if v.kmax < spec.K {
 		return 0, fmt.Errorf("tsl: kmax %d below k %d", v.kmax, spec.K)
@@ -212,9 +213,7 @@ func (m *Monitor) Register(spec core.QuerySpec) (core.QueryID, error) {
 	m.refill(v)
 	m.stats.InitialComputations++
 	m.stats.Refills--
-	for _, en := range v.result(nil) {
-		v.lastIDs[en.T.ID] = en
-	}
+	v.reported = v.result(nil)
 	return v.id, nil
 }
 
@@ -315,39 +314,18 @@ func (m *Monitor) finishCycle() []core.Update {
 		m.stats.ViewSamples++
 	}
 	var updates []core.Update
-	var scratch []core.Entry
 	for _, v := range m.dirtyList {
 		v.dirty = false
-		scratch = v.result(scratch[:0])
-		var upd core.Update
-		for _, en := range scratch {
-			if _, ok := v.lastIDs[en.T.ID]; !ok {
-				upd.Added = append(upd.Added, en)
-			}
-		}
-		if len(scratch) != len(v.lastIDs) || len(upd.Added) > 0 {
-			current := make(map[uint64]struct{}, len(scratch))
-			for _, en := range scratch {
-				current[en.T.ID] = struct{}{}
-			}
-			for id, en := range v.lastIDs {
-				if _, ok := current[id]; !ok {
-					upd.Removed = append(upd.Removed, en)
-				}
-			}
-		}
-		if len(upd.Added) == 0 && len(upd.Removed) == 0 {
+		cur := v.entries[:min(v.spec.K, len(v.entries))]
+		added, removed := core.DiffResults(v.reported, cur, nil, nil)
+		if len(added) == 0 && len(removed) == 0 {
 			continue
 		}
-		upd.Query = v.id
-		clear(v.lastIDs)
-		for _, en := range scratch {
-			v.lastIDs[en.T.ID] = en
-		}
-		updates = append(updates, upd)
+		v.reported = append(v.reported[:0], cur...)
+		updates = append(updates, core.Update{Query: v.id, Added: added, Removed: removed})
 	}
 	m.dirtyList = m.dirtyList[:0]
-	sort.Slice(updates, func(i, j int) bool { return updates[i].Query < updates[j].Query })
+	slices.SortFunc(updates, func(a, b core.Update) int { return cmp.Compare(a.Query, b.Query) })
 	return updates
 }
 
@@ -491,7 +469,7 @@ func (m *Monitor) MemoryBytes() int64 {
 	for _, v := range m.queries {
 		total += queryBase + int64(v.spec.F.Dims())*8
 		total += int64(len(v.entries))*entrySize + int64(len(v.ids))*mapEntrySize
-		total += int64(len(v.lastIDs)) * (entrySize + mapEntrySize)
+		total += int64(len(v.reported)) * entrySize
 	}
 	return total
 }
