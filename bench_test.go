@@ -360,7 +360,7 @@ func BenchmarkScoreBlock(b *testing.B) { benchsuite.RunGroup(b, "ScoreBlock") }
 func BenchmarkMultiQueryKernel(b *testing.B) { benchsuite.RunGroup(b, "MultiQueryKernel") }
 
 // BenchmarkScoreBlockLeg runs the batch-scoring kernel pinned to each
-// kernel leg this host can execute (plus the hardware leg's FMA tier) —
+// kernel leg this host can execute (scalar, and AVX2 or NEON) —
 // the per-leg comparison series cmd/benchreport gates and exports as CSV.
 func BenchmarkScoreBlockLeg(b *testing.B) { benchsuite.RunGroup(b, "ScoreBlockLeg") }
 

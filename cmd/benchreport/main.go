@@ -7,14 +7,13 @@
 //
 // Usage:
 //
-//	go run ./cmd/benchreport -out BENCH_7.json                 # refresh the baseline
-//	go run ./cmd/benchreport -baseline BENCH_7.json -tol 0.15  # regression gate (CI)
-//	go run ./cmd/benchreport -baseline BENCH_7.json -legcsv legs.csv
+//	go run ./cmd/benchreport -out BENCH_11.json                 # refresh the baseline
+//	go run ./cmd/benchreport -baseline BENCH_11.json -tol 0.15  # regression gate (CI)
+//	go run ./cmd/benchreport -baseline BENCH_11.json -legcsv legs.csv
 //
 // The run covers the hot-path suite plus the per-leg kernel series
 // (benchsuite.LegSuite): ScoreBlockLeg/<leg> and MultiQueryKernelLeg/<leg>
-// for every kernel leg this host can execute, plus the hardware leg's
-// opt-in FMA tier. -legcsv writes that series as a comparison CSV with
+// for every kernel leg this host can execute. -legcsv writes that series as a comparison CSV with
 // each leg's speedup over the scalar reference.
 //
 // Each benchmark runs -count times (default 3) and the fastest run is
@@ -225,11 +224,12 @@ type speedupPair struct {
 
 // speedupInvariants returns the ratio invariants for this host: the
 // always-on batch-vs-pointwise and multi-vs-perquery >= 2x pairs, plus —
-// on hosts with an assembly leg — the tentpole's >= 1.5x
-// hardware-vs-unrolled bound on both kernel series. The per-leg pairs
-// reference the host's own leg name (avx2 or neon), so a silently
-// fallen-back hardware leg surfaces as a missing benchmark, not a soft
-// ratio of the unrolled leg against itself.
+// on hosts with an assembly leg — a >= 4x hardware-vs-scalar bound on
+// both kernel series (BENCH_10 measured 7.3x on ScoreBlockLeg and 11.3x
+// on MultiQueryKernelLeg with AVX2). The per-leg pairs reference the
+// host's own leg name (avx2 or neon), so a silently fallen-back hardware
+// leg surfaces as a missing benchmark, not a soft ratio of the scalar
+// leg against itself.
 func speedupInvariants() []speedupPair {
 	pairs := []speedupPair{
 		{"ScoreBlock batch-scoring", "ScoreBlock/kernel-d4", "ScoreBlock/pointwise-d4", 2},
@@ -243,8 +243,8 @@ func speedupInvariants() []speedupPair {
 	}
 	if hw, ok := simd.HardwareLeg(); ok {
 		pairs = append(pairs,
-			speedupPair{"ScoreBlockLeg hardware-vs-unrolled", "ScoreBlockLeg/" + hw.String(), "ScoreBlockLeg/unrolled", 1.5},
-			speedupPair{"MultiQueryKernelLeg hardware-vs-unrolled", "MultiQueryKernelLeg/" + hw.String(), "MultiQueryKernelLeg/unrolled", 1.5},
+			speedupPair{"ScoreBlockLeg hardware-vs-scalar", "ScoreBlockLeg/" + hw.String(), "ScoreBlockLeg/scalar", 4},
+			speedupPair{"MultiQueryKernelLeg hardware-vs-scalar", "MultiQueryKernelLeg/" + hw.String(), "MultiQueryKernelLeg/scalar", 4},
 		)
 	}
 	return pairs
@@ -278,7 +278,7 @@ func checkSpeedup(rep Report, pairs []speedupPair) bool {
 // legCSV renders the per-leg kernel series of rep as a comparison CSV:
 // one row per (series, leg) with its throughput and its speedup over the
 // scalar reference of the same series. Rows keep the report's order
-// (widest leg first, FMA tier last).
+// (hardware leg first).
 func legCSV(rep Report) string {
 	scalarNs := map[string]float64{}
 	for _, r := range rep.Benchmarks {

@@ -91,8 +91,8 @@ func TestCheckSpeedup(t *testing.T) {
 
 // TestSpeedupInvariantsIncludeHardwarePairs checks the host-aware
 // invariant set: the two 2x kernel pairs and the admission-overhead
-// bound always, plus the 1.5x hardware-vs-unrolled pairs on hosts with
-// an assembly leg (CI runners always have one; a host without simply has
+// bound always, plus the 4x hardware-vs-scalar pairs on hosts with an
+// assembly leg (CI runners always have one; a host without simply has
 // nothing to bound).
 func TestSpeedupInvariantsIncludeHardwarePairs(t *testing.T) {
 	pairs := speedupInvariants()
@@ -106,11 +106,14 @@ func TestSpeedupInvariantsIncludeHardwarePairs(t *testing.T) {
 		t.Fatalf("admission-overhead pair = %+v, want fastpath-vs-ungoverned at 50", p)
 	}
 	for _, p := range pairs[3:] {
-		if p.min != 1.5 {
-			t.Fatalf("hardware pair %q has bound %g, want 1.5", p.label, p.min)
+		if p.min != 4 {
+			t.Fatalf("hardware pair %q has bound %g, want 4", p.label, p.min)
 		}
 		if !strings.HasPrefix(p.fast, "ScoreBlockLeg/") && !strings.HasPrefix(p.fast, "MultiQueryKernelLeg/") {
 			t.Fatalf("hardware pair %q gates unexpected benchmark %q", p.label, p.fast)
+		}
+		if !strings.HasSuffix(p.slow, "/scalar") {
+			t.Fatalf("hardware pair %q bounds against %q, want the scalar leg", p.label, p.slow)
 		}
 	}
 }
@@ -122,20 +125,16 @@ func TestLegCSV(t *testing.T) {
 	report := rep(
 		r("Fig14Grid/res=12/TMA", 999, 3),
 		r("ScoreBlockLeg/avx2", 50, 0),
-		r("ScoreBlockLeg/unrolled", 100, 0),
 		r("ScoreBlockLeg/scalar", 200, 0),
 		r("MultiQueryKernelLeg/avx2", 25, 0),
 		r("MultiQueryKernelLeg/scalar", 100, 0),
-		r("ScoreBlockLeg/avx2+fma", 40, 0),
 	)
 	got := legCSV(report)
 	want := "series,leg,ns_per_op,mb_per_s,speedup_vs_scalar\n" +
 		"ScoreBlockLeg,avx2,50.0,0.0,4.00\n" +
-		"ScoreBlockLeg,unrolled,100.0,0.0,2.00\n" +
 		"ScoreBlockLeg,scalar,200.0,0.0,1.00\n" +
 		"MultiQueryKernelLeg,avx2,25.0,0.0,4.00\n" +
-		"MultiQueryKernelLeg,scalar,100.0,0.0,1.00\n" +
-		"ScoreBlockLeg,avx2+fma,40.0,0.0,5.00\n"
+		"MultiQueryKernelLeg,scalar,100.0,0.0,1.00\n"
 	if got != want {
 		t.Fatalf("legCSV mismatch:\ngot:\n%s\nwant:\n%s", got, want)
 	}

@@ -172,7 +172,7 @@
 // cell, appends each group to the cell's block, and scores the whole new
 // sub-block per influenced query with one call into the internal/simd
 // kernels (hand-written AVX2/NEON assembly selected by runtime feature
-// detection, falling back to four-accumulator unrolled Go — every leg
+// detection, falling back to the scalar reference loop — both legs
 // bit-identical to pointwise scoring, a property the kernel equivalence
 // tests, a fuzz entry and the differential harness all pin, since scores
 // feed total-order comparisons; see "SIMD dispatch" below). Expirations
@@ -247,49 +247,48 @@
 // kernel-vs-pointwise, MultiQueryKernel multi-vs-per-query,
 // QueryIndexProbe, the PubSubCycle query-count series, the ReportFanOut
 // and ReportTopK reporting cycles and TopKComputation), reachable both via `go test -bench` and via `go run
-// ./cmd/benchreport`, which emits BENCH_10.json (ns/op, allocs/op, MB/s
+// ./cmd/benchreport`, which emits BENCH_11.json (ns/op, allocs/op, MB/s
 // per benchmark, plus the ScoreBlockLeg/MultiQueryKernelLeg per-leg
-// series). CI regenerates the report on every push and gates it against
-// the committed baseline at ±15%, plus hardware-independent speedup
-// invariants (≥2x batch kernel vs pointwise, ≥2x multi-query kernel vs
-// per-query loop, ≥1.5x hardware leg vs unrolled Go); a native arm64 job
-// re-runs the kernel equivalence tests and fuzz smokes to pin
-// bit-identity on a fusing architecture, and both arch jobs re-run the
-// kernel suites under every TOPK_SIMD-forcible leg. Refresh the baseline
-// with `go run ./cmd/benchreport -out BENCH_10.json` when a PR
+// series for the scalar and hardware legs). CI regenerates the report on
+// every push and gates it against the committed baseline at ±15%, plus
+// hardware-independent speedup invariants (≥2x batch kernel vs
+// pointwise, ≥2x multi-query kernel vs per-query loop, ≥4x hardware leg
+// vs scalar on both kernel series); a native arm64 job re-runs the
+// kernel equivalence tests and fuzz smokes to pin bit-identity on a
+// fusing architecture, and both arch jobs re-run the kernel suites under
+// both TOPK_SIMD-forcible legs. Refresh the baseline with
+// `go run ./cmd/benchreport -out BENCH_11.json` when a change
 // intentionally shifts it.
 //
 // # SIMD dispatch
 //
-// internal/simd ships four legs per kernel: AVX2 assembly (amd64,
-// 4×float64 ymm lanes), NEON assembly (arm64, chained 2×float64
-// q-register pairs), the 4-accumulator unrolled Go loop, and the plain
-// scalar reference. Startup feature detection (CPUID/XGETBV on amd64;
-// NEON is baseline on arm64) picks the widest leg the host supports;
-// `TOPK_SIMD=scalar|unrolled|avx2|neon` forces one for tests and triage
-// and panics if the host cannot run it, so a forced leg can never
-// silently fall back. simd.SetLeg/ActiveLeg expose the same control to
-// test code, and the forced-leg equivalence matrix runs the exhaustive
-// (dims, n, nq) sweeps — unroll remainders, NaN/Inf/±0 — under every
-// leg.
+// internal/simd ships two legs per kernel: the scalar reference, which
+// is also the leg on every host without assembly (amd64 without AVX2,
+// and every architecture other than amd64/arm64), and the hardware leg —
+// AVX2 assembly on amd64 (4×float64 ymm lanes) or NEON assembly on arm64
+// (chained 2×float64 q-register pairs). Startup feature detection
+// (CPUID/XGETBV on amd64; NEON is baseline on arm64) picks the hardware
+// leg when the host has one; `TOPK_SIMD=scalar|avx2|neon` forces a leg
+// for tests and triage and panics if the host cannot run it, so a forced
+// leg can never silently fall back. simd.SetLeg/ActiveLeg expose the
+// same control to test code, and the forced-leg equivalence matrix runs
+// the exhaustive (dims, n, nq) sweeps — group remainders, NaN/Inf/±0 —
+// under both legs. The portable build is type-checked in CI on riscv64
+// and 386.
 //
-// The contract every default-tier leg obeys: bit-identical float64
-// results. The assembly mirrors the scalar accumulation order exactly
-// and rounds each intermediate product (vertical VMULPD/VADDPD and
-// FMUL2D/FADD2D — never fused multiply-adds), so transcripts and
-// checkpoints are portable across architectures and legs. The opt-in
-// FMA tier (topkmon.WithFMAKernels; VFMADD231PD/FMLA in the *fma*.s
-// files) trades that for one fewer rounding per term: it is ULP-bounded
-// against the default tier — verified by the bounded-error differential
-// mode — but strictly self-consistent within a run, because the fused
-// scalar chains in point_fma.go are the single source of truth for both
-// the assembly wrappers' tails and pointwise scoring. It is excluded
-// from checkpoint/difftest lineages by default: a checkpoint recorded
-// under one tier belongs to that tier. topklint's bitexact analyzer
-// enforces the boundary mechanically — fused mnemonics are confined to
-// *fma*.s files, math.FMA to *fma*.go files, and every contractible
-// multiply-add shape elsewhere must carry an explicit float64() rounding
-// conversion.
+// The contract both legs obey: bit-identical float64 results. The
+// assembly mirrors the scalar accumulation order exactly and rounds each
+// intermediate product (vertical VMULPD/VADDPD and FMUL2D/FADD2D — never
+// fused multiply-adds), so transcripts and checkpoints are portable
+// across architectures and legs. topklint's bitexact analyzer enforces
+// this mechanically: math.FMA and fused assembly mnemonics are banned
+// with no exceptions, and every contractible multiply-add shape must
+// carry an explicit float64() rounding conversion. Beyond the
+// scalar-vs-leg equivalence suites, a metamorphic check whose oracle
+// shares no code with the kernels holds both legs and the engine to an
+// exact relation: doubling every weight (and threshold) doubles every
+// score bit for bit and leaves every transcript's ids and order
+// unchanged.
 //
 // # Invariants and annotations
 //
@@ -311,7 +310,7 @@
 //   - //topk:bitexact (package doc) scopes the float rules: math.FMA is
 //     forbidden, any a*b±c shape must wrap the product in an explicit
 //     float64(...) conversion (the gc compiler contracts multiply-adds
-//     into fused FMA on arm64 but never on amd64, so the conversion is a
+//     into fused multiply-adds on arm64 but never on amd64, so the conversion is a
 //     no-op on amd64 and makes arm64 bit-identical to it), build-tag
 //     kernel legs must keep identical exported shapes, and functions
 //     annotated //topk:acc N must carry exactly N accumulator chains in

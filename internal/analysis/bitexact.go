@@ -23,13 +23,7 @@ import (
 //   - rule "fma": math.FMA fuses the multiply-add with a single rounding,
 //     so its result differs from the unfused expression by up to 1 ulp —
 //     a kernel using it can never match the portable leg bit for bit. The
-//     ban is lifted in *fma*-named .go files, mirroring the *fma*.s asm
-//     opt-in: the FMA tier is ULP-bounded against the reference by
-//     design, but it must be SELF-consistent — every path that scores a
-//     point while the tier is active (kernel lane, block tail, pointwise
-//     Score) has to produce identical bits, so the tier's scalar
-//     references must fuse explicitly with math.FMA rather than fall
-//     back to the twice-rounded expression.
+//     ban has no exceptions.
 //   - rule "contract": the Go spec lets the compiler contract a float
 //     multiply feeding an add/sub into a hardware FMA (gc does this on
 //     arm64, ppc64, and s390x — not on amd64). An expression shaped
@@ -39,7 +33,7 @@ import (
 //     flags every contractible shape and suggests the conversion; -fix
 //     applies it.
 //   - rule "parity": every kernel defined in more than one build leg
-//     (portable / unrolled / future ISA files) must keep the same name and
+//     (portable / assembly-stub / future ISA files) must keep the same name and
 //     identical signature in every leg, and the legs' build constraints
 //     must cover each GOARCH exactly once — a missing or doubled leg on
 //     some architecture is diagnosed here instead of in that
@@ -55,13 +49,12 @@ import (
 //     missing stub hides the symbol from the parity rule; a missing TEXT
 //     fails only at link time on that architecture), every stub must be
 //     reachable from package Go code (an uncalled entry point escapes the
-//     equivalence suites), fused multiply-add mnemonics may appear only
-//     in the opt-in *fma*.s files, and a package defining assembly
-//     kernels must carry an exhaustive equivalence test suite
+//     equivalence suites), fused multiply-add mnemonics may not appear
+//     in any .s file, and a package defining assembly kernels must carry an exhaustive equivalence test suite
 //     (Test*Exhaustive) pinning them to the scalar reference.
 var Bitexact = &Analyzer{
 	Name: "bitexact",
-	Doc:  "forbid math.FMA (outside *fma* opt-in files) and compiler-contractible float shapes, and enforce kernel build-leg parity, accumulator structure, and assembly-leg hygiene in //topk:bitexact packages",
+	Doc:  "forbid math.FMA, fused assembly mnemonics and compiler-contractible float shapes, and enforce kernel build-leg parity, accumulator structure, and assembly-leg hygiene in //topk:bitexact packages",
 	Run:  runBitexact,
 }
 
@@ -79,16 +72,12 @@ func runBitexact(pass *Pass) error {
 		if strings.HasSuffix(fname, "_test.go") {
 			continue
 		}
-		// The *fma*.go opt-in mirrors the *fma*.s one: the FMA tier's Go
-		// halves (wrapper tails, pointwise references) must fuse with
-		// math.FMA to stay bit-identical to the fused kernels.
-		allowFMA := strings.Contains(strings.ToLower(fname), "fma")
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
 			if !ok || fn.Body == nil {
 				continue
 			}
-			checkContractions(pass, fn, allowFMA)
+			checkContractions(pass, fn)
 			if want, ok := dirs.funcAcc[fn]; ok {
 				checkAccumulators(pass, fn, want)
 			}
@@ -99,16 +88,15 @@ func runBitexact(pass *Pass) error {
 	return nil
 }
 
-// checkContractions flags math.FMA calls (unless the file opted in via
-// the *fma* naming convention) and contractible float shapes.
-func checkContractions(pass *Pass, fn *ast.FuncDecl, allowFMA bool) {
+// checkContractions flags math.FMA calls and contractible float shapes.
+func checkContractions(pass *Pass, fn *ast.FuncDecl) {
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
-			if sel, ok := n.Fun.(*ast.SelectorExpr); ok && !allowFMA {
+			if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
 				if obj, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func); ok &&
 					obj.Pkg() != nil && obj.Pkg().Path() == "math" && obj.Name() == "FMA" {
-					pass.Reportf(n.Pos(), "fma", "math.FMA rounds once where the portable expression rounds twice: results can never be bit-identical to the reference leg — move FMA-tier code into a *fma*-named file")
+					pass.Reportf(n.Pos(), "fma", "math.FMA rounds once where the portable expression rounds twice: results can never be bit-identical to the reference leg")
 				}
 			}
 		case *ast.BinaryExpr:
@@ -361,7 +349,7 @@ func asmFileArches(name string) []string {
 // checkAsmLegs enforces the assembly half of the bit-identity contract:
 // TEXT symbols and Go stub declarations must pair up on every targeted
 // GOARCH, stubs must be reachable from package Go code, fused
-// multiply-add mnemonics are confined to the opt-in *fma*.s files, and a
+// multiply-add mnemonics are banned, and a
 // package with assembly kernels must carry an exhaustive equivalence
 // suite holding them to the scalar reference.
 func checkAsmLegs(pass *Pass) {
@@ -386,7 +374,6 @@ func checkAsmLegs(pass *Pass) {
 			continue
 		}
 		arches := asmFileArches(name)
-		allowFused := strings.Contains(strings.ToLower(name), "fma")
 		for i, line := range strings.Split(string(data), "\n") {
 			if idx := strings.Index(line, "//"); idx >= 0 {
 				line = line[:idx]
@@ -410,12 +397,9 @@ func checkAsmLegs(pass *Pass) {
 				textArches[m[1]] = append(textArches[m[1]], arches...)
 				continue
 			}
-			if allowFused {
-				continue
-			}
 			for _, tok := range strings.Fields(line) {
 				if fusedMnemonicRE.MatchString(tok) {
-					pass.Reportf(anchor, "asm", "%s:%d: fused multiply-add %s outside an opt-in *fma*.s file: fused kernels round once per term and can never be bit-identical to the reference leg", name, i+1, tok)
+					pass.Reportf(anchor, "asm", "%s:%d: fused multiply-add %s: fused kernels round once per term and can never be bit-identical to the reference leg", name, i+1, tok)
 					break
 				}
 			}

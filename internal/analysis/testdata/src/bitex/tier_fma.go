@@ -1,7 +1,6 @@
-// A *fma*-named file opts out of the fma rule — the FMA tier's scalar
-// references must fuse explicitly to stay bit-identical to the fused
-// kernels — but stays subject to the contract rule: compiler-dependent
-// contraction is never acceptable, fusing must be explicit.
+// A *fma*-named file exempts nothing: math.FMA is banned here exactly as
+// everywhere else in a bitexact package, and so is compiler-dependent
+// contraction.
 package bitex
 
 import "math"
@@ -9,7 +8,7 @@ import "math"
 func fusedReference(w, x []float64) float64 {
 	var s float64
 	for i := range w {
-		s = math.FMA(w[i], x[i], s) // no diagnostic: explicit fusing is the point
+		s = math.FMA(w[i], x[i], s) // want `math\.FMA rounds once`
 	}
 	return s
 }

@@ -1,6 +1,6 @@
 #include "textflag.h"
 
-// dotAsm carries a fused mnemonic outside an fma file: flagged.
+// dotAsm carries a fused mnemonic: flagged.
 TEXT ·dotAsm(SB), NOSPLIT, $0-16
 	VFMADD231PD Y1, Y2, Y0
 	VZEROUPPER

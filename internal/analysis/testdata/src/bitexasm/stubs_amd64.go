@@ -8,7 +8,8 @@ package bitexasm
 //go:noescape
 func dotAsm(dst *float64, n int)
 
-// dotFma pairs with the opt-in fma file: clean.
+// dotFma pairs with TEXT ·dotFma in kernels_fma_amd64.s: no parity
+// finding (its fused mnemonic is flagged separately).
 //
 //go:noescape
 func dotFma(dst *float64, n int)

@@ -8,7 +8,7 @@ func kern(dst []float64) {
 	}
 }
 
-// kern2's signature drifted from the unrolled leg: flagged (anchored at
+// kern2's signature drifted from the other leg: flagged (anchored at
 // the active leg's declaration).
 func kern2(dst []float64) {
 	for i := range dst {

@@ -69,65 +69,36 @@ func Suite() []Bench {
 
 // LegSuite returns the per-leg kernel series: the ScoreBlock batch
 // kernel and the MultiQueryKernel GEMM-shaped kernel, pinned to each
-// kernel leg this host can execute (widest first, per
-// simd.AvailableLegs), plus the hardware leg's opt-in FMA tier when the
-// host has one. The series is what makes a leg regression visible as a
-// named benchmark: cmd/benchreport gates the hardware-vs-unrolled ratio
-// on it and emits it as the per-leg comparison CSV.
+// kernel leg this host can execute (hardware leg first, per
+// simd.AvailableLegs). The series is what makes a leg regression visible
+// as a named benchmark: cmd/benchreport gates the hardware-vs-scalar
+// ratio on it and emits it as the per-leg comparison CSV.
 func LegSuite() []Bench {
 	var out []Bench
 	for _, leg := range simd.AvailableLegs() {
 		out = append(out,
-			Bench{"ScoreBlockLeg/" + leg.String(), scoreBlockOnLeg(leg, false)},
-			Bench{"MultiQueryKernelLeg/" + leg.String(), multiQueryOnLeg(leg, false)},
-		)
-	}
-	if hw, ok := simd.HardwareLeg(); ok && simd.FMASupported() {
-		out = append(out,
-			Bench{"ScoreBlockLeg/" + hw.String() + "+fma", scoreBlockOnLeg(hw, true)},
-			Bench{"MultiQueryKernelLeg/" + hw.String() + "+fma", multiQueryOnLeg(hw, true)},
+			Bench{"ScoreBlockLeg/" + leg.String(), onLeg(leg, scoreBlockKernel)},
+			Bench{"MultiQueryKernelLeg/" + leg.String(), onLeg(leg, multiQueryKernelMulti)},
 		)
 	}
 	return out
 }
 
-// withLeg pins the simd dispatch to (leg, fma) for the duration of one
-// benchmark body, restoring the previous state afterwards. Benchmarks
-// run sequentially, so the process-wide leg switch is safe here.
-func withLeg(b *testing.B, leg simd.Leg, fma bool, body func(b *testing.B)) {
-	origLeg, origFMA := simd.ActiveLeg(), simd.FMAEnabled()
-	if err := simd.SetLeg(leg); err != nil {
-		b.Fatal(err)
-	}
-	if fma {
-		if err := simd.SetFMA(true); err != nil {
+// onLeg pins the simd dispatch to leg for the duration of one benchmark
+// body, restoring the previous leg afterwards. Benchmarks run
+// sequentially, so the process-wide leg switch is safe here.
+func onLeg(leg simd.Leg, body func(b *testing.B)) func(b *testing.B) {
+	return func(b *testing.B) {
+		orig := simd.ActiveLeg()
+		if err := simd.SetLeg(leg); err != nil {
 			b.Fatal(err)
 		}
-	}
-	defer func() {
-		if err := simd.SetLeg(origLeg); err != nil {
-			b.Fatal(err)
-		}
-		if origFMA {
-			if err := simd.SetFMA(true); err != nil {
+		defer func() {
+			if err := simd.SetLeg(orig); err != nil {
 				b.Fatal(err)
 			}
-		}
-	}()
-	body(b)
-}
-
-// scoreBlockOnLeg is scoreBlockKernel pinned to one (leg, fma) state.
-func scoreBlockOnLeg(leg simd.Leg, fma bool) func(b *testing.B) {
-	return func(b *testing.B) {
-		withLeg(b, leg, fma, scoreBlockKernel)
-	}
-}
-
-// multiQueryOnLeg is multiQueryKernelMulti pinned to one (leg, fma) state.
-func multiQueryOnLeg(leg simd.Leg, fma bool) func(b *testing.B) {
-	return func(b *testing.B) {
-		withLeg(b, leg, fma, multiQueryKernelMulti)
+		}()
+		body(b)
 	}
 }
 

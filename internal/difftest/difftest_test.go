@@ -8,9 +8,9 @@ import (
 	"testing"
 
 	"topkmon/internal/core"
+	"topkmon/internal/geom"
 	"topkmon/internal/pipeline"
 	"topkmon/internal/shard"
-	"topkmon/internal/simd"
 )
 
 // execMode is one execution mode under differential test: a constructor
@@ -201,44 +201,49 @@ func FuzzDifferential(f *testing.F) {
 	})
 }
 
-// tolerantTokenDiff compares two rendered transcript lines token by
+// doubledTokenDiff compares two rendered transcript lines token by
 // token: tokens must match exactly except for trailing "=<score>" parts,
-// whose floats may differ by rel relative error. It returns "" on match.
-func tolerantTokenDiff(a, b string, rel float64) string {
-	at, bt := strings.Fields(a), strings.Fields(b)
-	if len(at) != len(bt) {
-		return fmt.Sprintf("token count %d vs %d", len(at), len(bt))
+// where got's score must be exactly twice ref's, bit for bit. %g renders
+// the shortest representation that round-trips, so parsing recovers the
+// exact float64. It returns "" on match.
+func doubledTokenDiff(got, ref string) string {
+	gt, rt := strings.Fields(got), strings.Fields(ref)
+	if len(gt) != len(rt) {
+		return fmt.Sprintf("token count %d vs %d", len(gt), len(rt))
 	}
-	for i := range at {
-		if at[i] == bt[i] {
+	for i := range rt {
+		gi, ri := strings.LastIndexByte(gt[i], '='), strings.LastIndexByte(rt[i], '=')
+		if gi < 0 || ri < 0 {
+			if gt[i] != rt[i] {
+				return fmt.Sprintf("token %d: %q vs %q", i, gt[i], rt[i])
+			}
 			continue
 		}
-		ai, bi := strings.LastIndexByte(at[i], '='), strings.LastIndexByte(bt[i], '=')
-		if ai < 0 || bi < 0 || at[i][:ai] != bt[i][:bi] {
-			return fmt.Sprintf("token %d: %q vs %q", i, at[i], bt[i])
+		if gt[i][:gi] != rt[i][:ri] {
+			return fmt.Sprintf("token %d: %q vs %q", i, gt[i], rt[i])
 		}
-		av, errA := strconv.ParseFloat(strings.TrimRight(at[i][ai+1:], "]"), 64)
-		bv, errB := strconv.ParseFloat(strings.TrimRight(bt[i][bi+1:], "]"), 64)
-		if errA != nil || errB != nil {
-			return fmt.Sprintf("token %d: unparseable scores %q vs %q", i, at[i], bt[i])
+		gv, errG := strconv.ParseFloat(strings.TrimRight(gt[i][gi+1:], "]"), 64)
+		rv, errR := strconv.ParseFloat(strings.TrimRight(rt[i][ri+1:], "]"), 64)
+		if errG != nil || errR != nil {
+			return fmt.Sprintf("token %d: unparseable scores %q vs %q", i, gt[i], rt[i])
 		}
-		tol := rel * math.Max(math.Abs(av), math.Abs(bv))
-		if d := math.Abs(av - bv); !(d <= tol) {
-			return fmt.Sprintf("token %d: score %g vs %g differ by %g (tol %g)", i, av, bv, d, tol)
+		if math.Float64bits(gv) != math.Float64bits(2*rv) {
+			return fmt.Sprintf("token %d: score %v is not exactly 2 × %v", i, gv, rv)
 		}
 	}
 	return ""
 }
 
-// scoreTolerantDiff is Transcript.Diff with tolerantTokenDiff in place of
-// string equality: the two replays must agree on every structural detail
-// (queries, tuples, ordering, counts) while scores may differ within rel.
-func scoreTolerantDiff(got, ref Transcript, rel float64) string {
+// doubledDiff is Transcript.Diff with doubledTokenDiff in place of string
+// equality: the two replays must agree on every structural detail
+// (queries, tuples, ordering, counts) while every score in got is exactly
+// twice the one in ref.
+func doubledDiff(got, ref Transcript) string {
 	if len(got.Updates) != len(ref.Updates) {
 		return fmt.Sprintf("update count %d vs %d", len(got.Updates), len(ref.Updates))
 	}
 	for i := range ref.Updates {
-		if d := tolerantTokenDiff(got.Updates[i], ref.Updates[i], rel); d != "" {
+		if d := doubledTokenDiff(got.Updates[i], ref.Updates[i]); d != "" {
 			return fmt.Sprintf("update record %d: %s\n  ref: %s\n  got: %s", i, d, ref.Updates[i], got.Updates[i])
 		}
 	}
@@ -246,7 +251,7 @@ func scoreTolerantDiff(got, ref Transcript, rel float64) string {
 		return fmt.Sprintf("final count %d vs %d", len(got.Finals), len(ref.Finals))
 	}
 	for i := range ref.Finals {
-		if d := tolerantTokenDiff(got.Finals[i], ref.Finals[i], rel); d != "" {
+		if d := doubledTokenDiff(got.Finals[i], ref.Finals[i]); d != "" {
 			return fmt.Sprintf("final result %d: %s\n  ref: %s\n  got: %s", i, d, ref.Finals[i], got.Finals[i])
 		}
 	}
@@ -256,66 +261,98 @@ func scoreTolerantDiff(got, ref Transcript, rel float64) string {
 	return ""
 }
 
-// TestDifferentialFMA is the opt-in FMA tier's lineage check. With
-// default options the 20-seed differential (TestDifferentialSeeds) is
-// byte-identical on every leg; this test replays the engine on the same
-// seeds with the FMA tier enabled and requires the transcripts to stay
-// structurally identical to the default run with scores inside a
-// documented relative envelope — the reason WithFMAKernels is excluded
-// from checkpoint/difftest lineages by default is exactly that this is
-// the strongest guarantee the fused kernels can make.
-func TestDifferentialFMA(t *testing.T) {
-	if !simd.FMASupported() {
-		t.Skip("no FMA tier on this host")
+// doubleSpec returns spec with every linear or quadratic weight and the
+// threshold θ multiplied by 2, reporting false for a function family
+// whose scores do not scale with its parameters (the product form).
+func doubleSpec(spec core.QuerySpec) (core.QuerySpec, bool) {
+	twice := func(w []float64) []float64 {
+		for i := range w {
+			w[i] *= 2
+		}
+		return w
 	}
-	n := int64(20)
+	switch f := spec.F.(type) {
+	case *geom.Linear:
+		spec.F = geom.NewLinear(twice(f.Weights())...)
+	case *geom.Quadratic:
+		spec.F = geom.NewQuadratic(twice(f.Weights())...)
+	default:
+		return spec, false
+	}
+	if spec.Threshold != nil {
+		thr := 2 * *spec.Threshold
+		spec.Threshold = &thr
+	}
+	return spec, true
+}
+
+// doubleScenario applies doubleSpec to every query s registers.
+func doubleScenario(s Scenario) (Scenario, bool) {
+	out := s
+	out.Initial = make([]core.QuerySpec, len(s.Initial))
+	for i, spec := range s.Initial {
+		var ok bool
+		if out.Initial[i], ok = doubleSpec(spec); !ok {
+			return s, false
+		}
+	}
+	out.Cycles = make([]CycleOps, len(s.Cycles))
+	for c, ops := range s.Cycles {
+		ops.Register = append([]core.QuerySpec(nil), ops.Register...)
+		for i, spec := range ops.Register {
+			var ok bool
+			if ops.Register[i], ok = doubleSpec(spec); !ok {
+				return s, false
+			}
+		}
+		out.Cycles[c] = ops
+	}
+	return out, true
+}
+
+// TestMetamorphicDoubledWeights checks the engine against an oracle that
+// shares none of its code: doubling every weight and every threshold is
+// exact in floating point, so it doubles every score bit for bit and
+// preserves every comparison the engine makes. Each query's transcript
+// must therefore keep the same tuple ids in the same order, with every
+// score exactly doubled. Scenarios holding a product-form query (whose
+// score does not scale with its offsets) are skipped.
+func TestMetamorphicDoubledWeights(t *testing.T) {
+	want := 20
 	if testing.Short() {
-		n = 6
+		want = 6
 	}
-	origLeg := simd.ActiveLeg()
-	defer func() {
-		if err := simd.SetLeg(origLeg); err != nil {
-			t.Fatalf("restoring leg %s: %v", origLeg, err)
-		}
-	}()
-	hw, _ := simd.HardwareLeg()
-	for seed := int64(1); seed <= n; seed++ {
+	ran, topk, thr := 0, false, false
+	for seed := int64(1); ran < want && seed <= 200; seed++ {
 		s := GenScenario(seed)
-
-		if err := simd.SetLeg(hw); err != nil {
-			t.Fatalf("SetLeg(%s): %v", hw, err)
+		d, ok := doubleScenario(s)
+		if !ok {
+			continue
 		}
-		mon, err := core.NewEngine(s.Options())
-		if err != nil {
-			t.Fatalf("%v: engine: %v", s, err)
+		ran++
+		for _, spec := range s.Initial {
+			topk = topk || spec.Threshold == nil
+			thr = thr || spec.Threshold != nil
 		}
-		ref, err := Replay(mon, s, ReplayConfig{})
-		if cerr := mon.Close(); err == nil {
-			err = cerr
+		replay := func(sc Scenario) Transcript {
+			mon, err := core.NewEngine(sc.Options())
+			if err != nil {
+				t.Fatalf("%v: engine: %v", sc, err)
+			}
+			tr, err := Replay(mon, sc, ReplayConfig{})
+			if cerr := mon.Close(); err == nil {
+				err = cerr
+			}
+			if err != nil {
+				t.Fatalf("%v: replay: %v", sc, err)
+			}
+			return tr
 		}
-		if err != nil {
-			t.Fatalf("%v: default replay: %v", s, err)
+		if diff := doubledDiff(replay(d), replay(s)); diff != "" {
+			t.Fatalf("%v: doubled weights did not double every score:\n%s", s, diff)
 		}
-
-		if err := simd.SetFMA(true); err != nil {
-			t.Fatalf("SetFMA(true): %v", err)
-		}
-		mon, err = core.NewEngine(s.Options())
-		if err != nil {
-			t.Fatalf("%v: fma engine: %v", s, err)
-		}
-		got, err := Replay(mon, s, ReplayConfig{})
-		if cerr := mon.Close(); err == nil {
-			err = cerr
-		}
-		if err := simd.SetFMA(false); err != nil {
-			t.Fatalf("SetFMA(false): %v", err)
-		}
-		if err != nil {
-			t.Fatalf("%v: fma replay: %v", s, err)
-		}
-		if d := scoreTolerantDiff(got, ref, 1e-12); d != "" {
-			t.Fatalf("%v: fma run diverged beyond tolerance:\n%s", s, d)
-		}
+	}
+	if ran < want || !topk || !thr {
+		t.Fatalf("ran %d scalable scenarios (want %d), top-k %v, threshold %v", ran, want, topk, thr)
 	}
 }

@@ -17,7 +17,8 @@
 // package is under the topklint bitexact and determinism analyzers (see
 // the package doc of internal/analysis): contractible multiply-add shapes
 // in Score methods carry explicit float64() rounding conversions so arm64
-// FMA contraction cannot make batch and pointwise scoring diverge.
+// multiply-add contraction cannot make batch and pointwise scoring
+// diverge.
 //
 //topk:bitexact
 //topk:deterministic

@@ -150,12 +150,10 @@ func (l *Linear) Weights() []float64 {
 // Dims implements ScoringFunction.
 func (l *Linear) Dims() int { return len(l.weights) }
 
-// Score implements ScoringFunction. It delegates to the pointwise simd
-// dispatch so pointwise and block scores always come from the same
-// arithmetic: the twice-rounded reference expression under the bit-exact
-// legs, the fused chain under the opt-in FMA tier. Scoring the same
-// tuple two different ways within one run would flip the engine's
-// total-order comparisons.
+// Score implements ScoringFunction. It delegates to simd.Dot so pointwise
+// and block scores always come from the same twice-rounded reference
+// expression. Scoring the same tuple two different ways within one run
+// would flip the engine's total-order comparisons.
 func (l *Linear) Score(v Vector) float64 {
 	return simd.Dot(l.weights, v)
 }

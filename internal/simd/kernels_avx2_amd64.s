@@ -3,9 +3,8 @@
 // Bit-identity: lane j of every vector op is point j's scalar operation —
 // VMULPD then VADDPD per dimension, accumulating from a VXORPD-zeroed
 // register (+0), exactly the reference kernel's `var s float64; s +=
-// float64(wi*x)` order. No horizontal ops, no FMA (the fused tier lives
-// in kernels_fma_amd64.s), so every score is byte-identical to the scalar
-// leg.
+// float64(wi*x)` order. No horizontal ops and no fused multiply-adds,
+// so every score is byte-identical to the scalar leg.
 //
 // The dims==4 fast paths load four points (one cache line) and transpose
 // them into per-dimension columns with VUNPCKL/HPD + VPERM2F128; the
@@ -277,13 +276,13 @@ prodany_dim:
 	VZEROUPPER
 	RET
 
-// The multi kernels tile query rows in groups of four (like the unrolled
-// Go leg): the outer loop walks query groups, the inner loop streams the
-// point groups once per query group, transposing each four-point block
-// and scoring the group's four rows before advancing. Four sequential
-// dst write streams at a time keeps the page/cache locality of the Go
-// leg; iterating all nq rows per point group instead would touch nq
-// distant dst lines per group and stall on TLB/store traffic.
+// The multi kernels tile query rows in groups of four: the outer loop
+// walks query groups, the inner loop streams the point groups once per
+// query group, transposing each four-point block and scoring the group's
+// four rows before advancing. Four sequential dst write streams at a
+// time keep the page/cache locality of a row-at-a-time loop; iterating
+// all nq rows per point group instead would touch nq distant dst lines
+// per group and stall on TLB/store traffic.
 
 // func dotMultiAsmD4(dst, coords, w *float64, pquads, n, qquads int)
 TEXT ·dotMultiAsmD4(SB), NOSPLIT, $0-48

@@ -11,13 +11,22 @@ package simd
 // never needs a tail path and the bit-identity contract lives in one
 // place per shape.
 //
-// The bit-exact stubs are declared here once and defined per
-// architecture in kernels_avx2_amd64.s / kernels_neon_arm64.s; the
-// topklint bitexact analyzer checks the .s files against these
-// declarations and confines FMA mnemonics to the *fma* files. The FMA
-// tier's stubs and wrappers live in kernels_hw_fma.go — that file's
-// tails fuse, so it needs the *fma* naming opt-in this file must not
-// have.
+// The stubs are declared here once and defined per architecture in
+// kernels_avx2_amd64.s / kernels_neon_arm64.s; the topklint bitexact
+// analyzer checks the .s files against these declarations and bans fused
+// multiply-add mnemonics in them.
+
+// hwKernels is the hardware leg's kernel set.
+func hwKernels() kernelSet {
+	return kernelSet{
+		dot:          hwDot,
+		quad:         hwQuad,
+		product:      hwProduct,
+		dotMulti:     hwDotMulti,
+		quadMulti:    hwQuadMulti,
+		productMulti: hwProductMulti,
+	}
+}
 
 // dotAsmD4 fills dst[0:4*quads] with dot products of the dims==4 weight
 // vector w against point groups of coords, accumulating each score from

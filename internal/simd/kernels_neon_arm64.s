@@ -11,9 +11,9 @@
 // The Go assembler has no mnemonics for the vector FMUL/FADD .2D forms,
 // so those two instructions are emitted as WORD constants (macro args in
 // ARM operand order FMUL Vd.2D, Vn.2D, Vm.2D = Vd <- Vn*Vm elementwise).
-// Fused FMLA is confined to kernels_fma_arm64.s: the topklint bitexact
-// analyzer bans fused mnemonics outside *fma*.s files, which is what
-// keeps this default leg provably two-rounding and bit-exact.
+// The topklint bitexact analyzer bans fused mnemonics (FMLA and
+// friends), which is what keeps this leg provably two-rounding and
+// bit-exact.
 //
 // Register conventions: R18 (platform), R27 (asm temp), R28 (g) are
 // never touched. V0-V7 hold loaded point groups and are reused as

@@ -5,22 +5,19 @@ import (
 	"os"
 )
 
-// Leg identifies one implementation tier of the six block kernels. Every
-// leg obeys the package's bit-identity contract (identical per-score
+// Leg identifies one implementation of the six block kernels. Both legs
+// obey the package's bit-identity contract (identical per-score
 // accumulation order); they differ only in how many scores they compute
-// per instruction. The FMA tier is not a Leg — it is an opt-in overlay on
-// the hardware leg that relaxes the contract to ULP-bounded (see SetFMA).
+// per instruction.
 type Leg int
 
-// Kernel legs, from reference to widest. LegAVX2 exists only on amd64
-// hosts whose CPU and OS support AVX2; LegNEON only on arm64 (where it is
+// Kernel legs. LegScalar exists everywhere; LegAVX2 only on amd64 hosts
+// whose CPU and OS support AVX2; LegNEON only on arm64 (where it is
 // architecturally guaranteed).
 const (
 	// LegScalar is the reference implementation: one point at a time,
 	// pure Go, available everywhere.
 	LegScalar Leg = iota
-	// LegUnrolled is the four-chain pure-Go unroll, available everywhere.
-	LegUnrolled
 	// LegAVX2 is the amd64 assembly leg: 4×float64 ymm lanes, vertical
 	// VMULPD/VADDPD across points.
 	LegAVX2
@@ -34,8 +31,6 @@ func (l Leg) String() string {
 	switch l {
 	case LegScalar:
 		return "scalar"
-	case LegUnrolled:
-		return "unrolled"
 	case LegAVX2:
 		return "avx2"
 	case LegNEON:
@@ -50,19 +45,17 @@ func ParseLeg(s string) (Leg, error) {
 	switch s {
 	case "scalar":
 		return LegScalar, nil
-	case "unrolled":
-		return LegUnrolled, nil
 	case "avx2":
 		return LegAVX2, nil
 	case "neon":
 		return LegNEON, nil
 	default:
-		return 0, fmt.Errorf("simd: unknown kernel leg %q (want scalar, unrolled, avx2, or neon)", s)
+		return 0, fmt.Errorf("simd: unknown kernel leg %q (want scalar, avx2, or neon)", s)
 	}
 }
 
 // kernelSet bundles the six kernel entry points of one leg. The exported
-// dispatch functions call through the active set; SetLeg/SetFMA swap it.
+// dispatch functions call through the active set; SetLeg swaps it.
 type kernelSet struct {
 	dot          func(dst, coords, w []float64)
 	quad         func(dst, coords, w []float64)
@@ -72,14 +65,13 @@ type kernelSet struct {
 	productMulti func(dst, coords, off []float64, dims int)
 }
 
-// active is the dispatched kernel set. It is written by SetLeg/SetFMA and
-// read on every kernel call without synchronization: leg selection is a
+// active is the dispatched kernel set. It is written by SetLeg and read
+// on every kernel call without synchronization: leg selection is a
 // process-wide startup/test concern, not something to flip while scoring
 // goroutines are running.
 var (
 	active    kernelSet
 	activeLeg Leg
-	activeFMA bool
 	forcedLeg bool
 )
 
@@ -94,37 +86,6 @@ func scalarKernels() kernelSet {
 	}
 }
 
-func unrolledKernels() kernelSet {
-	return kernelSet{
-		dot:          dotBlockUnrolled,
-		quad:         quadBlockUnrolled,
-		product:      productBlockUnrolled,
-		dotMulti:     dotBlockMultiUnrolled,
-		quadMulti:    quadBlockMultiUnrolled,
-		productMulti: productBlockMultiUnrolled,
-	}
-}
-
-// kernelsFor resolves a (leg, fma) pair to its kernel set, reporting
-// whether the combination is supported on this host. The pure-Go legs
-// exist everywhere and have no FMA tier.
-func kernelsFor(l Leg, fma bool) (kernelSet, bool) {
-	switch l {
-	case LegScalar:
-		if fma {
-			return kernelSet{}, false
-		}
-		return scalarKernels(), true
-	case LegUnrolled:
-		if fma {
-			return kernelSet{}, false
-		}
-		return unrolledKernels(), true
-	default:
-		return archKernels(l, fma)
-	}
-}
-
 // ActiveLeg returns the leg the dispatch currently routes to.
 func ActiveLeg() Leg { return activeLeg }
 
@@ -133,15 +94,11 @@ func ActiveLeg() Leg { return activeLeg }
 // that a forced leg really is the one under test rather than a fallback.
 func Forced() bool { return forcedLeg }
 
-// FMAEnabled reports whether the opt-in FMA tier is active (see SetFMA).
-func FMAEnabled() bool { return activeFMA }
-
 // AvailableLegs lists every leg SetLeg would accept on this host, in
-// selection-priority order (widest first). The pure-Go legs are always
-// present.
+// selection-priority order (hardware leg first). The scalar leg is
+// always present.
 func AvailableLegs() []Leg {
-	legs := archLegs()
-	return append(legs, LegUnrolled, LegScalar)
+	return append(archLegs(), LegScalar)
 }
 
 // HardwareLeg returns this host's assembly leg (LegAVX2 or LegNEON) and
@@ -155,56 +112,28 @@ func HardwareLeg() (Leg, bool) {
 	return legs[0], true
 }
 
-// FMASupported reports whether the host's hardware leg has an FMA tier
-// (VFMADD on amd64 with the FMA3 extension, FMLA on arm64 — always
-// present there).
-func FMASupported() bool {
-	l, ok := HardwareLeg()
-	return ok && archFMASupported(l)
-}
-
-// SetLeg routes the six dispatch kernels to the given leg, disabling the
-// FMA tier if it was on. It fails — leaving the active leg unchanged —
-// when the leg is not supported on this host (wrong architecture, or the
-// CPU/OS lacks the ISA extension), so a caller forcing a leg can never
-// silently fall back.
+// SetLeg routes the six dispatch kernels to the given leg. It fails —
+// leaving the active leg unchanged — when the leg is not supported on
+// this host (wrong architecture, or the CPU/OS lacks the ISA extension),
+// so a caller forcing a leg can never silently fall back.
 func SetLeg(l Leg) error {
-	ks, ok := kernelsFor(l, false)
+	ks, ok := scalarKernels(), true
+	if l != LegScalar {
+		ks, ok = archKernels(l)
+	}
 	if !ok {
 		return fmt.Errorf("simd: kernel leg %s is not supported on this host (supported: %v)", l, AvailableLegs())
 	}
-	active, activeLeg, activeFMA = ks, l, false
+	active, activeLeg = ks, l
 	return nil
 }
 
-// SetFMA toggles the opt-in FMA tier of the active hardware leg. Fused
-// kernels round once per multiply-add instead of twice, so their scores
-// are only ULP-bounded-equal to the scalar reference — never byte-equal —
-// which is why the tier is off by default and excluded from
-// checkpoint/difftest lineages (see topkmon.WithFMAKernels). Enabling it
-// fails when the active leg has no FMA tier (pure-Go legs never do).
-// Disabling always succeeds and restores the bit-exact kernels.
-func SetFMA(on bool) error {
-	if !on {
-		if activeFMA {
-			ks, _ := kernelsFor(activeLeg, false)
-			active, activeFMA = ks, false
-		}
-		return nil
-	}
-	ks, ok := kernelsFor(activeLeg, true)
-	if !ok {
-		return fmt.Errorf("simd: kernel leg %s has no FMA tier on this host", activeLeg)
-	}
-	active, activeFMA = ks, true
-	return nil
-}
-
-// init selects the widest supported leg, then applies the TOPK_SIMD
-// override. An unsupported or unknown override panics rather than falling
-// back: a forced-leg test run must exercise the leg it names or fail.
+// init selects the hardware leg when the host has one (scalar
+// otherwise), then applies the TOPK_SIMD override. An unsupported or
+// unknown override panics rather than falling back: a forced-leg test run
+// must exercise the leg it names or fail.
 func init() {
-	if err := SetLeg(defaultLeg()); err != nil {
+	if err := SetLeg(AvailableLegs()[0]); err != nil {
 		panic("simd: default leg unavailable: " + err.Error())
 	}
 	if v := os.Getenv("TOPK_SIMD"); v != "" {

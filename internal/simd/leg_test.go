@@ -8,20 +8,15 @@ import (
 )
 
 // forEachLeg runs fn once per leg this host supports, with the dispatch
-// routed to that leg, restoring the original (leg, fma) state afterwards.
+// routed to that leg, restoring the original leg afterwards.
 // The equivalence and fuzz suites run under it so every assembly leg is
 // held to the scalar reference on every host that can execute it — not
 // just the leg the process happened to boot with.
 func forEachLeg(t testing.TB, fn func(t testing.TB, leg Leg)) {
-	origLeg, origFMA := ActiveLeg(), FMAEnabled()
+	origLeg := ActiveLeg()
 	defer func() {
 		if err := SetLeg(origLeg); err != nil {
 			t.Fatalf("restoring leg %s: %v", origLeg, err)
-		}
-		if origFMA {
-			if err := SetFMA(true); err != nil {
-				t.Fatalf("restoring FMA tier: %v", err)
-			}
 		}
 	}()
 	for _, leg := range AvailableLegs() {
@@ -44,13 +39,16 @@ func runOnLeg(t testing.TB, leg Leg, fn func(t testing.TB)) {
 
 // TestEnvForcedLeg asserts that a TOPK_SIMD override really pinned the
 // dispatch: the active leg matches the variable and Forced reports it.
-// Without the variable the default must be the widest available leg and
-// must not claim to be forced.
+// Without the variable the default must be the hardware leg when the
+// host has one (scalar otherwise) and must not claim to be forced.
 func TestEnvForcedLeg(t *testing.T) {
 	v := os.Getenv("TOPK_SIMD")
 	if v == "" {
 		if Forced() {
 			t.Fatal("Forced() = true without TOPK_SIMD")
+		}
+		if got, want := ActiveLeg(), AvailableLegs()[0]; got != want {
+			t.Fatalf("default leg = %s, want %s", got, want)
 		}
 		return
 	}
@@ -66,16 +64,19 @@ func TestEnvForcedLeg(t *testing.T) {
 	}
 }
 
-// TestParseLegRoundTrip pins the TOPK_SIMD vocabulary.
+// TestParseLegRoundTrip pins the TOPK_SIMD vocabulary: the two legs'
+// names parse, and retired or unknown names are rejected.
 func TestParseLegRoundTrip(t *testing.T) {
-	for _, leg := range []Leg{LegScalar, LegUnrolled, LegAVX2, LegNEON} {
+	for _, leg := range []Leg{LegScalar, LegAVX2, LegNEON} {
 		got, err := ParseLeg(leg.String())
 		if err != nil || got != leg {
 			t.Fatalf("ParseLeg(%q) = %v, %v; want %v", leg.String(), got, err, leg)
 		}
 	}
-	if _, err := ParseLeg("avx512"); err == nil {
-		t.Fatal("ParseLeg(avx512) succeeded; want error")
+	for _, name := range []string{"avx512", "unrolled", "avx2+fma"} {
+		if _, err := ParseLeg(name); err == nil {
+			t.Fatalf("ParseLeg(%s) succeeded; want error", name)
+		}
 	}
 }
 
@@ -102,15 +103,15 @@ func TestSetLegUnsupported(t *testing.T) {
 }
 
 // TestAvailableLegsAlwaysRunnable asserts every advertised leg can
-// actually be selected, and that the pure-Go legs are always advertised.
+// actually be selected, and that the scalar leg is always advertised.
 func TestAvailableLegsAlwaysRunnable(t *testing.T) {
 	legs := AvailableLegs()
 	seen := map[Leg]bool{}
 	for _, l := range legs {
 		seen[l] = true
 	}
-	if !seen[LegScalar] || !seen[LegUnrolled] {
-		t.Fatalf("AvailableLegs() = %v missing a pure-Go leg", legs)
+	if !seen[LegScalar] {
+		t.Fatalf("AvailableLegs() = %v missing the scalar leg", legs)
 	}
 	forEachLeg(t, func(t testing.TB, leg Leg) {
 		if ActiveLeg() != leg {
@@ -119,156 +120,16 @@ func TestAvailableLegsAlwaysRunnable(t *testing.T) {
 	})
 }
 
-// TestSetFMAGating pins the FMA tier rules: it only enables on a
-// hardware leg that has one, it reports via FMAEnabled, and SetLeg
-// always turns it back off.
-func TestSetFMAGating(t *testing.T) {
-	origLeg := ActiveLeg()
-	defer func() {
-		if err := SetLeg(origLeg); err != nil {
-			t.Fatalf("restoring leg: %v", err)
-		}
-	}()
-
-	if FMAEnabled() {
-		t.Fatal("FMA tier on by default")
-	}
-	for _, l := range []Leg{LegScalar, LegUnrolled} {
-		if err := SetLeg(l); err != nil {
-			t.Fatalf("SetLeg(%s): %v", l, err)
-		}
-		if err := SetFMA(true); err == nil {
-			t.Fatalf("SetFMA(true) succeeded on pure-Go leg %s", l)
-		}
-		if FMAEnabled() {
-			t.Fatalf("failed SetFMA left the tier enabled on %s", l)
-		}
-	}
-	hw, ok := HardwareLeg()
-	if !ok || !FMASupported() {
-		return
-	}
-	if err := SetLeg(hw); err != nil {
-		t.Fatalf("SetLeg(%s): %v", hw, err)
-	}
-	if err := SetFMA(true); err != nil {
-		t.Fatalf("SetFMA(true) on %s: %v", hw, err)
-	}
-	if !FMAEnabled() {
-		t.Fatal("SetFMA(true) succeeded but FMAEnabled() = false")
-	}
-	if err := SetLeg(hw); err != nil {
-		t.Fatalf("SetLeg(%s): %v", hw, err)
-	}
-	if FMAEnabled() {
-		t.Fatal("SetLeg did not disable the FMA tier")
-	}
-}
-
-// absInputs returns |v| for every element — the inputs for a
-// magnitude-accumulation reference run.
-func absInputs(v []float64) []float64 {
-	out := make([]float64, len(v))
-	for i, x := range v {
-		out[i] = math.Abs(x)
-	}
-	return out
-}
-
-// checkFMATol asserts |got-want| <= 4*dims*eps*absRef per slot. Fusing
-// removes one rounding per term, so the divergence between the fused and
-// two-rounding accumulations is bounded by a small multiple of dims
-// machine epsilons of the accumulated MAGNITUDE sum (absRef, the same
-// kernel run on |inputs|) — not of the result itself, which cancellation
-// can make arbitrarily smaller than its terms.
-func checkFMATol(t testing.TB, name string, dims int, got, want, absRef []float64) {
-	t.Helper()
-	const eps = 0x1p-52
-	for j := range want {
-		tol := 4 * float64(dims) * eps * absRef[j]
-		if d := math.Abs(got[j] - want[j]); !(d <= tol) {
-			t.Fatalf("%s dims=%d slot %d: fma %v vs scalar %v differ by %g (tol %g)",
-				name, dims, j, got[j], want[j], d, tol)
-		}
-	}
-}
-
-// TestFMAULPBounded holds the opt-in FMA tier to its contract: never
-// required to be byte-identical, but every score must stay within a
-// small error envelope of the scalar reference, proportional to the
-// accumulated magnitude.
-func TestFMAULPBounded(t *testing.T) {
-	hw, ok := HardwareLeg()
-	if !ok || !FMASupported() {
-		t.Skip("no FMA tier on this host")
-	}
-	origLeg := ActiveLeg()
-	defer func() {
-		if err := SetLeg(origLeg); err != nil {
-			t.Fatalf("restoring leg: %v", err)
-		}
-	}()
-	if err := SetLeg(hw); err != nil {
-		t.Fatalf("SetLeg(%s): %v", hw, err)
-	}
-	if err := SetFMA(true); err != nil {
-		t.Fatalf("SetFMA(true): %v", err)
-	}
-
-	rng := rand.New(rand.NewSource(7))
-	for dims := 1; dims <= 9; dims++ {
-		for n := 0; n <= 21; n++ {
-			coords := make([]float64, n*dims)
-			for i := range coords {
-				coords[i] = rng.Float64()*2 - 1
-			}
-			absCoords := absInputs(coords)
-			for _, kc := range kernelCases() {
-				params := make([]float64, dims)
-				for i := range params {
-					params[i] = rng.Float64()*2 - 1
-				}
-				want := make([]float64, n)
-				got := make([]float64, n)
-				absRef := make([]float64, n)
-				kc.scalar(want, coords, params)
-				kc.kernel(got, coords, params)
-				kc.scalar(absRef, absCoords, absInputs(params))
-				checkFMATol(t, kc.name, dims, got, want, absRef)
-			}
-			// Multi kernels under the same bound.
-			nq := 6
-			params := make([]float64, nq*dims)
-			for i := range params {
-				params[i] = rng.Float64()*2 - 1
-			}
-			for _, kc := range multiKernelCases() {
-				want := make([]float64, nq*n)
-				got := make([]float64, nq*n)
-				absRef := make([]float64, nq*n)
-				kc.scalar(want, coords, params, dims)
-				kc.kernel(got, coords, params, dims)
-				kc.scalar(absRef, absCoords, absInputs(params), dims)
-				checkFMATol(t, kc.name+" multi", dims, got, want, absRef)
-			}
-		}
-	}
-}
-
 // checkPointwiseBlock asserts the within-run consistency contract under
-// whatever (leg, fma) state is currently dispatched: scoring a point
+// whatever leg is currently dispatched: scoring a point
 // alone (Dot/Quad/Product) and scoring it inside a block — single- and
 // multi-query — must produce identical bits, tails and leftover rows
 // included. The engine compares scores computed on both paths (block
 // cell scoring vs pointwise influence/expiry checks); a single mismatched
-// bit flips those total-order comparisons and corrupts results, which is
-// exactly what unfused FMA-wrapper tails once did.
+// bit flips those total-order comparisons and corrupts results.
 func checkPointwiseBlock(t testing.TB, rng *rand.Rand) {
 	t.Helper()
 	state := ActiveLeg().String()
-	if FMAEnabled() {
-		state += "+fma"
-	}
 	points := []struct {
 		name  string
 		point func(params, x []float64) float64
@@ -320,45 +181,20 @@ func checkPointwiseBlock(t testing.TB, rng *rand.Rand) {
 	}
 }
 
-// TestPointwiseBlockConsistency holds every dispatch state this host
-// supports — each bit-exact leg, plus the FMA tier of the hardware leg —
-// to the pointwise/block consistency contract.
+// TestPointwiseBlockConsistency holds every leg this host supports to
+// the pointwise/block consistency contract.
 func TestPointwiseBlockConsistency(t *testing.T) {
 	forEachLeg(t, func(t testing.TB, leg Leg) {
 		runOnLeg(t, leg, func(t testing.TB) {
 			checkPointwiseBlock(t, rand.New(rand.NewSource(13)))
 		})
 	})
-	hw, ok := HardwareLeg()
-	if !ok || !FMASupported() {
-		t.Log("no FMA tier on this host; fused consistency not exercised")
-		return
-	}
-	t.Run("leg="+hw.String()+"+fma", func(t *testing.T) {
-		origLeg := ActiveLeg()
-		defer func() {
-			if err := SetLeg(origLeg); err != nil {
-				t.Fatalf("restoring leg: %v", err)
-			}
-		}()
-		if err := SetLeg(hw); err != nil {
-			t.Fatalf("SetLeg(%s): %v", hw, err)
-		}
-		if err := SetFMA(true); err != nil {
-			t.Fatalf("SetFMA(true): %v", err)
-		}
-		checkPointwiseBlock(t, rand.New(rand.NewSource(13)))
-	})
 }
 
-// TestFMADefaultByteIdentical pins that with FMA left at its default
-// (off), the dispatched kernels are byte-identical to scalar even on the
-// hardware leg — the property that keeps checkpoint/difftest lineages
-// stable unless a caller explicitly opts in.
-func TestFMADefaultByteIdentical(t *testing.T) {
-	if FMAEnabled() {
-		t.Fatal("FMA tier enabled by default")
-	}
+// TestDefaultLegByteIdentical pins that the leg the process booted with
+// (the hardware leg where one exists) is byte-identical to scalar — the
+// property that keeps checkpoint/difftest lineages stable across hosts.
+func TestDefaultLegByteIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	n, dims := 37, 4
 	coords := make([]float64, n*dims)

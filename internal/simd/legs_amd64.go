@@ -1,34 +1,31 @@
 package simd
 
-// haveAVX2/haveFMA are resolved by CPUID before any init runs (package
-// variable initialization precedes init functions, and defaultLeg depends
-// on them). AVX2 additionally requires the OS to have enabled saving the
-// ymm state (OSXSAVE + XCR0 bits 1-2).
-var haveAVX2, haveFMA = detectAMD64()
+// haveAVX2 is resolved by CPUID before any init runs (package variable
+// initialization precedes init functions, and leg selection depends on
+// it). AVX2 additionally requires the OS to have enabled saving the ymm
+// state (OSXSAVE + XCR0 bits 1-2).
+var haveAVX2 = detectAVX2()
 
-func detectAMD64() (avx2, fma bool) {
+func detectAVX2() bool {
 	maxID, _, _, _ := cpuid(0, 0)
 	if maxID < 7 {
-		return false, false
+		return false
 	}
 	_, _, ecx1, _ := cpuid(1, 0)
 	const osxsaveBit = 1 << 27
 	const avxBit = 1 << 28
-	const fmaBit = 1 << 12
 	if ecx1&osxsaveBit == 0 || ecx1&avxBit == 0 {
-		return false, false
+		return false
 	}
 	// XCR0 bits 1 (SSE) and 2 (AVX) must both be set: the OS context-
 	// switches the full ymm state.
 	xcr0, _ := xgetbv0()
 	if xcr0&0x6 != 0x6 {
-		return false, false
+		return false
 	}
 	_, ebx7, _, _ := cpuid(7, 0)
 	const avx2Bit = 1 << 5
-	avx2 = ebx7&avx2Bit != 0
-	fma = avx2 && ecx1&fmaBit != 0
-	return avx2, fma
+	return ebx7&avx2Bit != 0
 }
 
 // cpuid executes the CPUID instruction with the given leaf/subleaf.
@@ -38,15 +35,7 @@ func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 // CPUID.1:ECX.OSXSAVE is set.
 func xgetbv0() (eax, edx uint32)
 
-// defaultLeg picks the widest supported leg at process start.
-func defaultLeg() Leg {
-	if haveAVX2 {
-		return LegAVX2
-	}
-	return LegUnrolled
-}
-
-// archLegs lists this host's supported assembly legs, widest first.
+// archLegs lists this host's supported assembly legs.
 func archLegs() []Leg {
 	if haveAVX2 {
 		return []Leg{LegAVX2}
@@ -54,36 +43,10 @@ func archLegs() []Leg {
 	return nil
 }
 
-// archFMASupported reports whether the given assembly leg has an FMA tier
-// on this host.
-func archFMASupported(l Leg) bool {
-	return l == LegAVX2 && haveAVX2 && haveFMA
-}
-
 // archKernels resolves an assembly leg to its kernel set.
-func archKernels(l Leg, fma bool) (kernelSet, bool) {
+func archKernels(l Leg) (kernelSet, bool) {
 	if l != LegAVX2 || !haveAVX2 {
 		return kernelSet{}, false
 	}
-	if fma {
-		if !haveFMA {
-			return kernelSet{}, false
-		}
-		return kernelSet{
-			dot:          hwDotFMA,
-			quad:         hwQuadFMA,
-			product:      hwProduct, // product form has no multiply-add to fuse
-			dotMulti:     hwDotMultiFMA,
-			quadMulti:    hwQuadMultiFMA,
-			productMulti: hwProductMulti,
-		}, true
-	}
-	return kernelSet{
-		dot:          hwDot,
-		quad:         hwQuad,
-		product:      hwProduct,
-		dotMulti:     hwDotMulti,
-		quadMulti:    hwQuadMulti,
-		productMulti: hwProductMulti,
-	}, true
+	return hwKernels(), true
 }

@@ -1,40 +1,16 @@
 package simd
 
-// NEON (AdvSIMD) with double-precision vector arithmetic and FMLA is part
-// of the AArch64 baseline — every arm64 host has it, so no HWCAP probe is
+// NEON (AdvSIMD) with double-precision vector arithmetic is part of the
+// AArch64 baseline — every arm64 host has it, so no HWCAP probe is
 // needed.
 
-// defaultLeg picks the widest supported leg at process start.
-func defaultLeg() Leg { return LegNEON }
-
-// archLegs lists this host's supported assembly legs, widest first.
+// archLegs lists this host's supported assembly legs.
 func archLegs() []Leg { return []Leg{LegNEON} }
 
-// archFMASupported reports whether the given assembly leg has an FMA tier
-// on this host.
-func archFMASupported(l Leg) bool { return l == LegNEON }
-
 // archKernels resolves an assembly leg to its kernel set.
-func archKernels(l Leg, fma bool) (kernelSet, bool) {
+func archKernels(l Leg) (kernelSet, bool) {
 	if l != LegNEON {
 		return kernelSet{}, false
 	}
-	if fma {
-		return kernelSet{
-			dot:          hwDotFMA,
-			quad:         hwQuadFMA,
-			product:      hwProduct, // product form has no multiply-add to fuse
-			dotMulti:     hwDotMultiFMA,
-			quadMulti:    hwQuadMultiFMA,
-			productMulti: hwProductMulti,
-		}, true
-	}
-	return kernelSet{
-		dot:          hwDot,
-		quad:         hwQuad,
-		product:      hwProduct,
-		dotMulti:     hwDotMulti,
-		quadMulti:    hwQuadMulti,
-		productMulti: hwProductMulti,
-	}, true
+	return hwKernels(), true
 }

@@ -2,21 +2,10 @@
 
 package simd
 
-// Architectures without an assembly leg. The unrolled leg is pure Go and
-// would work here too, but the scalar loop stays the default off the
-// mainstream targets — the wider register file the unroll assumes may not
-// exist, and we have not benchmarked it (this preserves the old build-tag
-// dispatch's choice; TOPK_SIMD=unrolled overrides it).
-
-// defaultLeg picks the leg selected at process start.
-func defaultLeg() Leg { return LegScalar }
+// Architectures without an assembly leg run the scalar reference.
 
 // archLegs lists this host's supported assembly legs: none.
 func archLegs() []Leg { return nil }
 
-// archFMASupported reports whether the given assembly leg has an FMA
-// tier: no assembly legs, so never.
-func archFMASupported(Leg) bool { return false }
-
 // archKernels resolves an assembly leg to its kernel set: none exist.
-func archKernels(Leg, bool) (kernelSet, bool) { return kernelSet{}, false }
+func archKernels(Leg) (kernelSet, bool) { return kernelSet{}, false }

@@ -10,7 +10,7 @@ package simd
 // Bit-exactness contract: row q of dst is bit-identical to calling the
 // corresponding single-query kernel with w[q*dims:(q+1)*dims] — each
 // (query, point) score accumulates over dimensions in index order, same
-// as geom.ScoringFunction.Score. The unrolled variants only change which
+// as geom.ScoringFunction.Score. The hardware leg only changes which
 // scores are computed together (four queries share each coordinate
 // load), never the per-score operation order.
 
@@ -68,185 +68,4 @@ func multiShape(dst, coords, w []float64, dims int) (nq, n int) {
 		return 1, len(dst)
 	}
 	return len(w) / dims, len(coords) / dims
-}
-
-// dotBlockMultiUnrolled processes four query rows per iteration: each
-// coordinate load feeds four independent accumulator chains, one per
-// query, each accumulating over dimensions in index order. Leftover rows
-// fall back to the single-query unrolled kernel.
-//
-//topk:acc 4
-//topk:hot
-func dotBlockMultiUnrolled(dst, coords, w []float64, dims int) {
-	nq, n := multiShape(dst, coords, w, dims)
-	if dims == 0 || n == 0 || nq == 0 {
-		for j := range dst {
-			dst[j] = 0
-		}
-		return
-	}
-	_ = coords[n*dims-1]
-	q := 0
-	if dims == 4 {
-		// Mirror dotBlockUnrolled's dims==4 form exactly — sixteen
-		// weights hoisted to registers, scores accumulated from +0 with
-		// four adds — so every row stays bit-identical to the single-query
-		// kernel while each coordinate load feeds four query chains.
-		for ; q+4 <= nq; q += 4 {
-			wq := w[q*4 : q*4+16 : q*4+16]
-			a0, a1, a2, a3 := wq[0], wq[1], wq[2], wq[3]
-			b0, b1, b2, b3 := wq[4], wq[5], wq[6], wq[7]
-			c0, c1, c2, c3 := wq[8], wq[9], wq[10], wq[11]
-			d0, d1, d2, d3 := wq[12], wq[13], wq[14], wq[15]
-			da := dst[q*n : (q+1)*n : (q+1)*n]
-			db := dst[(q+1)*n : (q+2)*n : (q+2)*n]
-			dc := dst[(q+2)*n : (q+3)*n : (q+3)*n]
-			dd := dst[(q+3)*n : (q+4)*n : (q+4)*n]
-			for j := 0; j < n; j++ {
-				c := coords[j*4 : j*4+4 : j*4+4]
-				x0, x1, x2, x3 := c[0], c[1], c[2], c[3]
-				// Start from +0 like the scalar reference (see
-				// dotBlockUnrolled): a -0 first product must round to +0.
-				var s0, s1, s2, s3 float64
-				s0 += float64(a0 * x0)
-				s0 += float64(a1 * x1)
-				s0 += float64(a2 * x2)
-				s0 += float64(a3 * x3)
-				s1 += float64(b0 * x0)
-				s1 += float64(b1 * x1)
-				s1 += float64(b2 * x2)
-				s1 += float64(b3 * x3)
-				s2 += float64(c0 * x0)
-				s2 += float64(c1 * x1)
-				s2 += float64(c2 * x2)
-				s2 += float64(c3 * x3)
-				s3 += float64(d0 * x0)
-				s3 += float64(d1 * x1)
-				s3 += float64(d2 * x2)
-				s3 += float64(d3 * x3)
-				da[j] = s0
-				db[j] = s1
-				dc[j] = s2
-				dd[j] = s3
-			}
-		}
-	}
-	for ; q+4 <= nq; q += 4 {
-		wa := w[q*dims : (q+1)*dims : (q+1)*dims]
-		wb := w[(q+1)*dims : (q+2)*dims : (q+2)*dims]
-		wc := w[(q+2)*dims : (q+3)*dims : (q+3)*dims]
-		wd := w[(q+3)*dims : (q+4)*dims : (q+4)*dims]
-		da := dst[q*n : (q+1)*n : (q+1)*n]
-		db := dst[(q+1)*n : (q+2)*n : (q+2)*n]
-		dc := dst[(q+2)*n : (q+3)*n : (q+3)*n]
-		dd := dst[(q+3)*n : (q+4)*n : (q+4)*n]
-		for j := 0; j < n; j++ {
-			b := j * dims
-			var s0, s1, s2, s3 float64
-			for i := 0; i < dims; i++ {
-				x := coords[b+i]
-				s0 += float64(wa[i] * x)
-				s1 += float64(wb[i] * x)
-				s2 += float64(wc[i] * x)
-				s3 += float64(wd[i] * x)
-			}
-			da[j] = s0
-			db[j] = s1
-			dc[j] = s2
-			dd[j] = s3
-		}
-	}
-	for ; q < nq; q++ {
-		dotBlockUnrolled(dst[q*n:(q+1)*n], coords, w[q*dims:(q+1)*dims])
-	}
-}
-
-// quadBlockMultiUnrolled is dotBlockMultiUnrolled for the quadratic
-// form. The inner expression keeps the scalar shape wi*x*x.
-//
-//topk:acc 4
-//topk:hot
-func quadBlockMultiUnrolled(dst, coords, w []float64, dims int) {
-	nq, n := multiShape(dst, coords, w, dims)
-	if dims == 0 || n == 0 || nq == 0 {
-		for j := range dst {
-			dst[j] = 0
-		}
-		return
-	}
-	_ = coords[n*dims-1]
-	q := 0
-	for ; q+4 <= nq; q += 4 {
-		wa := w[q*dims : (q+1)*dims : (q+1)*dims]
-		wb := w[(q+1)*dims : (q+2)*dims : (q+2)*dims]
-		wc := w[(q+2)*dims : (q+3)*dims : (q+3)*dims]
-		wd := w[(q+3)*dims : (q+4)*dims : (q+4)*dims]
-		da := dst[q*n : (q+1)*n : (q+1)*n]
-		db := dst[(q+1)*n : (q+2)*n : (q+2)*n]
-		dc := dst[(q+2)*n : (q+3)*n : (q+3)*n]
-		dd := dst[(q+3)*n : (q+4)*n : (q+4)*n]
-		for j := 0; j < n; j++ {
-			b := j * dims
-			var s0, s1, s2, s3 float64
-			for i := 0; i < dims; i++ {
-				x := coords[b+i]
-				s0 += float64(wa[i] * x * x)
-				s1 += float64(wb[i] * x * x)
-				s2 += float64(wc[i] * x * x)
-				s3 += float64(wd[i] * x * x)
-			}
-			da[j] = s0
-			db[j] = s1
-			dc[j] = s2
-			dd[j] = s3
-		}
-	}
-	for ; q < nq; q++ {
-		quadBlockUnrolled(dst[q*n:(q+1)*n], coords, w[q*dims:(q+1)*dims])
-	}
-}
-
-// productBlockMultiUnrolled is dotBlockMultiUnrolled for the product
-// form, with multiplicative accumulators initialized to 1.
-//
-//topk:acc 4
-//topk:hot
-func productBlockMultiUnrolled(dst, coords, off []float64, dims int) {
-	nq, n := multiShape(dst, coords, off, dims)
-	if dims == 0 || n == 0 || nq == 0 {
-		for j := range dst {
-			dst[j] = 1
-		}
-		return
-	}
-	_ = coords[n*dims-1]
-	q := 0
-	for ; q+4 <= nq; q += 4 {
-		wa := off[q*dims : (q+1)*dims : (q+1)*dims]
-		wb := off[(q+1)*dims : (q+2)*dims : (q+2)*dims]
-		wc := off[(q+2)*dims : (q+3)*dims : (q+3)*dims]
-		wd := off[(q+3)*dims : (q+4)*dims : (q+4)*dims]
-		da := dst[q*n : (q+1)*n : (q+1)*n]
-		db := dst[(q+1)*n : (q+2)*n : (q+2)*n]
-		dc := dst[(q+2)*n : (q+3)*n : (q+3)*n]
-		dd := dst[(q+3)*n : (q+4)*n : (q+4)*n]
-		for j := 0; j < n; j++ {
-			b := j * dims
-			s0, s1, s2, s3 := 1.0, 1.0, 1.0, 1.0
-			for i := 0; i < dims; i++ {
-				x := coords[b+i]
-				s0 *= wa[i] + x
-				s1 *= wb[i] + x
-				s2 *= wc[i] + x
-				s3 *= wd[i] + x
-			}
-			da[j] = s0
-			db[j] = s1
-			dc[j] = s2
-			dd[j] = s3
-		}
-	}
-	for ; q < nq; q++ {
-		productBlockUnrolled(dst[q*n:(q+1)*n], coords, off[q*dims:(q+1)*dims])
-	}
 }

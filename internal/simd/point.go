@@ -2,25 +2,19 @@ package simd
 
 // Pointwise scoring entry points. The geom scoring functions route their
 // Score methods here so that pointwise and block scores come from the
-// same dispatch: under the bit-exact legs both compute the twice-rounded
-// reference expression, and under the opt-in FMA tier both compute the
-// fused chain (point_fma.go) — a tuple's score never depends on whether
-// it was scored alone or as part of a block, which the engine's
-// total-order comparisons require.
+// same arithmetic: both compute the twice-rounded reference expression,
+// so a tuple's score never depends on whether it was scored alone or as
+// part of a block, which the engine's total-order comparisons require.
 
-// Dot returns the dot product of w and x under the active tier. It is
-// the pointwise counterpart of DotBlockInto and mirrors
-// geom.Linear.Score. The float64 conversion forces the product to round
-// before the add: it blocks FMA contraction on arm64 so the bit-exact
-// path stays bit-identical across architectures (a free no-op on amd64,
-// where gc never fuses).
+// Dot returns the dot product of w and x. It is the pointwise
+// counterpart of DotBlockInto and mirrors geom.Linear.Score. The float64
+// conversion forces the product to round before the add: it blocks
+// multiply-add contraction on arm64 so scores stay bit-identical across
+// architectures (a free no-op on amd64, where gc never fuses).
 //
 //topk:acc 1
 //topk:hot
 func Dot(w, x []float64) float64 {
-	if activeFMA {
-		return dotPointFMA(w, x)
-	}
 	var s float64
 	for i, wi := range w {
 		s += float64(wi * x[i])
@@ -28,16 +22,13 @@ func Dot(w, x []float64) float64 {
 	return s
 }
 
-// Quad returns sum_i w[i]*x_i*x_i under the active tier, each bit-exact
-// term rounded as (w*x)*x. It is the pointwise counterpart of
-// QuadBlockInto and mirrors geom.Quadratic.Score.
+// Quad returns sum_i w[i]*x_i*x_i, each term rounded as (w*x)*x. It is
+// the pointwise counterpart of QuadBlockInto and mirrors
+// geom.Quadratic.Score.
 //
 //topk:acc 1
 //topk:hot
 func Quad(w, x []float64) float64 {
-	if activeFMA {
-		return quadPointFMA(w, x)
-	}
 	var s float64
 	for i, wi := range w {
 		xi := x[i]
@@ -47,9 +38,7 @@ func Quad(w, x []float64) float64 {
 }
 
 // Product returns prod_i (off[i]+x_i) accumulated from 1.0, the
-// pointwise counterpart of ProductBlockInto (geom.Product.Score). The
-// product form has no multiply-add to fuse, so it has no FMA tier and
-// one path serves both tiers.
+// pointwise counterpart of ProductBlockInto (geom.Product.Score).
 //
 //topk:acc 1
 //topk:hot

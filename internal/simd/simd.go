@@ -4,26 +4,25 @@
 // A block holds n points contiguously: point j occupies
 // coords[j*dims : (j+1)*dims]. Each kernel fills dst[j] with the score of
 // point j under one scoring-function family (linear dot product, product
-// form, quadratic form). Four implementation legs share each kernel's
-// contract (see leg.go): the scalar reference, a four-chain pure-Go
-// unroll, and the AVX2/NEON assembly legs, selected at startup by CPU
-// feature detection or forced via TOPK_SIMD / SetLeg.
+// form, quadratic form). Two implementation legs share each kernel's
+// contract (see leg.go): the scalar reference, which is also the fallback
+// on every host without an assembly leg, and the hardware leg (AVX2 on
+// amd64, NEON on arm64), selected at startup by CPU feature detection or
+// forced via TOPK_SIMD / SetLeg.
 //
-// Bit-exactness contract: every leg performs the per-point floating
+// Bit-exactness contract: both legs perform the per-point floating
 // point operations in exactly the order the corresponding
 // geom.ScoringFunction.Score method does (accumulate over dimensions in
 // index order), so batch and pointwise scoring yield bit-identical
-// float64 results. The monitoring engine depends on this — scores feed
-// total-order comparisons, and the differential harness asserts
-// byte-identical transcripts against a pointwise reference scorer. The
-// equivalence tests and the fuzz entry in this package pin the contract.
-// The opt-in FMA tier (SetFMA) relaxes the cross-leg contract to
-// ULP-bounded but keeps the within-run contract absolute: pointwise and
-// block paths compute the same fused chain (point_fma.go).
+// float64 results on every host. The monitoring engine depends on this —
+// scores feed total-order comparisons, and the differential harness
+// asserts byte-identical transcripts against a pointwise reference
+// scorer. The equivalence tests and the fuzz entry in this package pin
+// the contract.
 //
 // The //topk:bitexact directive below puts this package under the
-// topklint bitexact analyzer: math.FMA is forbidden outside the *fma*
-// opt-in files, every contractible a*b+c shape must carry an explicit
+// topklint bitexact analyzer: fused multiply-adds are forbidden in Go
+// and in assembly, every contractible a*b+c shape must carry an explicit
 // float64() rounding conversion (the Go compiler fuses multiply-adds on
 // arm64 but not amd64; the conversion is a documented no-op on amd64 and
 // makes arm64 match it bit for bit), and the amd64/arm64/portable build
@@ -93,167 +92,6 @@ func QuadBlockScalar(dst, coords, w []float64) {
 func ProductBlockScalar(dst, coords, off []float64) {
 	dims := len(off)
 	for j := range dst {
-		b := j * dims
-		s := 1.0
-		for i, oi := range off {
-			s *= oi + coords[b+i]
-		}
-		dst[j] = s
-	}
-}
-
-// dotBlockUnrolled processes four points per iteration with independent
-// accumulator chains. Each chain accumulates over dimensions in index
-// order, so every dst[j] is bit-identical to the scalar reference.
-//
-//topk:acc 4
-//topk:hot
-func dotBlockUnrolled(dst, coords, w []float64) {
-	dims := len(w)
-	n := len(dst)
-	if dims == 0 || n == 0 {
-		for j := range dst {
-			dst[j] = 0
-		}
-		return
-	}
-	_ = coords[n*dims-1] // one bounds check for the whole block
-	j := 0
-	if dims == 4 {
-		w0, w1, w2, w3 := w[0], w[1], w[2], w[3]
-		for ; j+4 <= n; j += 4 {
-			c := coords[j*4 : j*4+16 : j*4+16]
-			// Each chain starts from +0 like the scalar reference's
-			// accumulator: seeding with the first product instead would
-			// turn a -0 first term into a -0 score where the scalar
-			// kernel's +0 + (-0) rounds to +0.
-			var s0, s1, s2, s3 float64
-			s0 += float64(w0 * c[0])
-			s0 += float64(w1 * c[1])
-			s0 += float64(w2 * c[2])
-			s0 += float64(w3 * c[3])
-			s1 += float64(w0 * c[4])
-			s1 += float64(w1 * c[5])
-			s1 += float64(w2 * c[6])
-			s1 += float64(w3 * c[7])
-			s2 += float64(w0 * c[8])
-			s2 += float64(w1 * c[9])
-			s2 += float64(w2 * c[10])
-			s2 += float64(w3 * c[11])
-			s3 += float64(w0 * c[12])
-			s3 += float64(w1 * c[13])
-			s3 += float64(w2 * c[14])
-			s3 += float64(w3 * c[15])
-			dst[j] = s0
-			dst[j+1] = s1
-			dst[j+2] = s2
-			dst[j+3] = s3
-		}
-	} else {
-		for ; j+4 <= n; j += 4 {
-			b0 := j * dims
-			b1, b2, b3 := b0+dims, b0+2*dims, b0+3*dims
-			var s0, s1, s2, s3 float64
-			for i, wi := range w {
-				s0 += float64(wi * coords[b0+i])
-				s1 += float64(wi * coords[b1+i])
-				s2 += float64(wi * coords[b2+i])
-				s3 += float64(wi * coords[b3+i])
-			}
-			dst[j] = s0
-			dst[j+1] = s1
-			dst[j+2] = s2
-			dst[j+3] = s3
-		}
-	}
-	for ; j < n; j++ {
-		b := j * dims
-		var s float64
-		for i, wi := range w {
-			s += float64(wi * coords[b+i])
-		}
-		dst[j] = s
-	}
-}
-
-// quadBlockUnrolled is dotBlockUnrolled for the quadratic form. The inner
-// expression keeps the scalar shape wi*x*x, i.e. (wi*x)*x.
-//
-//topk:acc 4
-//topk:hot
-func quadBlockUnrolled(dst, coords, w []float64) {
-	dims := len(w)
-	n := len(dst)
-	if dims == 0 || n == 0 {
-		for j := range dst {
-			dst[j] = 0
-		}
-		return
-	}
-	_ = coords[n*dims-1]
-	j := 0
-	for ; j+4 <= n; j += 4 {
-		b0 := j * dims
-		b1, b2, b3 := b0+dims, b0+2*dims, b0+3*dims
-		var s0, s1, s2, s3 float64
-		for i, wi := range w {
-			x0 := coords[b0+i]
-			x1 := coords[b1+i]
-			x2 := coords[b2+i]
-			x3 := coords[b3+i]
-			s0 += float64(wi * x0 * x0)
-			s1 += float64(wi * x1 * x1)
-			s2 += float64(wi * x2 * x2)
-			s3 += float64(wi * x3 * x3)
-		}
-		dst[j] = s0
-		dst[j+1] = s1
-		dst[j+2] = s2
-		dst[j+3] = s3
-	}
-	for ; j < n; j++ {
-		b := j * dims
-		var s float64
-		for i, wi := range w {
-			x := coords[b+i]
-			s += float64(wi * x * x)
-		}
-		dst[j] = s
-	}
-}
-
-// productBlockUnrolled is dotBlockUnrolled for the product form, with
-// multiplicative accumulators initialized to 1.
-//
-//topk:acc 4
-//topk:hot
-func productBlockUnrolled(dst, coords, off []float64) {
-	dims := len(off)
-	n := len(dst)
-	if dims == 0 || n == 0 {
-		for j := range dst {
-			dst[j] = 1
-		}
-		return
-	}
-	_ = coords[n*dims-1]
-	j := 0
-	for ; j+4 <= n; j += 4 {
-		b0 := j * dims
-		b1, b2, b3 := b0+dims, b0+2*dims, b0+3*dims
-		s0, s1, s2, s3 := 1.0, 1.0, 1.0, 1.0
-		for i, oi := range off {
-			s0 *= oi + coords[b0+i]
-			s1 *= oi + coords[b1+i]
-			s2 *= oi + coords[b2+i]
-			s3 *= oi + coords[b3+i]
-		}
-		dst[j] = s0
-		dst[j+1] = s1
-		dst[j+2] = s2
-		dst[j+3] = s3
-	}
-	for ; j < n; j++ {
 		b := j * dims
 		s := 1.0
 		for i, oi := range off {

@@ -70,9 +70,8 @@ func TestKernelEquivalenceExhaustive(t *testing.T) {
 	})
 }
 
-// TestKernelMatchesUnrolled pins the dispatch-vs-unrolled identity on the
-// allowlisted architectures (on others the dispatch IS the scalar path and
-// the exhaustive test above already covers it).
+// TestKernelZeroDims pins the degenerate dims==0 behavior: the empty
+// accumulation for every dst slot.
 func TestKernelZeroDims(t *testing.T) {
 	for _, kc := range kernelCases() {
 		dst := []float64{3, 7}
@@ -83,6 +82,60 @@ func TestKernelZeroDims(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestDoubledWeightsDoubleScores is a metamorphic check whose oracle
+// shares no code with the kernels: multiplying a weight by 2 is exact in
+// floating point, and so is every rounding step downstream of it (each
+// product and partial sum is exactly doubled, barring overflow and
+// subnormals, which these inputs avoid). So on every leg the linear and
+// quadratic kernels, single- and multi-query, must return exactly twice
+// the scores for w when given 2·w, bit for bit.
+func TestDoubledWeightsDoubleScores(t *testing.T) {
+	type pair struct {
+		name   string
+		single func(dst, coords, w []float64)
+		multi  func(dst, coords, w []float64, dims int)
+	}
+	forms := []pair{{"dot", DotBlockInto, DotBlockMulti}, {"quad", QuadBlockInto, QuadBlockMulti}}
+	forEachLeg(t, func(tb testing.TB, leg Leg) {
+		runOnLeg(tb, leg, func(t testing.TB) {
+			rng := rand.New(rand.NewSource(17))
+			check := func(name string, dims, n int, got, base []float64) {
+				for j := range base {
+					if math.Float64bits(got[j]) != math.Float64bits(2*base[j]) {
+						t.Fatalf("%s %s dims=%d n=%d slot %d: scores for 2w %v != 2 × %v",
+							leg, name, dims, n, j, got[j], base[j])
+					}
+				}
+			}
+			for dims := 1; dims <= 9; dims++ {
+				for n := 0; n <= 21; n++ {
+					const nq = 6
+					coords := make([]float64, n*dims)
+					for i := range coords {
+						coords[i] = rng.Float64()*2 - 1
+					}
+					w := make([]float64, nq*dims)
+					w2 := make([]float64, nq*dims)
+					for i := range w {
+						w[i] = rng.Float64()*2 - 1
+						w2[i] = 2 * w[i]
+					}
+					for _, f := range forms {
+						base, got := make([]float64, n), make([]float64, n)
+						f.single(base, coords, w[:dims])
+						f.single(got, coords, w2[:dims])
+						check(f.name, dims, n, got, base)
+						mbase, mgot := make([]float64, nq*n), make([]float64, nq*n)
+						f.multi(mbase, coords, w, dims)
+						f.multi(mgot, coords, w2, dims)
+						check(f.name+" multi", dims, n, mgot, mbase)
+					}
+				}
+			}
+		})
+	})
 }
 
 // specialValues are the IEEE edge cases every leg must reproduce

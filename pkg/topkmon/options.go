@@ -116,7 +116,6 @@ type config struct {
 	mode               StreamMode
 	clock              Clock
 	window             window.Spec
-	gridRes            int
 	cells              int
 	pipeDepth          int
 	pipeMaxDepth       int
@@ -126,7 +125,6 @@ type config struct {
 	checkpointDir      string
 	checkpointEvery    int
 	checkpointSync     bool
-	fmaKernels         bool
 }
 
 // Option configures a Monitor.
@@ -297,22 +295,6 @@ func WithCheckpoint(dir string, every int) Option {
 // It has no effect without WithCheckpoint.
 func WithCheckpointSync() Option { return func(c *config) { c.checkpointSync = true } }
 
-// WithFMAKernels opts the process into the fused-multiply-add tier of
-// the hardware simd leg. Fused kernels round once per multiply-add
-// instead of twice, which makes block scoring faster but only
-// ULP-bounded-equal to pointwise scoring — never byte-identical — so the
-// tier is off by default and New rejects it in combination with
-// WithCheckpoint: a checkpoint lineage's restore guarantee is
-// byte-identical replay, which fused scores cannot honor across hosts
-// with different legs. The setting is process-wide (it reconfigures the
-// kernel dispatch, not one monitor) and fails at New when the host has no
-// FMA tier (no hardware leg, or the CPU lacks the extension).
-func WithFMAKernels() Option { return func(c *config) { c.fmaKernels = true } }
-
-// WithGridRes fixes the number of grid cells per axis, overriding the
-// tuned default.
-func WithGridRes(res int) Option { return func(c *config) { c.gridRes = res } }
-
 // WithTargetCells sets the approximate total grid cell count from which
 // the per-axis resolution is derived. The default is the paper's tuned
 // 12^4 cells.
@@ -330,7 +312,6 @@ func (c *config) engineOptions(dims int) (core.Options, error) {
 		Dims:        dims,
 		Window:      c.window,
 		Mode:        c.mode,
-		GridRes:     c.gridRes,
 		TargetCells: c.cells,
 	}, nil
 }

@@ -70,38 +70,25 @@
 //
 // # SIMD dispatch
 //
-// All scoring runs through internal/simd, which selects one of four
-// kernel legs at startup: hand-written AVX2 assembly (amd64 with AVX2),
-// NEON assembly (arm64), a 4-wide unrolled pure-Go leg, or the plain
-// scalar loop. Selection order is widest-first — the fastest leg the
-// CPU supports wins — and the choice is process-global and fixed for
-// the monitor's lifetime.
+// All scoring runs through internal/simd, which selects one of two
+// kernel legs at startup: hand-written assembly where the host has it
+// (AVX2 on amd64 CPUs that support it, NEON on every arm64), and the
+// plain scalar loop everywhere else. The choice is process-global and
+// fixed for the monitor's lifetime.
 //
-// Every leg obeys the same contract: bit-identical float64 results.
-// The assembly keeps the scalar loop's accumulation order and rounds
-// every intermediate product to float64, so a monitor produces the same
-// result transcript — and the same checkpoints — on an AVX2 server, a
-// NEON laptop, and a host with neither. That is what lets the
-// differential and crash-recovery harnesses compare transcripts across
-// machines, and it is why the default tier never fuses multiply-adds.
+// Both legs obey the same contract: bit-identical float64 results. The
+// assembly keeps the scalar loop's accumulation order, rounds every
+// intermediate product to float64 and never fuses a multiply-add, so a
+// monitor produces the same result transcript — and the same
+// checkpoints — on an AVX2 server, a NEON laptop, and a host with
+// neither. That is what lets the differential and crash-recovery
+// harnesses compare transcripts across machines.
 //
-// WithFMAKernels opts one monitor into a faster tier that scores with
-// fused multiply-add instructions (VFMADD on amd64, FMLA on arm64).
-// Fusing skips one rounding step per term, so FMA-tier scores may
-// differ from the default tier by a bounded few ULPs — which can
-// reorder ties and produce a different (equally valid) transcript.
-// Within a single run the tier is still self-consistent: every path
-// that scores a tuple produces identical bits, so results remain
-// deterministic for a given configuration. It is opt-in precisely
-// because checkpoints and differential baselines recorded under the
-// default tier belong to a different lineage; do not mix tiers across
-// a Restore.
-//
-// The TOPK_SIMD environment variable (scalar, unrolled, avx2, neon)
-// forces a specific leg for testing and triage, panicking at startup if
-// the host cannot run it — a forced leg that silently fell back would
-// defeat the point. CI runs the kernel suites under every forcible leg
-// on both architectures.
+// The TOPK_SIMD environment variable (scalar, avx2, neon) forces a
+// specific leg for testing and triage, panicking at startup if the host
+// cannot run it — a forced leg that silently fell back would defeat the
+// point. CI runs the kernel suites under both legs on both
+// architectures.
 package topkmon
 
 import (
@@ -113,7 +100,6 @@ import (
 	"topkmon/internal/pipeline"
 	"topkmon/internal/recovery"
 	"topkmon/internal/shard"
-	"topkmon/internal/simd"
 )
 
 // Monitor is the public handle to a monitoring engine (single or sharded,
@@ -164,14 +150,6 @@ func New(dims int, opts ...Option) (*Monitor, error) {
 	}
 	if cfg.admission != nil && cfg.pipeDepth <= 0 {
 		return nil, fmt.Errorf("topkmon: WithAdmission/WithMemoryLimit require WithPipeline: the governor fronts the ingest queue")
-	}
-	if cfg.fmaKernels {
-		if cfg.checkpointDir != "" {
-			return nil, fmt.Errorf("topkmon: WithFMAKernels cannot be combined with WithCheckpoint: fused scores are not byte-identical across legs, so a checkpoint lineage could not guarantee identical replay")
-		}
-		if err := simd.SetFMA(true); err != nil {
-			return nil, fmt.Errorf("topkmon: WithFMAKernels: %w", err)
-		}
 	}
 	if cfg.shards > 1 {
 		var sh core.StreamMonitor

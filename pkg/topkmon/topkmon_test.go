@@ -3,7 +3,6 @@ package topkmon_test
 import (
 	"testing"
 
-	"topkmon/internal/simd"
 	"topkmon/pkg/topkmon"
 )
 
@@ -528,42 +527,5 @@ func TestAdaptiveDepthFacade(t *testing.T) {
 	}
 	if err := mon.Close(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestWithFMAKernels pins the FMA opt-in surface: the option enables the
-// tier when the host has one (and the monitor still answers queries), is
-// rejected in combination with topkmon.WithCheckpoint, and fails loudly on hosts
-// without an FMA tier instead of silently scoring with other kernels.
-func TestWithFMAKernels(t *testing.T) {
-	defer func() {
-		if err := simd.SetFMA(false); err != nil {
-			t.Fatalf("disabling FMA tier: %v", err)
-		}
-	}()
-
-	if _, err := topkmon.New(2, topkmon.WithCountWindow(8), topkmon.WithFMAKernels(), topkmon.WithCheckpoint(t.TempDir(), 2)); err == nil {
-		t.Fatal("topkmon.New accepted topkmon.WithFMAKernels + topkmon.WithCheckpoint")
-	}
-
-	if !simd.FMASupported() {
-		if _, err := topkmon.New(2, topkmon.WithCountWindow(8), topkmon.WithFMAKernels()); err == nil {
-			t.Fatal("topkmon.New accepted topkmon.WithFMAKernels on a host without an FMA tier")
-		}
-		return
-	}
-	m, err := topkmon.New(2, topkmon.WithCountWindow(8), topkmon.WithFMAKernels())
-	if err != nil {
-		t.Fatalf("topkmon.New(topkmon.WithFMAKernels): %v", err)
-	}
-	defer m.Close()
-	if !simd.FMAEnabled() {
-		t.Fatal("topkmon.WithFMAKernels did not enable the FMA tier")
-	}
-	if _, err := m.Register(topkmon.QuerySpec{F: topkmon.Linear(0.5, 0.5), K: 2, Policy: topkmon.SMA}); err != nil {
-		t.Fatalf("Register: %v", err)
-	}
-	if _, err := m.Tick([]*topkmon.Tuple{{ID: 1, Vec: topkmon.Vector{0.3, 0.4}}, {ID: 2, Vec: topkmon.Vector{0.9, 0.8}}}); err != nil {
-		t.Fatalf("Tick: %v", err)
 	}
 }
