@@ -43,9 +43,11 @@
 //   - Live migration moves a query's complete state between engines at a
 //     cycle barrier: core.Engine.ExportQuery snapshots the spec, the
 //     admission filters, the TMA top list or SMA skyband (with dominance
-//     counters) or threshold set, the reporting baseline, the registered
-//     influence-cell set, and the attributed cost; ImportQuery installs
-//     it on the target engine without recomputation. Nothing is
+//     counters), the reporting baseline, the registered influence-cell
+//     set, and the attributed cost — a threshold query moves only its
+//     spec and cost, since its result is a function of the window;
+//     ImportQuery installs it on the target engine without
+//     recomputation. Nothing is
 //     re-derived — both engines index the identical broadcast stream, so
 //     the moved query's subsequent behavior is byte-identical, a promise
 //     the differential harness enforces by forcing migrations mid-run and
@@ -178,7 +180,8 @@
 // feed total-order comparisons; see "SIMD dispatch" below). Expirations
 // batch the same way. Per-query
 // outcomes are order-independent within a cycle (TMA's bounded top list
-// and threshold sets are set-semantics; admitted SMA arrivals are
+// is set-semantics, a threshold admission or drop depends on its tuple
+// alone; admitted SMA arrivals are
 // re-sorted into sequence order before skyband insertion), so transcripts
 // are byte-identical to the per-tuple path across all engine modes.
 // Per-cycle scratch — expiration runs, cell groupings, score buffers,
@@ -188,14 +191,20 @@
 //
 // Reporting ("report changes to the client", the last line of Figures 9
 // and 11) costs what changed, not what the results hold, and touches no
-// hash map. A threshold query logs a tuple at the moment it admits or
-// drops it, so its delta is read off a per-cycle log (an admit and a drop
-// of one tuple within a cycle cancel) and its result set is never
-// scanned; a top-k query keeps the result it last reported as one ordered
+// hash map. A threshold query holds no result at all: it is its spec and
+// its bound in the query index. It logs a tuple at the moment the
+// admission predicate (score above the threshold, inside the constraint)
+// admits it on arrival or drops it on expiry — the expiring tuple is
+// scored again, bit-identically — so its delta is read off a per-cycle
+// log (an admit and a drop of one tuple within a cycle cancel), and
+// Result runs a threshold search on demand. A top-k query keeps the
+// result it last reported as one ordered
 // list and merges it against the current one under the stream.Better
 // order, tuple id as identity, so Added and Removed come out ordered. The
-// same merge (core.DiffResults) reports for the data-sharded router and
-// the TSL baseline. A cycle that reports anything allocates twice: one
+// same merge (core.DiffResults) reports top-k queries for the
+// data-sharded router and the TSL baseline; the router reports a
+// threshold query by merging the shards' own deltas, since every tuple
+// lives on one shard. A cycle that reports anything allocates twice: one
 // arena holding every payload and one []Update. The caller owns what Step
 // returns and may keep it indefinitely — the engine retains no reference.
 // The Added and Removed slices of one cycle are adjacent, capacity-clipped
@@ -233,8 +242,9 @@
 // each coordinate load, every row bit-identical to the single-query
 // kernel), and a per-member row-max filter delivers only the (member,
 // block) pairs containing a score reaching that member's threshold.
-// Index delivery is superset-safe — the threshold handlers re-check
-// every score and expirations are membership tests — so transcripts are
+// Index delivery is superset-safe — the threshold handlers apply the
+// admission predicate to every delivered score, arriving or expiring — so
+// transcripts are
 // byte-identical to per-query delivery, which the differential harness
 // checks against the naive reference with both structures live in one
 // engine. The `querycount` experiment measures the index: per-cycle cost
@@ -320,9 +330,9 @@
 //     calls, no make(map)/make(chan), no string<->[]byte conversions,
 //     and no operation on a Go map at all (index, assignment, delete,
 //     range, clear — rule mapop): hot state lives in slices and id
-//     columns. The maps that survive on the cycle path (a threshold
-//     query's result set, the grid's Random-mode slot map) each carry a
-//     //topk:allow naming what will replace them.
+//     columns. The one map that survives on the cycle path, the grid's
+//     Random-mode slot map, carries a //topk:allow naming what will
+//     replace it; internal/core has none, which CI enforces.
 //     Heap escapes inside hot functions are budgeted by the committed
 //     allowlist internal/analysis/escapes.txt, checked in CI against
 //     `go build -gcflags=-m` output and refreshed with

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"topkmon/internal/geom"
@@ -64,17 +65,14 @@ type query struct {
 	// phase (flushPending), restoring the exact per-arrival semantics.
 	pending []Entry
 
-	// Threshold-query state: the current result set.
-	thr map[uint64]Entry
-
 	// Reporting state (report.go): a top-k query's result as last reported,
 	// in descending total order; a threshold query's chains of this cycle's
-	// admissions and drops in Engine.thrLog (between cycles thr is what it
-	// last reported).
+	// admissions and drops in Engine.thrLog. A threshold query keeps no
+	// result: between cycles it is every valid tuple of its constraint
+	// scoring above the threshold, which AppendResult computes on demand.
 	reported []Entry
 	addHead  int32
 	remHead  int32
-	dirty    bool
 
 	// cost accumulates the maintenance work attributed to this query:
 	// influence events examined, cells processed and heap operations of its
@@ -107,8 +105,8 @@ type Engine struct {
 	// is fixed and can cover most of the workspace, so it is indexed
 	// once by its bound at O(queries + cells) memory, where lists would
 	// cost O(queries × cells). Index delivery is a superset of what the
-	// lists would deliver, which the threshold handlers' score filter
-	// and membership test absorb (see probe).
+	// lists would deliver, which the threshold handlers' admission
+	// predicate absorbs (see probe).
 	qi *qindex.Index
 
 	// byID locates tuples for explicit deletions (UpdateStream mode only).
@@ -125,8 +123,13 @@ type Engine struct {
 	haveSeq bool
 	lastSeq uint64
 
-	// dirtyList collects the ids of queries touched in the current cycle.
-	dirtyList []QueryID
+	// dirty is a bitmap over the query table marking the queries touched
+	// in the current cycle, and dirtyWords one over dirty marking its
+	// non-zero words, so that finishCycle collects the cycle's dirtyIDs in
+	// id order without scanning every query's bit.
+	dirty      []uint64
+	dirtyWords []uint64
+	dirtyIDs   []QueryID
 
 	// scratch state for influence-list walks.
 	walkVisited []uint32
@@ -235,10 +238,17 @@ func (e *Engine) lookup(id QueryID) *query {
 	return nil
 }
 
-// install enters q into the query table (and the SMA list).
+// install enters q into the query table (and the SMA list), growing the
+// dirty bitmap with it.
 func (e *Engine) install(q *query) {
 	if n := int(q.id) + 1; n > len(e.queries) {
 		e.queries = append(e.queries, make([]*query, n-len(e.queries))...)
+		if words := (n + 63) / 64; words > len(e.dirty) {
+			e.dirty = append(e.dirty, make([]uint64, words-len(e.dirty))...)
+			if sum := (words + 63) / 64; sum > len(e.dirtyWords) {
+				e.dirtyWords = append(e.dirtyWords, make([]uint64, sum-len(e.dirtyWords))...)
+			}
+		}
 	}
 	e.queries[q.id] = q
 	e.numQueries++
@@ -280,7 +290,6 @@ func (e *Engine) Register(spec QuerySpec) (QueryID, error) {
 		q.kind = thresholdKind
 		q.topScore = *spec.Threshold
 		q.regScore = *spec.Threshold
-		q.thr = make(map[uint64]Entry)
 	} else {
 		if spec.K <= 0 {
 			return 0, fmt.Errorf("core: K must be positive, got %d", spec.K)
@@ -299,18 +308,14 @@ func (e *Engine) Register(spec QuerySpec) (QueryID, error) {
 	e.nextID++
 	e.install(q)
 
-	// Initial result computation (Figure 6). A threshold query is indexed
-	// by its fixed bound; a top-k query registers influence lists over the
-	// cells its computation processed.
+	// A threshold query is only indexed by its fixed bound: its result is
+	// a function of the window, so there is nothing to compute. A top-k
+	// query runs the initial computation (Figure 6) and registers influence
+	// lists over the cells it processed.
 	if q.kind == thresholdKind {
 		if err := e.qi.Add(q.id, spec.F, *spec.Threshold); err != nil {
 			panic(err)
 		}
-		work := e.s.CellsProcessed
-		for _, en := range e.s.Threshold(spec.F, *spec.Threshold, spec.Constraint) {
-			q.thr[en.T.ID] = Entry{T: en.T, Score: en.Score}
-		}
-		q.cost += e.s.CellsProcessed - work
 	} else {
 		e.computeFromScratch(q)
 		e.stats.InitialComputations++
@@ -345,8 +350,9 @@ func (e *Engine) Unregister(id QueryID) error {
 		}
 		e.walkInfluence(q, []int{start})
 	}
-	// Drop the query from the dirty list if the current cycle touched it.
-	e.dirtyList = slices.DeleteFunc(e.dirtyList, func(d QueryID) bool { return d == id })
+	// Drop the query from the dirty set if the current cycle touched it
+	// (a summary bit left over an emptied word is harmless).
+	e.dirty[id/64] &^= 1 << (id % 64)
 	return nil
 }
 
@@ -443,15 +449,36 @@ func (e *Engine) StepExternal(now int64, arrivals, expirations []*stream.Tuple) 
 
 // AppendResult appends the current result of query id to out and returns
 // the extended slice, avoiding per-call allocation. It is the snapshot
-// primitive the data-partitioned sharded monitor merges across engines
-// after every cycle: each engine's result is the exact (local) top-k /
-// threshold set over the tuples it indexes.
+// primitive the data-partitioned sharded monitor merges across engines:
+// each engine's result is the exact (local) top-k or threshold result over
+// the tuples it indexes.
+//
+// A threshold query's result is computed here, by a threshold search over
+// the grid (Section 7). A read is not maintenance: the search's cells are
+// not counted in Stats.CellsProcessed or the query's cost.
 func (e *Engine) AppendResult(id QueryID, out []Entry) ([]Entry, error) {
 	q := e.lookup(id)
 	if q == nil {
 		return out, fmt.Errorf("core: unknown query %d", id)
 	}
+	if q.kind == thresholdKind {
+		mark := len(out)
+		for _, en := range e.thresholdSearch(q) {
+			out = append(out, Entry{T: en.T, Score: en.Score})
+		}
+		slices.SortFunc(out[mark:], EntryOrder)
+		return out, nil
+	}
 	return q.currentResult(out), nil
+}
+
+// thresholdSearch returns a threshold query's current result, unordered,
+// in the searcher's pooled buffer, leaving the work counters untouched.
+func (e *Engine) thresholdSearch(q *query) []topk.Entry {
+	cells := e.s.CellsProcessed
+	res := e.s.Threshold(q.spec.F, *q.spec.Threshold, q.spec.Constraint)
+	e.s.CellsProcessed = cells
+	return res
 }
 
 // StepUpdate runs one processing cycle under the explicit-deletion stream
@@ -534,7 +561,8 @@ func (e *Engine) Result(id QueryID) ([]Entry, error) { return e.AppendResult(id,
 // columnar block, and every influenced query scores the whole new
 // sub-block with one vectorized kernel call instead of one interface call
 // per tuple. Per-query outcomes are order-independent within a cycle
-// (TMA's bounded top list and the threshold result set are set-semantics;
+// (TMA's bounded top list is set-semantics, a threshold admission depends
+// on its tuple alone, and the reporter sorts the logged admissions;
 // SMA admissions are buffered and replayed in sequence order by
 // flushPending), so the cell-grouped order produces exactly the
 // per-arrival transcript.
@@ -589,9 +617,13 @@ func (e *Engine) insertBatch(arrivals []*stream.Tuple) {
 // bound misses their lowest member threshold are dropped wholesale; the
 // rest score the block against up to qTile members per multi-query kernel
 // call, and only a member with a score reaching its own threshold handles
-// it: admits the arrivals scoring strictly above, or drops the expired
-// tuples it holds. The skips are exact (a held entry scores strictly above
-// its query's threshold) and skipped members are not charged, so the
+// it. Membership is the admission predicate — a score strictly above the
+// threshold, inside the constraint — in both directions: arrivals that
+// pass it are admitted, expiring tuples that pass it are dropped. Scores
+// are bit-identical on every kernel leg and tile position, so an expiring
+// tuple passes exactly when it passed on arrival (or was in the window at
+// Register). The skips are exact (a member tuple scores strictly above its
+// query's threshold) and skipped members are not charged, so the
 // transcript is exactly what per-query delivery would produce.
 //
 //topk:hot
@@ -646,17 +678,9 @@ func (e *Engine) probe(idx int, coords []float64, tuples []*stream.Tuple, dims i
 				q := e.queries[cl.IDAt(j)]
 				e.stats.InfluenceEvents += int64(n)
 				q.cost += int64(n)
+				head := &q.addHead
 				if !arriving {
-					for _, t := range tuples {
-						//topk:allow mapop q.thr, the result set keyed by tuple id for this membership test, goes with ROADMAP item 2's tuple table
-						if en, ok := q.thr[t.ID]; ok {
-							//topk:allow mapop q.thr membership, see above
-							delete(q.thr, t.ID)
-							e.logThreshold(&q.remHead, en)
-							e.markDirty(q)
-						}
-					}
-					continue
+					head = &q.remHead
 				}
 				cons := q.spec.Constraint
 				for i, score := range row {
@@ -666,13 +690,7 @@ func (e *Engine) probe(idx int, coords []float64, tuples []*stream.Tuple, dims i
 					if cons != nil && !cons.Contains(geom.Vector(coords[i*dims:(i+1)*dims])) {
 						continue
 					}
-					en := Entry{T: tuples[i], Score: score}
-					held := len(q.thr)
-					//topk:allow mapop q.thr membership, see above
-					q.thr[en.T.ID] = en
-					if len(q.thr) > held {
-						e.logThreshold(&q.addHead, en)
-					}
+					e.logThreshold(head, Entry{T: tuples[i], Score: score})
 					e.markDirty(q)
 				}
 			}
@@ -796,8 +814,9 @@ func (e *Engine) flushPending() {
 // query-index probe and to the top-k queries on the cell's influence list
 // (Figure 9 lines 8-11 / Figure 11 lines 12-16). Expirations are grouped
 // by cell so each influenced query handles a whole block per lookup;
-// per-event outcomes are order-independent (TMA's affected flag and the
-// threshold set are set-semantics, and an expiring skyband entry dominates
+// per-event outcomes are order-independent (TMA's affected flag is
+// set-semantics, a threshold drop depends on its tuple alone, and an
+// expiring skyband entry dominates
 // nothing, so its removal never touches other entries' counters).
 //
 //topk:hot
@@ -873,8 +892,9 @@ func (e *Engine) applyExpireBlock(q *query, tuples []*stream.Tuple) {
 //
 //topk:hot
 func (e *Engine) finishCycle() []Update {
+	e.dirtyIDs = e.takeDirty(e.dirtyIDs[:0])
 	// Recompute affected TMA queries and underflowing SMA skybands.
-	for _, id := range e.dirtyList {
+	for _, id := range e.dirtyIDs {
 		q := e.queries[id]
 		switch {
 		case q.kind != topkKind:
@@ -981,11 +1001,35 @@ func (e *Engine) walkInfluence(q *query, seeds []int) {
 }
 
 func (e *Engine) markDirty(q *query) {
-	if !q.dirty {
-		q.dirty = true
-		e.dirtyList = append(e.dirtyList, q.id)
-	}
+	w := q.id / 64
+	e.dirty[w] |= 1 << (q.id % 64)
+	e.dirtyWords[w/64] |= 1 << (w % 64)
 }
+
+// takeDirty appends the ids of the queries touched in the current cycle to
+// out in id order, visiting only the dirty set's non-zero words, and
+// clears the set.
+//
+//topk:hot
+func (e *Engine) takeDirty(out []QueryID) []QueryID {
+	for s, sum := range e.dirtyWords {
+		if sum == 0 {
+			continue
+		}
+		e.dirtyWords[s] = 0
+		for ; sum != 0; sum &= sum - 1 {
+			w := s*64 + bits.TrailingZeros64(sum)
+			for word := e.dirty[w]; word != 0; word &= word - 1 {
+				out = append(out, QueryID(w*64+bits.TrailingZeros64(word)))
+			}
+			e.dirty[w] = 0
+		}
+	}
+	return out
+}
+
+// isDirty reports whether the current cycle touched query id.
+func (e *Engine) isDirty(id QueryID) bool { return e.dirty[id/64]&(1<<(id%64)) != 0 }
 
 // insertTop inserts an entry into a TMA top list, keeping descending total
 // order and at most K entries (the previous kth is dropped, as in the
@@ -1014,35 +1058,26 @@ func (q *query) insertTop(en Entry) {
 	}
 }
 
-// currentResult appends the query's current result to out: the TMA top
-// list, the first k skyband entries, or the threshold set in descending
-// total order.
+// currentResult appends a top-k query's current result to out: the TMA top
+// list or the first k skyband entries, in descending total order.
 func (q *query) currentResult(out []Entry) []Entry {
-	switch q.kind {
-	case thresholdKind:
-		for _, en := range q.thr {
-			out = append(out, en)
+	if q.spec.Policy == SMA {
+		n := q.spec.K
+		if n > q.sky.Len() {
+			n = q.sky.Len()
 		}
-		slices.SortFunc(out, entryOrder)
+		for _, en := range q.sky.Entries()[:n] {
+			out = append(out, Entry{T: en.T, Score: en.Score})
+		}
 		return out
-	default:
-		if q.spec.Policy == SMA {
-			n := q.spec.K
-			if n > q.sky.Len() {
-				n = q.sky.Len()
-			}
-			for _, en := range q.sky.Entries()[:n] {
-				out = append(out, Entry{T: en.T, Score: en.Score})
-			}
-			return out
-		}
-		return append(out, q.top...)
 	}
+	return append(out, q.top...)
 }
 
 // MemoryBytes implements Monitor, mirroring the space analysis of
 // Section 6: the index (grid + valid list) plus the query-table entries
-// (O(d + 2k) for TMA, O(d + 3k) for SMA).
+// (O(d + 2k) for TMA, O(d + 3k) for SMA, O(d) for a threshold query,
+// which holds no result) and the query index.
 func (e *Engine) MemoryBytes() int64 {
 	const (
 		entrySize    = 24 // tuple pointer + score
@@ -1069,7 +1104,6 @@ func (e *Engine) MemoryBytes() int64 {
 		if q.sky != nil {
 			total += int64(q.sky.Len()) * (skyEntrySize + idSize)
 		}
-		total += int64(len(q.thr)) * (entrySize + mapEntrySize)
 		total += int64(len(q.reported)) * entrySize
 	}
 	total += e.qi.MemoryBytes()

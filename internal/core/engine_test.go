@@ -1,10 +1,12 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
 	"topkmon/internal/geom"
+	"topkmon/internal/simd"
 	"topkmon/internal/stream"
 	"topkmon/internal/validate"
 	"topkmon/internal/window"
@@ -643,6 +645,170 @@ func TestRegistrationMidStream(t *testing.T) {
 	}
 	if err := e.CheckInfluence(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestThresholdReadsAreNotMaintenance: registering a threshold query runs
+// no search, and reading its result (Result, AppendResult, Queries) runs
+// one that is not charged — neither moves Stats' work counters nor the
+// query's attributed cost.
+func TestThresholdReadsAreNotMaintenance(t *testing.T) {
+	e := mustEngine(t, smallOpts(2, 200))
+	if _, err := e.Register(QuerySpec{F: geom.NewLinear(2, 1), K: 5, Policy: TMA}); err != nil {
+		t.Fatal(err)
+	}
+	gen := stream.NewGenerator(stream.IND, 2, 8)
+	var valid []*stream.Tuple
+	for ts := int64(0); ts < 5; ts++ {
+		b := gen.Batch(30, ts)
+		if _, err := e.Step(ts, b); err != nil {
+			t.Fatal(err)
+		}
+		valid = append(valid, b...)
+	}
+	before := e.Stats()
+	unchanged := func(what string, id QueryID) {
+		t.Helper()
+		s := e.Stats()
+		if s.CellsProcessed != before.CellsProcessed || s.HeapOps != before.HeapOps {
+			t.Fatalf("%s moved the work counters: cells %d -> %d, heap ops %d -> %d",
+				what, before.CellsProcessed, s.CellsProcessed, before.HeapOps, s.HeapOps)
+		}
+		if info, err := e.QueryInfoFor(id); err != nil || info.Cost != 0 {
+			t.Fatalf("%s: query cost %d (err %v), want 0", what, info.Cost, err)
+		}
+	}
+
+	thr := 0.8
+	region := geom.Rect{Lo: geom.Vector{0.1, 0.1}, Hi: geom.Vector{0.9, 0.9}}
+	id, err := e.Register(QuerySpec{F: geom.NewLinear(1, 1), Threshold: &thr, Constraint: &region})
+	if err != nil {
+		t.Fatal(err)
+	}
+	unchanged("Register", id)
+
+	got, err := e.Result(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := validate.Threshold(valid, geom.NewLinear(1, 1), thr, &region)
+	if len(got) == 0 || len(got) != len(want) {
+		t.Fatalf("result holds %d tuples, brute force %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].T.ID != want[i].T.ID || got[i].Score != want[i].Score {
+			t.Fatalf("rank %d: p%d=%v, want p%d=%v", i, got[i].T.ID, got[i].Score, want[i].T.ID, want[i].Score)
+		}
+	}
+	unchanged("Result", id)
+
+	// AppendResult keeps the caller's prefix as it was.
+	prefix := Entry{T: tup(1<<40, 0, 0, 0), Score: -1}
+	out, err := e.AppendResult(id, []Entry{prefix})
+	if err != nil || out[0] != prefix || len(out) != 1+len(want) {
+		t.Fatalf("AppendResult: err %v, %d entries, head %v", err, len(out), out[0])
+	}
+	if info, err := e.QueryInfoFor(id); err != nil || info.ResultSize != len(want) {
+		t.Fatalf("ResultSize %d (err %v), want %d", info.ResultSize, err, len(want))
+	}
+	unchanged("AppendResult and Queries", id)
+}
+
+// TestThresholdRescoreBitExact: a threshold query recognizes an expiring
+// member by scoring it again, so that score must be bit-identical to the
+// one it was admitted with, although the cluster it is scored in has
+// changed meanwhile. More than qTile near-duplicate subscriptions share
+// one cluster; between the arrivals and their expiry some members are
+// unregistered, and swap-deletion moves survivors into other member tiles
+// and other lanes of the multi-query kernel. Every Removed entry must
+// equal its Added entry bit for bit, and every admitted tuple must be
+// dropped, on every available kernel leg.
+func TestThresholdRescoreBitExact(t *testing.T) {
+	orig := simd.ActiveLeg()
+	defer func() {
+		if err := simd.SetLeg(orig); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	for _, leg := range simd.AvailableLegs() {
+		t.Run(leg.String(), func(t *testing.T) {
+			if err := simd.SetLeg(leg); err != nil {
+				t.Fatal(err)
+			}
+			e := mustEngine(t, Options{Dims: 3, Window: window.Count(240), TargetCells: 64})
+			const members = 3*qTile + 5
+			ids := make([]QueryID, members)
+			for i := range ids {
+				w := []float64{1 + float64(i)*1e-3/3, 1 - float64(i)*1e-3/7, 1 + float64(i%5)*1e-4}
+				thr := 1.2 + float64(i%11)*0.01
+				id, err := e.Register(QuerySpec{F: geom.NewLinear(w...), Threshold: &thr})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ids[i] = id
+			}
+			if c := e.QueryIndex().NumClusters(); c != 1 {
+				t.Fatalf("near-duplicate subscriptions formed %d clusters, want 1", c)
+			}
+
+			added := map[QueryID]map[uint64]float64{}
+			dropped := 0
+			gen := stream.NewGenerator(stream.IND, 3, 17)
+			for ts := int64(0); ts < 12; ts++ {
+				if ts == 4 {
+					// Remove members from the first tiles: the last members
+					// move into their slots.
+					for i := 0; i < members; i += 3 {
+						if err := e.Unregister(ids[i]); err != nil {
+							t.Fatal(err)
+						}
+						delete(added, ids[i])
+					}
+				}
+				updates, err := e.Step(ts, gen.Batch(60, ts))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, u := range updates {
+					held := added[u.Query]
+					if held == nil {
+						held = map[uint64]float64{}
+						added[u.Query] = held
+					}
+					for _, en := range u.Removed {
+						score, ok := held[en.T.ID]
+						if !ok {
+							t.Fatalf("cycle %d: q%d drops tuple %d it never admitted", ts, u.Query, en.T.ID)
+						}
+						if math.Float64bits(score) != math.Float64bits(en.Score) {
+							t.Fatalf("cycle %d: q%d drops tuple %d at score %v, admitted at %v", ts, u.Query, en.T.ID, en.Score, score)
+						}
+						delete(held, en.T.ID)
+						dropped++
+					}
+					for _, en := range u.Added {
+						held[en.T.ID] = en.Score
+					}
+				}
+				if err := e.CheckInfluence(); err != nil {
+					t.Fatalf("cycle %d: %v", ts, err)
+				}
+			}
+			// 720 arrivals through a 240-tuple window: the first 480 have
+			// expired, so every survivor has dropped what it admitted then.
+			if dropped == 0 {
+				t.Fatal("no member ever dropped a tuple")
+			}
+			for id, held := range added {
+				res, err := e.Result(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(res) != len(held) {
+					t.Fatalf("q%d holds %d tuples by its transcript, %d by its result", id, len(held), len(res))
+				}
+			}
+		})
 	}
 }
 

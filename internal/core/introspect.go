@@ -34,10 +34,10 @@ type QueryInfo struct {
 
 // Queries returns a snapshot of every registered query, ordered by id.
 // Top-k cardinalities are gathered in one pass over the grid's influence
-// lists, O(Q + cells). The query index stores no per-cell entries, so a
-// threshold query's InfluenceCells is reconstructed from the registration
-// rule — O(cells) per threshold query, acceptable for an introspection
-// surface.
+// lists, O(Q + cells). The query index stores no per-cell entries and a
+// threshold query holds no result, so its InfluenceCells is reconstructed
+// from the registration rule and its ResultSize by a threshold search —
+// O(cells) per threshold query, acceptable for an introspection surface.
 func (e *Engine) Queries() []QueryInfo {
 	perQuery := make([]int, len(e.queries))
 	for idx := 0; idx < e.g.NumCells(); idx++ {
@@ -76,7 +76,7 @@ func (e *Engine) Queries() []QueryInfo {
 		switch q.kind {
 		case thresholdKind:
 			info.Kind = "threshold"
-			info.ResultSize = len(q.thr)
+			info.ResultSize = len(e.thresholdSearch(q))
 		default:
 			if q.spec.Policy == SMA {
 				info.SkybandSize = q.sky.Len()

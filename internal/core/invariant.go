@@ -3,8 +3,11 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"topkmon/internal/geom"
+	"topkmon/internal/stream"
+	"topkmon/internal/validate"
 )
 
 // ruleWants reports whether cell idx belongs to query q's influence region
@@ -52,9 +55,11 @@ func (e *Engine) scratchRect() geom.Rect {
 // must hold it at exactly its threshold and the lists must not name it;
 // the index's own invariants (locator consistency, weight-envelope
 // dominance, bound ordering, cell-cache completeness) are validated too,
-// and it must hold nothing but the threshold queries.
+// and it must hold nothing but the threshold queries. A threshold query's
+// on-demand result must equal a brute-force scan of the valid tuples
+// (validate.Threshold), ids and score bits alike.
 //
-// It is O(Q × cells) and intended for continuous verification in tests:
+// It is O(Q × (cells + N)) and intended for continuous verification in tests:
 // the shard monitors and the ingestion pipeline expose it as well, so
 // stress and differential suites can assert the invariant after every
 // processing cycle rather than only at end-of-run.
@@ -64,6 +69,15 @@ func (e *Engine) CheckInfluence() error {
 	}
 	r := e.scratchRect()
 	thresholds, listed := 0, 0
+	var valid []*stream.Tuple
+	if e.qi.NumQueries() > 0 {
+		for idx := 0; idx < e.g.NumCells(); idx++ {
+			e.g.PointsDo(idx, func(t *stream.Tuple) bool {
+				valid = append(valid, t)
+				return true
+			})
+		}
+	}
 	for _, q := range e.queries {
 		if q == nil {
 			continue
@@ -77,6 +91,9 @@ func (e *Engine) CheckInfluence() error {
 			}
 			if got != *q.spec.Threshold {
 				return fmt.Errorf("threshold query %d: indexed bound %g, want %g", id, got, *q.spec.Threshold)
+			}
+			if err := e.checkThresholdResult(q, valid); err != nil {
+				return err
 			}
 			continue
 		}
@@ -99,6 +116,27 @@ func (e *Engine) CheckInfluence() error {
 	// threshold (or unregistered) query.
 	if n := e.g.TotalInfluenceEntries(); n != listed {
 		return fmt.Errorf("grid holds %d influence entries, top-k queries account for %d", n, listed)
+	}
+	return nil
+}
+
+// checkThresholdResult compares a threshold query's result with the
+// brute-force scan of the valid tuples, in the reporting order.
+func (e *Engine) checkThresholdResult(q *query, valid []*stream.Tuple) error {
+	got, err := e.AppendResult(q.id, nil)
+	if err != nil {
+		return err
+	}
+	want := validate.Threshold(valid, q.spec.F, *q.spec.Threshold, q.spec.Constraint)
+	if len(got) != len(want) {
+		return fmt.Errorf("threshold query %d: result holds %d tuples, brute force finds %d", q.id, len(got), len(want))
+	}
+	slices.SortFunc(want, func(a, b validate.Entry) int { return EntryOrder(Entry(a), Entry(b)) })
+	for i, w := range want {
+		if got[i].T.ID != w.T.ID || got[i].Score != w.Score {
+			return fmt.Errorf("threshold query %d: result[%d] = tuple %d score %v, brute force has tuple %d score %v",
+				q.id, i, got[i].T.ID, got[i].Score, w.T.ID, w.Score)
+		}
 	}
 	return nil
 }

@@ -18,10 +18,10 @@ func betterCmp(a, b Entry) int {
 	return 0
 }
 
-// entryOrder is the reporting total order: stream.Better, then ascending
+// EntryOrder is the reporting total order: stream.Better, then ascending
 // tuple id. Sequence numbers are unique under sliding windows but not
 // validated under update streams, where only ids are.
-func entryOrder(a, b Entry) int {
+func EntryOrder(a, b Entry) int {
 	if c := betterCmp(a, b); c != 0 {
 		return c
 	}
@@ -103,17 +103,16 @@ func (e *Engine) logThreshold(head *int32, en Entry) {
 	*head = int32(len(e.thrLog))
 }
 
-// report diffs every dirty query, in query-id order, staging the payloads
+// report diffs every dirty query, in query-id order (finishCycle has taken
+// them off the dirty set into dirtyIDs), staging the payloads
 // on pooled scratch and then copying them into one exactly-sized arena: a
 // cycle that changes no result allocates nothing, any other twice (see
 // Update for what the caller may do with the slices).
 //
 //topk:hot
 func (e *Engine) report() []Update {
-	slices.Sort(e.dirtyList)
-	for _, id := range e.dirtyList {
+	for _, id := range e.dirtyIDs {
 		q := e.queries[id]
-		q.dirty = false
 		// A top-k query's delta is its current result against the one it
 		// last reported; a threshold query's is this cycle's admissions
 		// against this cycle's drops — a tuple on both sides (admitted
@@ -139,7 +138,6 @@ func (e *Engine) report() []Update {
 			q.reported = append(q.reported[:0], cur...)
 		}
 	}
-	e.dirtyList = e.dirtyList[:0]
 	// Cleared, not just truncated: pooled capacity must not pin tuples
 	// that have left the window.
 	clear(e.thrLog)
@@ -170,8 +168,8 @@ func (e *Engine) report() []Update {
 }
 
 // thresholdSides unchains a threshold query's drops and admissions of the
-// cycle, each sorted into the reporting order, and resets the chains. The
-// result set itself is never read: the work follows the change.
+// cycle, each sorted into the reporting order, and resets the chains. No
+// result is read: the work follows the change.
 //
 //topk:hot
 func (e *Engine) thresholdSides(q *query) (dropped, admitted []Entry) {
@@ -184,7 +182,7 @@ func (e *Engine) thresholdSides(q *query) (dropped, admitted []Entry) {
 		buf = append(buf, e.thrLog[i-1].en)
 	}
 	q.addHead, q.remHead, e.resScratch = 0, 0, buf
-	slices.SortFunc(buf[:mid], entryOrder)
-	slices.SortFunc(buf[mid:], entryOrder)
+	slices.SortFunc(buf[:mid], EntryOrder)
+	slices.SortFunc(buf[mid:], EntryOrder)
 	return buf[:mid], buf[mid:]
 }

@@ -81,6 +81,8 @@ type reportFixture struct {
 	e       *Engine
 	queries []*query
 	spare   []Entry
+	// held marks the threshold queries whose log last admitted their spare.
+	held []bool
 }
 
 func newReportFixture(t *testing.T, q int) *reportFixture {
@@ -104,6 +106,7 @@ func newReportFixture(t *testing.T, q int) *reportFixture {
 			fx.spare = append(fx.spare, Entry{T: tup(uint64(1e6+len(fx.spare)), uint64(1e6+len(fx.spare)), 1, 1), Score: 100})
 		}
 	}
+	fx.held = make([]bool, len(fx.queries))
 	return fx
 }
 
@@ -115,13 +118,12 @@ func (fx *reportFixture) flip() {
 	for i, q := range fx.queries {
 		sp := &fx.spare[i]
 		if q.kind == thresholdKind {
-			if _, held := q.thr[sp.T.ID]; held {
-				delete(q.thr, sp.T.ID)
-				fx.e.logThreshold(&q.remHead, *sp)
-			} else {
-				q.thr[sp.T.ID] = *sp
-				fx.e.logThreshold(&q.addHead, *sp)
+			head := &q.addHead
+			if fx.held[i] {
+				head = &q.remHead
 			}
+			fx.e.logThreshold(head, *sp)
+			fx.held[i] = !fx.held[i]
 		} else {
 			q.top[0], *sp = *sp, q.top[0]
 			q.topID[0] = q.top[0].T.ID

@@ -13,12 +13,13 @@ import (
 // exporting one. It is the migration unit behind cost-aware shard
 // rebalancing (internal/shard).
 //
-// What moves: the spec, the admission filters (TopScore/RegScore), the
-// policy state (TMA top list, SMA skyband with dominance counters, or the
-// threshold result set), the reporting baseline (LastReported — the result
-// as last handed to the client, which anchors future Update deltas), a
-// top-k query's registered influence-cell set, and the attributed
-// maintenance cost.
+// What moves: the spec, the admission filters (TopScore/RegScore), a
+// top-k query's policy state (TMA top list, or SMA skyband with dominance
+// counters), its reporting baseline (LastReported — the result as last
+// handed to the client, which anchors future Update deltas) and its
+// registered influence-cell set, and the attributed maintenance cost. A
+// threshold query moves its spec and cost alone: its result is a function
+// of the window the importing engine already indexes.
 //
 // What is re-derived: nothing. The importing engine must already index the
 // same tuple stream under identical Options (same dimensionality, grid
@@ -45,14 +46,10 @@ type QuerySnapshot struct {
 	// Skyband is the full SMA skyband — entries with their dominance
 	// counters, descending total order (nil for TMA and threshold queries).
 	Skyband []skyband.Entry
-	// Threshold is the current result set of a threshold query, descending
-	// total order (nil otherwise).
-	Threshold []Entry
-	// LastReported is the result as last reported to the client, descending
-	// total order: the baseline future Update deltas diff against. For a
-	// threshold query it is always the Threshold set again (the engine
-	// reports those from a change log and keeps no separate baseline);
-	// import rejects a snapshot in which the two differ.
+	// LastReported is a top-k query's result as last reported to the
+	// client, descending total order: the baseline future Update deltas
+	// diff against. A threshold query reports from a per-cycle change log
+	// and has no baseline: it exports none, and import ignores the field.
 	LastReported []Entry
 	// InfluenceCells lists the grid cells currently holding an influence
 	// entry for a top-k query, ascending. Threshold queries live in the
@@ -75,7 +72,7 @@ func (e *Engine) ExportQuery(id QueryID) (QuerySnapshot, error) {
 	if q == nil {
 		return QuerySnapshot{}, fmt.Errorf("core: unknown query %d", id)
 	}
-	if q.dirty || q.affected || q.skyChanged {
+	if e.isDirty(id) || q.affected || q.skyChanged {
 		return QuerySnapshot{}, fmt.Errorf("core: query %d has unfinished cycle state; export only between cycles", id)
 	}
 	snap := QuerySnapshot{
@@ -87,23 +84,18 @@ func (e *Engine) ExportQuery(id QueryID) (QuerySnapshot, error) {
 		RegScore: q.regScore,
 		Cost:     q.cost,
 	}
+	if q.kind == thresholdKind {
+		return snap, nil
+	}
 	snap.LastReported = slices.Clone(q.reported)
-	switch {
-	case q.kind == thresholdKind:
-		// Between cycles a threshold query's reported result is its
-		// result set (the engine keeps no second copy of it).
-		snap.Threshold = q.currentResult(make([]Entry, 0, len(q.thr)))
-		snap.LastReported = slices.Clone(snap.Threshold)
-	case q.spec.Policy == SMA:
+	if q.spec.Policy == SMA {
 		snap.Skyband = slices.Clone(q.sky.Entries())
-	default:
+	} else {
 		snap.Top = slices.Clone(q.top)
 	}
-	if q.kind == topkKind {
-		for idx := 0; idx < e.g.NumCells(); idx++ {
-			if e.g.HasInfluence(idx, id) {
-				snap.InfluenceCells = append(snap.InfluenceCells, idx)
-			}
+	for idx := 0; idx < e.g.NumCells(); idx++ {
+		if e.g.HasInfluence(idx, id) {
+			snap.InfluenceCells = append(snap.InfluenceCells, idx)
 		}
 	}
 	return snap, nil
@@ -158,20 +150,6 @@ func (e *Engine) importAt(snap QuerySnapshot, id QueryID) error {
 	switch {
 	case snap.Spec.Threshold != nil:
 		q.kind = thresholdKind
-		q.thr = make(map[uint64]Entry, len(snap.Threshold))
-		for _, en := range snap.Threshold {
-			q.thr[en.T.ID] = en
-		}
-		// No separate baseline is kept for a threshold query: a snapshot
-		// with a pending delta is rejected rather than silently losing it.
-		if len(snap.LastReported) != len(q.thr) {
-			return fmt.Errorf("core: threshold snapshot reports %d entries but holds %d", len(snap.LastReported), len(q.thr))
-		}
-		for _, en := range snap.LastReported {
-			if _, ok := q.thr[en.T.ID]; !ok {
-				return fmt.Errorf("core: threshold snapshot reports tuple %d outside its result set", en.T.ID)
-			}
-		}
 	case snap.Spec.Policy == SMA:
 		if e.opts.Mode == UpdateStream {
 			return fmt.Errorf("core: SMA is unavailable under update streams (expiry order unknown, Section 7)")

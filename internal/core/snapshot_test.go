@@ -101,7 +101,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			}
 
 			// Let the query accumulate real state: partially rotated window,
-			// non-trivial skyband / top list / threshold set.
+			// non-trivial skyband / top list / threshold result.
 			for ts := int64(1); ts <= 6; ts++ {
 				var del []uint64
 				if tc.mode == UpdateStream {
@@ -236,23 +236,28 @@ func TestSnapshotValidation(t *testing.T) {
 	if _, err := e.ImportQuery(bad); err == nil {
 		t.Fatal("out-of-order reported list should be rejected")
 	}
-	// ...and a threshold snapshot must report exactly its result set: the
-	// engine keeps no second copy, so a pending delta could only be lost.
-	tsnap, err := e.ExportQuery(tid)
-	if err != nil || len(tsnap.Threshold) < 2 {
-		t.Fatalf("export: %v, %d threshold entries", err, len(tsnap.Threshold))
-	}
-	for name, reported := range map[string][]Entry{
-		"short":   tsnap.LastReported[1:],
-		"foreign": append([]Entry{{T: &stream.Tuple{ID: 1 << 40, Seq: 1 << 40}, Score: 9}}, tsnap.LastReported[1:]...),
-	} {
-		bad = tsnap
-		bad.LastReported = reported
-		if _, err := e.ImportQuery(bad); err == nil {
-			t.Fatalf("threshold snapshot with a %s reported list should be rejected", name)
-		}
-	}
 	if n := e.NumQueries(); n != 2 {
 		t.Fatalf("rejected imports left %d queries registered, want 2", n)
+	}
+
+	// A threshold query exports no result lists. A snapshot that still
+	// carries one (the older format held the result set there) imports
+	// with the list ignored: the result is the window's to say.
+	tsnap, err := e.ExportQuery(tid)
+	if err != nil || tsnap.LastReported != nil || tsnap.Top != nil || tsnap.Skyband != nil {
+		t.Fatalf("threshold export: %v, lists %v / %v / %v", err, tsnap.LastReported, tsnap.Top, tsnap.Skyband)
+	}
+	want, err := e.Result(tid)
+	if err != nil || len(want) < 2 {
+		t.Fatalf("threshold result: %v, %d entries", err, len(want))
+	}
+	old := tsnap
+	old.LastReported = append([]Entry{{T: &stream.Tuple{ID: 1 << 40, Seq: 1 << 40}, Score: 9}}, want[1:]...)
+	imported, err := e.ImportQuery(old)
+	if err != nil {
+		t.Fatalf("threshold snapshot with a reported list: %v", err)
+	}
+	if got, err := e.Result(imported); err != nil || fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("imported threshold result %v (err %v), want %v", got, err, want)
 	}
 }

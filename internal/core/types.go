@@ -260,7 +260,10 @@ type Stats struct {
 	Recomputes int64
 	// InitialComputations counts top-k computations run at registration.
 	InitialComputations int64
-	// CellsProcessed counts de-heaped cells across all computations.
+	// CellsProcessed counts de-heaped cells across all top-k computations
+	// — Section 6's C summed. Threshold queries add nothing: registering
+	// one runs no search, and the search behind a threshold Result is a
+	// read, not maintenance.
 	CellsProcessed int64
 	// HeapOps counts cell-heap pushes and pops across all top-k
 	// computations — with CellsProcessed, the per-computation work measure

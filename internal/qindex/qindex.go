@@ -16,10 +16,11 @@
 //
 // Correctness rests on one property of the engine's threshold handlers:
 // delivering a superset of the (event, query) pairs influence lists would
-// deliver never changes results — insert admissions re-check every tuple
-// against the query's threshold, and expire handlers are membership
-// tests. The index therefore only needs conservative upper bounds, and
-// keeps them cheap with lazy staleness in the safe direction:
+// deliver never changes results — arrivals and expirations alike pass
+// through the admission predicate, which re-checks every tuple against
+// the query's threshold. The index therefore only needs conservative
+// upper bounds, and keeps them cheap with lazy staleness in the safe
+// direction:
 //
 //   - a cluster's componentwise weight envelope (wHi) only ever grows in
 //     place; removals leave it stale-high (bounds stay conservative);

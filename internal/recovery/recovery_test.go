@@ -326,8 +326,9 @@ func TestMixedKindsCheckpointRoundTrip(t *testing.T) {
 			}
 			for i, snap := range states[0].snaps {
 				switch cells := len(snap.InfluenceCells); {
-				case snap.Spec.Threshold != nil && cells != 0:
-					t.Fatalf("threshold q%d checkpointed %d influence cells, want none", states[0].ids[i], cells)
+				case snap.Spec.Threshold != nil && (cells != 0 || len(snap.LastReported) != 0):
+					t.Fatalf("threshold q%d checkpointed %d influence cells and %d reported entries, want none",
+						states[0].ids[i], cells, len(snap.LastReported))
 				case snap.Spec.Threshold == nil && cells == 0:
 					t.Fatalf("top-k q%d checkpointed no influence cells", states[0].ids[i])
 				}
@@ -356,6 +357,88 @@ func TestMixedKindsCheckpointRoundTrip(t *testing.T) {
 			}
 			d.checkState()
 		})
+	}
+}
+
+// TestThresholdSnapshotOlderFormatImports: checkpoints written before
+// threshold queries stopped holding a result carry the result set in a
+// retired slot and again as the reporting baseline. Such a snapshot still
+// decodes and imports, the lists ignored: the imported query reports the
+// same result and the same updates as the one that never moved.
+func TestThresholdSnapshotOlderFormatImports(t *testing.T) {
+	opts := core.Options{Dims: 2, Window: window.Count(120), TargetCells: 64}
+	src, err := core.NewEngine(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst, err := core.NewEngine(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := stream.NewGenerator(stream.IND, 2, 9)
+	step := func(ts int64) [2][]core.Update {
+		t.Helper()
+		batch := gen.Batch(30, ts)
+		var out [2][]core.Update
+		for i, e := range []*core.Engine{src, dst} {
+			if out[i], err = e.Step(ts, batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return out
+	}
+	thr := 1.2
+	id, err := src.Register(core.QuerySpec{F: geom.NewLinear(1, 1), Threshold: &thr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ts := int64(0); ts < 6; ts++ {
+		step(ts)
+	}
+	snap, err := src.ExportQuery(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held, err := src.Result(id)
+	if err != nil || len(held) == 0 {
+		t.Fatalf("result: %v, %d entries", err, len(held))
+	}
+
+	// The snapshot section as the older writer laid it out.
+	e := &enc{}
+	if err := encodeSpec(e, snap.Spec); err != nil {
+		t.Fatal(err)
+	}
+	e.uvarint(uint64(snap.Dims))
+	e.uvarint(uint64(snap.GridRes))
+	e.u8(byte(snap.Mode))
+	e.f64(snap.TopScore)
+	e.f64(snap.RegScore)
+	encodeEntries(e, nil) // TMA top list
+	e.uvarint(0)          // SMA skyband
+	encodeEntries(e, held)
+	encodeEntries(e, held)
+	e.uvarint(0) // influence cells
+	e.varint(snap.Cost)
+	d := &dec{buf: e.buf}
+	old := decodeSnapshot(d, newResolver(src.WindowTail()))
+	if err := d.done(); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	imported, err := dst.ImportQuery(old)
+	if err != nil {
+		t.Fatalf("import: %v", err)
+	}
+	if got, _ := dst.Result(imported); renderEntries(got) != renderEntries(held) {
+		t.Fatalf("imported result %s, want %s", renderEntries(got), renderEntries(held))
+	}
+	for ts := int64(6); ts < 14; ts++ {
+		if u := step(ts); renderUpdates(u[0]) != renderUpdates(u[1]) {
+			t.Fatalf("cycle %d: updates diverged\nsrc: %s\ndst: %s", ts, renderUpdates(u[0]), renderUpdates(u[1]))
+		}
+	}
+	if err := dst.CheckInfluence(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -32,6 +32,7 @@ func TestDataShardedRoutingRestore(t *testing.T) {
 	d := newDriver(t, opts, g)
 	specs := specsFor(opts)
 	d.register(specs[0])
+	d.register(specs[2]) // threshold: no router cache, its deltas are the shards' union
 	d.register(specs[3])
 	for i := 0; i < 3; i++ {
 		d.cycle(60, 0)

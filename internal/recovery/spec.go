@@ -289,7 +289,8 @@ func encodeSnapshot(e *enc, snap core.QuerySnapshot) error {
 		e.f64(sk.Score)
 		e.uvarint(uint64(sk.DC))
 	}
-	encodeEntries(e, snap.Threshold)
+	// The retired threshold-result slot stays in the format, always empty.
+	encodeEntries(e, nil)
 	encodeEntries(e, snap.LastReported)
 	// Influence cells (top-k queries only) ascend; delta-encode them.
 	e.uvarint(uint64(len(snap.InfluenceCells)))
@@ -329,7 +330,10 @@ func decodeSnapshot(d *dec, r resolver) core.QuerySnapshot {
 		}
 		snap.Skyband = append(snap.Skyband, skyband.Entry{T: t, Score: score, DC: dc})
 	}
-	snap.Threshold = decodeEntries(d, r)
+	// Older checkpoints filled the retired slot with a threshold query's
+	// result, and LastReported with the same set; ImportQuery ignores both
+	// for a threshold query.
+	decodeEntries(d, r)
 	snap.LastReported = decodeEntries(d, r)
 	nCells := d.count(1)
 	if d.err != nil {

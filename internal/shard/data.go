@@ -27,10 +27,12 @@
 //     via core.Engine.StepExternal; the slices preserve FIFO order, which
 //     is all SMA's skyband reduction needs.
 //
-// The router keeps a per-query result cache (the merged result as last
-// reported) and emits exactly the core.Update deltas the single engine
-// would: same added/removed entries, same ordering, verified byte-for-byte
-// by the differential tests in data_test.go.
+// The router keeps a per-query result cache for top-k queries (the merged
+// result as last reported) and emits exactly the core.Update deltas the
+// single engine would: same added/removed entries, same ordering, verified
+// byte-for-byte by the differential tests in data_test.go. A threshold
+// query needs no cache: each live tuple sits on exactly one shard, so its
+// global delta is the union of the shards' deltas.
 
 package shard
 
@@ -48,8 +50,8 @@ import (
 )
 
 // mergedQuery is the router-side state of one query under data
-// partitioning: its spec (for the merge limit) and the merged result as
-// last reported to the client, in descending total order.
+// partitioning: its spec (for the merge limit) and, for a top-k query, the
+// merged result as last reported to the client, in descending total order.
 type mergedQuery struct {
 	spec     core.QuerySpec
 	reported []core.Entry
@@ -284,7 +286,13 @@ func (d *DataSharded) RestoreRouterQueries(qs []RouterQuery) error {
 		if _, dup := d.queries[rq.ID]; dup {
 			return fmt.Errorf("shard: duplicate router query %d", rq.ID)
 		}
-		d.queries[rq.ID] = &mergedQuery{spec: rq.Spec, reported: slices.Clone(rq.LastReported)}
+		st := &mergedQuery{spec: rq.Spec}
+		// Older checkpoints carry a threshold query's merged result here;
+		// it has no baseline, so the list is ignored.
+		if rq.Spec.Threshold == nil {
+			st.reported = slices.Clone(rq.LastReported)
+		}
+		d.queries[rq.ID] = st
 	}
 	return nil
 }
@@ -347,7 +355,9 @@ func (d *DataSharded) Register(spec core.QuerySpec) (core.QueryID, error) {
 	}
 
 	st := &mergedQuery{spec: spec}
-	st.reported = d.mergedResult(id, st.limit())
+	if spec.Threshold == nil {
+		st.reported = d.mergedResult(id, st.limit())
+	}
 	d.qmu.Lock()
 	d.queries[id] = st
 	d.qmu.Unlock()
@@ -553,9 +563,10 @@ func (d *DataSharded) StepUpdate(now int64, arrivals []*stream.Tuple, deletions 
 // queries any shard reported is the set whose merged result may have
 // changed (the merged result is a function of the per-shard partial
 // results, and an engine reports a query exactly when its partial result
-// changed). Those queries are snapshotted on every shard, k-way merged,
-// and diffed against the router cache — reproducing the single engine's
-// finishCycle reporting exactly. Callers hold stepMu and closeMu.
+// changed). Those top-k queries are snapshotted on every shard, k-way
+// merged, and diffed against the router cache; a threshold query's Added
+// and Removed are the union of the shards' own — reproducing the single
+// engine's finishCycle reporting exactly. Callers hold stepMu and closeMu.
 func (d *DataSharded) runCycle(step func(i int, e *core.Engine) ([]core.Update, error)) ([]core.Update, error) {
 	n := len(d.workers)
 	type shardResult struct {
@@ -595,8 +606,9 @@ func (d *DataSharded) runCycle(step func(i int, e *core.Engine) ([]core.Update, 
 	slices.Sort(dirty)
 	dirty = slices.Compact(dirty)
 
-	// Snapshot phase: every shard's partial result for every dirty query,
-	// gathered in parallel on the worker goroutines.
+	// Snapshot phase: every shard's partial result for every dirty top-k
+	// query, gathered in parallel on the worker goroutines. (No writer
+	// touches d.queries while stepMu is held, so the workers may read it.)
 	snaps := make([][][]core.Entry, n)
 	wg.Add(n)
 	for i, w := range d.workers {
@@ -604,7 +616,9 @@ func (d *DataSharded) runCycle(step func(i int, e *core.Engine) ([]core.Update, 
 			defer wg.Done()
 			out := make([][]core.Entry, len(dirty))
 			for j, q := range dirty {
-				out[j], _ = w.eng.AppendResult(q, nil)
+				if st := d.queries[q]; st != nil && st.spec.Threshold == nil {
+					out[j], _ = w.eng.AppendResult(q, nil)
+				}
 			}
 			snaps[i] = out
 		}
@@ -617,10 +631,27 @@ func (d *DataSharded) runCycle(step func(i int, e *core.Engine) ([]core.Update, 
 	// whose merged result is unchanged are silent.
 	var updates []core.Update
 	parts := make([][]core.Entry, n)
+	byQuery := func(u core.Update, q core.QueryID) int { return cmp.Compare(u.Query, q) }
 	for j, q := range dirty {
 		st := d.queries[q]
 		if st == nil {
 			continue // unregistered between cycles; engines no longer know it either
+		}
+		if st.spec.Threshold != nil {
+			// Every shard's update list is ordered by query id, and a
+			// tuple sits on one shard: the union is the global delta.
+			u := core.Update{Query: q}
+			for _, r := range results {
+				if k, ok := slices.BinarySearchFunc(r.updates, q, byQuery); ok {
+					u.Added = append(u.Added, r.updates[k].Added...)
+					u.Removed = append(u.Removed, r.updates[k].Removed...)
+				}
+			}
+			slices.SortFunc(u.Added, core.EntryOrder)
+			slices.SortFunc(u.Removed, core.EntryOrder)
+			updates = append(updates, u)
+			d.resultUpdates.Add(1)
+			continue
 		}
 		for i := range snaps {
 			parts[i] = snaps[i][j]
