@@ -110,11 +110,8 @@ func main() {
 		if *pipelineFlag > 0 {
 			monOpts = append(monOpts, topkmon.WithPipeline(*pipelineFlag))
 		}
-		if *admFlag {
-			monOpts = append(monOpts, topkmon.WithAdmission(topkmon.AdmissionConfig{}))
-		}
-		if *memLimitFlag > 0 {
-			monOpts = append(monOpts, topkmon.WithMemoryLimit(*memLimitFlag))
+		if *admFlag || *memLimitFlag > 0 {
+			monOpts = append(monOpts, topkmon.WithAdmission(topkmon.AdmissionConfig{MemLimit: *memLimitFlag}))
 		}
 		if *placeFlag != "" {
 			p, perr := topkmon.ParsePlacement(*placeFlag)

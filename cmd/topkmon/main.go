@@ -56,7 +56,6 @@ func main() {
 		shardsFlag    = flag.Int("shards", 1, "engine shards (grid algorithms; >1 runs the concurrent sharded engine)")
 		partitionFlag = flag.String("partition", "queries", "sharding layout for -shards > 1: 'queries' or 'data'")
 		pipelineFlag  = flag.Int("pipeline", 0, "async pipelined ingestion queue depth (grid algorithms; 0 = synchronous Step)")
-		pipeMaxFlag   = flag.Int("pipeline-max", 0, "adaptive pipeline depth ceiling (> -pipeline grows the queue under burst)")
 		admFlag       = flag.Bool("admission", false, "front pipelined ingestion with the load-shedding admission governor (requires -pipeline)")
 		memLimitFlag  = flag.Int64("mem-limit", 0, "hard memory limit in bytes for the governor's Critical watermark (implies -admission)")
 		admTargetFlag = flag.Duration("admission-target", 0, "per-cycle latency target for the governor: cycles above it count as overload (implies -admission)")
@@ -108,7 +107,6 @@ func main() {
 		Shards:             *shardsFlag,
 		DataPartition:      partition == topkmon.PartitionData,
 		Pipeline:           *pipelineFlag,
-		PipelineMax:        *pipeMaxFlag,
 		Placement:          *placeFlag,
 		RebalanceInterval:  *rebalFlag,
 		RebalanceThreshold: *rebalThrFlag,

@@ -85,14 +85,14 @@
 //     equals the same interleaving with Step. Flush waits until all prior
 //     batches are applied and their updates delivered; Close drains, then
 //     closes the Updates channel.
-//   - Backpressure: WithBackpressure selects Block (lossless, Ingest
-//     waits at depth — the default) or BackpressureDropOldest (the oldest
-//     queued batch is shed before application, counted in
-//     Stats.DroppedBatches) for producers that must never stall.
-//     WithAdaptiveDepth(max) additionally lets the queue grow under
-//     sustained burst (doubling up to max each time the producer hits the
-//     bound) and shrink back once the runner drains it; the peak
-//     occupancy is reported in Stats.QueueHighWater.
+//   - Full queue: the queue depth is fixed and a full queue blocks —
+//     Ingest waits, nothing is lost, and the peak occupancy is reported in
+//     Stats.QueueHighWater. Blocking alone suits a producer that can
+//     stall. Only the admission governor below drops data: add
+//     WithAdmission when overload is sustained rather than bursty and loss
+//     is acceptable — it sheds early, proportionally and reproducibly,
+//     bounds memory, and turns the stall into a typed ErrOverloaded the
+//     producer can back off on.
 //   - Overlap: under query partitioning, cycles additionally overlap
 //     *each other* — shards consume bounded per-shard job queues, so a
 //     fast shard runs ahead while the router merges finished cycles.
@@ -105,10 +105,9 @@
 //
 // # Overload and admission control
 //
-// Backpressure policies answer a full queue; they do not answer sustained
-// overload, where the producer outruns the engine indefinitely and the
-// only question is which resource fails first (latency under Block,
-// data under DropOldest, memory under either). WithAdmission installs a
+// A blocking queue answers a burst; it does not answer sustained
+// overload, where the producer outruns the engine indefinitely and its
+// latency grows without bound. WithAdmission installs a
 // load-shedding governor (internal/admission) ahead of the pipelined
 // ingest queue that turns sustained overload into bounded, observable
 // staleness. It is a deterministic three-state machine:
@@ -134,7 +133,7 @@
 //     (hysteresis against square-wave flapping).
 //   - Critical, forced from any state when the larger of the engine's
 //     cap-aware footprint and the process heap crosses
-//     MemHighFraction of the WithMemoryLimit bytes. Critical admits
+//     MemHighFraction of AdmissionConfig.MemLimit bytes. Critical admits
 //     nothing but deletions: arrivals are stripped from admitted batches
 //     while the cycles themselves still run, so window expiry keeps
 //     shrinking state instead of the queue pinning memory in place. It
@@ -155,16 +154,6 @@
 // (go run ./cmd/experiments -exp overload) sweeps paced arrival rates
 // from 1x to 16x the calibrated cycle budget across shard counts and
 // tabulates drop fraction, degraded cycles, and peak memory.
-//
-// Choosing a policy: Block alone when loss is unacceptable and the
-// producer can stall (lossless, unbounded producer latency under
-// overload); DropOldest alone when the producer must never stall and
-// freshest-data-wins (sheds the oldest queued batch, keeps the newest);
-// admission control over either when overload is sustained rather than
-// bursty — it sheds early, proportionally and reproducibly instead of
-// tail-dropping whatever the queue happened to hold, bounds memory, and
-// under Block converts the stall into a typed ErrOverloaded the producer
-// can back off on.
 //
 // The per-cycle hot path is columnar and batch-scored. Each grid cell
 // stores its tuples as a struct-of-arrays block — one flat dims-strided

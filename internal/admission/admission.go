@@ -43,9 +43,9 @@ import (
 	"time"
 )
 
-// ErrOverloaded is reported (wrapped) when a batch is rejected by the
-// governor under the Block backpressure policy, so producers can
-// errors.Is-distinguish load shedding from a real fault and retry later.
+// ErrOverloaded is reported (wrapped) when the governor sheds a batch, so
+// producers can errors.Is-distinguish load shedding from a real fault and
+// retry later.
 var ErrOverloaded = errors.New("admission: overloaded")
 
 // State is the governor's degradation level.
@@ -87,9 +87,9 @@ type Decision int
 const (
 	// Admit passes the batch through unchanged.
 	Admit Decision = iota
-	// Shed rejects the whole batch: it must not reach the engine. Under
-	// the Block policy the producer sees ErrOverloaded; under DropOldest
-	// the batch is silently counted and drop-logged.
+	// Shed rejects the whole batch: it must not reach the engine. The
+	// producer sees ErrOverloaded, and the batch is counted and
+	// drop-logged.
 	Shed
 	// AdmitDeletions admits the cycle with its arrivals stripped: the
 	// timestamp advance and any explicit deletions still apply, so window

@@ -279,17 +279,19 @@ type Stats struct {
 	SkybandSamples int64
 	// ResultUpdates counts emitted Update records.
 	ResultUpdates int64
-	// DroppedBatches counts ingest batches shed by a pipelined monitor
-	// under the drop-oldest backpressure policy (internal/pipeline). The
+	// DroppedBatches counts ingest batches a pipelined monitor's admission
+	// governor shed (internal/pipeline, internal/admission). The
 	// synchronous engines never drop and always report zero.
 	DroppedBatches int64
-	// DroppedTuples counts the stream events — arrivals plus explicit
-	// deletions — carried by those shed batches, so loss accounting stays
-	// exact when batch sizes vary. Zero for the synchronous engines.
+	// DroppedTuples counts the stream events lost to admission control:
+	// arrivals plus explicit deletions of the shed batches, plus the
+	// arrivals stripped from batches admitted in the Critical state, so
+	// loss accounting stays exact when batch sizes vary. Zero for the
+	// synchronous engines.
 	DroppedTuples int64
 	// QueueHighWater is the largest number of batches a pipelined monitor
-	// ever held queued at once (internal/pipeline adaptive depth). The
-	// synchronous engines always report zero.
+	// ever held queued at once, at most its fixed queue depth
+	// (internal/pipeline). The synchronous engines always report zero.
 	QueueHighWater int64
 	// Migrations counts rebalancing moves executed by a sharded monitor
 	// (internal/shard): live query migrations under query partitioning,

@@ -48,13 +48,13 @@ func forceMigrations(m migrator) func(cycle int, live []core.QueryID) error {
 
 // wrapPipe wraps a monitor constructor in a pipeline with a small depth
 // (so the queue actually fills and cycles genuinely overlap ingestion).
-func wrapPipe(build func(opts core.Options) (core.StreamMonitor, error), policy pipeline.Policy) func(core.Options) (core.StreamMonitor, Ingester, error) {
+func wrapPipe(build func(opts core.Options) (core.StreamMonitor, error)) func(core.Options) (core.StreamMonitor, Ingester, error) {
 	return func(opts core.Options) (core.StreamMonitor, Ingester, error) {
 		mon, err := build(opts)
 		if err != nil {
 			return nil, nil, err
 		}
-		p := pipeline.New(mon, pipeline.Options{Depth: 2, Policy: policy})
+		p := pipeline.New(mon, pipeline.Options{Depth: 2})
 		return p, p, nil
 	}
 }
@@ -99,10 +99,10 @@ func allModes() []execMode {
 		{name: "query-sharded-3", build: sync(shardedBuild(diffShards))},
 		{name: "data-sharded-3", build: sync(dataShardedBuild(diffShards))},
 		{name: "rebalanced-query-sharded-3", build: sync(rebalancedBuild(diffShards)), forceMigrate: true},
-		{name: "pipelined-engine", build: wrapPipe(engineBuild, pipeline.Block)},
-		{name: "pipelined-query-sharded-3", build: wrapPipe(shardedBuild(diffShards), pipeline.Block)},
-		{name: "pipelined-data-sharded-3", build: wrapPipe(dataShardedBuild(diffShards), pipeline.Block)},
-		{name: "pipelined-rebalanced-query-sharded-3", build: wrapPipe(rebalancedBuild(diffShards), pipeline.Block), forceMigrate: true},
+		{name: "pipelined-engine", build: wrapPipe(engineBuild)},
+		{name: "pipelined-query-sharded-3", build: wrapPipe(shardedBuild(diffShards))},
+		{name: "pipelined-data-sharded-3", build: wrapPipe(dataShardedBuild(diffShards))},
+		{name: "pipelined-rebalanced-query-sharded-3", build: wrapPipe(rebalancedBuild(diffShards)), forceMigrate: true},
 	}
 }
 

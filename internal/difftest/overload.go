@@ -66,19 +66,18 @@ func GenOverload(seed int64) OverloadRun {
 	return run
 }
 
-// OverloadConfig tunes a governed overload replay. The backpressure
-// policy is always Block: a governor Shed then surfaces as ErrOverloaded,
-// which the driver treats as the shed it is (the decision log already
-// recorded it), so every lost batch is governor-attributed rather than
-// queue-tail-dropped.
+// OverloadConfig tunes a governed overload replay. A governor Shed
+// surfaces as ErrOverloaded, which the driver treats as the shed it is
+// (the decision log already recorded it); a full queue blocks, so every
+// lost batch is governor-attributed.
 type OverloadConfig struct {
 	// Build constructs a fresh monitor of the family under test; it is
 	// called twice (governed run, reference run).
 	Build func(core.Options) (core.StreamMonitor, error)
 	// Admission configures the governor fronting the governed run.
 	Admission admission.Config
-	// Depth and MaxDepth bound the pipeline queue.
-	Depth, MaxDepth int
+	// Depth bounds the pipeline queue.
+	Depth int
 	// ApplyDelay artificially slows every apply in the governed run — the
 	// "slow consumer" half of the overload injector. The reference run is
 	// never slowed; slowness must not be observable in the transcript.
@@ -90,7 +89,7 @@ type OverloadReport struct {
 	// Snapshot is the governor's closing snapshot: final state, shed and
 	// stripped counters, staleness figures.
 	Snapshot admission.Snapshot
-	// Decisions is the final fate of every ingested timestamp.
+	// Decisions is the fate of every ingested timestamp.
 	Decisions map[int64]admission.Decision
 	// DroppedBatches and DroppedTuples are the pipeline's loss counters.
 	DroppedBatches, DroppedTuples int64
@@ -143,11 +142,9 @@ func ReplayOverload(run OverloadRun, cfg OverloadConfig) (OverloadReport, error)
 	}
 	gov := admission.New(cfg.Admission)
 	// enqueueBatch runs on this goroutine only, so the decision map needs
-	// no lock; the last decision logged for a timestamp is its final fate.
+	// no lock; each batch's decision is logged exactly once.
 	p := pipeline.New(&slowMonitor{StreamMonitor: base, delay: cfg.ApplyDelay}, pipeline.Options{
 		Depth:        cfg.Depth,
-		MaxDepth:     cfg.MaxDepth,
-		Policy:       pipeline.Block,
 		Admission:    gov,
 		AdmissionLog: func(now int64, d admission.Decision) { rep.Decisions[now] = d },
 	})

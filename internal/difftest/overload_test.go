@@ -44,8 +44,7 @@ func TestOverloadDifferential(t *testing.T) {
 						HighWatermark: 0.6,
 						MemLimit:      memLimit,
 					},
-					Depth:      2,
-					MaxDepth:   4,
+					Depth:      4,
 					ApplyDelay: 300 * time.Microsecond,
 				})
 				if err != nil {
@@ -82,8 +81,7 @@ func TestOverloadCriticalDifferential(t *testing.T) {
 		rep, err := ReplayOverload(run, OverloadConfig{
 			Build:     engineBuild,
 			Admission: admission.Config{Seed: seed, MemLimit: 1 << 20},
-			Depth:     2,
-			MaxDepth:  4,
+			Depth:     4,
 		})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)

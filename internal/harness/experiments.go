@@ -613,7 +613,6 @@ func Experiments() []Experiment {
 					cfg.Algo = AlgoSMA
 					cfg.Shards = n
 					cfg.Pipeline = 4
-					cfg.PipelineMax = 8
 					res, err := Run(cfg)
 					if err != nil {
 						return nil, fmt.Errorf("overload baseline [shards=%d]: %w", n, err)
@@ -647,7 +646,6 @@ func Experiments() []Experiment {
 						cfg.Algo = AlgoSMA
 						cfg.Shards = n
 						cfg.Pipeline = 4
-						cfg.PipelineMax = 8
 						cfg.Admission = true
 						cfg.AdmissionTarget = targets[n]
 						cfg.IngestInterval = targets[n]

@@ -114,9 +114,6 @@ type Config struct {
 	// ingestion, cycles and delivery overlapped. Zero measures the
 	// synchronous Step loop. Grid algorithms only.
 	Pipeline int
-	// PipelineMax, when greater than Pipeline, lets the ingest queue grow
-	// adaptively under burst up to this bound (see pipeline.Options).
-	PipelineMax int
 	// Admission fronts pipelined ingestion with the load-shedding governor
 	// (internal/admission): under sustained overload batches are shed —
 	// counted in Result.DroppedBatches/DroppedTuples — instead of queueing
@@ -290,8 +287,9 @@ type Result struct {
 	// allocated, in bytes — the tuple-skew figure (grid engines).
 	MaxCellBytesHighWater int64
 	// DroppedBatches and DroppedTuples count the load shed by the admission
-	// governor (or by a drop-oldest queue) on a pipelined run: whole cycles
-	// and the stream events they carried that never reached the engine.
+	// governor on a pipelined run: whole cycles and the stream events they
+	// carried that never reached the engine, plus arrivals stripped in
+	// Critical.
 	DroppedBatches int64
 	DroppedTuples  int64
 	// AdmissionState is the governor's final state ("" when admission is
@@ -505,7 +503,7 @@ func Run(cfg Config) (Result, error) {
 		// a consumer goroutine, ingest without waiting, and close the run
 		// with the Flush barrier so every cycle is applied and delivered
 		// inside the measured span.
-		popts := pipeline.Options{Depth: cfg.Pipeline, MaxDepth: cfg.PipelineMax}
+		popts := pipeline.Options{Depth: cfg.Pipeline}
 		var gov *admission.Governor
 		if cfg.Admission || cfg.MemLimit > 0 || cfg.AdmissionTarget > 0 {
 			gov = admission.New(admission.Config{

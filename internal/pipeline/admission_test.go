@@ -66,9 +66,9 @@ func (m *countMon) NumQueries() int                               { return 0 }
 func (m *countMon) Now() int64                                    { return 0 }
 func (m *countMon) Close() error                                  { return nil }
 
-// decLog records AdmissionLog callbacks; final() reduces them to each
-// timestamp's last-reported fate, the admitted-subsequence view the
-// overload differential harness reconstructs.
+// decLog records AdmissionLog callbacks; fates() reduces them to each
+// timestamp's decision, the admitted-subsequence view the overload
+// differential harness reconstructs.
 type decLog struct {
 	mu  sync.Mutex
 	seq []struct {
@@ -86,11 +86,18 @@ func (l *decLog) log(now int64, d admission.Decision) {
 	}{now, d})
 }
 
-func (l *decLog) final() map[int64]admission.Decision {
+// fates maps each logged timestamp to its decision, failing the test if
+// any batch was reported more than once: every offered batch has exactly
+// one fate.
+func (l *decLog) fates(t *testing.T) map[int64]admission.Decision {
+	t.Helper()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	out := make(map[int64]admission.Decision, len(l.seq))
 	for _, e := range l.seq {
+		if prev, dup := out[e.now]; dup {
+			t.Fatalf("batch %d reported twice: %v, then %v", e.now, prev, e.d)
+		}
 		out[e.now] = e.d
 	}
 	return out
@@ -129,13 +136,16 @@ func TestAdmissionNormalPassthrough(t *testing.T) {
 	dl := &decLog{}
 	p := New(m, Options{Depth: 4, Admission: gov, AdmissionLog: dl.log})
 	_, done := collect(p)
+	// Flushing after every batch keeps the queue empty: a producer that
+	// outran the runner would fill it, and occupancy alone moves the
+	// governor into Shedding.
 	for ts := int64(1); ts <= 10; ts++ {
 		if err := p.Ingest(ts, mkTuples(2)); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := p.Flush(); err != nil {
-		t.Fatal(err)
+		if err := p.Flush(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if n := len(m.appliedNow()); n != 10 {
 		t.Fatalf("applied %d batches, want 10", n)
@@ -143,7 +153,7 @@ func TestAdmissionNormalPassthrough(t *testing.T) {
 	if d := p.Dropped(); d != 0 {
 		t.Fatalf("Dropped = %d with an unloaded governor", d)
 	}
-	fates := dl.final()
+	fates := dl.fates(t)
 	for ts := int64(1); ts <= 10; ts++ {
 		if fates[ts] != admission.Admit {
 			t.Fatalf("batch %d logged %v, want admit", ts, fates[ts])
@@ -158,22 +168,22 @@ func TestAdmissionNormalPassthrough(t *testing.T) {
 	<-done
 }
 
-// TestAdmissionShedBlockPolicy: a governor Shed under Block surfaces as an
-// error wrapping admission.ErrOverloaded — distinguishable from ErrClosed
-// and from a cycle fault — while the batch is counted, drop-logged, and
-// the pipeline itself stays healthy.
+// TestAdmissionShedBlockPolicy: a governor Shed surfaces as an error
+// wrapping admission.ErrOverloaded — distinguishable from ErrClosed and
+// from a cycle fault — while the batch is counted, drop-logged, and the
+// pipeline itself stays healthy.
 func TestAdmissionShedBlockPolicy(t *testing.T) {
 	m := &countMon{}
 	gov := sheddingGovernor(t, 3)
 	rec := &dropRecorder{}
 	dl := &decLog{}
-	p := New(m, Options{Depth: 4, Policy: Block, Admission: gov, DropLog: rec, AdmissionLog: dl.log})
+	p := New(m, Options{Depth: 4, Admission: gov, DropLog: rec, AdmissionLog: dl.log})
 	_, done := collect(p)
 
 	base := gov.Snapshot()
 	err := p.Ingest(100, mkTuples(3))
 	if !errors.Is(err, admission.ErrOverloaded) {
-		t.Fatalf("shed under Block: got %v, want ErrOverloaded", err)
+		t.Fatalf("shed: got %v, want ErrOverloaded", err)
 	}
 	if errors.Is(err, ErrClosed) {
 		t.Fatal("shed error must not read as ErrClosed")
@@ -190,7 +200,7 @@ func TestAdmissionShedBlockPolicy(t *testing.T) {
 	if nrec != 1 {
 		t.Fatalf("DropLog saw %d batches, want 1", nrec)
 	}
-	if fates := dl.final(); fates[100] != admission.Shed {
+	if fates := dl.fates(t); fates[100] != admission.Shed {
 		t.Fatalf("batch 100 logged %v, want shed", fates[100])
 	}
 	// The rejection is advisory, not poisoning: once the governor drains
@@ -214,28 +224,65 @@ func TestAdmissionShedBlockPolicy(t *testing.T) {
 	<-done
 }
 
-// TestAdmissionShedDropOldestSilent: the same governor Shed under
-// DropOldest returns nil — shedding is what the policy asked for — while
-// the counters and the drop log still record the loss.
-func TestAdmissionShedDropOldestSilent(t *testing.T) {
+// TestShedTupleAccounting: governor sheds of batches with different sizes
+// must surface the exact number of lost stream events — arrivals plus
+// explicit deletions — in Stats.DroppedTuples, and hand every shed batch
+// to the configured DropLogger. A batch count alone would hide how much
+// data a drop actually destroyed.
+func TestShedTupleAccounting(t *testing.T) {
 	m := &countMon{}
-	gov := sheddingGovernor(t, 5)
+	// Watermarks this low keep the smoothed occupancy above the high one
+	// through every offer below, and a certain drop probability there makes
+	// each offer in Shedding a shed.
+	gov := admission.New(admission.Config{Seed: 8, LowWatermark: 0.001, HighWatermark: 0.002, MaxDropProb: 1})
 	rec := &dropRecorder{}
-	p := New(m, Options{Depth: 4, Policy: DropOldest, Admission: gov, DropLog: rec})
+	p := New(m, Options{Depth: 2, Admission: gov, DropLog: rec})
 	_, done := collect(p)
-	if err := p.IngestUpdate(7, mkTuples(2), []uint64{41}); err != nil {
-		t.Fatalf("shed under DropOldest must be silent, got %v", err)
+
+	// Batch 1 meets a Normal governor and is applied; then a full queue
+	// observed by the governor parks it in Shedding.
+	if err := p.Ingest(1, mkTuples(1)); err != nil {
+		t.Fatal(err)
 	}
-	if d, dt := p.Dropped(), p.DroppedTuples(); d != 1 || dt != 3 {
-		t.Fatalf("dropped batches/tuples = %d/%d, want 1/3", d, dt)
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		gov.Admit(1, 1, 0, 0)
+	}
+	if gov.State() != admission.Shedding {
+		t.Fatalf("setup: governor state %v, want shedding", gov.State())
+	}
+	// Batch 2 carries 3 events, batch 3 carries 7 (5 arrivals + 2 deletions).
+	if err := p.Ingest(2, mkTuples(3)); !errors.Is(err, admission.ErrOverloaded) {
+		t.Fatalf("batch 2: got %v, want ErrOverloaded", err)
+	}
+	if err := p.IngestUpdate(3, mkTuples(5), []uint64{90, 91}); !errors.Is(err, admission.ErrOverloaded) {
+		t.Fatalf("batch 3: got %v, want ErrOverloaded", err)
+	}
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if applied := m.appliedNow(); len(applied) != 1 || applied[0].now != 1 {
+		t.Fatalf("applied %+v, want batch 1 only", applied)
+	}
+	if d := p.DroppedTuples(); d != 10 {
+		t.Fatalf("DroppedTuples = %d, want 10", d)
+	}
+	s := p.Stats()
+	if s.DroppedBatches != 2 || s.DroppedTuples != 10 {
+		t.Fatalf("Stats dropped batches/tuples = %d/%d, want 2/10", s.DroppedBatches, s.DroppedTuples)
 	}
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
-	if len(rec.recs) != 1 {
-		t.Fatalf("DropLog saw %d batches, want 1", len(rec.recs))
+	if len(rec.recs) != 2 {
+		t.Fatalf("DropLog saw %d batches, want 2", len(rec.recs))
 	}
-	if r := rec.recs[0]; r.now != 7 || !r.isUpdate || r.arrivals != 2 || r.deletions != 1 {
-		t.Fatalf("shed batch logged as %+v", r)
+	if r := rec.recs[0]; r.now != 2 || r.isUpdate || r.arrivals != 3 || r.deletions != 0 {
+		t.Fatalf("first shed batch logged as %+v", r)
+	}
+	if r := rec.recs[1]; r.now != 3 || !r.isUpdate || r.arrivals != 5 || r.deletions != 2 {
+		t.Fatalf("second shed batch logged as %+v", r)
 	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
@@ -287,7 +334,7 @@ func TestAdmissionCriticalStripsArrivals(t *testing.T) {
 	if d, dt := p.Dropped(), p.DroppedTuples(); d != 0 || dt != 8 {
 		t.Fatalf("dropped batches/tuples = %d/%d, want 0/8 (strips are not batch drops)", d, dt)
 	}
-	fates := dl.final()
+	fates := dl.fates(t)
 	if fates[1] != admission.AdmitDeletions || fates[2] != admission.AdmitDeletions || fates[3] != admission.Admit {
 		t.Fatalf("decision log %v, want admit-deletions/admit-deletions/admit", fates)
 	}
@@ -305,80 +352,41 @@ func TestAdmissionCriticalStripsArrivals(t *testing.T) {
 	<-done
 }
 
-// TestQueueShedOverridesAdmitInLog: a batch the governor admitted can
-// still be shed by DropOldest when the queue overflows; the decision log
-// must report the shed after the admit, so the last entry per timestamp is
-// the batch's true fate.
-func TestQueueShedOverridesAdmitInLog(t *testing.T) {
-	g := newGateMon()
-	gov := admission.New(admission.Config{Seed: 4})
-	dl := &decLog{}
-	p := New(g, Options{Depth: 1, Policy: DropOldest, Admission: gov, AdmissionLog: dl.log})
-	_, done := collect(p)
-
-	// Batch 1 blocks in Step; batch 2 fills the depth-1 queue; batch 3
-	// overflows it, shedding 2.
-	if err := p.Ingest(1, nil); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for len(p.queueSnapshot()) != 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if err := p.Ingest(2, mkTuples(2)); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Ingest(3, mkTuples(1)); err != nil {
-		t.Fatal(err)
-	}
-	g.release(64)
-	if err := p.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	fates := dl.final()
-	if fates[1] != admission.Admit || fates[2] != admission.Shed || fates[3] != admission.Admit {
-		t.Fatalf("final fates %v, want 1:admit 2:shed 3:admit", fates)
-	}
-	dl.mu.Lock()
-	var sawAdmit2 bool
-	for _, e := range dl.seq {
-		if e.now == 2 && e.d == admission.Admit {
-			sawAdmit2 = true
-		}
-	}
-	dl.mu.Unlock()
-	if !sawAdmit2 {
-		t.Fatal("batch 2's initial Admit was never logged (override must be a second entry)")
-	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-	<-done
-}
-
-// TestAdaptiveDepthAIMDConvergence is the anti-livelock property test: the
-// PR 4 grow/halve adaptive queue and the AIMD governor both react to the
-// same square-wave load, and they must converge — bursts push the governor
-// into Shedding (after adaptive growth absorbs what it can), quiet phases
-// bring it back to Normal, and the transition count stays bounded at two
-// per period instead of oscillating within one.
-func TestAdaptiveDepthAIMDConvergence(t *testing.T) {
+// TestAIMDConvergence is the anti-livelock property test: a fixed-depth
+// blocking queue and the AIMD governor both react to the same square-wave
+// load, and they must converge — bursts fill the queue and push the
+// governor into Shedding, quiet phases bring it back to Normal, and the
+// transition count stays bounded at two per period instead of oscillating
+// within one. Every shed reaches the producer as ErrOverloaded, and every
+// offered batch is reported to the decision log exactly once.
+func TestAIMDConvergence(t *testing.T) {
+	const depth = 4
 	m := &countMon{delay: 2 * time.Millisecond}
 	gov := admission.New(admission.Config{Seed: 6})
-	p := New(m, Options{Depth: 2, MaxDepth: 8, Policy: DropOldest, Admission: gov})
+	dl := &decLog{}
+	p := New(m, Options{Depth: depth, Admission: gov, AdmissionLog: dl.log})
 	_, done := collect(p)
 
 	const periods = 6
 	ts := int64(0)
+	var overloaded int64
+	ingest := func() {
+		ts++
+		err := p.Ingest(ts, nil)
+		if errors.Is(err, admission.ErrOverloaded) {
+			overloaded++
+			return
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
 	for period := 0; period < periods; period++ {
 		// Burst: 24 batches offered back to back against the slow consumer.
-		// The queue doubles to its ceiling, then occupancy pins high and the
-		// governor must take over.
+		// The queue fills, occupancy pins high and the governor must take
+		// over.
 		for i := 0; i < 24; i++ {
-			ts++
-			if err := p.Ingest(ts, nil); err != nil {
-				t.Fatal(err)
-			}
+			ingest()
 		}
 		if err := p.Flush(); err != nil {
 			t.Fatal(err)
@@ -386,10 +394,7 @@ func TestAdaptiveDepthAIMDConvergence(t *testing.T) {
 		// Quiet: one batch per fully drained queue. Healthy drains must walk
 		// the governor back out through the hysteresis.
 		for i := 0; i < 12; i++ {
-			ts++
-			if err := p.Ingest(ts, nil); err != nil {
-				t.Fatal(err)
-			}
+			ingest()
 			if err := p.Flush(); err != nil {
 				t.Fatal(err)
 			}
@@ -408,11 +413,14 @@ func TestAdaptiveDepthAIMDConvergence(t *testing.T) {
 	if snap.Admitted == 0 || snap.SheddingDrains == 0 {
 		t.Fatalf("degenerate run: %+v", snap)
 	}
-	if hw := p.HighWater(); hw < 7 {
-		t.Fatalf("adaptive depth never grew: high water %d", hw)
+	if overloaded != snap.ShedBatches || p.Dropped() != snap.ShedBatches {
+		t.Fatalf("ErrOverloaded returned %d times, pipeline dropped %d, governor shed %d", overloaded, p.Dropped(), snap.ShedBatches)
 	}
-	if d := p.CurrentDepth(); d > 4 {
-		t.Fatalf("adaptive depth did not shrink after the last drain: %d", d)
+	if hw := p.HighWater(); hw < 1 || hw > depth {
+		t.Fatalf("high water %d outside [1, %d]", hw, depth)
+	}
+	if n := len(dl.fates(t)); n != int(ts) {
+		t.Fatalf("decision log holds %d batches, want every one of the %d offered", n, ts)
 	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
@@ -434,7 +442,7 @@ func TestAdmissionLifecycleRace(t *testing.T) {
 		Seed: 17, LowWatermark: 0.3, HighWatermark: 0.6,
 		CycleTarget: 50 * time.Microsecond, MemLimit: 1 << 40,
 	})
-	p := New(mon, Options{Depth: 2, MaxDepth: 4, Policy: DropOldest, Admission: gov})
+	p := New(mon, Options{Depth: 4, Admission: gov})
 	_, done := collect(p)
 
 	gen := stream.NewGenerator(stream.IND, 2, 31)
@@ -487,8 +495,14 @@ func TestAdmissionLifecycleRace(t *testing.T) {
 		}
 	}()
 
+	var overloaded int64
 	for ts := int64(1); ts <= 120; ts++ {
-		if err := p.Ingest(ts, gen.Batch(40, ts)); err != nil {
+		err := p.Ingest(ts, gen.Batch(40, ts))
+		if errors.Is(err, admission.ErrOverloaded) {
+			overloaded++
+			continue
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -504,6 +518,9 @@ func TestAdmissionLifecycleRace(t *testing.T) {
 	snap := gov.Snapshot()
 	if snap.Admitted == 0 {
 		t.Fatalf("no batches admitted: %+v", snap)
+	}
+	if overloaded != snap.ShedBatches {
+		t.Fatalf("ErrOverloaded returned %d times, governor shed %d", overloaded, snap.ShedBatches)
 	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)

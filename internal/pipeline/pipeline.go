@@ -26,9 +26,11 @@
 //
 // Ordering and delivery guarantees, both layouts alike:
 //
-//   - Batches are applied in Ingest order, exactly once each (none under
-//     the Block policy; drop-oldest sheds whole batches before they are
-//     applied, counted in Stats.DroppedBatches).
+//   - Batches are applied in Ingest order, exactly once each. A full queue
+//     makes Ingest wait; only an admission governor (Options.Admission)
+//     loses data, by shedding a batch before it enters the queue — Ingest
+//     then reports admission.ErrOverloaded and the batch is counted in
+//     Stats.DroppedBatches.
 //   - The Updates channel carries every non-empty cycle result in cycle
 //     order — the same per-query Update sequence the synchronous Step
 //     calls would have returned, which the differential suites assert
@@ -43,9 +45,8 @@
 //
 // The consumer contract: drain Updates (until it is closed) from a
 // goroutine other than the ingesting one. Non-empty results are delivered
-// with a blocking send, so an undrained channel eventually backpressures
-// Ingest (Block) or sheds batches (DropOldest), and Flush/Close block
-// until the consumer catches up.
+// with a blocking send, so an undrained channel eventually blocks Ingest,
+// and Flush/Close block until the consumer catches up.
 package pipeline
 
 import (
@@ -67,45 +68,6 @@ import (
 // from a real fault.
 var ErrClosed = errors.New("pipeline: closed")
 
-// Policy selects the backpressure behavior of a full ingest queue.
-type Policy int
-
-// Backpressure policies.
-const (
-	// Block makes Ingest wait for queue space: lossless, the default.
-	Block Policy = iota
-	// DropOldest sheds load instead of blocking: when the queue is full the
-	// oldest queued batch is dropped (before ever being applied) and
-	// counted in Stats.DroppedBatches. Results then reflect only the
-	// applied batches — a load-shedding mode for producers that must never
-	// stall, not for exactness-critical consumers.
-	DropOldest
-)
-
-// String implements fmt.Stringer.
-func (p Policy) String() string {
-	switch p {
-	case Block:
-		return "block"
-	case DropOldest:
-		return "drop-oldest"
-	default:
-		return fmt.Sprintf("Policy(%d)", int(p))
-	}
-}
-
-// ParsePolicy converts "block"/"drop" to a Policy.
-func ParsePolicy(s string) (Policy, error) {
-	switch s {
-	case "block":
-		return Block, nil
-	case "drop", "drop-oldest":
-		return DropOldest, nil
-	default:
-		return 0, fmt.Errorf("pipeline: unknown backpressure policy %q", s)
-	}
-}
-
 // DefaultDepth is the queue depth used when Options.Depth is zero.
 const DefaultDepth = 4
 
@@ -114,49 +76,39 @@ type Options struct {
 	// Depth bounds the ingest queue and the delivery channel. The sharded
 	// fast path's per-shard job queues are bounded separately, at a fixed
 	// depth (shard.jobQueueDepth), so raising Depth past that widens only
-	// the router-side buffers. Zero means DefaultDepth.
+	// the router-side buffers. Zero means DefaultDepth. The depth is fixed
+	// for the pipeline's lifetime; the largest occupancy ever reached is
+	// reported in Stats.QueueHighWater.
 	Depth int
-	// MaxDepth enables adaptive depth: when greater than Depth, the ingest
-	// queue grows under sustained burst — each time a producer hits the
-	// current bound the capacity doubles, up to MaxDepth, so reaching the
-	// maximum requires the burst to persist across every doubling — and
-	// shrinks back toward Depth (halving) whenever the runner fully drains
-	// the queue, restoring the latency bound between bursts. The largest
-	// occupancy ever reached is reported in Stats.QueueHighWater. Zero or
-	// anything <= Depth keeps the queue fixed at Depth.
-	MaxDepth int
-	// Policy selects the backpressure behavior. Default Block.
-	Policy Policy
-	// DropLog, when non-nil, observes every batch shed under DropOldest —
-	// the hook the checkpoint guard (internal/recovery) uses to write
-	// per-drop WAL records, so a replayed transcript can account for the
-	// exact stream events load shedding discarded. Called outside the
-	// pipeline's internal lock, on the producer goroutine that triggered
-	// the shed; implementations may block or take their own locks. Batches
-	// shed (or arrival-stripped) by the admission governor are logged the
-	// same way, whatever the backpressure policy.
+	// DropLog, when non-nil, observes every batch the admission governor
+	// sheds and the arrivals it strips in Critical — the hook the
+	// checkpoint guard (internal/recovery) uses to write per-drop WAL
+	// records, so a replayed transcript can account for the exact stream
+	// events load shedding discarded. Called outside the pipeline's
+	// internal lock, on the producer goroutine that offered the batch;
+	// implementations may block or take their own locks.
 	DropLog DropLogger
 	// Admission, when non-nil, is the load-shedding governor consulted
 	// before every batch enters the ingest queue. A Shed verdict rejects
-	// the whole batch — under Block the producer sees an error wrapping
-	// admission.ErrOverloaded, under DropOldest the batch is silently
-	// counted in Stats.DroppedBatches — and an AdmitDeletions verdict
-	// (Critical state) strips the batch's arrivals while the cycle still
-	// runs. The pipeline feeds the governor its drain, hot-shard and
-	// memory observations from the runner goroutine.
+	// the whole batch — the producer sees an error wrapping
+	// admission.ErrOverloaded and the batch is counted in
+	// Stats.DroppedBatches — and an AdmitDeletions verdict (Critical state)
+	// strips the batch's arrivals while the cycle still runs. The pipeline
+	// feeds the governor its drain, hot-shard and memory observations from
+	// the runner goroutine.
 	Admission *admission.Governor
-	// AdmissionLog, when non-nil, observes the final fate of every batch
-	// offered while a governor is installed: the decision for batch `now`
-	// is the last one reported for that timestamp (a batch admitted into
-	// the queue and later shed by DropOldest is reported twice, Admit then
-	// Shed). The overload differential harness uses this to reconstruct
-	// the admitted subsequence. Called on the producer goroutine, outside
-	// the pipeline's internal lock; must not call back into the pipeline.
+	// AdmissionLog, when non-nil, observes the decision on every batch
+	// offered while a governor is installed, exactly once per batch (a
+	// batch refused because the pipeline is closed or has failed is not
+	// reported: it had no admission fate). The overload differential
+	// harness uses this to reconstruct the admitted subsequence. Called on
+	// the producer goroutine, outside the pipeline's internal lock; must
+	// not call back into the pipeline.
 	AdmissionLog func(now int64, d admission.Decision)
 }
 
-// DropLogger receives the content of batches shed under the DropOldest
-// backpressure policy, in the shape they were ingested.
+// DropLogger receives the content of batches the admission governor shed
+// (or the arrivals it stripped), in the shape they were ingested.
 type DropLogger interface {
 	LogDrop(now int64, isUpdate bool, arrivals []*stream.Tuple, deletions []uint64)
 }
@@ -201,10 +153,8 @@ type delivery struct {
 // core.StreamMonitor — Step/StepUpdate excepted, which return an error
 // directing callers to Ingest — and is safe for concurrent use.
 type Pipeline struct {
-	mon      core.StreamMonitor
-	depth    int
-	maxDepth int
-	policy   Policy
+	mon   core.StreamMonitor
+	depth int
 
 	// mu guards the ingest queue, the closed flag and the recorded error;
 	// cond wakes blocked producers and the runner.
@@ -212,11 +162,8 @@ type Pipeline struct {
 	cond    *sync.Cond
 	queue   []*job
 	batches int // batch jobs currently queued (control jobs are exempt)
-	// effDepth is the current queue bound: depth normally, grown toward
-	// maxDepth under burst and shrunk back on drain (see Options.MaxDepth).
-	effDepth int
-	closed   bool
-	err      error // first cycle error; sticky
+	closed  bool
+	err     error // first cycle error; sticky
 
 	dropped       atomic.Int64
 	droppedTuples atomic.Int64
@@ -224,15 +171,14 @@ type Pipeline struct {
 	dropLog       DropLogger
 
 	// gov is the admission governor (nil when disabled); admLog its
-	// decision hook. qBatches and qDepth mirror batches and effDepth
-	// (maintained under mu, read lock-free) so the admission decision and
-	// the runner's drain observation see queue occupancy without taking
-	// mu a second time. appliedBatches is runner-private and spaces the
-	// memory-watermark samples.
+	// decision hook. qBatches mirrors batches (maintained under mu, read
+	// lock-free) so the admission decision and the runner's drain
+	// observation see queue occupancy without taking mu a second time.
+	// appliedBatches is runner-private and spaces the memory-watermark
+	// samples.
 	gov            *admission.Governor
 	admLog         func(now int64, d admission.Decision)
 	qBatches       atomic.Int64
-	qDepth         atomic.Int64
 	appliedBatches int
 
 	deliveries chan delivery
@@ -252,52 +198,28 @@ func New(mon core.StreamMonitor, opts Options) *Pipeline {
 	if depth <= 0 {
 		depth = DefaultDepth
 	}
-	maxDepth := opts.MaxDepth
-	if maxDepth < depth {
-		maxDepth = depth
-	}
 	p := &Pipeline{
-		mon:      mon,
-		depth:    depth,
-		maxDepth: maxDepth,
-		effDepth: depth,
-		policy:   opts.Policy,
-		dropLog:  opts.DropLog,
-		gov:      opts.Admission,
-		admLog:   opts.AdmissionLog,
-		// The delivery buffers are sized for the maximum: adaptive growth
-		// only moves the ingest bound, never reallocates channels.
-		deliveries:    make(chan delivery, maxDepth),
-		out:           make(chan []core.Update, maxDepth),
+		mon:     mon,
+		depth:   depth,
+		dropLog: opts.DropLog,
+		gov:     opts.Admission,
+		admLog:  opts.AdmissionLog,
+		// Depth bounds the delivery buffers too (see Options.Depth).
+		deliveries:    make(chan delivery, depth),
+		out:           make(chan []core.Update, depth),
 		delivererDone: make(chan struct{}),
 	}
 	p.cond = sync.NewCond(&p.mu)
-	p.qDepth.Store(int64(depth))
 	go p.runner()
 	go p.deliverer()
 	return p
 }
 
-// Depth returns the configured (base) queue depth.
+// Depth returns the queue depth.
 func (p *Pipeline) Depth() int { return p.depth }
-
-// MaxDepth returns the adaptive-depth ceiling (equal to Depth when the
-// queue is fixed).
-func (p *Pipeline) MaxDepth() int { return p.maxDepth }
-
-// CurrentDepth returns the queue bound currently in effect: Depth unless a
-// burst has grown it.
-func (p *Pipeline) CurrentDepth() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.effDepth
-}
 
 // HighWater returns the largest number of batches ever queued at once.
 func (p *Pipeline) HighWater() int64 { return p.highWater.Load() }
-
-// Policy returns the configured backpressure policy.
-func (p *Pipeline) Policy() Policy { return p.policy }
 
 // Admission returns the governor fronting this pipeline, nil when
 // admission control is disabled.
@@ -322,19 +244,21 @@ func (p *Pipeline) Drain() <-chan struct{} {
 	return done
 }
 
-// Dropped returns the number of batches shed under DropOldest.
+// Dropped returns the number of batches the admission governor shed.
 func (p *Pipeline) Dropped() int64 { return p.dropped.Load() }
 
-// DroppedTuples returns the number of stream events (arrivals plus
-// explicit deletions) carried by the batches shed under DropOldest —
-// the exact loss figure, independent of how batch sizes varied.
+// DroppedTuples returns the number of stream events lost to admission
+// control: arrivals plus explicit deletions of the shed batches, plus the
+// arrivals stripped in Critical — the exact loss figure, independent of
+// how batch sizes varied.
 func (p *Pipeline) DroppedTuples() int64 { return p.droppedTuples.Load() }
 
-// Ingest enqueues one append-only cycle. Under Block it waits for queue
-// space when the pipeline is at depth; under DropOldest it sheds the
-// oldest queued batch instead. The batch is applied asynchronously; its
-// updates arrive on Updates. The arrivals slice is owned by the pipeline
-// from this call on.
+// Ingest enqueues one append-only cycle, waiting for queue space when the
+// pipeline is at depth. With an admission governor installed the batch
+// may instead be shed (an error wrapping admission.ErrOverloaded) or have
+// its arrivals stripped. The batch is applied asynchronously; its updates
+// arrive on Updates. The arrivals slice is owned by the pipeline from
+// this call on.
 func (p *Pipeline) Ingest(now int64, arrivals []*stream.Tuple) error {
 	return p.enqueueBatch(&job{isBatch: true, now: now, arrivals: arrivals})
 }
@@ -357,23 +281,7 @@ func (p *Pipeline) enqueueBatch(j *job) error {
 			return err
 		}
 	}
-	// Shed batches are collected under the lock and accounted after it is
-	// released: the drop log may block (it appends WAL records), and mu is
-	// a leaf lock on the cycle path.
-	var shed []*job
-	err := p.enqueueBatchLocked(j, &shed)
-	for _, q := range shed {
-		p.dropped.Add(1)
-		p.droppedTuples.Add(int64(len(q.arrivals) + len(q.deletions)))
-		if p.admLog != nil {
-			// A queue-shed overrides the batch's earlier Admit report: the
-			// last decision logged for a timestamp is its final fate.
-			p.admLog(q.now, admission.Shed)
-		}
-		if p.dropLog != nil {
-			p.dropLog.LogDrop(q.now, q.isUpdate, q.arrivals, q.deletions)
-		}
-	}
+	err := p.enqueueBatchLocked(j)
 	if err == nil && p.gov != nil && p.admLog != nil {
 		p.admLog(j.now, dec)
 	}
@@ -381,12 +289,11 @@ func (p *Pipeline) enqueueBatch(j *job) error {
 }
 
 // admitBatch consults the governor about one offered batch. done reports
-// that the batch must not be enqueued: the producer sees err (an
-// ErrOverloaded wrap under Block, nil under DropOldest — shedding is what
-// that policy asked for). An AdmitDeletions verdict strips the batch's
-// arrivals in place (drop-logging them) and lets it proceed.
+// that the batch must not be enqueued: the producer sees err, an
+// ErrOverloaded wrap for a shed batch. An AdmitDeletions verdict strips
+// the batch's arrivals in place (drop-logging them) and lets it proceed.
 func (p *Pipeline) admitBatch(j *job) (dec admission.Decision, done bool, err error) {
-	dec = p.gov.Admit(int(p.qBatches.Load()), int(p.qDepth.Load()), len(j.arrivals), len(j.deletions))
+	dec = p.gov.Admit(int(p.qBatches.Load()), p.depth, len(j.arrivals), len(j.deletions))
 	switch dec {
 	case admission.Shed:
 		// A closed (or failed) pipeline reports its terminal error, not a
@@ -409,11 +316,8 @@ func (p *Pipeline) admitBatch(j *job) (dec admission.Decision, done bool, err er
 		if p.dropLog != nil {
 			p.dropLog.LogDrop(j.now, j.isUpdate, j.arrivals, j.deletions)
 		}
-		if p.policy == Block {
-			return dec, true, fmt.Errorf("pipeline: batch at t=%d shed by the admission governor (state %s): %w",
-				j.now, p.gov.State(), admission.ErrOverloaded)
-		}
-		return dec, true, nil
+		return dec, true, fmt.Errorf("pipeline: batch at t=%d shed by the admission governor (state %s): %w",
+			j.now, p.gov.State(), admission.ErrOverloaded)
 	case admission.AdmitDeletions:
 		if len(j.arrivals) > 0 {
 			p.droppedTuples.Add(int64(len(j.arrivals)))
@@ -426,7 +330,7 @@ func (p *Pipeline) admitBatch(j *job) (dec admission.Decision, done bool, err er
 	return dec, false, nil
 }
 
-func (p *Pipeline) enqueueBatchLocked(j *job, shed *[]*job) error {
+func (p *Pipeline) enqueueBatchLocked(j *job) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for {
@@ -436,32 +340,8 @@ func (p *Pipeline) enqueueBatchLocked(j *job, shed *[]*job) error {
 		if p.err != nil {
 			return p.err
 		}
-		if p.batches < p.effDepth {
+		if p.batches < p.depth {
 			break
-		}
-		// Adaptive depth: absorb the burst by doubling the bound instead of
-		// blocking or shedding, until the ceiling is reached. A sustained
-		// burst keeps refilling the doubled queue and climbs the ladder; a
-		// one-off spike grows a single step and shrinks back on drain.
-		if p.effDepth < p.maxDepth {
-			p.effDepth *= 2
-			if p.effDepth > p.maxDepth {
-				p.effDepth = p.maxDepth
-			}
-			p.qDepth.Store(int64(p.effDepth))
-			continue
-		}
-		if p.policy == DropOldest {
-			for i, q := range p.queue {
-				if q.isBatch {
-					p.queue = append(p.queue[:i], p.queue[i+1:]...)
-					p.batches--
-					p.qBatches.Store(int64(p.batches))
-					*shed = append(*shed, q)
-					break
-				}
-			}
-			continue
 		}
 		p.cond.Wait()
 	}
@@ -523,16 +403,6 @@ func (p *Pipeline) runner() {
 		if j.isBatch {
 			p.batches--
 			p.qBatches.Store(int64(p.batches))
-			// Shrink a burst-grown queue back toward the configured depth
-			// whenever the runner fully catches up: the burst is over, and
-			// the smaller bound restores the ingest-to-result latency cap.
-			if p.batches == 0 && p.effDepth > p.depth {
-				p.effDepth /= 2
-				if p.effDepth < p.depth {
-					p.effDepth = p.depth
-				}
-				p.qDepth.Store(int64(p.effDepth))
-			}
 		}
 		failed := p.err != nil
 		p.cond.Broadcast()
@@ -575,7 +445,7 @@ const memSampleEvery = 16
 // every memSampleEvery batches — the engine footprint plus the process
 // heap. Runs on the runner goroutine with no pipeline locks held.
 func (p *Pipeline) observeGovernor(cycleNS int64) {
-	p.gov.ObserveDrain(int(p.qBatches.Load()), int(p.qDepth.Load()), cycleNS)
+	p.gov.ObserveDrain(int(p.qBatches.Load()), p.depth, cycleNS)
 	if ls, ok := p.mon.(interface{ LoadSignal() (int, int, int64) }); ok {
 		depth, capacity, ewmaNS := ls.LoadSignal()
 		p.gov.ObserveShard(depth, capacity, ewmaNS)

@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -69,14 +68,6 @@ func (g *gateMon) Close() error {
 	return nil
 }
 
-// queueSnapshot exposes the ingest queue for deterministic backpressure
-// tests.
-func (p *Pipeline) queueSnapshot() []*job {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return append([]*job(nil), p.queue...)
-}
-
 // collect drains a pipeline's Updates channel into an ordered slice until
 // the channel closes.
 func collect(p *Pipeline) (*[][]core.Update, chan struct{}) {
@@ -123,11 +114,11 @@ func TestOrderedDelivery(t *testing.T) {
 	}
 }
 
-// TestBlockBackpressure: with the Block policy a producer stalls at depth
-// and resumes when the runner drains, losing nothing.
-func TestBlockBackpressure(t *testing.T) {
+// TestBlockAtDepth: a producer stalls at depth and resumes when the runner
+// drains, losing nothing.
+func TestBlockAtDepth(t *testing.T) {
 	g := newGateMon()
-	p := New(g, Options{Depth: 2, Policy: Block})
+	p := New(g, Options{Depth: 2})
 	_, done := collect(p)
 
 	var ingested atomic.Int64
@@ -159,51 +150,10 @@ func TestBlockBackpressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n := len(g.appliedNow()); n != 10 {
-		t.Fatalf("applied %d, want 10 (Block must not shed)", n)
+		t.Fatalf("applied %d, want 10 (a full queue must not shed)", n)
 	}
 	if d := p.Dropped(); d != 0 {
-		t.Fatalf("Dropped = %d under Block", d)
-	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-	<-done
-}
-
-// TestDropOldest: with the queue full, the oldest *queued* batch is shed —
-// never the in-flight one — and the shed count surfaces in Stats.
-func TestDropOldest(t *testing.T) {
-	g := newGateMon()
-	p := New(g, Options{Depth: 2, Policy: DropOldest})
-	_, done := collect(p)
-
-	// Let the runner pick up batch 1 and block in Step; batches 2,3 fill
-	// the queue.
-	if err := p.Ingest(1, nil); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for len(p.queueSnapshot()) != 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	for ts := int64(2); ts <= 5; ts++ {
-		if err := p.Ingest(ts, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// 2 and 3 were queued; 4 shed 2, 5 shed 3.
-	g.release(64)
-	if err := p.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := fmt.Sprint(g.appliedNow()), "[1 4 5]"; got != want {
-		t.Fatalf("applied %s, want %s", got, want)
-	}
-	if d := p.Dropped(); d != 2 {
-		t.Fatalf("Dropped = %d, want 2", d)
-	}
-	if s := p.Stats(); s.DroppedBatches != 2 {
-		t.Fatalf("Stats().DroppedBatches = %d, want 2", s.DroppedBatches)
+		t.Fatalf("Dropped = %d without a governor", d)
 	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
@@ -515,52 +465,9 @@ func TestCloseReleasesBlockedProducer(t *testing.T) {
 	<-done
 }
 
-// TestAdaptiveDepthGrows: with MaxDepth set, a producer facing a stalled
-// monitor never blocks until the ceiling — the queue doubles under the
-// burst — and the high-water mark records the peak occupancy.
-func TestAdaptiveDepthGrows(t *testing.T) {
-	g := newGateMon()
-	p := New(g, Options{Depth: 2, MaxDepth: 8})
-	_, done := collect(p)
-
-	// 8 batches with the monitor fully stalled: a fixed depth-2 queue
-	// would block on the third Ingest; adaptive growth must absorb all 8
-	// (the runner holds the 9th... the runner dequeues one batch into the
-	// stalled Step, so up to depth+1 are in flight; stay at the ceiling).
-	for ts := int64(1); ts <= 8; ts++ {
-		if err := p.Ingest(ts, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if d := p.CurrentDepth(); d != 8 {
-		t.Fatalf("queue did not grow to the ceiling: depth %d", d)
-	}
-	if hw := p.HighWater(); hw < 7 {
-		t.Fatalf("high-water mark %d, want >= 7", hw)
-	}
-
-	// Drain: the monitor catches up, the queue empties, and the bound
-	// shrinks back toward the configured depth.
-	g.release(8)
-	if err := p.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if d := p.CurrentDepth(); d > 4 {
-		t.Fatalf("queue did not shrink after drain: depth %d", d)
-	}
-	if s := p.Stats(); s.QueueHighWater < 7 {
-		t.Fatalf("Stats.QueueHighWater = %d, want >= 7", s.QueueHighWater)
-	}
-	g.release(1024)
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-	<-done
-}
-
-// TestFixedDepthUnchanged: without MaxDepth the queue stays at Depth — the
-// producer blocks once the queue (plus the runner's in-flight batch) is
-// full. The adaptive path must not leak into the default configuration.
+// TestFixedDepthUnchanged: the queue stays at Depth — the producer blocks
+// once the queue (plus the runner's in-flight batch) is full, and the
+// high-water mark never exceeds the depth.
 func TestFixedDepthUnchanged(t *testing.T) {
 	g := newGateMon()
 	p := New(g, Options{Depth: 2})
@@ -589,8 +496,8 @@ func TestFixedDepthUnchanged(t *testing.T) {
 	if err := p.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if d := p.CurrentDepth(); d != 2 {
-		t.Fatalf("fixed depth changed to %d", d)
+	if hw := p.Stats().QueueHighWater; hw != 2 {
+		t.Fatalf("QueueHighWater = %d, want the depth 2", hw)
 	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
@@ -611,7 +518,7 @@ func TestMigrationThroughPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := New(mon, Options{Depth: 3, MaxDepth: 12})
+	p := New(mon, Options{Depth: 3})
 	_, done := collect(p)
 
 	gen := stream.NewGenerator(stream.IND, 3, 21)
@@ -700,70 +607,6 @@ func mkTuples(n int) []*stream.Tuple {
 		out[i] = &stream.Tuple{ID: uint64(i + 1), Vec: geom.Vector{0.5, 0.5}}
 	}
 	return out
-}
-
-// TestDropOldestTupleAccounting: shedding batches of different sizes must
-// surface the exact number of lost stream events — arrivals plus explicit
-// deletions — in Stats.DroppedTuples, and hand every shed batch to the
-// configured DropLogger. A batch count alone would hide how much data a
-// drop actually destroyed.
-func TestDropOldestTupleAccounting(t *testing.T) {
-	g := newGateMon()
-	rec := &dropRecorder{}
-	p := New(g, Options{Depth: 2, Policy: DropOldest, DropLog: rec})
-	_, done := collect(p)
-
-	// Batch 1 blocks in Step; 2 (3 tuples) and 3 (5 arrivals + 2 deletions)
-	// fill the queue.
-	if err := p.Ingest(1, mkTuples(1)); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for len(p.queueSnapshot()) != 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if err := p.Ingest(2, mkTuples(3)); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.IngestUpdate(3, mkTuples(5), []uint64{90, 91}); err != nil {
-		t.Fatal(err)
-	}
-	// 4 sheds batch 2 (3 events), 5 sheds batch 3 (7 events).
-	if err := p.Ingest(4, mkTuples(2)); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Ingest(5, mkTuples(4)); err != nil {
-		t.Fatal(err)
-	}
-	g.release(64)
-	if err := p.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := fmt.Sprint(g.appliedNow()), "[1 4 5]"; got != want {
-		t.Fatalf("applied %s, want %s", got, want)
-	}
-	if d := p.DroppedTuples(); d != 10 {
-		t.Fatalf("DroppedTuples = %d, want 10", d)
-	}
-	s := p.Stats()
-	if s.DroppedBatches != 2 || s.DroppedTuples != 10 {
-		t.Fatalf("Stats dropped batches/tuples = %d/%d, want 2/10", s.DroppedBatches, s.DroppedTuples)
-	}
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	if len(rec.recs) != 2 {
-		t.Fatalf("DropLog saw %d batches, want 2", len(rec.recs))
-	}
-	if r := rec.recs[0]; r.now != 2 || r.isUpdate || r.arrivals != 3 || r.deletions != 0 {
-		t.Fatalf("first shed batch logged as %+v", r)
-	}
-	if r := rec.recs[1]; r.now != 3 || !r.isUpdate || r.arrivals != 5 || r.deletions != 2 {
-		t.Fatalf("second shed batch logged as %+v", r)
-	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-	<-done
 }
 
 // TestClosedTyped: every operation on a closed pipeline reports ErrClosed

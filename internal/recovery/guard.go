@@ -195,8 +195,8 @@ func (g *Guard) Unregister(id core.QueryID) error {
 	return nil
 }
 
-// LogDrop implements pipeline.DropLogger: batches shed by the pipeline's
-// drop-oldest backpressure policy get advisory WAL records, so tuple loss
+// LogDrop implements pipeline.DropLogger: batches the admission governor
+// shed, and arrivals it stripped, get advisory WAL records, so tuple loss
 // is accounted durably rather than vanishing. It runs on the pipeline's
 // producer goroutine; append errors are swallowed — a drop record is
 // bookkeeping about data that is already gone.

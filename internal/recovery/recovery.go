@@ -20,7 +20,7 @@
 // Durability contract (see doc.go "Durability guarantees" for the long
 // form): a batch is WAL-logged before it is applied, so a crash between
 // the two replays it; registrations are logged after they succeed;
-// batches shed by the pipeline's drop-oldest policy get advisory drop
+// batches shed by the pipeline's admission governor get advisory drop
 // records so loss stays accounted. Checkpoints always fsync; WAL appends
 // fsync per SyncPolicy.
 //

@@ -43,7 +43,7 @@ const (
 // Record kinds. Batch records are written ahead of applying the batch;
 // register/unregister records are written after the operation succeeded
 // (with the id it got); drop records are advisory accounting for batches
-// the ingestion pipeline shed under backpressure and are never replayed.
+// the ingestion pipeline's admission governor shed and are never replayed.
 const (
 	RecordBatch = iota + 1
 	RecordDrop

@@ -23,9 +23,6 @@ func TestAdmissionValidationFacade(t *testing.T) {
 	if _, err := New(2, WithCountWindow(10), WithAdmission(AdmissionConfig{})); err == nil {
 		t.Fatal("WithAdmission without WithPipeline should be rejected")
 	}
-	if _, err := New(2, WithCountWindow(10), WithMemoryLimit(1<<20)); err == nil {
-		t.Fatal("WithMemoryLimit without WithPipeline should be rejected")
-	}
 
 	plain, err := New(2, WithCountWindow(10))
 	if err != nil {
@@ -42,14 +39,14 @@ func TestAdmissionValidationFacade(t *testing.T) {
 		t.Fatalf("ungoverned AdmissionStats() = %+v, want zero", snap)
 	}
 
-	mon, err := New(2, WithCountWindow(10), WithPipeline(2), WithMemoryLimit(1<<30))
+	mon, err := New(2, WithCountWindow(10), WithPipeline(2), WithAdmission(AdmissionConfig{MemLimit: 1 << 30}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	drainUpdates(mon)
 	defer mon.Close()
 	if !mon.AdmissionControlled() {
-		t.Fatal("WithMemoryLimit did not enable the governor")
+		t.Fatal("WithAdmission did not enable the governor")
 	}
 	if got := mon.AdmissionState(); got != AdmissionNormal {
 		t.Fatalf("fresh AdmissionState() = %v, want normal", got)
@@ -104,7 +101,7 @@ func TestOverloadedErrorFacade(t *testing.T) {
 }
 
 // TestMemoryLimitCriticalFacade drives the memory watermark end to end
-// through the public API: a limit far below the process heap forces
+// through the public API: a limit below the engine's own footprint forces
 // Critical at the first runner-side memory sample, after which arrivals
 // are stripped (NumPoints freezes) while cycles keep running.
 func TestMemoryLimitCriticalFacade(t *testing.T) {
@@ -112,22 +109,26 @@ func TestMemoryLimitCriticalFacade(t *testing.T) {
 		WithCountWindow(100000),
 		WithTargetCells(16),
 		WithPipeline(4),
-		WithMemoryLimit(1<<20), // well under any live Go heap
+		// The watermark judges the larger of the engine's MemoryBytes and
+		// the sampled process heap. 16 KiB is below the engine's footprint
+		// alone, so the verdict does not hang on what the heap reads.
+		WithAdmission(AdmissionConfig{MemLimit: 1 << 14}),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
 	drainUpdates(mon)
 	gen := NewGenerator(IND, 2, 7)
-	// The runner samples memory every 16 applied batches; 40 batches
-	// guarantee the watermark fires mid-run.
+	// Flushing after every batch keeps the queue empty, so occupancy never
+	// moves the governor into Shedding. The runner samples memory every 16
+	// applied batches; 40 batches guarantee the watermark fires mid-run.
 	for ts := int64(1); ts <= 40; ts++ {
 		if err := mon.Ingest(ts, gen.Batch(50, ts)); err != nil {
 			t.Fatalf("ingest %d: %v", ts, err)
 		}
-	}
-	if err := mon.Flush(); err != nil {
-		t.Fatal(err)
+		if err := mon.Flush(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if got := mon.AdmissionState(); got != AdmissionCritical {
 		t.Fatalf("AdmissionState() = %v, want critical", got)

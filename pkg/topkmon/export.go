@@ -89,9 +89,9 @@ var (
 	// written by an incompatible build.
 	ErrVersion = recovery.ErrVersion
 	// ErrOverloaded is reported (wrapped) by Ingest/IngestUpdate when the
-	// admission governor sheds the batch under the Block backpressure
-	// policy: the system is protecting itself, not failing. Producers
-	// should back off and retry; the batch was counted and drop-logged.
+	// admission governor sheds the batch: the system is protecting itself,
+	// not failing. Producers should back off and retry; the batch was
+	// counted and drop-logged.
 	ErrOverloaded = admission.ErrOverloaded
 )
 

@@ -67,44 +67,6 @@ func ParsePartitioning(s string) (Partitioning, error) {
 	}
 }
 
-// Backpressure selects a pipelined monitor's behavior when its ingest
-// queue is full (see WithPipeline).
-type Backpressure int
-
-// Backpressure policies.
-const (
-	// BackpressureBlock makes Ingest wait for queue space: lossless, the
-	// default.
-	BackpressureBlock Backpressure = iota
-	// BackpressureDropOldest sheds the oldest queued batch instead of
-	// blocking; shed batches are never applied and are counted in
-	// Stats.DroppedBatches. A load-shedding mode for producers that must
-	// not stall.
-	BackpressureDropOldest
-)
-
-// String implements fmt.Stringer.
-func (b Backpressure) String() string {
-	switch b {
-	case BackpressureBlock:
-		return "block"
-	case BackpressureDropOldest:
-		return "drop-oldest"
-	default:
-		return fmt.Sprintf("Backpressure(%d)", int(b))
-	}
-}
-
-// ParseBackpressure converts "block"/"drop"/"drop-oldest" to a
-// Backpressure.
-func ParseBackpressure(s string) (Backpressure, error) {
-	p, err := pipeline.ParsePolicy(s)
-	if err != nil {
-		return 0, fmt.Errorf("topkmon: unknown backpressure policy %q", s)
-	}
-	return Backpressure(p), nil
-}
-
 // config collects the options New accepts.
 type config struct {
 	shards             int
@@ -118,10 +80,7 @@ type config struct {
 	window             window.Spec
 	cells              int
 	pipeDepth          int
-	pipeMaxDepth       int
-	backpressure       Backpressure
 	admission          *AdmissionConfig
-	memLimit           int64
 	checkpointDir      string
 	checkpointEvery    int
 	checkpointSync     bool
@@ -188,7 +147,9 @@ func WithRebalance(interval int, threshold float64) Option {
 // rejected on a pipelined monitor; Flush is the delivery barrier. The
 // Updates channel must be drained (it closes after Close). Results are
 // identical to the synchronous monitor's on the same stream — only the
-// caller no longer waits for them.
+// caller no longer waits for them. The queue depth is fixed: a full queue
+// makes Ingest wait, so a pipelined monitor loses nothing unless
+// WithAdmission installs the load-shedding governor.
 func WithPipeline(depth int) Option {
 	return func(c *config) {
 		if depth < 1 {
@@ -198,20 +159,6 @@ func WithPipeline(depth int) Option {
 	}
 }
 
-// WithAdaptiveDepth lets a pipelined monitor's ingest queue grow under
-// sustained burst — the bound doubles each time a producer hits it, up to
-// max — and shrink back to the configured depth whenever the queue fully
-// drains, restoring the latency cap between bursts. The largest occupancy
-// reached is reported in Stats.QueueHighWater. Values <= the pipeline
-// depth keep the queue fixed; it has no effect without WithPipeline.
-func WithAdaptiveDepth(max int) Option { return func(c *config) { c.pipeMaxDepth = max } }
-
-// WithBackpressure selects the pipelined monitor's full-queue behavior:
-// BackpressureBlock (default, lossless) or BackpressureDropOldest
-// (load-shedding, counted in Stats.DroppedBatches). It has no effect
-// without WithPipeline.
-func WithBackpressure(b Backpressure) Option { return func(c *config) { c.backpressure = b } }
-
 // WithAdmission enables the load-shedding admission governor in front of
 // the pipelined ingest queue (requires WithPipeline; New rejects other
 // combinations). Under sustained overload the governor degrades service
@@ -220,31 +167,20 @@ func WithBackpressure(b Backpressure) Option { return func(c *config) { c.backpr
 // converges the admitted batch rate onto what the engine actually drains,
 // a RED-style dropper thins bursts probabilistically as smoothed queue
 // occupancy climbs between the config's watermarks, and a memory
-// watermark (see WithMemoryLimit) forces the deletions-only Critical
-// state above a hard limit. Shed batches are counted in
-// Stats.DroppedBatches/DroppedTuples, drop-logged into the WAL on a
-// checkpointed monitor, and surface as ErrOverloaded from Ingest under
-// the Block backpressure policy. Decisions are deterministic given
-// cfg.Seed and the observed load, which is what the overload
-// differential suite leans on. The zero AdmissionConfig is valid:
-// defaults throughout, no memory limit. See the package doc's "Overload
-// and admission control" section for the state machine and the
-// bounded-staleness contract.
+// watermark forces the deletions-only Critical state once the larger of
+// the engine's cap-aware footprint and the process heap crosses
+// cfg.MemHighFraction of cfg.MemLimit bytes: arrivals are then stripped
+// while cycles — and window expiry — keep running, so state shrinks until
+// memory falls below cfg.MemLowFraction of the limit. Shed batches are
+// counted in Stats.DroppedBatches/DroppedTuples, drop-logged into the WAL
+// on a checkpointed monitor, and surface as ErrOverloaded from Ingest.
+// Decisions are deterministic given cfg.Seed and the observed load, which
+// is what the overload differential suite leans on. The zero
+// AdmissionConfig is valid: defaults throughout, no memory limit. See the
+// package doc's "Overload and admission control" section for the state
+// machine and the bounded-staleness contract.
 func WithAdmission(cfg AdmissionConfig) Option {
 	return func(c *config) { c.admission = &cfg }
-}
-
-// WithMemoryLimit sets the admission governor's hard memory limit in
-// bytes and enables the governor if WithAdmission did not (requires
-// WithPipeline). When the larger of the engine's cap-aware footprint and
-// the process heap crosses the limit's high fraction (default 0.9), the
-// monitor enters the Critical state: arrivals are stripped from admitted
-// batches while cycles — and window expiry — keep running, so state
-// shrinks until memory falls below the low fraction (default 0.7) and
-// normal admission resumes through the Shedding hysteresis. It overrides
-// any MemLimit set in WithAdmission's config.
-func WithMemoryLimit(bytes int64) Option {
-	return func(c *config) { c.memLimit = bytes }
 }
 
 // WithPolicy sets the default maintenance policy used by RegisterTopK.

@@ -16,6 +16,9 @@ import (
 // shape — none of which lives in the engine state itself. Stream position
 // (clock, sequence watermark) is deliberately absent: the engine clock in
 // the checkpoint is the authority, and Restore resumes stamping from it.
+// Manifests written while the queue could grow or drop its oldest batch
+// carry two more keys (see testdata/legacy_aux.json); decoding ignores
+// them, so such a lineage restores with a fixed-depth blocking queue.
 type facadeAux struct {
 	Policy             int     `json:"policy"`
 	Shards             int     `json:"shards"`
@@ -24,8 +27,6 @@ type facadeAux struct {
 	RebalanceInterval  int     `json:"rebalanceInterval,omitempty"`
 	RebalanceThreshold float64 `json:"rebalanceThreshold,omitempty"`
 	PipeDepth          int     `json:"pipeDepth,omitempty"`
-	PipeMaxDepth       int     `json:"pipeMaxDepth,omitempty"`
-	Backpressure       int     `json:"backpressure,omitempty"`
 	Every              int     `json:"every,omitempty"`
 	Sync               bool    `json:"sync,omitempty"`
 	// Admission is the governor configuration (nil when admission control
@@ -55,8 +56,6 @@ func facadeAuxBytes(cfg *config) ([]byte, error) {
 		RebalanceInterval:  cfg.rebalanceInterval,
 		RebalanceThreshold: cfg.rebalanceThreshold,
 		PipeDepth:          cfg.pipeDepth,
-		PipeMaxDepth:       cfg.pipeMaxDepth,
-		Backpressure:       int(cfg.backpressure),
 		Every:              cfg.checkpointEvery,
 		Sync:               cfg.checkpointSync,
 		Admission:          cfg.admission,
@@ -144,12 +143,7 @@ func Restore(dir string, opts ...Option) (*Monitor, error) {
 	}
 
 	if st.PipeDepth > 0 {
-		popts := pipeline.Options{
-			Depth:    st.PipeDepth,
-			MaxDepth: st.PipeMaxDepth,
-			Policy:   pipeline.Policy(st.Backpressure),
-			DropLog:  g,
-		}
+		popts := pipeline.Options{Depth: st.PipeDepth, DropLog: g}
 		if st.Admission != nil {
 			m.gov = admission.New(*st.Admission)
 			popts.Admission = m.gov

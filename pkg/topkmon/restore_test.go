@@ -2,8 +2,13 @@ package topkmon
 
 import (
 	"errors"
+	"os"
 	"path/filepath"
 	"testing"
+
+	"topkmon/internal/core"
+	"topkmon/internal/recovery"
+	"topkmon/internal/window"
 )
 
 // fill runs n ticks of b generated tuples each through the monitor.
@@ -133,6 +138,60 @@ func TestFacadeCheckpointRestore(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestRestoreLegacyQueueKeys: a lineage whose facade state was written
+// while the pipeline queue could grow and drop its oldest batch
+// (testdata/legacy_aux.json, byte for byte what such a monitor wrote)
+// restores into a pipelined monitor at the recorded fixed depth, and
+// ingestion through it loses nothing.
+func TestRestoreLegacyQueueKeys(t *testing.T) {
+	aux, err := os.ReadFile(filepath.Join("testdata", "legacy_aux.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "ckpt")
+	eng, err := core.NewEngine(core.Options{Dims: 2, Window: window.Count(200), TargetCells: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := recovery.NewGuard(eng, dir, recovery.GuardOptions{Aux: func() []byte { return aux }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	mon, err := Restore(dir)
+	if err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	if !mon.Pipelined() {
+		t.Fatal("restored monitor is not pipelined")
+	}
+	if d := mon.pipe.Depth(); d != 2 {
+		t.Fatalf("restored queue depth %d, want 2", d)
+	}
+	drainUpdates(mon)
+	gen := NewGenerator(IND, 2, 5)
+	for ts := int64(1); ts <= 15; ts++ {
+		if err := mon.Ingest(ts, gen.Batch(10, ts)); err != nil {
+			t.Fatalf("ingest %d: %v", ts, err)
+		}
+	}
+	if err := mon.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if n := mon.NumPoints(); n != 150 {
+		t.Fatalf("NumPoints = %d, want all 150 ingested tuples", n)
+	}
+	if s := mon.Stats(); s.DroppedBatches != 0 || s.QueueHighWater > 2 {
+		t.Fatalf("dropped %d batches, high water %d: want 0 and at most the depth 2", s.DroppedBatches, s.QueueHighWater)
+	}
+	if err := mon.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -53,11 +53,11 @@
 //     dropped silently; corruption anywhere else surfaces as ErrCorrupt
 //     from Restore, never as silently wrong state. Version skew surfaces
 //     as ErrVersion; an empty or missing directory as ErrNoCheckpoint.
-//   - Batches shed under WithBackpressure(BackpressureDropOldest) are recorded in the
-//     WAL as advisory drop records and counted in Stats.DroppedTuples,
-//     so loss under backpressure is observable and auditable, but they
-//     are (by design) not replayed: the recovered engine matches the
-//     live engine, which never saw them either.
+//   - Batches shed (and arrivals stripped) by the WithAdmission governor
+//     are recorded in the WAL as advisory drop records and counted in
+//     Stats.DroppedTuples, so loss under overload is observable and
+//     auditable, but they are (by design) not replayed: the recovered
+//     engine matches the live engine, which never saw them either.
 //   - Engine state and log never diverge silently. A query removal that
 //     applies but fails to append its WAL record is re-synced by an
 //     immediate checkpoint; if that fails too, the lineage is declared
@@ -112,7 +112,7 @@ type Monitor struct {
 	mon    core.StreamMonitor
 	pipe   *pipeline.Pipeline  // non-nil under WithPipeline; then mon == pipe
 	guard  *recovery.Guard     // non-nil under WithCheckpoint; sits inside the pipeline
-	gov    *admission.Governor // non-nil under WithAdmission/WithMemoryLimit
+	gov    *admission.Governor // non-nil under WithAdmission
 	policy Policy
 	shards int
 
@@ -142,14 +142,8 @@ func New(dims int, opts ...Option) (*Monitor, error) {
 	if cfg.rebalanceInterval > 0 && cfg.shards <= 1 {
 		return nil, fmt.Errorf("topkmon: WithRebalance requires WithShards(n > 1)")
 	}
-	if cfg.memLimit > 0 {
-		if cfg.admission == nil {
-			cfg.admission = &AdmissionConfig{}
-		}
-		cfg.admission.MemLimit = cfg.memLimit
-	}
 	if cfg.admission != nil && cfg.pipeDepth <= 0 {
-		return nil, fmt.Errorf("topkmon: WithAdmission/WithMemoryLimit require WithPipeline: the governor fronts the ingest queue")
+		return nil, fmt.Errorf("topkmon: WithAdmission requires WithPipeline: the governor fronts the ingest queue")
 	}
 	if cfg.shards > 1 {
 		var sh core.StreamMonitor
@@ -197,15 +191,10 @@ func New(dims int, opts ...Option) (*Monitor, error) {
 		m.mon = g
 	}
 	if cfg.pipeDepth > 0 {
-		popts := pipeline.Options{
-			Depth:    cfg.pipeDepth,
-			MaxDepth: cfg.pipeMaxDepth,
-			Policy:   pipeline.Policy(cfg.backpressure),
-		}
+		popts := pipeline.Options{Depth: cfg.pipeDepth}
 		if m.guard != nil {
-			// Batches shed under DropOldest or by the admission governor get
-			// advisory WAL records, so load shedding stays visible in the
-			// durable lineage.
+			// Batches shed by the admission governor get advisory WAL
+			// records, so load shedding stays visible in the durable lineage.
 			popts.DropLog = m.guard
 		}
 		if cfg.admission != nil {
@@ -224,9 +213,11 @@ func (m *Monitor) Pipelined() bool { return m.pipe != nil }
 
 // Ingest enqueues one append-only cycle on a pipelined monitor without
 // waiting for it to be processed; the cycle's updates arrive on the
-// Updates channel. Arrivals must be stamped like Step's. Under the Block
-// backpressure policy a full queue makes Ingest wait; under DropOldest it
-// sheds the oldest queued batch instead.
+// Updates channel. Arrivals must be stamped like Step's. A full queue
+// makes Ingest wait. Under WithAdmission the governor may instead shed the
+// batch — Ingest then returns an error wrapping ErrOverloaded and the
+// batch is counted in Stats.DroppedBatches — or, in the Critical state,
+// strip its arrivals while the cycle still runs.
 func (m *Monitor) Ingest(now int64, arrivals []*Tuple) error {
 	if m.pipe == nil {
 		return fmt.Errorf("topkmon: Ingest requires WithPipeline; use Step")
@@ -265,7 +256,7 @@ func (m *Monitor) Flush() error {
 }
 
 // AdmissionControlled reports whether the monitor runs with the
-// load-shedding governor (WithAdmission or WithMemoryLimit).
+// load-shedding governor (WithAdmission).
 func (m *Monitor) AdmissionControlled() bool { return m.gov != nil }
 
 // AdmissionState returns the governor's current degradation level:

@@ -499,10 +499,10 @@ func TestPlacementAndRebalanceFacade(t *testing.T) {
 	}
 }
 
-// TestAdaptiveDepthFacade: topkmon.WithAdaptiveDepth threads through to the
-// pipeline and reports the queue high-water mark in Stats.
-func TestAdaptiveDepthFacade(t *testing.T) {
-	mon, err := topkmon.New(2, topkmon.WithCountWindow(300), topkmon.WithPipeline(2), topkmon.WithAdaptiveDepth(16))
+// TestQueueHighWaterFacade: a pipelined monitor reports its queue
+// high-water mark in Stats, bounded by the fixed WithPipeline depth.
+func TestQueueHighWaterFacade(t *testing.T) {
+	mon, err := topkmon.New(2, topkmon.WithCountWindow(300), topkmon.WithPipeline(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -522,8 +522,8 @@ func TestAdaptiveDepthFacade(t *testing.T) {
 	if err := mon.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if s := mon.Stats(); s.QueueHighWater < 1 {
-		t.Fatalf("QueueHighWater = %d, want >= 1", s.QueueHighWater)
+	if s := mon.Stats(); s.QueueHighWater < 1 || s.QueueHighWater > 2 {
+		t.Fatalf("QueueHighWater = %d, want in [1, 2]", s.QueueHighWater)
 	}
 	if err := mon.Close(); err != nil {
 		t.Fatal(err)
