@@ -45,7 +45,7 @@ func watchSignals() <-chan struct{} {
 
 func main() {
 	var (
-		expFlag       = flag.String("exp", "all", "experiment id (fig14..fig21, table2, kmax, model, order, shards, partition, pipeline, rebalance, querycount, overload), comma-separated, or 'all'")
+		expFlag       = flag.String("exp", "all", "experiment id (fig14..fig21, table2, kmax, model, order, shards, partition, pipeline, querycount, overload), comma-separated, or 'all'")
 		scaleFlag     = flag.Float64("scale", 0.02, "workload scale relative to the paper's defaults (1 = full N=1M, Q=1K)")
 		seedFlag      = flag.Int64("seed", 1, "workload seed")
 		csvFlag       = flag.Bool("csv", false, "emit CSV instead of aligned tables")
@@ -53,16 +53,12 @@ func main() {
 		shardsFlag    = flag.Int("shards", 0, "run grid algorithms on this many engine shards (0/1 = single engine)")
 		partitionFlag = flag.String("partition", "queries", "sharding layout for -shards > 1: 'queries' (index replicated per shard) or 'data' (tuples hashed across shards, router-side top-k merge)")
 		pipelineFlag  = flag.Int("pipeline", 0, "drive runs through async pipelined ingestion with this queue depth (0 = synchronous Step)")
-		placeFlag     = flag.String("placement", "", "query placement for sharded runs: 'hash' (default) or 'least-loaded'")
-		rebalFlag     = flag.Int("rebalance", 0, "cost-aware rebalancing interval in cycles for sharded runs (0 = disabled)")
 	)
 	flag.Parse()
 	stop := watchSignals()
 	harness.DefaultStop = stop
 	harness.DefaultShards = *shardsFlag
 	harness.DefaultPipeline = *pipelineFlag
-	harness.DefaultPlacement = *placeFlag
-	harness.DefaultRebalanceInterval = *rebalFlag
 	partition, err := topkmon.ParsePartitioning(*partitionFlag)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

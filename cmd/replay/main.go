@@ -63,8 +63,6 @@ func main() {
 		pipelineFlag  = flag.Int("pipeline", 0, "async pipelined ingestion queue depth (0 = synchronous Step)")
 		admFlag       = flag.Bool("admission", false, "front pipelined ingestion with the load-shedding admission governor (requires -pipeline)")
 		memLimitFlag  = flag.Int64("mem-limit", 0, "hard memory limit in bytes for the governor's Critical watermark (implies -admission; requires -pipeline)")
-		placeFlag     = flag.String("placement", "", "query placement for -shards > 1: 'hash' (default) or 'least-loaded'")
-		rebalFlag     = flag.Int("rebalance", 0, "cost-aware rebalancing interval in cycles (0 = disabled; query partitioning only)")
 		ckptFlag      = flag.String("checkpoint", "", "checkpoint directory: WAL every batch and snapshot full state there (must not hold a previous lineage)")
 		ckptEveryFlag = flag.Int("checkpoint-every", 10, "cycles between checkpoints with -checkpoint (0 = only at exit)")
 		restoreFlag   = flag.String("restore", "", "resume the monitor from this checkpoint directory (structural flags come from the checkpoint; -query adds further queries)")
@@ -112,16 +110,6 @@ func main() {
 		}
 		if *admFlag || *memLimitFlag > 0 {
 			monOpts = append(monOpts, topkmon.WithAdmission(topkmon.AdmissionConfig{MemLimit: *memLimitFlag}))
-		}
-		if *placeFlag != "" {
-			p, perr := topkmon.ParsePlacement(*placeFlag)
-			if perr != nil {
-				fatal(perr)
-			}
-			monOpts = append(monOpts, topkmon.WithPlacement(p))
-		}
-		if *rebalFlag > 0 {
-			monOpts = append(monOpts, topkmon.WithRebalance(*rebalFlag, 0))
 		}
 		if *ckptFlag != "" {
 			monOpts = append(monOpts, topkmon.WithCheckpoint(*ckptFlag, *ckptEveryFlag))

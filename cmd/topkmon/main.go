@@ -60,10 +60,6 @@ func main() {
 		memLimitFlag  = flag.Int64("mem-limit", 0, "hard memory limit in bytes for the governor's Critical watermark (implies -admission)")
 		admTargetFlag = flag.Duration("admission-target", 0, "per-cycle latency target for the governor: cycles above it count as overload (implies -admission)")
 		ingestIntFlag = flag.Duration("ingest-interval", 0, "pace pipelined ingestion to one batch per interval instead of generating flat out (requires -pipeline)")
-		placeFlag     = flag.String("placement", "", "query placement for -shards > 1: 'hash' (default) or 'least-loaded'")
-		rebalFlag     = flag.Int("rebalance", 0, "cost-aware rebalancing interval in cycles (0 = disabled; query partitioning only)")
-		rebalThrFlag  = flag.Float64("rebalance-threshold", 0, "max/mean cost ratio triggering migrations (0 = default 1.2)")
-		zipfFlag      = flag.Float64("zipf-k", 0, "draw per-query k from 1+Zipf(s) capped at 4k (skewed query costs; 0 = uniform k)")
 		statsFlag     = flag.Int("stats-every", 0, "print per-shard load stats every this many cycles (0 = off)")
 		ckptFlag      = flag.String("checkpoint", "", "checkpoint directory: WAL every batch and snapshot full state there (grid algorithms; must not hold a previous lineage)")
 		ckptEveryFlag = flag.Int("checkpoint-every", 10, "cycles between checkpoints with -checkpoint (0 = only at exit)")
@@ -92,40 +88,32 @@ func main() {
 		os.Exit(2)
 	}
 	cfg := harness.Config{
-		Algo:               algo,
-		Dist:               dist,
-		Func:               fk,
-		Dims:               *dimsFlag,
-		N:                  *nFlag,
-		R:                  *rFlag,
-		Q:                  *qFlag,
-		K:                  *kFlag,
-		Cycles:             *cyclesFlag,
-		TargetCells:        *cellsFlag,
-		GridRes:            *resFlag,
-		KMax:               *kmaxFlag,
-		Shards:             *shardsFlag,
-		DataPartition:      partition == topkmon.PartitionData,
-		Pipeline:           *pipelineFlag,
-		Placement:          *placeFlag,
-		RebalanceInterval:  *rebalFlag,
-		RebalanceThreshold: *rebalThrFlag,
-		ZipfK:              *zipfFlag,
-		Admission:          *admFlag,
-		MemLimit:           *memLimitFlag,
-		AdmissionTarget:    *admTargetFlag,
-		IngestInterval:     *ingestIntFlag,
-		CheckpointDir:      *ckptFlag,
-		CheckpointEvery:    *ckptEveryFlag,
-		Seed:               *seedFlag,
+		Algo:            algo,
+		Dist:            dist,
+		Func:            fk,
+		Dims:            *dimsFlag,
+		N:               *nFlag,
+		R:               *rFlag,
+		Q:               *qFlag,
+		K:               *kFlag,
+		Cycles:          *cyclesFlag,
+		TargetCells:     *cellsFlag,
+		GridRes:         *resFlag,
+		KMax:            *kmaxFlag,
+		Shards:          *shardsFlag,
+		DataPartition:   partition == topkmon.PartitionData,
+		Pipeline:        *pipelineFlag,
+		Admission:       *admFlag,
+		MemLimit:        *memLimitFlag,
+		AdmissionTarget: *admTargetFlag,
+		IngestInterval:  *ingestIntFlag,
+		CheckpointDir:   *ckptFlag,
+		CheckpointEvery: *ckptEveryFlag,
+		Seed:            *seedFlag,
 	}
 	cfg.Stop = watchSignals("topkmon")
 	if (cfg.Shards > 1 || cfg.Pipeline > 0 || cfg.CheckpointDir != "") && algo == harness.AlgoTSL {
 		fmt.Fprintln(os.Stderr, "topkmon: -shards, -pipeline and -checkpoint apply to the grid algorithms only (TMA/SMA)")
-		os.Exit(2)
-	}
-	if (cfg.Placement != "" || cfg.RebalanceInterval > 0) && (cfg.Shards <= 1 || cfg.DataPartition) {
-		fmt.Fprintln(os.Stderr, "topkmon: -placement and -rebalance require -shards > 1 with -partition=queries")
 		os.Exit(2)
 	}
 	if *statsFlag > 0 {
@@ -180,9 +168,6 @@ func main() {
 		fmt.Printf("  shard cycle max/mean: %s / %s\n",
 			harness.FormatDuration(time.Duration(res.MaxShardCycleNS)),
 			harness.FormatDuration(time.Duration(res.MeanShardCycleNS)))
-	}
-	if res.Migrations > 0 {
-		fmt.Printf("  query migrations:     %d\n", res.Migrations)
 	}
 	if res.AdmissionState != "" {
 		offered := int64(res.CyclesRun) * int64(cfg.R)

@@ -23,54 +23,14 @@
 //     tuples (O(N/shards) index memory per shard, O(N) in total), every
 //     query runs on every shard, and the router k-way merges the
 //     per-shard partial top-k lists into the exact global result, paying
-//     a per-update merge cost instead of the memory blow-up. Choose it
-//     for shard counts beyond ~8 or windows too large to replicate.
+//     a per-update merge cost instead of the memory blow-up. The merge is
+//     not free: on the benchmark's fullstack-paced workload (a 2-vCPU VM)
+//     two data shards take about 1.3× one engine's cycle time
+//     (shard.tax_ratio in BENCHMARK.json's per-layer pass).
 //
-// Under query partitioning, the shard a query lives on is decided by a
-// pluggable placement layer and can change at runtime:
-//
-//   - WithPlacement selects the placement policy — PlacementHash (the
-//     default splitmix hash: balanced counts, oblivious to cost) or
-//     PlacementLeastLoaded (new queries go to the shard with the lowest
-//     attributed cost) — or any custom deterministic Placement.
-//   - WithRebalance(interval, threshold) turns on cost-aware rebalancing:
-//     the engine attributes maintenance work to each query (influence
-//     events, cells processed, heap operations, cells walked — counters,
-//     not wall time, so decisions reproduce run to run), and every
-//     interval cycles the monitor compares per-shard cost accrued since
-//     the last pass; when max/mean exceeds threshold it migrates the most
-//     expensive movable queries from the hottest shard to the coldest.
-//   - Live migration moves a query's complete state between engines at a
-//     cycle barrier: core.Engine.ExportQuery snapshots the spec, the
-//     admission filters, the TMA top list or SMA skyband (with dominance
-//     counters), the reporting baseline, the registered influence-cell
-//     set, and the attributed cost — a threshold query moves only its
-//     spec and cost, since its result is a function of the window;
-//     ImportQuery installs it on the target engine without
-//     recomputation. Nothing is
-//     re-derived — both engines index the identical broadcast stream, so
-//     the moved query's subsequent behavior is byte-identical, a promise
-//     the differential harness enforces by forcing migrations mid-run and
-//     comparing transcripts against the single engine.
-//   - Monitor.ShardLoads reports per-shard query counts, EWMA cycle time,
-//     attributed cost and memory; Monitor.MigrateQuery is the manual
-//     override, and Monitor.MigrateQueries moves a whole batch of queries
-//     under a single cycle-barrier drain (every drain stalls all shards
-//     once, so multi-move passes — including the rebalancer's own — batch
-//     behind one); Stats.Migrations counts executed moves.
-//
-// When does rebalancing pay? Hash placement balances query *counts*;
-// per-query cost varies with k and influence-cell volume by orders of
-// magnitude, so a few hot queries can clump and one shard bounds the
-// cycle time. Rebalancing pays when per-query costs are skewed and
-// queries outnumber shards severalfold (the `rebalance` experiment sweep
-// measures it: max-shard attributed cost drops 25-40% under a Zipf-k
-// workload at 4-16 shards). Prefer static hash when query costs are
-// near-uniform or the query set churns faster than costs accumulate —
-// every pass drains the shard queues, so needless rebalancing just adds
-// barriers. Under data partitioning every query runs on every shard and
-// there is nothing to place; skew there means the tuple hash is
-// unbalanced.
+// Queries are hash-placed and tuples hash-routed: nothing moves between
+// shards once it has arrived, and Monitor.ShardLoads reports per-shard
+// query counts, EWMA cycle time, attributed cost and memory.
 //
 // Orthogonally to partitioning, WithPipeline(depth) decouples ingestion
 // from query maintenance: Ingest enqueues a batch into a bounded queue
@@ -372,8 +332,7 @@
 // (monitor a recorded trace), cmd/datagen (synthetic datasets and
 // traces), cmd/benchreport (the hot-path benchmark report and regression
 // gate). The grid commands (cmd/topkmon, cmd/replay, cmd/experiments)
-// accept -shards, -partition=queries|data, -placement=hash|least-loaded
-// and -rebalance=<interval>. See the examples/ directory
+// accept -shards and -partition=queries|data. See the examples/ directory
 // for runnable end-to-end programs and EXPERIMENTS.md for the
 // reproduction results.
 package topkmon

@@ -16,7 +16,7 @@ import (
 //     closeMu(30) < routing locks mu/qmu(40): coarse serialization locks
 //     outermost, the routing table innermost. Acquiring a lower- or
 //     equal-ranked lock while holding a higher one is how the
-//     register/migrate/close paths deadlock.
+//     register/close paths deadlock.
 //   - rule "blocking": while a lock marked `leaf` is held, no channel
 //     send, channel receive, select, or call to a //topk:blocking
 //     function (the worker job submitters) may execute. Leaf locks are

@@ -78,8 +78,7 @@ type query struct {
 	// influence events examined, cells processed and heap operations of its
 	// from-scratch computations, and cells visited by its pruning walks.
 	// It is deterministic for a given stream — the same replay attributes
-	// the same cost — which is what lets the shard rebalancer make
-	// reproducible decisions from it. Migration carries it along.
+	// the same cost — and checkpoints carry it along.
 	cost int64
 }
 

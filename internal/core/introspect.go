@@ -28,7 +28,7 @@ type QueryInfo struct {
 	// Cost is the maintenance work attributed to this query so far:
 	// influence events examined plus the cells/heap operations of its
 	// from-scratch computations and pruning walks. Deterministic for a
-	// given stream; the shard rebalancer's input.
+	// given stream.
 	Cost int64
 }
 

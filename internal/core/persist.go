@@ -100,21 +100,3 @@ func (e *Engine) SetNextQueryID(next QueryID) error {
 	e.nextID = next
 	return nil
 }
-
-// ImportQueryAt is ImportQuery at a caller-chosen id: the restore-path
-// variant that reinstalls a query under its original id instead of
-// allocating a fresh one. The id must be free; the watermark advances
-// past it if necessary (restores then pin the exact watermark with
-// SetNextQueryID).
-func (e *Engine) ImportQueryAt(snap QuerySnapshot, id QueryID) error {
-	if e.lookup(id) != nil {
-		return fmt.Errorf("core: query id %d already registered", id)
-	}
-	if err := e.importAt(snap, id); err != nil {
-		return err
-	}
-	if id >= e.nextID {
-		e.nextID = id + 1
-	}
-	return nil
-}

@@ -8,10 +8,10 @@ import (
 )
 
 // QuerySnapshot is the complete portable state of one registered query:
-// everything ImportQuery needs so that the query's subsequent behavior on
-// the importing engine is byte-identical to what it would have been on the
-// exporting one. It is the migration unit behind cost-aware shard
-// rebalancing (internal/shard).
+// everything ImportQueryAt needs so that the query's subsequent behavior
+// on the importing engine is byte-identical to what it would have been on
+// the exporting one. It is the per-query unit of a checkpoint
+// (internal/recovery).
 //
 // What moves: the spec, the admission filters (TopScore/RegScore), a
 // top-k query's policy state (TMA top list, or SMA skyband with dominance
@@ -25,13 +25,13 @@ import (
 // same tuple stream under identical Options (same dimensionality, grid
 // resolution and stream mode — validated on import); tuples are carried by
 // pointer, so snapshots are only meaningful between engines fed the same
-// *stream.Tuple instances, which is exactly the query-partitioned sharded
-// monitor's broadcast invariant.
+// *stream.Tuple instances — on the restore path, the tail the checkpoint
+// replays.
 type QuerySnapshot struct {
 	Spec QuerySpec
 	// Dims, GridRes and Mode pin the geometry and stream model the
-	// influence-cell indices and policy state refer to; ImportQuery rejects
-	// a snapshot taken under different options.
+	// influence-cell indices and policy state refer to; ImportQueryAt
+	// rejects a snapshot taken under different options.
 	Dims    int
 	GridRes int
 	Mode    StreamMode
@@ -57,7 +57,7 @@ type QuerySnapshot struct {
 	// export no cells, and import ignores the field for them.
 	InfluenceCells []int
 	// Cost is the accumulated attributed maintenance cost (see Stats), so
-	// cost-aware placement keeps seeing the query's history after a move.
+	// a restored shard's ShardLoad.Cost keeps the query's history.
 	Cost int64
 }
 
@@ -101,27 +101,19 @@ func (e *Engine) ExportQuery(id QueryID) (QuerySnapshot, error) {
 	return snap, nil
 }
 
-// ImportQuery installs a query from a snapshot, assigning it a fresh local
-// id and registering its influence cells (top-k) or indexing its threshold,
-// without running any computation:
-// the imported query resumes exactly where the exported one stopped. The
-// engine must have been constructed with the same workspace dimensionality,
-// grid resolution and stream mode, and must index the same tuple stream as
-// the exporter (the query-partitioned broadcast invariant); violations of
-// the former are rejected here, the latter is the caller's contract.
-func (e *Engine) ImportQuery(snap QuerySnapshot) (QueryID, error) {
-	id := e.nextID
-	if err := e.importAt(snap, id); err != nil {
-		return 0, err
+// ImportQueryAt installs a query from a snapshot under id, registering its
+// influence cells (top-k) or indexing its threshold, without running any
+// computation: the imported query resumes exactly where the exported one
+// stopped. The id must be free; the watermark advances past it if
+// necessary (restores then pin the exact watermark with SetNextQueryID).
+// The engine must have been constructed with the same workspace
+// dimensionality, grid resolution and stream mode, and must index the same
+// tuple stream as the exporter; violations of the former are rejected
+// here, the latter is the caller's contract.
+func (e *Engine) ImportQueryAt(snap QuerySnapshot, id QueryID) error {
+	if e.lookup(id) != nil {
+		return fmt.Errorf("core: query id %d already registered", id)
 	}
-	e.nextID = id + 1
-	return id, nil
-}
-
-// importAt validates a snapshot and installs it as query id, leaving the
-// id watermark to the caller (ImportQuery allocates the next fresh id,
-// ImportQueryAt reinstates an original one on the restore path).
-func (e *Engine) importAt(snap QuerySnapshot, id QueryID) error {
 	if snap.Spec.F == nil {
 		return fmt.Errorf("core: snapshot has no scoring function")
 	}
@@ -191,6 +183,9 @@ func (e *Engine) importAt(snap QuerySnapshot, id QueryID) error {
 			e.g.AddInfluence(idx, q.id)
 		}
 	}
+	if id >= e.nextID {
+		e.nextID = id + 1
+	}
 	return nil
 }
 
@@ -201,8 +196,8 @@ type QueryCost struct {
 }
 
 // AppendQueryCosts appends every registered query's (id, cumulative cost)
-// pair to out and returns the extended slice, ordered by id. This is the
-// cheap read the shard rebalancer polls each pass — O(Q), no grid scan.
+// pair to out and returns the extended slice, ordered by id. It is the
+// cheap read behind ShardLoad.Cost (internal/shard) — O(Q), no grid scan.
 func (e *Engine) AppendQueryCosts(out []QueryCost) []QueryCost {
 	for _, q := range e.queries {
 		if q != nil {

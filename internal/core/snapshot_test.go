@@ -9,7 +9,7 @@ import (
 	"topkmon/internal/window"
 )
 
-// snapshotCase is one query flavor whose migration is proven behavior-
+// snapshotCase is one query flavor whose snapshot is proven behavior-
 // preserving: after exporting from one engine and importing into another
 // engine fed the identical stream, the remaining cycles must produce
 // byte-identical updates and results.
@@ -39,9 +39,9 @@ func snapshotCases() []snapshotCase {
 	}
 }
 
-// stepBoth advances every engine with the same shared batch (engines in a
-// query-partitioned fleet share tuple pointers — the contract snapshots
-// rely on) and returns the per-engine updates.
+// stepBoth advances every engine with the same shared batch (snapshots
+// carry tuples by pointer, so the engines must share them) and returns
+// the per-engine updates.
 func stepBoth(t *testing.T, mode StreamMode, engines []*Engine, ts int64, arrivals []*stream.Tuple, deletions []uint64) [][]Update {
 	t.Helper()
 	out := make([][]Update, len(engines))
@@ -121,8 +121,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			if snap.Cost <= 0 {
 				t.Fatalf("exported query has no attributed cost: %+v", snap.Cost)
 			}
-			imported, err := dst.ImportQuery(snap)
-			if err != nil {
+			const imported = QueryID(5)
+			if err := dst.ImportQueryAt(snap, imported); err != nil {
 				t.Fatal(err)
 			}
 			if err := dst.CheckInfluence(); err != nil {
@@ -199,7 +199,7 @@ func TestSnapshotValidation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := other.ImportQuery(snap); err == nil {
+		if err := other.ImportQueryAt(snap, 0); err == nil {
 			t.Fatalf("%s-mismatched import should fail", name)
 		}
 	}
@@ -213,7 +213,7 @@ func TestSnapshotValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := same.ImportQuery(bad); err == nil {
+	if err := same.ImportQueryAt(bad, 0); err == nil {
 		t.Fatal("out-of-grid influence cell should be rejected")
 	}
 
@@ -233,8 +233,11 @@ func TestSnapshotValidation(t *testing.T) {
 	}
 	bad = snap
 	bad.LastReported = []Entry{snap.LastReported[2], snap.LastReported[0], snap.LastReported[1]}
-	if _, err := e.ImportQuery(bad); err == nil {
+	if err := e.ImportQueryAt(bad, 2); err == nil {
 		t.Fatal("out-of-order reported list should be rejected")
+	}
+	if err := e.ImportQueryAt(snap, id); err == nil {
+		t.Fatal("import over a registered id should be rejected")
 	}
 	if n := e.NumQueries(); n != 2 {
 		t.Fatalf("rejected imports left %d queries registered, want 2", n)
@@ -253,8 +256,8 @@ func TestSnapshotValidation(t *testing.T) {
 	}
 	old := tsnap
 	old.LastReported = append([]Entry{{T: &stream.Tuple{ID: 1 << 40, Seq: 1 << 40}, Score: 9}}, want[1:]...)
-	imported, err := e.ImportQuery(old)
-	if err != nil {
+	const imported = QueryID(2)
+	if err := e.ImportQueryAt(old, imported); err != nil {
 		t.Fatalf("threshold snapshot with a reported list: %v", err)
 	}
 	if got, err := e.Result(imported); err != nil || fmt.Sprint(got) != fmt.Sprint(want) {

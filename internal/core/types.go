@@ -267,7 +267,7 @@ type Stats struct {
 	CellsProcessed int64
 	// HeapOps counts cell-heap pushes and pops across all top-k
 	// computations — with CellsProcessed, the per-computation work measure
-	// behind per-query cost attribution (shard rebalancing).
+	// behind per-query cost attribution (ShardLoad.Cost).
 	HeapOps int64
 	// CellsWalked counts cells visited by influence-list pruning walks
 	// (after top-k recomputations and at top-k query termination).
@@ -293,20 +293,15 @@ type Stats struct {
 	// ever held queued at once, at most its fixed queue depth
 	// (internal/pipeline). The synchronous engines always report zero.
 	QueueHighWater int64
-	// Migrations counts rebalancing moves executed by a sharded monitor
-	// (internal/shard): live query migrations under query partitioning,
-	// routing-bucket reassignments under data partitioning. Zero
-	// elsewhere.
-	Migrations int64
 	// MemoryHighWater is the largest MemoryBytes figure observed so far.
 	// It is pull-model: refreshed whenever MemoryBytes is called (every
 	// ShardLoads pass does), never by the cycle path itself, so sampling
-	// cost stays with the reader. Memory-aware placement reads it.
+	// cost stays with the reader.
 	MemoryHighWater int64
 	// MaxCellBytesHighWater is the largest single grid cell's allocated
 	// (capacity) byte footprint ever reached — the tuple-hash-skew
-	// signal for memory-aware placement. Maintained by the grid at cell
-	// growth time, so it is exact, not sampled.
+	// signal. Maintained by the grid at cell growth time, so it is exact,
+	// not sampled.
 	MaxCellBytesHighWater int64
 }
 

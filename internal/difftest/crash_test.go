@@ -6,20 +6,19 @@ import (
 
 	"topkmon/internal/core"
 	"topkmon/internal/recovery"
-	"topkmon/internal/shard"
 )
 
 // crashModes is the subset of the execution matrix the crash-recovery
-// differential covers: the synchronous, non-rebalanced monitors. Pipelined
-// modes are excluded because Swap requires a synchronous replay, and the
-// rebalanced mode because EWMA-driven placement history is deliberately
-// outside the checkpoint (see internal/recovery).
+// differential covers: the synchronous modes, because Swap requires a
+// synchronous replay.
 func crashModes() []execMode {
-	return []execMode{
-		{name: "engine", build: sync(engineBuild)},
-		{name: "query-sharded-3", build: sync(shardedBuild(diffShards))},
-		{name: "data-sharded-3", build: sync(dataShardedBuild(diffShards))},
+	var out []execMode
+	for _, m := range allModes() {
+		if !m.pipelined {
+			out = append(out, m)
+		}
 	}
+	return out
 }
 
 // runCrashDifferential replays the scenario for seed through each crash
@@ -74,7 +73,7 @@ func runCrashDifferential(t *testing.T, seed int64) {
 	crash2 := crash1 + 1 + int((h>>16)%uint64(span))
 
 	for _, m := range crashModes() {
-		inner, _, err := m.build(s.Options())
+		inner, err := m.build(s.Options())
 		if err != nil {
 			t.Fatalf("%v: build %s: %v", s, m.name, err)
 		}
@@ -94,10 +93,7 @@ func runCrashDifferential(t *testing.T, seed int64) {
 				if err := live.Abandon(); err != nil {
 					return nil, fmt.Errorf("abandon: %w", err)
 				}
-				restored, _, err := recovery.Restore(dir, recovery.RestoreOptions{
-					Every:       every,
-					ShardConfig: shard.Config{},
-				})
+				restored, _, err := recovery.Restore(dir, recovery.RestoreOptions{Every: every})
 				if err != nil {
 					return nil, fmt.Errorf("restore: %w", err)
 				}

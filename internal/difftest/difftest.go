@@ -79,8 +79,7 @@ func (s Scenario) String() string {
 // or threshold, with Zipf-distributed k and scoring function. The Zipf k
 // (most queries tiny, a heavy tail up to 64) plus the occasional
 // low-threshold query below give scenarios genuinely skewed per-query
-// costs — without them query costs are near-uniform and hot-shard
-// rebalancing would never trigger, let alone be testable.
+// costs: tiny and deep result lists side by side in one scenario.
 func randSpec(rng *rand.Rand, zipf *rand.Zipf, qg *stream.QueryGenerator, dims int, mode core.StreamMode) core.QuerySpec {
 	spec := core.QuerySpec{F: qg.Next(), K: 1 + int(zipf.Uint64())}
 	switch rng.Intn(4) {
@@ -343,9 +342,9 @@ type ReplayConfig struct {
 	CheckInvariants bool
 	// PostCycle, when non-nil, runs after every processing cycle (before
 	// the invariant check) with the cycle index and the ids of the live
-	// queries (read-only). The rebalancing differential mode uses it to
-	// force live query migrations mid-run — migrations must never change a
-	// transcript, and this is where that promise is exercised.
+	// queries (read-only). The engine mode uses it to round-trip live
+	// queries through their snapshot mid-run — a snapshot must never
+	// change a transcript, and this is where that promise is exercised.
 	PostCycle func(cycle int, live []core.QueryID) error
 	// Swap, when non-nil, runs after every cycle's PostCycle and invariant
 	// check, and may return a replacement monitor that the rest of the

@@ -14,55 +14,53 @@ import (
 )
 
 // execMode is one execution mode under differential test: a constructor
-// producing a fresh monitor (and, for pipelined modes, its ingestion
-// surface) for a scenario. forceMigrate additionally drives a live query
-// migration after every cycle — the monitor must support MigrateQuery.
+// producing a fresh monitor for a scenario, run synchronously or behind
+// the ingestion pipeline. postCycle, when non-nil, builds a hook that runs
+// against the monitor after every cycle of the synchronous replay.
 type execMode struct {
-	name         string
-	build        func(opts core.Options) (core.StreamMonitor, Ingester, error)
-	forceMigrate bool
+	name      string
+	build     func(opts core.Options) (core.StreamMonitor, error)
+	pipelined bool
+	postCycle func(mon core.StreamMonitor) func(cycle int, live []core.QueryID) error
 }
 
 // diffShards is the shard count of every sharded differential mode.
 const diffShards = 3
 
-// migrator is the live-migration surface shared by shard.Sharded and the
-// pipelined wrapper.
-type migrator interface {
-	MigrateQuery(id core.QueryID, target int) error
-}
-
-// forceMigrations rotates one live query to a new shard after every cycle,
-// so every scenario exercises export → import → route-swap on whatever
-// query state the cycle just produced (mid-window top-k lists, partially
-// drained skybands, threshold sets).
-func forceMigrations(m migrator) func(cycle int, live []core.QueryID) error {
+// snapshotRoundTrip is the engine mode's post-cycle hook: after every
+// cycle one live top-k query (influence lists) and one live threshold
+// query (query index), rotating through the live set, go through
+// ExportQuery → Unregister → ImportQueryAt at their own ids — the codec
+// every checkpoint uses — so each scenario pushes whatever state the
+// cycle just left (mid-window top-k lists, partially drained skybands,
+// reporting baselines) through a snapshot, and the transcript must not
+// notice.
+func snapshotRoundTrip(mon core.StreamMonitor) func(cycle int, live []core.QueryID) error {
+	eng := mon.(*core.Engine)
 	return func(cycle int, live []core.QueryID) error {
-		if len(live) == 0 {
-			return nil
+		var done [2]bool // top-k, threshold
+		for i := range live {
+			id := live[(cycle+i)%len(live)]
+			snap, err := eng.ExportQuery(id)
+			if err != nil {
+				return err
+			}
+			kind := 0
+			if snap.Spec.Threshold != nil {
+				kind = 1
+			}
+			if done[kind] {
+				continue
+			}
+			done[kind] = true
+			if err := eng.Unregister(id); err != nil {
+				return err
+			}
+			if err := eng.ImportQueryAt(snap, id); err != nil {
+				return fmt.Errorf("re-import q%d: %w", id, err)
+			}
 		}
-		id := live[cycle%len(live)]
-		return m.MigrateQuery(id, (cycle+int(id))%diffShards)
-	}
-}
-
-// wrapPipe wraps a monitor constructor in a pipeline with a small depth
-// (so the queue actually fills and cycles genuinely overlap ingestion).
-func wrapPipe(build func(opts core.Options) (core.StreamMonitor, error)) func(core.Options) (core.StreamMonitor, Ingester, error) {
-	return func(opts core.Options) (core.StreamMonitor, Ingester, error) {
-		mon, err := build(opts)
-		if err != nil {
-			return nil, nil, err
-		}
-		p := pipeline.New(mon, pipeline.Options{Depth: 2})
-		return p, p, nil
-	}
-}
-
-func sync(build func(opts core.Options) (core.StreamMonitor, error)) func(core.Options) (core.StreamMonitor, Ingester, error) {
-	return func(opts core.Options) (core.StreamMonitor, Ingester, error) {
-		mon, err := build(opts)
-		return mon, nil, err
+		return nil
 	}
 }
 
@@ -75,35 +73,20 @@ func dataShardedBuild(n int) func(core.Options) (core.StreamMonitor, error) {
 	return func(opts core.Options) (core.StreamMonitor, error) { return shard.NewData(opts, n) }
 }
 
-// rebalancedBuild runs the query-partitioned monitor with least-loaded
-// placement and an aggressive auto-rebalancer (every 2 cycles, threshold
-// barely above balanced), so the cost-attribution, trigger and greedy-move
-// machinery all run on real scenarios — on top of the forced per-cycle
-// migrations the mode adds.
-func rebalancedBuild(n int) func(core.Options) (core.StreamMonitor, error) {
-	return func(opts core.Options) (core.StreamMonitor, error) {
-		return shard.NewWithConfig(opts, n, shard.Config{
-			Placement: shard.LeastLoadedPlacement{},
-			Rebalance: shard.RebalanceConfig{Interval: 2, Threshold: 1.05, MaxMoves: 8},
-		})
-	}
-}
-
 // allModes is the full differential matrix: every synchronous execution
 // mode and the pipelined wrapper over each. The pipelined modes must
 // deliver the exact per-query Update sequence of their synchronous
 // counterparts, which in turn must match the naive reference.
 func allModes() []execMode {
-	return []execMode{
-		{name: "engine", build: sync(engineBuild)},
-		{name: "query-sharded-3", build: sync(shardedBuild(diffShards))},
-		{name: "data-sharded-3", build: sync(dataShardedBuild(diffShards))},
-		{name: "rebalanced-query-sharded-3", build: sync(rebalancedBuild(diffShards)), forceMigrate: true},
-		{name: "pipelined-engine", build: wrapPipe(engineBuild)},
-		{name: "pipelined-query-sharded-3", build: wrapPipe(shardedBuild(diffShards))},
-		{name: "pipelined-data-sharded-3", build: wrapPipe(dataShardedBuild(diffShards))},
-		{name: "pipelined-rebalanced-query-sharded-3", build: wrapPipe(rebalancedBuild(diffShards)), forceMigrate: true},
+	modes := []execMode{
+		{name: "engine", build: engineBuild, postCycle: snapshotRoundTrip},
+		{name: "query-sharded-3", build: shardedBuild(diffShards)},
+		{name: "data-sharded-3", build: dataShardedBuild(diffShards)},
 	}
+	for _, m := range modes[:3] {
+		modes = append(modes, execMode{name: "pipelined-" + m.name, build: m.build, pipelined: true})
+	}
+	return modes
 }
 
 // runDifferential replays the scenario derived from seed through the
@@ -123,13 +106,19 @@ func runDifferential(t *testing.T, seed int64, checkInvariants bool) {
 	}
 
 	for _, m := range allModes() {
-		mon, ing, err := m.build(s.Options())
+		mon, err := m.build(s.Options())
 		if err != nil {
 			t.Fatalf("%v: build %s: %v", s, m.name, err)
 		}
-		cfg := ReplayConfig{Ingester: ing, CheckInvariants: checkInvariants && ing == nil}
-		if m.forceMigrate {
-			cfg.PostCycle = forceMigrations(mon.(migrator))
+		cfg := ReplayConfig{CheckInvariants: checkInvariants && !m.pipelined}
+		if m.pipelined {
+			// A small depth, so the queue actually fills and cycles
+			// genuinely overlap ingestion.
+			p := pipeline.New(mon, pipeline.Options{Depth: 2})
+			mon, cfg.Ingester = p, p
+		}
+		if m.postCycle != nil {
+			cfg.PostCycle = m.postCycle(mon)
 		}
 		got, err := Replay(mon, s, cfg)
 		if cerr := mon.Close(); err == nil {

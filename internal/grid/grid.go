@@ -167,8 +167,7 @@ type Grid struct {
 	stride []int // stride[i] = res^i, for index arithmetic
 	points int
 	// maxCellBytesHW is the largest single cell's capacity byte footprint
-	// ever reached — the tuple-hash-skew signal for memory-aware shard
-	// placement. Updated only when an append grows a cell's backing
+	// ever reached — the tuple-hash-skew signal. Updated only when an append grows a cell's backing
 	// block, so the insert hot path pays one capacity comparison.
 	maxCellBytesHW int64
 }
@@ -512,9 +511,8 @@ func (g *Grid) CellCapBytes(idx int) int64 {
 
 // MaxCellBytesHighWater returns the largest capacity byte footprint any
 // single cell's point columns ever reached. Unlike MemoryBytes it never
-// shrinks — it records the worst skew the tuple hash produced, which is
-// the signal memory-aware placement needs even after the hot cell
-// drained and released its block.
+// shrinks — it records the worst skew the tuple hash produced, even
+// after the hot cell drained and released its block.
 func (g *Grid) MaxCellBytesHighWater() int64 { return g.maxCellBytesHW }
 
 // inflFind returns the position of q in cell c's influence list, or the

@@ -23,16 +23,6 @@ var DefaultDataPartition bool
 // Step loop). cmd/experiments sets it from its -pipeline flag.
 var DefaultPipeline int
 
-// DefaultPlacement names the query placement policy applied to every
-// sharded configuration Defaults produces ("" = hash). cmd/experiments
-// sets it from its -placement flag.
-var DefaultPlacement string
-
-// DefaultRebalanceInterval enables cost-aware rebalancing on every sharded
-// configuration Defaults produces (0 = disabled). cmd/experiments sets it
-// from its -rebalance flag.
-var DefaultRebalanceInterval int
-
 // DefaultStop, when non-nil, is the cancellation channel every
 // configuration Defaults produces watches: closing it makes runs exit at
 // the next cycle boundary with Result.Interrupted set. cmd/experiments
@@ -57,22 +47,20 @@ func Defaults(scale float64, seed int64) Config {
 		cycles = 100
 	}
 	return Config{
-		Algo:              AlgoTMA,
-		Dist:              stream.IND,
-		Func:              stream.FuncLinear,
-		Dims:              4,
-		N:                 n,
-		R:                 maxInt(n/100, 20),
-		Q:                 q,
-		K:                 20,
-		Cycles:            cycles,
-		Shards:            DefaultShards,
-		DataPartition:     DefaultDataPartition,
-		Pipeline:          DefaultPipeline,
-		Placement:         DefaultPlacement,
-		RebalanceInterval: DefaultRebalanceInterval,
-		Stop:              DefaultStop,
-		Seed:              seed,
+		Algo:          AlgoTMA,
+		Dist:          stream.IND,
+		Func:          stream.FuncLinear,
+		Dims:          4,
+		N:             n,
+		R:             maxInt(n/100, 20),
+		Q:             q,
+		K:             20,
+		Cycles:        cycles,
+		Shards:        DefaultShards,
+		DataPartition: DefaultDataPartition,
+		Pipeline:      DefaultPipeline,
+		Stop:          DefaultStop,
+		Seed:          seed,
 	}
 }
 
@@ -118,8 +106,6 @@ func pubsubBase(scale float64, seed int64) Config {
 	// The sweeps own their comparisons; clear whatever global defaults
 	// cmd/experiments installed.
 	cfg.DataPartition = false
-	cfg.Placement = ""
-	cfg.RebalanceInterval = 0
 	cfg.Pipeline = 0
 	cfg.Shards = 0
 	return cfg
@@ -669,121 +655,6 @@ func Experiments() []Experiment {
 					memTbl.Rows = append(memTbl.Rows, memRow)
 				}
 				return []Table{dropTbl, staleTbl, memTbl}, nil
-			},
-		},
-		{
-			ID:    "rebalance",
-			Title: "Rebalancing: shard cycle-time imbalance under skewed query costs, static hash vs cost-aware rebalancing (beyond the paper)",
-			Run: func(scale float64, seed int64) ([]Table, error) {
-				// Skewed per-query cost: k ~ 1 + Zipf(1.3) capped at 4×K,
-				// so a handful of queries dominate cycle time and hash
-				// placement clumps them onto arbitrary shards.
-				costTbl := Table{
-					Title:  "Rebalancing: max-shard attributed cost, deterministic (SMA, IND, Zipf k)",
-					XLabel: "shards",
-					Cols:   []string{"static-hash", "rebalance", "cost ratio", "moves"},
-				}
-				maxTbl := Table{
-					Title:  "Rebalancing: max-shard EWMA cycle time",
-					XLabel: "shards",
-					Cols:   []string{"static-hash", "rebalance"},
-				}
-				ratioTbl := Table{
-					Title:  "Rebalancing: max/mean shard cycle-time imbalance",
-					XLabel: "shards",
-					Cols:   []string{"static-hash", "rebalance"},
-				}
-				timeTbl := Table{
-					Title:  "Rebalancing: total run time",
-					XLabel: "shards",
-					Cols:   []string{"static-hash", "rebalance"},
-				}
-				for _, n := range []int{1, 2, 4, 8, 16} {
-					costRow := Row{X: fmt.Sprintf("%d", n)}
-					maxRow := Row{X: fmt.Sprintf("%d", n)}
-					ratioRow := Row{X: fmt.Sprintf("%d", n)}
-					timeRow := Row{X: fmt.Sprintf("%d", n)}
-					var moves int64
-					var maxCosts [2]int64
-					for ri, rebal := range []bool{false, true} {
-						cfg := Defaults(scale, seed)
-						cfg.Algo = AlgoSMA
-						cfg.Shards = n
-						cfg.ZipfK = 1.3
-						// This sweep owns its comparison: always query
-						// partitioning with hash placement, whatever global
-						// -partition/-placement/-rebalance defaults say —
-						// otherwise the two arms silently measure the same
-						// configuration.
-						cfg.DataPartition = false
-						cfg.Placement = ""
-						cfg.RebalanceInterval = 0
-						// Rebalancing needs queries to move: keep at least a
-						// handful per shard even at small sweep scales.
-						cfg.Q = maxInt(cfg.Q, 6*n)
-						if rebal && n > 1 {
-							cfg.RebalanceInterval = 5
-							cfg.RebalanceThreshold = 1.1
-						}
-						res, err := Run(cfg)
-						if err != nil {
-							return nil, fmt.Errorf("rebalance [shards=%d rebal=%v]: %w", n, rebal, err)
-						}
-						maxCosts[ri] = res.MaxShardCost
-						costRow.Cells = append(costRow.Cells, fmt.Sprintf("%d", res.MaxShardCost))
-						maxRow.Cells = append(maxRow.Cells, FormatDuration(time.Duration(res.MaxShardCycleNS)))
-						ratio := "1.00"
-						if res.MeanShardCycleNS > 0 {
-							ratio = fmt.Sprintf("%.2f", float64(res.MaxShardCycleNS)/float64(res.MeanShardCycleNS))
-						}
-						ratioRow.Cells = append(ratioRow.Cells, ratio)
-						timeRow.Cells = append(timeRow.Cells, FormatDuration(res.RunTime))
-						if rebal {
-							moves = res.Migrations
-						}
-					}
-					costRatio := "1.00"
-					if maxCosts[0] > 0 {
-						costRatio = fmt.Sprintf("%.2f", float64(maxCosts[1])/float64(maxCosts[0]))
-					}
-					costRow.Cells = append(costRow.Cells, costRatio, fmt.Sprintf("%d", moves))
-					costTbl.Rows = append(costTbl.Rows, costRow)
-					maxTbl.Rows = append(maxTbl.Rows, maxRow)
-					ratioTbl.Rows = append(ratioTbl.Rows, ratioRow)
-					timeTbl.Rows = append(timeTbl.Rows, timeRow)
-				}
-				// Query-count axis: rebalancing machinery (cost gathering,
-				// trigger, migration) must stay cheap relative to the cycle
-				// even at pub/sub-scale query counts.
-				qTbl := Table{
-					Title:  "Rebalancing: run time vs query count (near-dup threshold queries, shards=4)",
-					XLabel: "Q",
-					Cols:   []string{"static-hash", "rebalance", "moves"},
-				}
-				for _, q := range queryCounts(scale) {
-					row := Row{X: fmt.Sprintf("%d", q)}
-					var moves int64
-					for _, rebal := range []bool{false, true} {
-						cfg := pubsubBase(scale, seed)
-						cfg.Shards = 4
-						cfg.Q = q
-						if rebal {
-							cfg.RebalanceInterval = 5
-							cfg.RebalanceThreshold = 1.1
-						}
-						res, err := Run(cfg)
-						if err != nil {
-							return nil, fmt.Errorf("rebalance querycount [Q=%d rebal=%v]: %w", q, rebal, err)
-						}
-						row.Cells = append(row.Cells, FormatDuration(res.RunTime))
-						if rebal {
-							moves = res.Migrations
-						}
-					}
-					row.Cells = append(row.Cells, fmt.Sprintf("%d", moves))
-					qTbl.Rows = append(qTbl.Rows, row)
-				}
-				return []Table{costTbl, maxTbl, ratioTbl, timeTbl, qTbl}, nil
 			},
 		},
 		{

@@ -137,11 +137,6 @@ type Config struct {
 	// an overload sweep varies. Zero disables pacing. Requires
 	// Pipeline > 0.
 	IngestInterval time.Duration
-	// ZipfK, when > 1, draws each query's k from 1 + Zipf(ZipfK) capped at
-	// 4×K instead of the uniform K — the skewed per-query-cost workload
-	// the rebalance sweep needs (a few expensive queries among many cheap
-	// ones).
-	ZipfK float64
 	// NearDupQueries draws the query set as ±1% jittered copies of eight
 	// base preference vectors instead of independent functions — the
 	// pub/sub-style workload where the shared query index collapses the
@@ -151,18 +146,8 @@ type Config struct {
 	// top-k: each query's threshold is this fraction of its function's
 	// maximum achievable score on the unit workspace (0.95 ≈ the pub/sub
 	// matching regime, where most cycles deliver nothing to most
-	// queries). Grid algorithms only; K/ZipfK are ignored.
+	// queries). Grid algorithms only; K is ignored.
 	ThresholdFrac float64
-	// Placement names the query placement policy for query-partitioned
-	// sharded runs: "hash" (default) or "least-loaded".
-	Placement string
-	// RebalanceInterval, when positive, enables cost-aware rebalancing
-	// with live query migration every this many cycles (query-partitioned
-	// sharded runs only).
-	RebalanceInterval int
-	// RebalanceThreshold is the max/mean imbalance ratio that triggers
-	// migrations (0 = the shard package default).
-	RebalanceThreshold float64
 	// Progress, when non-nil with ProgressEvery > 0, is invoked every
 	// ProgressEvery measured cycles with the monitor's current per-shard
 	// loads (nil for unsharded monitors). On a pipelined run the load read
@@ -218,12 +203,6 @@ func (c Config) Validate() error {
 	case c.K <= 0:
 		return fmt.Errorf("harness: K=%d", c.K)
 	}
-	// Mirror pkg/topkmon: placement and rebalancing only exist on the
-	// query-partitioned sharded monitor. Silently dropping them would let
-	// a sweep publish a no-op comparison as a result.
-	if (c.Placement != "" || c.RebalanceInterval > 0) && (c.Shards <= 1 || c.DataPartition) {
-		return fmt.Errorf("harness: Placement/RebalanceInterval require Shards > 1 with query partitioning")
-	}
 	if (c.ThresholdFrac > 0 || c.NearDupQueries) && c.Algo == AlgoTSL {
 		return fmt.Errorf("harness: ThresholdFrac/NearDupQueries apply to the grid algorithms only")
 	}
@@ -261,17 +240,9 @@ type Result struct {
 	MaxShardSpaceBytes int64
 	// MaxShardCycleNS / MeanShardCycleNS are the hottest and the average
 	// shard's EWMA per-cycle wall time at the end of the run (sharded
-	// monitors only; zero otherwise). Their ratio is the load imbalance
-	// the rebalance sweep measures.
+	// monitors only; zero otherwise). Their ratio is the load imbalance.
 	MaxShardCycleNS  int64
 	MeanShardCycleNS int64
-	// MaxShardCost / MeanShardCost are the same imbalance in attributed
-	// query cost — deterministic (event counters, not wall time), so the
-	// rebalance sweep's headline figure is reproducible run to run.
-	MaxShardCost  int64
-	MeanShardCost int64
-	// Migrations counts live query migrations executed by the rebalancer.
-	Migrations int64
 	// Recomputes / Refills count from-scratch computations during
 	// maintenance (engine recomputations or TSL view refills).
 	Recomputes int64
@@ -352,19 +323,7 @@ func NewMonitor(cfg Config) (core.Monitor, *stream.Generator, int64, error) {
 			}
 			mon = s
 		} else if cfg.Shards > 1 {
-			var shardCfg shard.Config
-			if cfg.Placement != "" {
-				p, err := shard.ParsePlacement(cfg.Placement)
-				if err != nil {
-					return nil, nil, 0, err
-				}
-				shardCfg.Placement = p
-			}
-			shardCfg.Rebalance = shard.RebalanceConfig{
-				Interval:  cfg.RebalanceInterval,
-				Threshold: cfg.RebalanceThreshold,
-			}
-			s, err := shard.NewWithConfig(opts, cfg.Shards, shardCfg)
+			s, err := shard.New(opts, cfg.Shards)
 			if err != nil {
 				return nil, nil, 0, err
 			}
@@ -391,13 +350,6 @@ func NewMonitor(cfg Config) (core.Monitor, *stream.Generator, int64, error) {
 		policy = core.SMA
 	}
 	qg := stream.NewQueryGenerator(cfg.Func, cfg.Dims, cfg.Seed+1)
-	// Zipf-skewed k: most queries far below K, a heavy tail up to 4×K, so
-	// per-query costs vary orders of magnitude — the workload where
-	// placement matters.
-	var zipf *rand.Zipf
-	if cfg.ZipfK > 1 {
-		zipf = rand.NewZipf(rand.New(rand.NewSource(cfg.Seed+2)), cfg.ZipfK, 1, uint64(4*cfg.K-1))
-	}
 	// Near-duplicate mode: jittered copies of a few base vectors, so the
 	// quantized cluster keys coincide and the query index shares work.
 	var ndRng *rand.Rand
@@ -430,11 +382,7 @@ func NewMonitor(cfg Config) (core.Monitor, *stream.Generator, int64, error) {
 			thr := cfg.ThresholdFrac * geom.MaxScore(f, unit)
 			spec = core.QuerySpec{F: f, Threshold: &thr}
 		} else {
-			k := cfg.K
-			if zipf != nil {
-				k = 1 + int(zipf.Uint64())
-			}
-			spec = core.QuerySpec{F: f, K: k, Policy: policy}
+			spec = core.QuerySpec{F: f, K: cfg.K, Policy: policy}
 		}
 		if _, err := mon.Register(spec); err != nil {
 			return nil, nil, 0, err
@@ -598,19 +546,14 @@ func Run(cfg Config) (Result, error) {
 	}
 	if sl, ok := mon.(interface{ ShardLoads() []shard.ShardLoad }); ok {
 		if loads := sl.ShardLoads(); len(loads) > 0 {
-			var nsSum, costSum int64
+			var nsSum int64
 			for _, l := range loads {
 				if l.EWMACycleNS > res.MaxShardCycleNS {
 					res.MaxShardCycleNS = l.EWMACycleNS
 				}
 				nsSum += l.EWMACycleNS
-				if l.Cost > res.MaxShardCost {
-					res.MaxShardCost = l.Cost
-				}
-				costSum += l.Cost
 			}
 			res.MeanShardCycleNS = nsSum / int64(len(loads))
-			res.MeanShardCost = costSum / int64(len(loads))
 		}
 	}
 
@@ -623,7 +566,6 @@ func Run(cfg Config) (Result, error) {
 		res.Recomputes = s.Recomputes
 		res.CellsProcessed = s.CellsProcessed
 		res.AvgAuxSize = s.AvgSkybandSize()
-		res.Migrations = s.Migrations
 		res.MemoryHighWater = s.MemoryHighWater
 		res.MaxCellBytesHighWater = s.MaxCellBytesHighWater
 		_ = m.Close()

@@ -695,46 +695,6 @@ func (p *Pipeline) ShardLoads() []shard.ShardLoad {
 	return per
 }
 
-// MigrateQuery forwards a live-migration request to a wrapped
-// query-partitioned sharded monitor as a barrier: every previously
-// ingested batch is applied first, then the move executes at the cycle
-// boundary (the wrapped monitor additionally drains its own shard queues).
-// Monitors without migration support report an error.
-func (p *Pipeline) MigrateQuery(id core.QueryID, target int) error {
-	var err error
-	if cerr := p.call(func() {
-		if m, ok := p.mon.(interface {
-			MigrateQuery(core.QueryID, int) error
-		}); ok {
-			err = m.MigrateQuery(id, target)
-		} else {
-			err = fmt.Errorf("pipeline: wrapped monitor does not support query migration")
-		}
-	}); cerr != nil {
-		return cerr
-	}
-	return err
-}
-
-// MigrateQueries forwards a batched live-migration request — N moves under
-// the wrapped monitor's single drain barrier — with the same barrier
-// semantics as MigrateQuery.
-func (p *Pipeline) MigrateQueries(moves []shard.QueryMove) error {
-	var err error
-	if cerr := p.call(func() {
-		if m, ok := p.mon.(interface {
-			MigrateQueries([]shard.QueryMove) error
-		}); ok {
-			err = m.MigrateQueries(moves)
-		} else {
-			err = fmt.Errorf("pipeline: wrapped monitor does not support query migration")
-		}
-	}); cerr != nil {
-		return cerr
-	}
-	return err
-}
-
 // NumPoints implements core.StreamMonitor as a barrier read.
 func (p *Pipeline) NumPoints() int {
 	var n int

@@ -505,79 +505,6 @@ func TestFixedDepthUnchanged(t *testing.T) {
 	<-done
 }
 
-// TestMigrationThroughPipeline: live query migrations issued through the
-// pipeline barrier while ingestion runs, against a rebalancing sharded
-// monitor — the ISSUE's migration-under-concurrency surface end to end.
-// CheckInfluence (a barrier too) verifies every engine between cycles.
-func TestMigrationThroughPipeline(t *testing.T) {
-	const shards = 3
-	mon, err := shard.NewWithConfig(
-		core.Options{Dims: 3, Window: window.Count(900), TargetCells: 64},
-		shards,
-		shard.Config{Rebalance: shard.RebalanceConfig{Interval: 4, Threshold: 1.05}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := New(mon, Options{Depth: 3})
-	_, done := collect(p)
-
-	gen := stream.NewGenerator(stream.IND, 3, 21)
-	if err := p.Ingest(0, gen.Batch(900, 0)); err != nil {
-		t.Fatal(err)
-	}
-	qg := stream.NewQueryGenerator(stream.FuncLinear, 3, 5)
-	var ids []core.QueryID
-	for i := 0; i < 9; i++ {
-		k := 2 + i%5
-		if i%4 == 0 {
-			k = 25 // skew: some queries cost far more than others
-		}
-		id, err := p.Register(core.QuerySpec{F: qg.Next(), K: k, Policy: core.SMA})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, id)
-	}
-
-	for ts := int64(1); ts <= 40; ts++ {
-		if err := p.Ingest(ts, gen.Batch(70, ts)); err != nil {
-			t.Fatal(err)
-		}
-		if ts%3 == 0 {
-			id := ids[int(ts)%len(ids)]
-			if err := p.MigrateQuery(id, int(ts)%shards); err != nil {
-				t.Fatalf("cycle %d migrate q%d: %v", ts, id, err)
-			}
-			if err := p.CheckInfluence(); err != nil {
-				t.Fatalf("cycle %d: %v", ts, err)
-			}
-		}
-	}
-	if err := p.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range ids {
-		if _, err := p.Result(id); err != nil {
-			t.Fatalf("q%d unusable after migrations: %v", id, err)
-		}
-	}
-	loads := p.ShardLoads()
-	if len(loads) != shards {
-		t.Fatalf("ShardLoads returned %d entries, want %d", len(loads), shards)
-	}
-	total := 0
-	for _, l := range loads {
-		total += l.Queries
-	}
-	if total != len(ids) {
-		t.Fatalf("shard loads count %d queries, want %d", total, len(ids))
-	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-	<-done
-}
-
 // dropRecorder captures LogDrop calls for shed-accounting assertions.
 type dropRecorder struct {
 	mu   sync.Mutex

@@ -32,10 +32,11 @@ import (
 
 const (
 	ckptMagic = "TOPKCKPT"
-	// ckptVersion 2 added the layoutDataSharded tuple-routing sections
+	// ckptVersion 2 added the layoutDataSharded tuple-routing section
 	// (bucket table + divergent placements); 3 dropped the query-index
 	// switch from the options block, and threshold snapshots carry no
-	// influence cells.
+	// influence cells. Tuple routing is a fixed hash, so the routing
+	// section is written empty (see decodeTupleRouting).
 	ckptVersion = 3
 	// ckptHeaderSize is magic + version + payload length.
 	ckptHeaderSize = len(ckptMagic) + 2 + 8
@@ -69,13 +70,8 @@ type manifest struct {
 	globalNext core.QueryID
 	routes     []shard.QueryRoute
 
-	// layoutDataSharded router merge caches and tuple routing. The
-	// routing table must be reinstated before the tail replays, so
-	// re-ingested tuples land on the shards whose engine states the
-	// checkpoint carries.
+	// layoutDataSharded router merge caches.
 	routerQueries []shard.RouterQuery
-	dataRoute     []int
-	dataPins      []shard.TuplePlacement
 }
 
 // engineState is one engine's checkpointed identity (the shard-file
@@ -196,15 +192,9 @@ func encodeManifest(m *manifest) ([]byte, error) {
 			}
 			encodeEntries(e, rq.LastReported)
 		}
-		e.uvarint(uint64(len(m.dataRoute)))
-		for _, si := range m.dataRoute {
-			e.uvarint(uint64(si))
-		}
-		e.uvarint(uint64(len(m.dataPins)))
-		for _, p := range m.dataPins {
-			e.uvarint(p.ID)
-			e.uvarint(uint64(p.Shard))
-		}
+		// The tuple-routing section: an empty bucket table, no pins.
+		e.uvarint(0)
+		e.uvarint(0)
 	default:
 		return nil, fmt.Errorf("recovery: unknown layout %d", m.layout)
 	}
@@ -245,16 +235,8 @@ func decodeManifest(payload []byte) (*manifest, error) {
 			rq.LastReported = decodeEntries(d, r)
 			m.routerQueries = append(m.routerQueries, rq)
 		}
-		nr := d.count(1)
-		for i := 0; i < nr && d.err == nil; i++ {
-			m.dataRoute = append(m.dataRoute, int(d.uvarint()))
-		}
-		np := d.count(2)
-		for i := 0; i < np && d.err == nil; i++ {
-			m.dataPins = append(m.dataPins, shard.TuplePlacement{
-				ID:    d.uvarint(),
-				Shard: int(d.uvarint()),
-			})
+		if err := decodeTupleRouting(d, m.shards); err != nil {
+			return nil, err
 		}
 	default:
 		if d.err == nil {
@@ -268,6 +250,33 @@ func decodeManifest(payload []byte) (*manifest, error) {
 		return nil, fmt.Errorf("%w: manifest: %d shards", ErrCorrupt, m.shards)
 	}
 	return m, nil
+}
+
+// decodeTupleRouting reads a data-sharded manifest's tuple-routing
+// section: a bucket table and a list of pinned tuples. This build writes
+// both empty, because tuples route by hash (shard.TupleBuckets buckets,
+// bucket b on shard b % shards). A manifest written alongside the retired
+// tuple-routing rebalancer carries the table; it restores when the table
+// is that default and pins nothing, which is what every lineage that
+// never rebalanced wrote. Any other routing put tuples where the hash
+// would not, so the lineage is refused as ErrVersion.
+func decodeTupleRouting(d *dec, shards int) error {
+	if shards < 1 {
+		d.fail("%d shards", shards)
+		return nil
+	}
+	nr := d.count(1)
+	diverged := nr != 0 && nr != shard.TupleBuckets
+	for b := 0; b < nr && d.err == nil; b++ {
+		if d.uvarint() != uint64(b%shards) {
+			diverged = true
+		}
+	}
+	np := d.count(2)
+	if d.err == nil && (diverged || np != 0) {
+		return fmt.Errorf("%w: manifest: tuple routing diverges from the hash (%d-bucket table, %d pinned tuples); it was written by the retired tuple-routing rebalancer", ErrVersion, nr, np)
+	}
+	return nil
 }
 
 // --- shard-file codec ---
@@ -389,7 +398,6 @@ func collect(mon core.StreamMonitor, epoch, walNext uint64, aux []byte) (*manife
 		m.clock = inner.ExportClock()
 		m.tail = inner.GlobalTail()
 		m.routerQueries = inner.ExportRouterQueries()
-		m.dataRoute, m.dataPins = inner.ExportTupleRouting()
 		states = make([]*engineState, m.shards)
 		err := inner.Barrier(func(i int, eng *core.Engine) error {
 			st := &engineState{clock: eng.ExportClock()}
@@ -547,7 +555,7 @@ func importQueries(eng *core.Engine, st *engineState) error {
 // buildMonitor reconstructs the checkpointed monitor: fresh construction
 // under the recorded options, tail replay, exact clock pinning, query
 // reinstatement at original ids, router state last.
-func buildMonitor(m *manifest, states []*engineState, cfg shard.Config) (core.StreamMonitor, error) {
+func buildMonitor(m *manifest, states []*engineState) (core.StreamMonitor, error) {
 	switch m.layout {
 	case layoutEngine:
 		st := states[0]
@@ -564,7 +572,7 @@ func buildMonitor(m *manifest, states []*engineState, cfg shard.Config) (core.St
 		}
 		return eng, nil
 	case layoutSharded:
-		s, err := shard.NewWithConfig(m.opts, m.shards, cfg)
+		s, err := shard.New(m.opts, m.shards)
 		if err != nil {
 			return nil, fmt.Errorf("recovery: rebuild sharded monitor: %w", err)
 		}
@@ -586,17 +594,13 @@ func buildMonitor(m *manifest, states []*engineState, cfg shard.Config) (core.St
 		}
 		return s, nil
 	case layoutDataSharded:
-		d, err := shard.NewDataWithConfig(m.opts, m.shards, cfg.Rebalance)
+		d, err := shard.NewData(m.opts, m.shards)
 		if err != nil {
 			return nil, fmt.Errorf("recovery: rebuild data-sharded monitor: %w", err)
 		}
-		// The routing table must be live before the tail replays: replayed
-		// arrivals then land on the same shards the checkpointed monitor
-		// routed them to, matching the per-shard engine states below.
-		if err := d.RestoreTupleRouting(m.dataRoute, m.dataPins); err != nil {
-			d.Close()
-			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
+		// Tuple routing is a function of the tuple id and the shard count,
+		// so replayed arrivals land on the shards whose engine states the
+		// checkpoint carries.
 		if err := replayTail(d, m.opts.Mode, m.clock, m.tail); err != nil {
 			d.Close()
 			return nil, err

@@ -397,29 +397,6 @@ func (g *Guard) ShardLoads() []shard.ShardLoad {
 	return nil
 }
 
-// MigrateQuery forwards a live migration to a query-partitioned sharded
-// monitor. Migrations are transcript-invisible and need no WAL record:
-// a restore replays registrations through the placement policy, and
-// result streams do not depend on which shard maintains a query.
-func (g *Guard) MigrateQuery(id core.QueryID, target int) error {
-	if mig, ok := g.inner.(interface {
-		MigrateQuery(core.QueryID, int) error
-	}); ok {
-		return mig.MigrateQuery(id, target)
-	}
-	return fmt.Errorf("recovery: wrapped monitor does not support query migration")
-}
-
-// MigrateQueries is the bulk form of MigrateQuery.
-func (g *Guard) MigrateQueries(moves []shard.QueryMove) error {
-	if mig, ok := g.inner.(interface {
-		MigrateQueries([]shard.QueryMove) error
-	}); ok {
-		return mig.MigrateQueries(moves)
-	}
-	return fmt.Errorf("recovery: wrapped monitor does not support query migration")
-}
-
 // --- restore ---
 
 // RestoreOptions configures Restore.
@@ -429,13 +406,6 @@ type RestoreOptions struct {
 	Sync  SyncPolicy
 	// Aux is the restored Guard's manifest callback (see GuardOptions.Aux).
 	Aux func() []byte
-	// ShardConfig is applied when the checkpoint describes a
-	// query-partitioned sharded monitor: placement and rebalancing are
-	// runtime policy, not persisted state. For WAL-replayed registrations
-	// to land on their original shards the placement must be a
-	// deterministic function of the global query id and the restored
-	// per-shard query counts (the default hash placement is).
-	ShardConfig shard.Config
 }
 
 // Restore rebuilds the monitor whose lineage lives in dir: load the
@@ -447,7 +417,7 @@ func Restore(dir string, opts RestoreOptions) (*Guard, []byte, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	mon, err := buildMonitor(m, states, opts.ShardConfig)
+	mon, err := buildMonitor(m, states)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -425,11 +425,10 @@ func TestThresholdSnapshotOlderFormatImports(t *testing.T) {
 	if err := d.done(); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	imported, err := dst.ImportQuery(old)
-	if err != nil {
+	if err := dst.ImportQueryAt(old, id); err != nil {
 		t.Fatalf("import: %v", err)
 	}
-	if got, _ := dst.Result(imported); renderEntries(got) != renderEntries(held) {
+	if got, _ := dst.Result(id); renderEntries(got) != renderEntries(held) {
 		t.Fatalf("imported result %s, want %s", renderEntries(got), renderEntries(held))
 	}
 	for ts := int64(6); ts < 14; ts++ {

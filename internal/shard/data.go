@@ -96,18 +96,6 @@ type DataSharded struct {
 	// internal counts.
 	resultUpdates atomic.Int64
 
-	// Tuple routing (databalance.go), guarded by stepMu: route maps
-	// buckets to shards, placed pins every live tuple to the shard that
-	// indexed it, bucketHits counts arrivals per bucket since the last
-	// rebalance pass.
-	route      []int
-	placed     map[uint64]int
-	bucketHits []int64
-	rebalance  RebalanceConfig
-	cycleCount int64
-	prevWork   []int64
-	rebalances atomic.Int64
-
 	// closeMu / closed guard the worker channels' lifetime, as in Sharded.
 	closeMu sync.RWMutex //topk:lockrank 30
 	closed  bool
@@ -121,34 +109,18 @@ var _ core.StreamMonitor = (*DataSharded)(nil)
 // NewData builds a data-partitioned monitor with n shards, each running an
 // engine configured by opts over its hash-slice of the stream.
 func NewData(opts core.Options, n int) (*DataSharded, error) {
-	return NewDataWithConfig(opts, n, RebalanceConfig{})
+	return newDataWithFactory(opts, n, core.NewEngine)
 }
 
-// NewDataWithConfig is NewData with memory-aware routing rebalancing
-// enabled per rb (see databalance.go; the zero value disables it).
-func NewDataWithConfig(opts core.Options, n int, rb RebalanceConfig) (*DataSharded, error) {
-	return newDataWithFactory(opts, n, rb, core.NewEngine)
-}
-
-// newDataWithFactory is NewDataWithConfig with an injectable engine
-// constructor (see newWithFactory).
-func newDataWithFactory(opts core.Options, n int, rb RebalanceConfig, factory func(core.Options) (*core.Engine, error)) (*DataSharded, error) {
+// newDataWithFactory is NewData with an injectable engine constructor
+// (see newWithFactory).
+func newDataWithFactory(opts core.Options, n int, factory func(core.Options) (*core.Engine, error)) (*DataSharded, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("shard: need at least 1 shard, got %d", n)
 	}
-	if err := rb.validate(); err != nil {
-		return nil, err
-	}
 	d := &DataSharded{
-		mode:       opts.Mode,
-		queries:    make(map[core.QueryID]*mergedQuery),
-		route:      make([]int, dataBuckets),
-		placed:     make(map[uint64]int),
-		bucketHits: make([]int64, dataBuckets),
-		rebalance:  rb,
-	}
-	for b := range d.route {
-		d.route[b] = b % n
+		mode:    opts.Mode,
+		queries: make(map[core.QueryID]*mergedQuery),
 	}
 	engOpts := opts
 	if opts.Mode == core.AppendOnly {
@@ -204,8 +176,8 @@ func (d *DataSharded) RestoreClock(c core.Clock) {
 // GlobalTail returns the fleet's live tuples in replay order: the router
 // window's FIFO snapshot under append-only streams, or the per-shard
 // explicit-deletion tails merged by ascending sequence. Re-ingesting the
-// tail into a fresh monitor whose routing state was restored first (see
-// RestoreTupleRouting) repartitions every tuple to its original shard, so
+// tail into a fresh monitor with the same shard count repartitions every
+// tuple to its original shard (routing is a function of the tuple id), so
 // the per-shard indexes rebuild exactly.
 func (d *DataSharded) GlobalTail() []*stream.Tuple {
 	d.stepMu.Lock()
@@ -297,12 +269,30 @@ func (d *DataSharded) RestoreRouterQueries(qs []RouterQuery) error {
 	return nil
 }
 
-// shardOfTuple hash-partitions an id across n shards (splitmix64
-// finalizer, so sequential ids spread uniformly rather than striping).
-// Query routing (shardOf) uses it directly; tuple routing goes through
-// the bucket table built on the same hash (databalance.go).
-func shardOfTuple(id uint64, n int) int {
-	return int(mix64(id) % uint64(n))
+// routeTuples splits an arrival batch or an expiration run into per-shard
+// slices by tuple id, so an expiring tuple reaches the shard that indexed
+// it. Order within each slice is preserved (per-shard Seq order — and
+// hence FIFO expiration — survives partitioning).
+func (d *DataSharded) routeTuples(batch []*stream.Tuple) [][]*stream.Tuple {
+	parts := make([][]*stream.Tuple, len(d.workers))
+	for _, t := range batch {
+		si := shardOfTuple(t.ID, len(d.workers))
+		parts[si] = append(parts[si], t)
+	}
+	return parts
+}
+
+// routeDeleted splits explicit deletions (UpdateStream mode), which
+// arrive as bare ids, by the same hash: a deletion always reaches the
+// shard that indexed the tuple, and an unknown id reaches a shard whose
+// engine reports it.
+func (d *DataSharded) routeDeleted(ids []uint64) [][]uint64 {
+	parts := make([][]uint64, len(d.workers))
+	for _, id := range ids {
+		si := shardOfTuple(id, len(d.workers))
+		parts[si] = append(parts[si], id)
+	}
+	return parts
 }
 
 // Register implements core.Monitor. The query is installed on every shard
@@ -518,19 +508,14 @@ func (d *DataSharded) Step(now int64, arrivals []*stream.Tuple) ([]core.Update, 
 	d.started = true
 	d.now = now
 
-	parts := d.routeArrivals(arrivals)
+	parts := d.routeTuples(arrivals)
 	for _, t := range arrivals {
 		d.win.Push(t)
 	}
-	expParts := d.routeExpired(d.win.Expire(now))
-	updates, err := d.runCycle(func(i int, e *core.Engine) ([]core.Update, error) {
+	expParts := d.routeTuples(d.win.Expire(now))
+	return d.runCycle(func(i int, e *core.Engine) ([]core.Update, error) {
 		return e.StepExternal(now, parts[i], expParts[i])
 	})
-	if err != nil {
-		return nil, err
-	}
-	d.maybeRebalanceLocked()
-	return updates, nil
 }
 
 // StepUpdate implements core.StreamMonitor for the explicit-deletion
@@ -547,16 +532,11 @@ func (d *DataSharded) StepUpdate(now int64, arrivals []*stream.Tuple, deletions 
 	if d.closed {
 		return nil, ErrStopped
 	}
-	parts := d.routeArrivals(arrivals)
+	parts := d.routeTuples(arrivals)
 	delParts := d.routeDeleted(deletions)
-	updates, err := d.runCycle(func(i int, e *core.Engine) ([]core.Update, error) {
+	return d.runCycle(func(i int, e *core.Engine) ([]core.Update, error) {
 		return e.StepUpdate(now, parts[i], delParts[i])
 	})
-	if err != nil {
-		return nil, err
-	}
-	d.maybeRebalanceLocked()
-	return updates, nil
 }
 
 // runCycle broadcasts one partitioned cycle, then merges: the union of the
@@ -703,7 +683,6 @@ func (d *DataSharded) Stats() core.Stats {
 		}
 	}
 	agg.ResultUpdates = d.resultUpdates.Load()
-	agg.Migrations = d.rebalances.Load()
 	return agg
 }
 
@@ -721,24 +700,19 @@ func (d *DataSharded) MemoryBytes() int64 {
 	if d.win != nil {
 		total += d.win.MemoryBytes()
 	}
-	const mapEntrySize = 16
 	const entrySize = 24
 	d.qmu.RLock()
 	for _, st := range d.queries {
 		total += int64(len(st.reported)) * entrySize
 	}
 	d.qmu.RUnlock()
-	// Routing state: the bucket table and hit counters are fixed-size;
-	// the placement pins grow with the live tuple count.
-	total += int64(len(d.route))*8 + int64(len(d.bucketHits))*8
-	total += int64(len(d.placed)) * (mapEntrySize + 8)
 	return total
 }
 
 // ShardLoads returns every shard's current load. Under data partitioning
-// every query runs on every shard, so the query count is uniform and there
-// is nothing to migrate — the per-shard EWMA cycle time and memory figures
-// are the useful part (skew here means the *tuple* hash is unbalanced).
+// every query runs on every shard, so the query count is uniform — the
+// per-shard EWMA cycle time and memory figures are the useful part (skew
+// here means the *tuple* hash is unbalanced).
 func (d *DataSharded) ShardLoads() []ShardLoad {
 	per := make([]ShardLoad, len(d.workers))
 	d.broadcast(func(i int, _ *core.Engine) {

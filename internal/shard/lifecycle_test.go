@@ -34,11 +34,11 @@ func TestNewFailureStopsWorkers(t *testing.T) {
 	opts := core.Options{Dims: 2, Window: window.Count(100), TargetCells: 16}
 	for name, construct := range map[string]func() error{
 		"query": func() error {
-			_, err := newWithFactory(opts, 4, Config{}, failAfter(2))
+			_, err := newWithFactory(opts, 4, failAfter(2))
 			return err
 		},
 		"data": func() error {
-			_, err := newDataWithFactory(opts, 4, RebalanceConfig{}, failAfter(2))
+			_, err := newDataWithFactory(opts, 4, failAfter(2))
 			return err
 		},
 	} {

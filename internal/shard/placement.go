@@ -1,35 +1,25 @@
-// Placement: the routing-table layer that decides which shard owns a
-// query under query partitioning. PR 1 hard-wired a splitmix hash here;
-// hashing balances query *counts* while leaving cycle time hostage to the
-// hottest shard — per-query cost is dominated by influence-cell volume and
-// k, both of which vary orders of magnitude across queries. Placement makes
-// the decision pluggable (static hash, least-loaded-on-register) and the
-// rebalancer (rebalance.go) revises it at runtime by migrating queries
-// between engines.
-//
-// Skewed per-node load, not node count, is what bounds throughput in
-// distributed sliding-window monitoring (Papapetrou et al.; Mäcker et
-// al.) — the placement layer is this system's answer.
+// Placement: where queries and tuples live. Both layouts place by hash
+// alone. Under query partitioning a query lives on shardOf(id, n) for its
+// whole life; under data partitioning a tuple lives on shardOfTuple(id, n)
+// from arrival to expiry or deletion. Neither mapping reads load, so the
+// router keeps no per-query or per-tuple placement state, and a restore
+// re-derives every tuple's shard from its id.
 
 package shard
 
 import (
-	"fmt"
-
 	"topkmon/internal/core"
 )
 
-// ShardLoad describes one shard's current load, the input to placement
-// decisions and the per-shard figure surfaced through the public API.
+// ShardLoad describes one shard's current load, the per-shard figure
+// surfaced through the public API.
 type ShardLoad struct {
 	// Shard is the shard index.
 	Shard int
 	// Queries is the number of queries currently routed to the shard.
 	Queries int
 	// EWMACycleNS is an exponentially weighted moving average (alpha 0.2)
-	// of the shard's per-cycle wall time in nanoseconds. Observability
-	// only: placement and rebalancing decide on Cost, which is
-	// deterministic for a given stream, so decisions are reproducible.
+	// of the shard's per-cycle wall time in nanoseconds.
 	EWMACycleNS int64
 	// QueueDepth is the number of cycles queued on the shard's bounded
 	// job channel at gather time (capacity QueueCap) — nonzero only under
@@ -46,7 +36,7 @@ type ShardLoad struct {
 	MemoryBytes int64
 	// MemoryHighWater is the largest MemoryBytes figure the shard engine
 	// has observed (refreshed by every footprint read, including this
-	// gather) — the burst-memory signal for capacity-aware placement.
+	// gather).
 	MemoryHighWater int64
 	// MaxCellBytesHighWater is the largest single grid cell the shard
 	// ever allocated, in bytes: the tuple-skew signal. Exact, maintained
@@ -79,71 +69,32 @@ func gatherLoad(i int, w *worker) ShardLoad {
 	}
 }
 
-// Placement decides the shard for a newly registered query. Implementations
-// must be deterministic functions of their inputs: the sharded monitor
-// promises that a single-threaded registration sequence routes queries
-// identically on every run (the property the differential harness leans
-// on). loads carries the router's current view — exact query counts, cost
-// figures as of the last rebalance pass or ShardLoads call.
-type Placement interface {
-	// Place returns the index of the shard that should own the query.
-	// len(loads) is the shard count; out-of-range returns are rejected by
-	// the monitor.
-	Place(id core.QueryID, loads []ShardLoad) int
-	// String names the policy for flags and logs.
-	String() string
+// TupleBuckets is the size of the bucket space tuple ids hash onto before
+// bucket b maps to shard b % n. It is part of the data-partitioned
+// checkpoint format: a restore re-routes the window tail through
+// shardOfTuple, so changing it would land tuples on shards whose engine
+// state does not hold them.
+const TupleBuckets = 256
+
+// mix64 is the splitmix64 finalizer both routing hashes share, so
+// sequential ids spread uniformly rather than striping.
+func mix64(id uint64) uint64 {
+	x := id
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
 }
 
-// HashPlacement is the PR 1 static policy: the global query id is hashed
-// (splitmix64 finalizer) across shards. Zero coordination, perfectly
-// balanced counts, oblivious to cost — the baseline every other policy is
-// measured against.
-type HashPlacement struct{}
-
-// shardOf hash-partitions a global query id (splitmix64 finalizer, so
-// sequential ids spread uniformly rather than striping).
+// shardOf hash-partitions a global query id across n shards.
 func shardOf(id core.QueryID, n int) int {
-	return shardOfTuple(uint64(id), n)
+	return int(mix64(uint64(id)) % uint64(n))
 }
 
-// Place implements Placement.
-func (HashPlacement) Place(id core.QueryID, loads []ShardLoad) int {
-	return shardOf(id, len(loads))
-}
-
-// String implements Placement.
-func (HashPlacement) String() string { return "hash" }
-
-// LeastLoadedPlacement routes a new query to the shard with the lowest
-// attributed cost, breaking ties by query count and then shard index. New
-// queries have no cost history, so this is a best-effort spread: it avoids
-// stacking registrations onto a shard already known to be hot, and the
-// rebalancer corrects the picture as costs accrue.
-type LeastLoadedPlacement struct{}
-
-// Place implements Placement.
-func (LeastLoadedPlacement) Place(id core.QueryID, loads []ShardLoad) int {
-	best := 0
-	for i := 1; i < len(loads); i++ {
-		a, b := loads[i], loads[best]
-		if a.Cost < b.Cost || (a.Cost == b.Cost && a.Queries < b.Queries) {
-			best = i
-		}
-	}
-	return best
-}
-
-// String implements Placement.
-func (LeastLoadedPlacement) String() string { return "least-loaded" }
-
-// ParsePlacement converts a policy name to a Placement.
-func ParsePlacement(s string) (Placement, error) {
-	switch s {
-	case "hash", "static", "static-hash":
-		return HashPlacement{}, nil
-	case "least-loaded", "leastloaded", "least":
-		return LeastLoadedPlacement{}, nil
-	default:
-		return nil, fmt.Errorf("shard: unknown placement policy %q", s)
-	}
+// shardOfTuple hash-partitions a tuple id across n shards through the
+// TupleBuckets bucket space.
+func shardOfTuple(id uint64, n int) int {
+	return int(mix64(id)%TupleBuckets) % n
 }

@@ -4,8 +4,8 @@
 // are provided, following the partition-and-merge pattern of distributed
 // sliding-window monitoring (Papapetrou et al.; Chan et al.):
 //
-//   - Sharded (New, this file) partitions the *query set*: registered
-//     queries are hash-partitioned across shards, while every processing
+//   - Sharded (New, this file) partitions the *query set*: each registered
+//     query lives on the shard its id hashes to, while every processing
 //     cycle's arrival/expiration batch is broadcast to all shards in
 //     parallel. Each shard is a complete engine — its own grid index,
 //     window and query table — owned by exactly one goroutine, so the
@@ -24,8 +24,11 @@
 //     hash-partitioned across shards, every query runs on every shard
 //     against its O(N/shards) slice, and the router k-way merges the
 //     per-shard partial results into the exact global answer. Index
-//     memory stays O(N) in total regardless of the shard count — the
-//     layout for shard counts beyond the replication sweet spot.
+//     memory stays O(N) in total regardless of the shard count, at the
+//     price of a router-side merge on every cycle.
+//
+// Both layouts place by hash alone (placement.go): nothing moves between
+// shards once it has arrived.
 //
 // The differential tests in shard_test.go and data_test.go verify both
 // layouts emit update streams identical to the single engine's for every
@@ -66,53 +69,22 @@ type route struct {
 type Sharded struct {
 	workers []*worker
 
-	// placement decides the shard of each new registration; rebalance
-	// lets the monitor revise those decisions at runtime by migrating
-	// queries between engines (rebalance.go). Both are fixed at
-	// construction.
-	placement Placement
-	rebalance RebalanceConfig
-
 	// regMu serializes registrations end to end (id allocation, engine
 	// call, rollback), making the id rollback on a rejected spec exact:
 	// ids never burn, so id assignment matches the single engine even
 	// under concurrent Register calls racing with rejected specs.
 	regMu sync.Mutex //topk:lockrank 10
 
-	// mu guards the routing table and the router-side load view handed to
-	// the placement policy: exact per-shard query counts, plus cost and
-	// cycle-time figures refreshed by rebalance passes and ShardLoads.
+	// mu guards the routing table.
 	mu     sync.Mutex //topk:lockrank 40 leaf
 	nextID core.QueryID
 	routes map[core.QueryID]route
-	counts []int
-	costs  []int64
-	ewmas  []int64
-
-	// cycleCount and prevCost belong to the rebalancer and are guarded by
-	// stepMu: processing cycles since construction, and every query's
-	// cumulative attributed cost as of the last rebalance pass.
-	cycleCount int64
-	prevCost   map[core.QueryID]int64
-
-	// migrations counts executed live query migrations; drains counts
-	// cycle-barrier drains (every drain stalls the whole monitor, which is
-	// why multi-move passes must batch behind a single one — asserted by
-	// tests).
-	migrations atomic.Int64
-	drains     atomic.Int64
 
 	// closeMu guards the worker channels' lifetime: every operation holds
 	// it for reading while it may send jobs, Close holds it for writing
 	// while closing the channels. closed is written under the write lock.
 	closeMu sync.RWMutex //topk:lockrank 30
 	closed  bool
-
-	// migMu keeps a resolved route valid while it is used: Result and
-	// Unregister hold it shared from the routing-table read until their
-	// worker call returns (mu, a leaf lock, is released before the call),
-	// a migration holds it exclusively while the query changes shards.
-	migMu sync.RWMutex //topk:lockrank 35
 
 	// stepMu serializes processing cycles.
 	stepMu sync.Mutex //topk:lockrank 20
@@ -173,56 +145,23 @@ func (w *worker) call(fn func()) {
 	<-done
 }
 
-// Config tunes a query-partitioned sharded monitor beyond the engine
-// options: how new queries are placed and whether (and how aggressively)
-// the monitor rebalances them at runtime.
-type Config struct {
-	// Placement decides the shard of each new registration. Nil selects
-	// HashPlacement, PR 1's static splitmix hash.
-	Placement Placement
-	// Rebalance enables periodic cost-aware rebalancing with live query
-	// migration (zero value: disabled). See RebalanceConfig.
-	Rebalance RebalanceConfig
-}
-
-// New builds a sharded monitor with n shards, each configured by opts,
-// using static hash placement and no rebalancing.
+// New builds a sharded monitor with n shards, each configured by opts.
 func New(opts core.Options, n int) (*Sharded, error) {
-	return NewWithConfig(opts, n, Config{})
+	return newWithFactory(opts, n, core.NewEngine)
 }
 
-// NewWithConfig is New with an explicit placement/rebalancing
-// configuration.
-func NewWithConfig(opts core.Options, n int, cfg Config) (*Sharded, error) {
-	return newWithFactory(opts, n, cfg, core.NewEngine)
-}
-
-// newWithFactory is NewWithConfig with an injectable engine constructor, so
-// tests can exercise the mid-construction failure path (identical options
+// newWithFactory is New with an injectable engine constructor, so tests
+// can exercise the mid-construction failure path (identical options
 // otherwise fail deterministically on the first shard or none at all).
-func newWithFactory(opts core.Options, n int, cfg Config, factory func(core.Options) (*core.Engine, error)) (*Sharded, error) {
+func newWithFactory(opts core.Options, n int, factory func(core.Options) (*core.Engine, error)) (*Sharded, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("shard: need at least 1 shard, got %d", n)
-	}
-	if cfg.Placement == nil {
-		cfg.Placement = HashPlacement{}
-	}
-	if err := cfg.Rebalance.validate(); err != nil {
-		return nil, err
 	}
 	workers, err := spawnWorkers(opts, n, factory)
 	if err != nil {
 		return nil, err
 	}
-	return &Sharded{
-		workers:   workers,
-		placement: cfg.Placement,
-		rebalance: cfg.Rebalance,
-		routes:    make(map[core.QueryID]route),
-		counts:    make([]int, n),
-		costs:     make([]int64, n),
-		ewmas:     make([]int64, n),
-	}, nil
+	return &Sharded{workers: workers, routes: make(map[core.QueryID]route)}, nil
 }
 
 // spawnWorkers builds n engines and starts one worker goroutine per
@@ -312,8 +251,10 @@ func (s *Sharded) ExportRouting() (core.QueryID, []QueryRoute) {
 // RestoreRouting reinstates an exported routing table on a freshly built
 // monitor whose shard engines already hold the corresponding queries at
 // the recorded local ids (the checkpoint restore path): the router-side
-// routes and per-shard counts, plus each worker's local→global
-// translation table.
+// routes, plus each worker's local→global translation table. Routes are
+// reinstated as recorded, not re-derived from the hash, so a lineage
+// whose queries sit elsewhere (written by an older placement policy)
+// restores them in place.
 func (s *Sharded) RestoreRouting(next core.QueryID, routes []QueryRoute) error {
 	s.closeMu.RLock()
 	defer s.closeMu.RUnlock()
@@ -335,7 +276,6 @@ func (s *Sharded) RestoreRouting(next core.QueryID, routes []QueryRoute) error {
 			return fmt.Errorf("shard: duplicate route for query %d", r.Global)
 		}
 		s.routes[r.Global] = route{shard: r.Shard, local: r.Local}
-		s.counts[r.Shard]++
 		perShard[r.Shard][r.Local] = r.Global
 	}
 	s.nextID = next
@@ -351,23 +291,12 @@ func (s *Sharded) RestoreRouting(next core.QueryID, routes []QueryRoute) error {
 	return nil
 }
 
-// loadsLocked assembles the router-side load view for the placement
-// policy: exact query counts, cost/timing figures as refreshed by the last
-// rebalance pass or ShardLoads call. Callers hold mu.
-func (s *Sharded) loadsLocked() []ShardLoad {
-	loads := make([]ShardLoad, len(s.workers))
-	for i := range loads {
-		loads[i] = ShardLoad{Shard: i, Queries: s.counts[i], Cost: s.costs[i], EWMACycleNS: s.ewmas[i]}
-	}
-	return loads
-}
-
 // Register implements core.Monitor. Global query ids are assigned in
-// registration order (matching the single engine) and routed to a shard by
-// the placement policy, whose engine computes the initial result.
-// Registrations are serialized by regMu so a rejected spec rolls its id
-// back exactly — the documented "ids match the single engine" property
-// holds even when concurrent registrations race with rejections.
+// registration order (matching the single engine) and hashed to a shard,
+// whose engine computes the initial result. Registrations are serialized
+// by regMu so a rejected spec rolls its id back exactly — the documented
+// "ids match the single engine" property holds even when concurrent
+// registrations race with rejections.
 func (s *Sharded) Register(spec core.QuerySpec) (core.QueryID, error) {
 	s.regMu.Lock()
 	defer s.regMu.Unlock()
@@ -379,14 +308,8 @@ func (s *Sharded) Register(spec core.QuerySpec) (core.QueryID, error) {
 	s.mu.Lock()
 	global := s.nextID
 	s.nextID++
-	si := s.placement.Place(global, s.loadsLocked())
 	s.mu.Unlock()
-	if si < 0 || si >= len(s.workers) {
-		s.mu.Lock()
-		s.nextID--
-		s.mu.Unlock()
-		return 0, fmt.Errorf("shard: placement %v routed query %d to shard %d of %d", s.placement, global, si, len(s.workers))
-	}
+	si := shardOf(global, len(s.workers))
 	w := s.workers[si]
 	var local core.QueryID
 	var err error
@@ -405,7 +328,6 @@ func (s *Sharded) Register(spec core.QuerySpec) (core.QueryID, error) {
 		return 0, err
 	}
 	s.routes[global] = route{shard: si, local: local}
-	s.counts[si]++
 	return global, nil
 }
 
@@ -416,13 +338,10 @@ func (s *Sharded) Unregister(id core.QueryID) error {
 	if s.closed {
 		return ErrStopped
 	}
-	s.migMu.RLock()
-	defer s.migMu.RUnlock()
 	s.mu.Lock()
 	r, ok := s.routes[id]
 	if ok {
 		delete(s.routes, id)
-		s.counts[r.shard]--
 	}
 	s.mu.Unlock()
 	if !ok {
@@ -444,8 +363,6 @@ func (s *Sharded) Result(id core.QueryID) ([]core.Entry, error) {
 	if s.closed {
 		return nil, ErrStopped
 	}
-	s.migMu.RLock()
-	defer s.migMu.RUnlock()
 	s.mu.Lock()
 	r, ok := s.routes[id]
 	s.mu.Unlock()
@@ -524,8 +441,8 @@ func mergeShardUpdates(results []shardResult) ([]core.Update, error) {
 		merged = append(merged, r.updates...)
 	}
 	// Global ids are unique across shards, so sorting by id restores the
-	// single engine's global ordering regardless of how placement or
-	// migration distributed the queries.
+	// single engine's global ordering regardless of which shard holds
+	// which query.
 	slices.SortFunc(merged, func(a, b core.Update) int { return cmp.Compare(a.Query, b.Query) })
 	return merged, nil
 }
@@ -564,9 +481,7 @@ func (s *Sharded) submit(step func(*core.Engine) ([]core.Update, error)) (*Ticke
 }
 
 // cycle runs one synchronous processing cycle: submit plus wait, with
-// stepMu held end to end so cycles are fully serialized. A rebalance check
-// may run after the cycle completes — the cycle barrier where migrations
-// are safe.
+// stepMu held end to end so cycles are fully serialized.
 func (s *Sharded) cycle(step func(*core.Engine) ([]core.Update, error)) ([]core.Update, error) {
 	s.stepMu.Lock()
 	defer s.stepMu.Unlock()
@@ -574,11 +489,7 @@ func (s *Sharded) cycle(step func(*core.Engine) ([]core.Update, error)) ([]core.
 	if err != nil {
 		return nil, err
 	}
-	updates, err := t.Wait()
-	if err == nil {
-		s.maybeRebalanceLocked()
-	}
-	return updates, err
+	return t.Wait()
 }
 
 // StepAsync submits one append-only cycle without waiting for the shards
@@ -592,29 +503,18 @@ func (s *Sharded) cycle(step func(*core.Engine) ([]core.Update, error)) ([]core.
 func (s *Sharded) StepAsync(now int64, arrivals []*stream.Tuple) (*Ticket, error) {
 	s.stepMu.Lock()
 	defer s.stepMu.Unlock()
-	t, err := s.submit(func(e *core.Engine) ([]core.Update, error) {
+	return s.submit(func(e *core.Engine) ([]core.Update, error) {
 		return e.Step(now, arrivals)
 	})
-	if err == nil {
-		// Rebalance checks drain the shard queues first (including the
-		// cycle just submitted), so every Interval-th submission briefly
-		// becomes a barrier — the cost of migrating at a consistent point.
-		s.maybeRebalanceLocked()
-	}
-	return t, err
 }
 
 // StepUpdateAsync is StepAsync for the explicit-deletion stream model.
 func (s *Sharded) StepUpdateAsync(now int64, arrivals []*stream.Tuple, deletions []uint64) (*Ticket, error) {
 	s.stepMu.Lock()
 	defer s.stepMu.Unlock()
-	t, err := s.submit(func(e *core.Engine) ([]core.Update, error) {
+	return s.submit(func(e *core.Engine) ([]core.Update, error) {
 		return e.StepUpdate(now, arrivals, deletions)
 	})
-	if err == nil {
-		s.maybeRebalanceLocked()
-	}
-	return t, err
 }
 
 // checkInfluenceAll runs core.Engine.CheckInfluence on every shard engine
@@ -670,26 +570,18 @@ func (s *Sharded) Stats() core.Stats {
 			agg.MaxCellBytesHighWater = st.MaxCellBytesHighWater
 		}
 	}
-	agg.Migrations = s.migrations.Load()
 	return agg
 }
 
 // ShardLoads returns every shard's current load: routed query count, EWMA
 // per-cycle wall time, cumulative attributed query cost, and memory
-// footprint. The gather runs on the worker goroutines (serialized against
-// queued cycles) and refreshes the router-side view the placement policy
-// sees on the next Register.
+// footprint. The gather runs on the worker goroutines, serialized against
+// queued cycles.
 func (s *Sharded) ShardLoads() []ShardLoad {
 	per := make([]ShardLoad, len(s.workers))
 	s.broadcast(func(i int, _ *core.Engine) {
 		per[i] = gatherLoad(i, s.workers[i])
 	})
-	s.mu.Lock()
-	for i, l := range per {
-		s.costs[i] = l.Cost
-		s.ewmas[i] = l.EWMACycleNS
-	}
-	s.mu.Unlock()
 	return per
 }
 
@@ -728,10 +620,6 @@ func (s *Sharded) ResetLoadStats() {
 		w.ewmaNS.Store(0)
 	}
 }
-
-// Migrations returns the number of live query migrations executed so far
-// (rebalancer passes plus explicit MigrateQuery calls).
-func (s *Sharded) Migrations() int64 { return s.migrations.Load() }
 
 // MemoryBytes implements core.Monitor: the sum over shards. The index
 // really is replicated per shard, so the total reflects the cost of the

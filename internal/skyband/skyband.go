@@ -184,8 +184,8 @@ func (s *Skyband) InsertBatch(entries []Entry) int {
 }
 
 // Restore replaces the skyband contents with entries previously exported
-// via Entries() — including their dominance counters — so a query migrated
-// between engines resumes with byte-identical skyband state. The input must
+// via Entries() — including their dominance counters — so a query restored
+// from a checkpoint resumes with byte-identical skyband state. The input must
 // be in descending total order with counters in [0, k); Restore validates
 // and rejects malformed input without touching the current contents.
 func (s *Skyband) Restore(entries []Entry) error {

@@ -93,8 +93,7 @@ type Searcher struct {
 	CellsProcessed int64
 	// HeapOps accumulates cell-heap pushes and pops across computations.
 	// Together with CellsProcessed it measures the work of one computation,
-	// which the engine attributes to the owning query for cost-aware shard
-	// rebalancing.
+	// which the engine attributes to the owning query (core.Stats).
 	HeapOps int64
 }
 

@@ -49,13 +49,6 @@ type (
 	// ShardLoad describes one shard's load: routed query count, EWMA
 	// per-cycle wall time, cumulative attributed query cost, memory.
 	ShardLoad = shard.ShardLoad
-	// Placement decides the shard of each newly registered query on a
-	// query-partitioned sharded monitor. Implementations must be
-	// deterministic functions of their inputs; see WithPlacement.
-	Placement = shard.Placement
-	// QueryMove names one query's migration target; a batch of them is
-	// executed under a single drain barrier by Monitor.MigrateQueries.
-	QueryMove = shard.QueryMove
 	// AdmissionConfig tunes the load-shedding governor enabled by
 	// WithAdmission: AIMD rate bounds, RED watermarks, the per-cycle
 	// latency target and the memory limit. The zero value selects workable
@@ -154,19 +147,6 @@ func NewRect(lo, hi Vector) (Rect, error) { return geom.NewRect(lo, hi) }
 
 // ParsePolicy converts "TMA"/"SMA" (any case) to a Policy.
 func ParsePolicy(s string) (Policy, error) { return core.ParsePolicy(s) }
-
-// PlacementHash returns the static-hash placement policy (the default):
-// query ids are splitmix-hashed across shards. Balanced counts, zero
-// coordination, oblivious to per-query cost.
-func PlacementHash() Placement { return shard.HashPlacement{} }
-
-// PlacementLeastLoaded returns the least-loaded placement policy: each new
-// query goes to the shard with the lowest attributed cost (ties: fewest
-// queries, then lowest index).
-func PlacementLeastLoaded() Placement { return shard.LeastLoadedPlacement{} }
-
-// ParsePlacement converts "hash"/"least-loaded" to a Placement.
-func ParsePlacement(s string) (Placement, error) { return shard.ParsePlacement(s) }
 
 // NewGenerator returns a synthetic tuple generator with globally increasing
 // ids and sequence numbers, ready to feed Step.

@@ -37,9 +37,11 @@ const (
 	// its O(N/shards) slice of the tuples, every query runs on every
 	// shard, and the router k-way merges the per-shard partial top-k
 	// results into the exact global answer. Index memory and ingest work
-	// stay O(N) in total regardless of the shard count — the layout for
-	// shard counts beyond the replication sweet spot (~8) and for windows
-	// too large to replicate.
+	// stay O(N) in total regardless of the shard count, where
+	// PartitionQueries grows them ×shards. The router merge is not free:
+	// on the benchmark's fullstack-paced workload (two data shards, a
+	// 2-vCPU VM) a sharded cycle takes about 1.3× a single engine's
+	// (shard.tax_ratio in BENCHMARK.json's per-layer pass).
 	PartitionData
 )
 
@@ -69,21 +71,18 @@ func ParsePartitioning(s string) (Partitioning, error) {
 
 // config collects the options New accepts.
 type config struct {
-	shards             int
-	partition          Partitioning
-	placement          Placement
-	rebalanceInterval  int
-	rebalanceThreshold float64
-	policy             Policy
-	mode               StreamMode
-	clock              Clock
-	window             window.Spec
-	cells              int
-	pipeDepth          int
-	admission          *AdmissionConfig
-	checkpointDir      string
-	checkpointEvery    int
-	checkpointSync     bool
+	shards          int
+	partition       Partitioning
+	policy          Policy
+	mode            StreamMode
+	clock           Clock
+	window          window.Spec
+	cells           int
+	pipeDepth       int
+	admission       *AdmissionConfig
+	checkpointDir   string
+	checkpointEvery int
+	checkpointSync  bool
 }
 
 // Option configures a Monitor.
@@ -102,40 +101,6 @@ func WithShards(n int) Option { return func(c *config) { c.shards = n } }
 // PartitionData (disjoint stream slices per shard, every query everywhere,
 // router-side top-k merge). It has no effect on single-engine monitors.
 func WithPartitioning(p Partitioning) Option { return func(c *config) { c.partition = p } }
-
-// WithPlacement selects the placement policy of a query-partitioned
-// sharded monitor: which shard each newly registered query lands on. Use
-// PlacementHash (the default), PlacementLeastLoaded, or any custom
-// deterministic Placement implementation. Requires WithShards(n > 1) with
-// PartitionQueries; New rejects other combinations (under PartitionData
-// every query runs on every shard, so there is nothing to place).
-func WithPlacement(p Placement) Option { return func(c *config) { c.placement = p } }
-
-// WithRebalance enables periodic cost-aware shard rebalancing. Every
-// interval processing cycles the monitor compares per-shard costs built
-// from deterministic counters (influence events, cells processed, heap
-// operations, and the cells walked by top-k queries' influence-list
-// pruning — never wall time), and when the hottest
-// shard's cost exceeds threshold × the mean it sheds load onto the
-// coldest shard. What moves depends on the partitioning: under
-// PartitionQueries the most expensive movable queries migrate live;
-// under PartitionData the hottest routing buckets are reassigned, so
-// future arrivals land elsewhere while resident tuples stay pinned to
-// their shard until they expire — there the cost also carries a memory
-// term (engine footprint plus the cap-aware per-cell bytes high-water),
-// so a skewed tuple hash triggers rebalancing even when per-cycle work
-// hides it. Rebalancing happens at cycle barriers and never changes
-// results — the differential harness forces it mid-run and asserts
-// transcripts stay byte-identical to the single engine. threshold <= 0
-// selects the default (1.2); values in (0, 1) are rejected. Requires
-// WithShards(n > 1). Stats.Migrations counts executed moves (query
-// migrations or bucket reassignments).
-func WithRebalance(interval int, threshold float64) Option {
-	return func(c *config) {
-		c.rebalanceInterval = interval
-		c.rebalanceThreshold = threshold
-	}
-}
 
 // WithPipeline enables asynchronous pipelined ingestion with the given
 // queue depth (values below 1 select the tuned default). The monitor then

@@ -2,12 +2,15 @@ package topkmon
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"topkmon/internal/core"
 	"topkmon/internal/recovery"
+	"topkmon/internal/shard"
 	"topkmon/internal/window"
 )
 
@@ -55,8 +58,6 @@ func TestFacadeCheckpointRestore(t *testing.T) {
 		{"engine", nil},
 		{"query-sharded", []Option{WithShards(3)}},
 		{"data-sharded", []Option{WithShards(3), WithPartitioning(PartitionData)}},
-		{"data-rebalanced", []Option{WithShards(3), WithPartitioning(PartitionData), WithRebalance(2, 1.05)}},
-		{"least-loaded", []Option{WithShards(3), WithPlacement(PlacementLeastLoaded())}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			dir := filepath.Join(t.TempDir(), "ckpt")
@@ -192,6 +193,126 @@ func TestRestoreLegacyQueueKeys(t *testing.T) {
 	}
 	if err := mon.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// sameUpdates asserts two cycles reported the same result deltas.
+func sameUpdates(t *testing.T, ts int64, a, b []Update) {
+	t.Helper()
+	render := func(us []Update) string {
+		var sb strings.Builder
+		for _, u := range us {
+			fmt.Fprintf(&sb, "q%d", u.Query)
+			for _, e := range u.Added {
+				fmt.Fprintf(&sb, " +p%d=%g", e.T.ID, e.Score)
+			}
+			for _, e := range u.Removed {
+				fmt.Fprintf(&sb, " -p%d=%g", e.T.ID, e.Score)
+			}
+			sb.WriteByte(';')
+		}
+		return sb.String()
+	}
+	if ra, rb := render(a), render(b); ra != rb {
+		t.Fatalf("cycle %d: updates diverged\n%s\n%s", ts, ra, rb)
+	}
+}
+
+// TestRestoreLegacyRebalanceKeys: a lineage whose facade state names a
+// placement policy and a rebalancer (testdata/legacy_rebalance_aux.json,
+// byte for byte what a three-shard monitor with least-loaded placement,
+// rebalancing every 2 cycles at threshold 1.05 and a checkpoint every 4
+// cycles wrote) restores into a hash-placed query-sharded monitor. Queries registered after the restore
+// land on the shards an uninterrupted hash-placed twin puts them on, and
+// every update and result matches the twin's.
+func TestRestoreLegacyRebalanceKeys(t *testing.T) {
+	aux, err := os.ReadFile(filepath.Join("testdata", "legacy_rebalance_aux.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "ckpt")
+	inner, err := shard.New(core.Options{Dims: 2, Window: window.Count(200), TargetCells: 64}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := recovery.NewGuard(inner, dir, recovery.GuardOptions{Every: 4, Aux: func() []byte { return aux }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, err := New(2, WithCountWindow(200), WithTargetCells(64), WithShards(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer twin.Close()
+
+	gen, tgen := NewGenerator(IND, 2, 11), NewGenerator(IND, 2, 11)
+	var specs []QuerySpec
+	for i := 0; i < 8; i++ {
+		specs = append(specs, QuerySpec{F: Linear(1, float64(i+1)), K: 2 + i%4, Policy: SMA})
+	}
+	var ids []QueryID
+	register := func(a, b interface {
+		Register(QuerySpec) (QueryID, error)
+	}, spec QuerySpec) {
+		t.Helper()
+		ia, err := a.Register(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ib, err := b.Register(spec)
+		if err != nil || ia != ib {
+			t.Fatalf("register: ids %d vs %d (%v)", ia, ib, err)
+		}
+		ids = append(ids, ia)
+	}
+	step := func(a, b interface {
+		Step(int64, []*Tuple) ([]Update, error)
+	}, ts int64) {
+		t.Helper()
+		ua, err := a.Step(ts, gen.Batch(25, ts))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ub, err := b.Step(ts, tgen.Batch(25, ts))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameUpdates(t, ts, ua, ub)
+	}
+
+	for _, spec := range specs[:3] {
+		register(g, twin, spec)
+	}
+	// 6 cycles with cadence 4: the crash leaves 2 cycles in the WAL.
+	for ts := int64(0); ts < 6; ts++ {
+		step(g, twin, ts)
+	}
+	if err := g.Abandon(); err != nil {
+		t.Fatal(err)
+	}
+
+	mon, err := Restore(dir)
+	if err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	defer mon.Close()
+	if mon.Shards() != 3 {
+		t.Fatalf("restored shards = %d, want 3", mon.Shards())
+	}
+	for _, spec := range specs[3:] {
+		register(mon, twin, spec)
+	}
+	for ts := int64(6); ts < 16; ts++ {
+		step(mon, twin, ts)
+	}
+	got, want := mon.ShardLoads(), twin.ShardLoads()
+	for i := range want {
+		if got[i].Queries != want[i].Queries {
+			t.Fatalf("shard %d holds %d queries, hash placement puts %d there", i, got[i].Queries, want[i].Queries)
+		}
+	}
+	for _, id := range ids {
+		sameResults(t, mon, twin, id)
 	}
 }
 

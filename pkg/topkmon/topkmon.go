@@ -136,29 +136,16 @@ func New(dims int, opts ...Option) (*Monitor, error) {
 		return nil, err
 	}
 	m := &Monitor{policy: cfg.policy, clock: cfg.clock, shards: cfg.shards}
-	if cfg.placement != nil && (cfg.shards <= 1 || cfg.partition == PartitionData) {
-		return nil, fmt.Errorf("topkmon: WithPlacement requires WithShards(n > 1) with PartitionQueries")
-	}
-	if cfg.rebalanceInterval > 0 && cfg.shards <= 1 {
-		return nil, fmt.Errorf("topkmon: WithRebalance requires WithShards(n > 1)")
-	}
 	if cfg.admission != nil && cfg.pipeDepth <= 0 {
 		return nil, fmt.Errorf("topkmon: WithAdmission requires WithPipeline: the governor fronts the ingest queue")
 	}
 	if cfg.shards > 1 {
 		var sh core.StreamMonitor
 		var err error
-		rb := shard.RebalanceConfig{Interval: cfg.rebalanceInterval}
-		if cfg.rebalanceThreshold > 0 {
-			rb.Threshold = cfg.rebalanceThreshold
-		}
 		if cfg.partition == PartitionData {
-			sh, err = shard.NewDataWithConfig(engOpts, cfg.shards, rb)
+			sh, err = shard.NewData(engOpts, cfg.shards)
 		} else {
-			sh, err = shard.NewWithConfig(engOpts, cfg.shards, shard.Config{
-				Placement: cfg.placement,
-				Rebalance: rb,
-			})
+			sh, err = shard.New(engOpts, cfg.shards)
 		}
 		if err != nil {
 			return nil, err
@@ -325,31 +312,6 @@ func (m *Monitor) ShardLoads() []ShardLoad {
 		return sh.ShardLoads()
 	}
 	return nil
-}
-
-// MigrateQuery moves a query to the given shard at the next cycle barrier
-// (query-partitioned sharded monitors only). Results are unaffected — only
-// the engine maintaining the query changes. The rebalancer (WithRebalance)
-// issues these moves automatically; MigrateQuery is the manual override.
-func (m *Monitor) MigrateQuery(id QueryID, target int) error {
-	if mig, ok := m.mon.(interface {
-		MigrateQuery(QueryID, int) error
-	}); ok {
-		return mig.MigrateQuery(id, target)
-	}
-	return fmt.Errorf("topkmon: query migration requires WithShards(n > 1) with PartitionQueries")
-}
-
-// MigrateQueries moves a batch of queries in one pass under a single
-// cycle-barrier drain — the bulk form of MigrateQuery. Prefer it whenever
-// more than one query moves at a time: every drain stalls all shards once.
-func (m *Monitor) MigrateQueries(moves []QueryMove) error {
-	if mig, ok := m.mon.(interface {
-		MigrateQueries([]QueryMove) error
-	}); ok {
-		return mig.MigrateQueries(moves)
-	}
-	return fmt.Errorf("topkmon: query migration requires WithShards(n > 1) with PartitionQueries")
 }
 
 // Register installs a query described by a full spec and returns its id.

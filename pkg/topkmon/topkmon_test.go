@@ -78,6 +78,23 @@ func TestSingleVsShardedFacade(t *testing.T) {
 	if single.Now() != sharded.Now() {
 		t.Fatalf("Now %d vs %d", single.Now(), sharded.Now())
 	}
+
+	// Per-shard loads: one entry per shard, their query counts summing to
+	// the registrations; a single engine has none.
+	loads := sharded.ShardLoads()
+	if len(loads) != 4 {
+		t.Fatalf("ShardLoads returned %d entries, want 4", len(loads))
+	}
+	total := 0
+	for _, l := range loads {
+		total += l.Queries
+	}
+	if total != sharded.NumQueries() {
+		t.Fatalf("loads count %d queries, want %d", total, sharded.NumQueries())
+	}
+	if single.ShardLoads() != nil {
+		t.Fatal("single engine should report nil loads")
+	}
 }
 
 // TestPartitioningFacade drives a single engine and a data-partitioned
@@ -373,129 +390,6 @@ func TestPipelinedFacade(t *testing.T) {
 				t.Fatalf("batch %d update %d diverged: %+v vs %+v", i, j, w, g)
 			}
 		}
-	}
-}
-
-// TestPlacementAndRebalanceFacade: the placement/rebalance options build,
-// reject unsupported combinations, surface per-shard loads, and keep
-// results identical to an unrebalanced monitor while migrations run.
-func TestPlacementAndRebalanceFacade(t *testing.T) {
-	// Rejected combinations.
-	if _, err := topkmon.New(2, topkmon.WithCountWindow(100), topkmon.WithRebalance(5, 1.2)); err == nil {
-		t.Fatal("topkmon.WithRebalance on a single engine should be rejected")
-	}
-	if _, err := topkmon.New(2, topkmon.WithCountWindow(100), topkmon.WithShards(4),
-		topkmon.WithPartitioning(topkmon.PartitionData), topkmon.WithPlacement(topkmon.PlacementLeastLoaded())); err == nil {
-		t.Fatal("topkmon.WithPlacement under topkmon.PartitionData should be rejected")
-	}
-	if _, err := topkmon.ParsePlacement("round-robin"); err == nil {
-		t.Fatal("unknown placement name should be rejected")
-	}
-
-	ref, err := topkmon.New(2, topkmon.WithCountWindow(500), topkmon.WithShards(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ref.Close()
-	mon, err := topkmon.New(2, topkmon.WithCountWindow(500), topkmon.WithShards(3),
-		topkmon.WithPlacement(topkmon.PlacementLeastLoaded()), topkmon.WithRebalance(3, 1.05))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mon.Close()
-
-	genA := topkmon.NewGenerator(topkmon.IND, 2, 5)
-	genB := topkmon.NewGenerator(topkmon.IND, 2, 5)
-	if _, err := ref.Step(0, genA.Batch(500, 0)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := mon.Step(0, genB.Batch(500, 0)); err != nil {
-		t.Fatal(err)
-	}
-	var ids []topkmon.QueryID
-	for i := 0; i < 6; i++ {
-		k := 2 + i
-		if i == 0 {
-			k = 40 // skewed: one hot query
-		}
-		a, err := ref.RegisterTopK(topkmon.Linear(1, float64(i+1)), k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := mon.RegisterTopK(topkmon.Linear(1, float64(i+1)), k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a != b {
-			t.Fatalf("id divergence: %d vs %d", a, b)
-		}
-		ids = append(ids, b)
-	}
-
-	for ts := int64(1); ts <= 20; ts++ {
-		ua, err := ref.Step(ts, genA.Batch(60, ts))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ub, err := mon.Step(ts, genB.Batch(60, ts))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(ua) != len(ub) {
-			t.Fatalf("cycle %d: %d vs %d updates", ts, len(ua), len(ub))
-		}
-		if ts%4 == 0 {
-			if err := mon.MigrateQuery(ids[int(ts)%len(ids)], int(ts)%3); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	for _, id := range ids {
-		a, err := ref.Result(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := mon.Result(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(a) != len(b) {
-			t.Fatalf("q%d: result sizes diverge: %d vs %d", id, len(a), len(b))
-		}
-		for i := range a {
-			if a[i].T.ID != b[i].T.ID || a[i].Score != b[i].Score {
-				t.Fatalf("q%d result %d diverged", id, i)
-			}
-		}
-	}
-
-	loads := mon.ShardLoads()
-	if len(loads) != 3 {
-		t.Fatalf("ShardLoads returned %d entries, want 3", len(loads))
-	}
-	total := 0
-	for _, l := range loads {
-		total += l.Queries
-	}
-	if total != len(ids) {
-		t.Fatalf("loads count %d queries, want %d", total, len(ids))
-	}
-	if ref.ShardLoads() == nil {
-		t.Fatal("plain sharded monitor should expose loads too")
-	}
-	single, err := topkmon.New(2, topkmon.WithCountWindow(100))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer single.Close()
-	if single.ShardLoads() != nil {
-		t.Fatal("single engine should report nil loads")
-	}
-	if err := single.MigrateQuery(0, 1); err == nil {
-		t.Fatal("MigrateQuery on a single engine should fail")
-	}
-	if s := mon.Stats(); s.Migrations == 0 {
-		t.Fatal("Stats.Migrations should count the forced moves")
 	}
 }
 
