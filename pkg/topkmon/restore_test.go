@@ -196,6 +196,33 @@ func TestRestoreLegacyQueueKeys(t *testing.T) {
 	}
 }
 
+// TestNewWritesFullAux pins the facade state New records in the manifest
+// when every structural option is set: testdata/aux_full.json holds the
+// exact bytes, so a lineage written by any build restores in any other.
+func TestNewWritesFullAux(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "aux_full.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "ckpt")
+	mon, err := New(2, WithCountWindow(100), WithShards(2), WithPartitioning(PartitionData), WithPipeline(3),
+		WithAdmission(AdmissionConfig{Seed: 7, MemLimit: 1 << 20}), WithCheckpoint(dir, 5), WithCheckpointSync(), WithPolicy(TMA))
+	if err != nil {
+		t.Fatal(err)
+	}
+	drainUpdates(mon)
+	got, err := recovery.ReadAux(dir)
+	if cerr := mon.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Fatalf("aux blob changed:\n got %s\nwant %s", got, want)
+	}
+}
+
 // sameUpdates asserts two cycles reported the same result deltas.
 func sameUpdates(t *testing.T, ts int64, a, b []Update) {
 	t.Helper()
