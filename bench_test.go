@@ -17,6 +17,7 @@ import (
 	"topkmon/internal/grid"
 	"topkmon/internal/harness"
 	"topkmon/internal/pipeline"
+	"topkmon/internal/stack"
 	"topkmon/internal/stream"
 	"topkmon/internal/topk"
 	"topkmon/internal/tsl"
@@ -277,7 +278,9 @@ func BenchmarkShardedStep(b *testing.B) {
 				cfg := benchBase()
 				cfg.Q = 64
 				cfg.Shards = shards
-				cfg.DataPartition = part == "data-part"
+				if part == "data-part" {
+					cfg.Partition = stack.PartitionData
+				}
 				runCycles(b, cfg)
 			})
 		}
@@ -307,11 +310,12 @@ func BenchmarkPipelinedStep(b *testing.B) {
 					runCycles(b, cfg)
 					return
 				}
+				cfg.PipeDepth = 4
 				mon, gen, ts, err := harness.NewMonitor(cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
-				p := pipeline.New(mon.(core.StreamMonitor), pipeline.Options{Depth: 4})
+				p := mon.(*pipeline.Pipeline)
 				consumerDone := p.Drain()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {

@@ -22,6 +22,7 @@ import (
 	"syscall"
 
 	"topkmon/internal/harness"
+	"topkmon/internal/stack"
 	"topkmon/pkg/topkmon"
 )
 
@@ -57,14 +58,12 @@ func main() {
 	flag.Parse()
 	stop := watchSignals()
 	harness.DefaultStop = stop
-	harness.DefaultShards = *shardsFlag
-	harness.DefaultPipeline = *pipelineFlag
 	partition, err := topkmon.ParsePartitioning(*partitionFlag)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	harness.DefaultDataPartition = partition == topkmon.PartitionData
+	harness.DefaultStack = stack.Config{Shards: *shardsFlag, Partition: partition, PipeDepth: *pipelineFlag}
 
 	if *listFlag {
 		for _, e := range harness.Experiments() {

@@ -15,7 +15,9 @@ import (
 	"syscall"
 	"time"
 
+	"topkmon/internal/admission"
 	"topkmon/internal/harness"
+	"topkmon/internal/stack"
 	"topkmon/internal/stream"
 	"topkmon/pkg/topkmon"
 )
@@ -87,32 +89,36 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	var adm *admission.Config
+	if *admFlag || *memLimitFlag > 0 || *admTargetFlag > 0 {
+		adm = &admission.Config{Seed: *seedFlag, MemLimit: *memLimitFlag, CycleTarget: *admTargetFlag}
+	}
 	cfg := harness.Config{
-		Algo:            algo,
-		Dist:            dist,
-		Func:            fk,
-		Dims:            *dimsFlag,
-		N:               *nFlag,
-		R:               *rFlag,
-		Q:               *qFlag,
-		K:               *kFlag,
-		Cycles:          *cyclesFlag,
-		TargetCells:     *cellsFlag,
-		GridRes:         *resFlag,
-		KMax:            *kmaxFlag,
-		Shards:          *shardsFlag,
-		DataPartition:   partition == topkmon.PartitionData,
-		Pipeline:        *pipelineFlag,
-		Admission:       *admFlag,
-		MemLimit:        *memLimitFlag,
-		AdmissionTarget: *admTargetFlag,
-		IngestInterval:  *ingestIntFlag,
-		CheckpointDir:   *ckptFlag,
-		CheckpointEvery: *ckptEveryFlag,
-		Seed:            *seedFlag,
+		Algo:           algo,
+		Dist:           dist,
+		Func:           fk,
+		Dims:           *dimsFlag,
+		N:              *nFlag,
+		R:              *rFlag,
+		Q:              *qFlag,
+		K:              *kFlag,
+		Cycles:         *cyclesFlag,
+		TargetCells:    *cellsFlag,
+		GridRes:        *resFlag,
+		KMax:           *kmaxFlag,
+		IngestInterval: *ingestIntFlag,
+		Seed:           *seedFlag,
+		Config: stack.Config{
+			Shards:    *shardsFlag,
+			Partition: partition,
+			PipeDepth: *pipelineFlag,
+			Admission: adm,
+			Dir:       *ckptFlag,
+			Every:     *ckptEveryFlag,
+		},
 	}
 	cfg.Stop = watchSignals("topkmon")
-	if (cfg.Shards > 1 || cfg.Pipeline > 0 || cfg.CheckpointDir != "") && algo == harness.AlgoTSL {
+	if (cfg.Shards > 1 || cfg.PipeDepth > 0 || cfg.Dir != "") && algo == harness.AlgoTSL {
 		fmt.Fprintln(os.Stderr, "topkmon: -shards, -pipeline and -checkpoint apply to the grid algorithms only (TMA/SMA)")
 		os.Exit(2)
 	}
@@ -139,7 +145,7 @@ func main() {
 	}
 
 	fmt.Printf("running %s on %s d=%d N=%d r=%d Q=%d k=%d func=%s cycles=%d shards=%d pipeline=%d\n",
-		algo, dist, cfg.Dims, cfg.N, cfg.R, cfg.Q, cfg.K, fk, cfg.Cycles, *shardsFlag, cfg.Pipeline)
+		algo, dist, cfg.Dims, cfg.N, cfg.R, cfg.Q, cfg.K, fk, cfg.Cycles, *shardsFlag, cfg.PipeDepth)
 	res, err := harness.Run(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -300,6 +300,12 @@
 // ./...` (exit 0 clean / 1 findings / 2 build error; -json for tooling,
 // -fix to apply the suggested float64 conversions).
 //
+// Every layer above the engine is put together in one place,
+// internal/stack: its Build and Restore assemble the engine (or shards),
+// the WAL guard, the pipeline and the admission governor in that order for
+// the facade's New and Restore, the experiment harness and the
+// differential tests alike.
+//
 // Use pkg/topkmon — the public facade with functional options — as the
 // entry point:
 //
@@ -314,6 +320,7 @@
 //	internal/core      the monitoring engine, TMA and SMA (the paper, start here)
 //	internal/shard     the sharded concurrent engine (N cores, same results)
 //	internal/pipeline  async pipelined ingestion with bounded queues and backpressure
+//	internal/stack     the one assembly point: engine → shards → WAL guard → pipeline → governor
 //	internal/difftest  randomized differential harness: all modes vs a naive scorer
 //	internal/tsl       the TSL baseline
 //	internal/geom      scoring functions and workspace geometry

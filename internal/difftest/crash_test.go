@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"topkmon/internal/core"
-	"topkmon/internal/recovery"
+	"topkmon/internal/stack"
 )
 
 // crashModes is the subset of the execution matrix the crash-recovery
@@ -14,7 +14,7 @@ import (
 func crashModes() []execMode {
 	var out []execMode
 	for _, m := range allModes() {
-		if !m.pipelined {
+		if m.cfg.PipeDepth == 0 {
 			out = append(out, m)
 		}
 	}
@@ -22,7 +22,7 @@ func crashModes() []execMode {
 }
 
 // runCrashDifferential replays the scenario for seed through each crash
-// mode wrapped in a recovery.Guard and kills the monitor twice (Abandon:
+// mode's stack with a durability guard and kills the monitor twice (Abandon:
 // no final checkpoint, exactly what a crash leaves behind), restoring
 // from the checkpoint directory each time, and asserts the stitched
 // transcript is byte-identical to the naive reference — recovery must be
@@ -73,18 +73,15 @@ func runCrashDifferential(t *testing.T, seed int64) {
 	crash2 := crash1 + 1 + int((h>>16)%uint64(span))
 
 	for _, m := range crashModes() {
-		inner, err := m.build(s.Options())
+		dir := t.TempDir()
+		m.cfg.Dir, m.cfg.Every = dir, every
+		st, err := m.build(s)
 		if err != nil {
 			t.Fatalf("%v: build %s: %v", s, m.name, err)
 		}
-		dir := t.TempDir()
-		guard, err := recovery.NewGuard(inner, dir, recovery.GuardOptions{Every: every})
-		if err != nil {
-			t.Fatalf("%v: %s guard: %v", s, m.name, err)
-		}
 		// Replay reassigns its local monitor at the swap; track the live
 		// guard here so the final Close lands on the restored instance.
-		live := guard
+		live := st.Guard
 		cfg := ReplayConfig{
 			Swap: func(cycle int, mon core.StreamMonitor) (core.StreamMonitor, error) {
 				if cycle != crash1 && cycle != crash2 {
@@ -93,15 +90,15 @@ func runCrashDifferential(t *testing.T, seed int64) {
 				if err := live.Abandon(); err != nil {
 					return nil, fmt.Errorf("abandon: %w", err)
 				}
-				restored, _, err := recovery.Restore(dir, recovery.RestoreOptions{Every: every})
+				restored, _, err := stack.Restore(dir)
 				if err != nil {
 					return nil, fmt.Errorf("restore: %w", err)
 				}
-				live = restored
-				return restored, nil
+				live = restored.Guard
+				return restored.Mon, nil
 			},
 		}
-		got, err := Replay(guard, s, cfg)
+		got, err := Replay(st.Mon, s, cfg)
 		if cerr := live.Close(); err == nil {
 			err = cerr
 		}

@@ -9,19 +9,25 @@ import (
 
 	"topkmon/internal/core"
 	"topkmon/internal/geom"
-	"topkmon/internal/pipeline"
-	"topkmon/internal/shard"
+	"topkmon/internal/stack"
 )
 
-// execMode is one execution mode under differential test: a constructor
-// producing a fresh monitor for a scenario, run synchronously or behind
-// the ingestion pipeline. postCycle, when non-nil, builds a hook that runs
-// against the monitor after every cycle of the synchronous replay.
+// execMode is one execution mode under differential test: the stack a
+// scenario's monitor is assembled as, run synchronously or, under a
+// pipeline, through its ingestion front. postCycle, when non-nil, builds
+// a hook that runs against the monitor after every cycle of the
+// synchronous replay.
 type execMode struct {
 	name      string
-	build     func(opts core.Options) (core.StreamMonitor, error)
-	pipelined bool
+	cfg       stack.Config
 	postCycle func(mon core.StreamMonitor) func(cycle int, live []core.QueryID) error
+}
+
+// build assembles the mode's stack for scenario s.
+func (m execMode) build(s Scenario) (*stack.Stack, error) {
+	cfg := m.cfg
+	cfg.Engine = s.Options()
+	return stack.Build(cfg, nil)
 }
 
 // diffShards is the shard count of every sharded differential mode.
@@ -64,27 +70,21 @@ func snapshotRoundTrip(mon core.StreamMonitor) func(cycle int, live []core.Query
 	}
 }
 
-func engineBuild(opts core.Options) (core.StreamMonitor, error) { return core.NewEngine(opts) }
-
-func shardedBuild(n int) func(core.Options) (core.StreamMonitor, error) {
-	return func(opts core.Options) (core.StreamMonitor, error) { return shard.New(opts, n) }
-}
-func dataShardedBuild(n int) func(core.Options) (core.StreamMonitor, error) {
-	return func(opts core.Options) (core.StreamMonitor, error) { return shard.NewData(opts, n) }
-}
-
 // allModes is the full differential matrix: every synchronous execution
-// mode and the pipelined wrapper over each. The pipelined modes must
+// mode and the pipelined front over each. The pipelined modes must
 // deliver the exact per-query Update sequence of their synchronous
 // counterparts, which in turn must match the naive reference.
 func allModes() []execMode {
 	modes := []execMode{
-		{name: "engine", build: engineBuild, postCycle: snapshotRoundTrip},
-		{name: "query-sharded-3", build: shardedBuild(diffShards)},
-		{name: "data-sharded-3", build: dataShardedBuild(diffShards)},
+		{name: "engine", postCycle: snapshotRoundTrip},
+		{name: "query-sharded-3", cfg: stack.Config{Shards: diffShards}},
+		{name: "data-sharded-3", cfg: stack.Config{Shards: diffShards, Partition: stack.PartitionData}},
 	}
 	for _, m := range modes[:3] {
-		modes = append(modes, execMode{name: "pipelined-" + m.name, build: m.build, pipelined: true})
+		// A small depth, so the queue actually fills and cycles
+		// genuinely overlap ingestion.
+		m.cfg.PipeDepth = 2
+		modes = append(modes, execMode{name: "pipelined-" + m.name, cfg: m.cfg})
 	}
 	return modes
 }
@@ -106,22 +106,19 @@ func runDifferential(t *testing.T, seed int64, checkInvariants bool) {
 	}
 
 	for _, m := range allModes() {
-		mon, err := m.build(s.Options())
+		st, err := m.build(s)
 		if err != nil {
 			t.Fatalf("%v: build %s: %v", s, m.name, err)
 		}
-		cfg := ReplayConfig{CheckInvariants: checkInvariants && !m.pipelined}
-		if m.pipelined {
-			// A small depth, so the queue actually fills and cycles
-			// genuinely overlap ingestion.
-			p := pipeline.New(mon, pipeline.Options{Depth: 2})
-			mon, cfg.Ingester = p, p
+		cfg := ReplayConfig{CheckInvariants: checkInvariants && st.Pipe == nil}
+		if st.Pipe != nil {
+			cfg.Ingester = st.Pipe
 		}
 		if m.postCycle != nil {
-			cfg.PostCycle = m.postCycle(mon)
+			cfg.PostCycle = m.postCycle(st.Mon)
 		}
-		got, err := Replay(mon, s, cfg)
-		if cerr := mon.Close(); err == nil {
+		got, err := Replay(st.Mon, s, cfg)
+		if cerr := st.Mon.Close(); err == nil {
 			err = cerr
 		}
 		if err != nil {

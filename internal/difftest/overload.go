@@ -9,6 +9,7 @@ import (
 	"topkmon/internal/admission"
 	"topkmon/internal/core"
 	"topkmon/internal/pipeline"
+	"topkmon/internal/stack"
 	"topkmon/internal/stream"
 )
 
@@ -71,11 +72,12 @@ func GenOverload(seed int64) OverloadRun {
 // (the decision log already recorded it); a full queue blocks, so every
 // lost batch is governor-attributed.
 type OverloadConfig struct {
-	// Build constructs a fresh monitor of the family under test; it is
-	// called twice (governed run, reference run).
-	Build func(core.Options) (core.StreamMonitor, error)
-	// Admission configures the governor fronting the governed run.
-	Admission admission.Config
+	// Layout is the family under test: the inner layers (shards and
+	// partitioning) of both the governed and the reference run. The
+	// governed run puts its own pipeline in front, so Layout names none.
+	Layout stack.Config
+	// Governor is the fresh governor fronting the governed run.
+	Governor *admission.Governor
 	// Depth bounds the pipeline queue.
 	Depth int
 	// ApplyDelay artificially slows every apply in the governed run — the
@@ -136,14 +138,16 @@ func ReplayOverload(run OverloadRun, cfg OverloadConfig) (OverloadReport, error)
 	rep := OverloadReport{Decisions: make(map[int64]admission.Decision)}
 	s := run.Base
 
-	base, err := cfg.Build(s.Options())
+	layout := cfg.Layout
+	layout.Engine = s.Options()
+	base, err := stack.Build(layout, nil)
 	if err != nil {
 		return rep, err
 	}
-	gov := admission.New(cfg.Admission)
+	gov := cfg.Governor
 	// enqueueBatch runs on this goroutine only, so the decision map needs
 	// no lock; each batch's decision is logged exactly once.
-	p := pipeline.New(&slowMonitor{StreamMonitor: base, delay: cfg.ApplyDelay}, pipeline.Options{
+	p := pipeline.New(&slowMonitor{StreamMonitor: base.Mon, delay: cfg.ApplyDelay}, pipeline.Options{
 		Depth:        cfg.Depth,
 		Admission:    gov,
 		AdmissionLog: func(now int64, d admission.Decision) { rep.Decisions[now] = d },
@@ -232,10 +236,11 @@ func ReplayOverload(run OverloadRun, cfg OverloadConfig) (OverloadReport, error)
 
 	// Reference run: same family, no pipeline, no governor, no delay, fed
 	// the admitted subsequence verbatim.
-	ref, err := cfg.Build(s.Options())
+	refSt, err := stack.Build(layout, nil)
 	if err != nil {
 		return rep, err
 	}
+	ref := refSt.Mon
 	defer ref.Close()
 	var refTr Transcript
 	rgen := stream.NewGenerator(s.Dist, s.Dims, s.Seed+2)

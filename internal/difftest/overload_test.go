@@ -5,7 +5,7 @@ import (
 	"time"
 
 	"topkmon/internal/admission"
-	"topkmon/internal/core"
+	"topkmon/internal/stack"
 )
 
 // TestOverloadDifferential is the acceptance run for admission control:
@@ -18,12 +18,12 @@ import (
 func TestOverloadDifferential(t *testing.T) {
 	const memLimit = int64(1) << 40
 	modes := []struct {
-		name  string
-		build func(core.Options) (core.StreamMonitor, error)
+		name   string
+		layout stack.Config
 	}{
-		{"engine", engineBuild},
-		{"query-sharded", shardedBuild(3)},
-		{"data-sharded", dataShardedBuild(3)},
+		{"engine", stack.Config{}},
+		{"query-sharded", stack.Config{Shards: 3}},
+		{"data-sharded", stack.Config{Shards: 3, Partition: stack.PartitionData}},
 	}
 	seeds := int64(20)
 	if testing.Short() {
@@ -37,13 +37,13 @@ func TestOverloadDifferential(t *testing.T) {
 			for seed := int64(1); seed <= seeds; seed++ {
 				run := GenOverload(seed)
 				rep, err := ReplayOverload(run, OverloadConfig{
-					Build: m.build,
-					Admission: admission.Config{
+					Layout: m.layout,
+					Governor: admission.New(admission.Config{
 						Seed:          seed,
 						LowWatermark:  0.3,
 						HighWatermark: 0.6,
 						MemLimit:      memLimit,
-					},
+					}),
 					Depth:      4,
 					ApplyDelay: 300 * time.Microsecond,
 				})
@@ -79,9 +79,8 @@ func TestOverloadCriticalDifferential(t *testing.T) {
 	for seed := int64(1); seed <= seeds; seed++ {
 		run := GenOverload(seed)
 		rep, err := ReplayOverload(run, OverloadConfig{
-			Build:     engineBuild,
-			Admission: admission.Config{Seed: seed, MemLimit: 1 << 20},
-			Depth:     4,
+			Governor: admission.New(admission.Config{Seed: seed, MemLimit: 1 << 20}),
+			Depth:    4,
 		})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)

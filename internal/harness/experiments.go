@@ -4,24 +4,17 @@ import (
 	"fmt"
 	"time"
 
+	"topkmon/internal/admission"
 	"topkmon/internal/analytic"
+	"topkmon/internal/stack"
 	"topkmon/internal/stream"
 )
 
-// DefaultShards is applied to every configuration Defaults produces (grid
-// algorithms only; TSL has no sharded implementation). cmd/experiments
-// sets it from its -shards flag so whole sweeps can run sharded.
-var DefaultShards int
-
-// DefaultDataPartition selects the data-partitioned sharded engine for
-// every configuration Defaults produces with DefaultShards > 1.
-// cmd/experiments sets it from its -partition flag.
-var DefaultDataPartition bool
-
-// DefaultPipeline drives every configuration Defaults produces through
-// asynchronous pipelined ingestion with this queue depth (0 = synchronous
-// Step loop). cmd/experiments sets it from its -pipeline flag.
-var DefaultPipeline int
+// DefaultStack is the layer stack every configuration Defaults produces
+// runs on (grid algorithms only; TSL runs bare). cmd/experiments sets its
+// shards, partitioning and pipeline from its flags so whole sweeps run
+// sharded or pipelined.
+var DefaultStack stack.Config
 
 // DefaultStop, when non-nil, is the cancellation channel every
 // configuration Defaults produces watches: closing it makes runs exit at
@@ -47,20 +40,18 @@ func Defaults(scale float64, seed int64) Config {
 		cycles = 100
 	}
 	return Config{
-		Algo:          AlgoTMA,
-		Dist:          stream.IND,
-		Func:          stream.FuncLinear,
-		Dims:          4,
-		N:             n,
-		R:             maxInt(n/100, 20),
-		Q:             q,
-		K:             20,
-		Cycles:        cycles,
-		Shards:        DefaultShards,
-		DataPartition: DefaultDataPartition,
-		Pipeline:      DefaultPipeline,
-		Stop:          DefaultStop,
-		Seed:          seed,
+		Algo:   AlgoTMA,
+		Dist:   stream.IND,
+		Func:   stream.FuncLinear,
+		Dims:   4,
+		N:      n,
+		R:      maxInt(n/100, 20),
+		Q:      q,
+		K:      20,
+		Cycles: cycles,
+		Config: DefaultStack,
+		Stop:   DefaultStop,
+		Seed:   seed,
 	}
 }
 
@@ -105,9 +96,7 @@ func pubsubBase(scale float64, seed int64) Config {
 	cfg.GridRes = 8
 	// The sweeps own their comparisons; clear whatever global defaults
 	// cmd/experiments installed.
-	cfg.DataPartition = false
-	cfg.Pipeline = 0
-	cfg.Shards = 0
+	cfg.Config = stack.Config{}
 	return cfg
 }
 
@@ -465,14 +454,13 @@ func Experiments() []Experiment {
 					timeRow := Row{X: fmt.Sprintf("%d", n)}
 					spaceRow := Row{X: fmt.Sprintf("%d", n)}
 					shardRow := Row{X: fmt.Sprintf("%d", n)}
-					for _, dataPart := range []bool{false, true} {
+					for _, part := range []stack.Partitioning{stack.PartitionQueries, stack.PartitionData} {
 						cfg := Defaults(scale, seed)
 						cfg.Algo = AlgoSMA
-						cfg.Shards = n
-						cfg.DataPartition = dataPart
+						cfg.Shards, cfg.Partition = n, part
 						res, err := Run(cfg)
 						if err != nil {
-							return nil, fmt.Errorf("partition [shards=%d data=%v]: %w", n, dataPart, err)
+							return nil, fmt.Errorf("partition [shards=%d partition=%v]: %w", n, part, err)
 						}
 						timeRow.Cells = append(timeRow.Cells, FormatDuration(res.RunTime))
 						spaceRow.Cells = append(spaceRow.Cells, FormatMB(res.SpaceBytes))
@@ -496,14 +484,13 @@ func Experiments() []Experiment {
 				}
 				for _, q := range queryCounts(scale) {
 					row := Row{X: fmt.Sprintf("%d", q)}
-					for _, dataPart := range []bool{false, true} {
+					for _, part := range []stack.Partitioning{stack.PartitionQueries, stack.PartitionData} {
 						cfg := pubsubBase(scale, seed)
-						cfg.Shards = 4
-						cfg.DataPartition = dataPart
+						cfg.Shards, cfg.Partition = 4, part
 						cfg.Q = q
 						res, err := Run(cfg)
 						if err != nil {
-							return nil, fmt.Errorf("partition querycount [Q=%d data=%v]: %w", q, dataPart, err)
+							return nil, fmt.Errorf("partition querycount [Q=%d partition=%v]: %w", q, part, err)
 						}
 						row.Cells = append(row.Cells, FormatDuration(res.RunTime))
 					}
@@ -551,16 +538,15 @@ func Experiments() []Experiment {
 				}
 				for _, n := range []int{1, 2, 4, 8} {
 					row := Row{X: fmt.Sprintf("%d", n)}
-					for _, dataPart := range []bool{false, true} {
+					for _, part := range []stack.Partitioning{stack.PartitionQueries, stack.PartitionData} {
 						for _, depth := range []int{0, 4} {
 							cfg := Defaults(scale, seed)
 							cfg.Algo = AlgoSMA
-							cfg.Shards = n
-							cfg.DataPartition = dataPart
-							cfg.Pipeline = depth
+							cfg.Shards, cfg.Partition = n, part
+							cfg.PipeDepth = depth
 							res, err := Run(cfg)
 							if err != nil {
-								return nil, fmt.Errorf("pipeline [shards=%d data=%v depth=%d]: %w", n, dataPart, depth, err)
+								return nil, fmt.Errorf("pipeline [shards=%d partition=%v depth=%d]: %w", n, part, depth, err)
 							}
 							row.Cells = append(row.Cells, FormatDuration(res.RunTime))
 						}
@@ -598,7 +584,7 @@ func Experiments() []Experiment {
 					cfg := Defaults(scale, seed)
 					cfg.Algo = AlgoSMA
 					cfg.Shards = n
-					cfg.Pipeline = 4
+					cfg.PipeDepth = 4
 					res, err := Run(cfg)
 					if err != nil {
 						return nil, fmt.Errorf("overload baseline [shards=%d]: %w", n, err)
@@ -631,9 +617,8 @@ func Experiments() []Experiment {
 						cfg := Defaults(scale, seed)
 						cfg.Algo = AlgoSMA
 						cfg.Shards = n
-						cfg.Pipeline = 4
-						cfg.Admission = true
-						cfg.AdmissionTarget = targets[n]
+						cfg.PipeDepth = 4
+						cfg.Admission = &admission.Config{Seed: cfg.Seed, CycleTarget: targets[n]}
 						cfg.IngestInterval = targets[n]
 						cfg.R *= rate
 						res, err := Run(cfg)

@@ -19,8 +19,8 @@ import (
 	"topkmon/internal/core"
 	"topkmon/internal/geom"
 	"topkmon/internal/pipeline"
-	"topkmon/internal/recovery"
 	"topkmon/internal/shard"
+	"topkmon/internal/stack"
 	"topkmon/internal/stream"
 	"topkmon/internal/tsl"
 	"topkmon/internal/window"
@@ -99,43 +99,18 @@ type Config struct {
 	// DeletionsFirst inverts the paper's Pins-before-Pdel processing order
 	// (grid algorithms only) — the ordering ablation of Figure 8.
 	DeletionsFirst bool
-	// Shards runs the grid algorithms on the sharded concurrent engine
-	// with this many shards (0 or 1 = the paper's single engine). TSL has
-	// no sharded implementation.
-	Shards int
-	// DataPartition selects the data-partitioned sharded engine (tuples
-	// hashed across shards, router-side top-k merge) instead of the
-	// default query-partitioned one. Ignored unless Shards > 1.
-	DataPartition bool
-	// Pipeline, when positive, drives the run through asynchronous
-	// pipelined ingestion with this queue depth: batches are ingested
-	// without waiting for the cycle and updates drain on a consumer
-	// goroutine, so the measured time is wall-clock throughput with
-	// ingestion, cycles and delivery overlapped. Zero measures the
-	// synchronous Step loop. Grid algorithms only.
-	Pipeline int
-	// Admission fronts pipelined ingestion with the load-shedding governor
-	// (internal/admission): under sustained overload batches are shed —
-	// counted in Result.DroppedBatches/DroppedTuples — instead of queueing
-	// without bound, and the run keeps going. Requires Pipeline > 0; grid
-	// algorithms only.
-	Admission bool
-	// MemLimit arms the governor's memory watermark, in bytes: crossing it
-	// forces the Critical state (arrivals stripped, expiry keeps running).
-	// Implies Admission.
-	MemLimit int64
-	// AdmissionTarget arms the governor's per-cycle latency trigger: drain
-	// or hot-shard observations above it count as overload even while the
-	// queue looks shallow. Zero leaves only the occupancy and memory
-	// triggers. Requires Admission (or MemLimit).
-	AdmissionTarget time.Duration
+	// Config is the grid monitor's layer stack (TSL runs bare: a sweep's
+	// shards and pipeline are ignored for it); Engine is derived from the
+	// fields above. Batches a governor sheds are counted in
+	// Result.DroppedBatches/DroppedTuples, and the run goes on.
+	stack.Config
 	// IngestInterval paces pipelined ingestion to one batch per interval
 	// instead of generating flat out. The generator is effectively
 	// infinitely fast relative to the engine, so an unpaced closed loop
 	// pegs the bounded queue at any batch size and queue occupancy stops
 	// meaning anything; pacing restores a real arrival rate, which is what
 	// an overload sweep varies. Zero disables pacing. Requires
-	// Pipeline > 0.
+	// PipeDepth > 0.
 	IngestInterval time.Duration
 	// NearDupQueries draws the query set as ±1% jittered copies of eight
 	// base preference vectors instead of independent functions — the
@@ -158,14 +133,6 @@ type Config struct {
 	// same cadence as Progress with the governor's current snapshot
 	// (admission-controlled pipelined runs only).
 	AdmissionProgress func(cycle int, snap admission.Snapshot)
-	// CheckpointDir, when non-empty, wraps the monitor in a durability
-	// guard (internal/recovery): batches are WAL-logged before they are
-	// applied and the full monitor state is checkpointed into this
-	// directory every CheckpointEvery successful cycles (0 = only at
-	// Close) and at Close. The directory must not already hold a
-	// checkpoint lineage. Grid algorithms only.
-	CheckpointDir   string
-	CheckpointEvery int
 	// Stop, when non-nil, cancels the run when closed: the cycle loop
 	// exits at the next boundary, pipelined ingestion is flushed, the
 	// stats epilogue — including the final checkpoint, when enabled —
@@ -206,20 +173,20 @@ func (c Config) Validate() error {
 	if (c.ThresholdFrac > 0 || c.NearDupQueries) && c.Algo == AlgoTSL {
 		return fmt.Errorf("harness: ThresholdFrac/NearDupQueries apply to the grid algorithms only")
 	}
-	if c.CheckpointDir != "" && c.Algo == AlgoTSL {
-		return fmt.Errorf("harness: CheckpointDir applies to the grid algorithms only")
+	// A sweep's shards and pipeline are ignored for TSL, but a checkpoint
+	// or a governor would publish an undurable or ungoverned TSL run as a
+	// measurement of one.
+	if c.Algo == AlgoTSL && (c.Dir != "" || c.Admission != nil) {
+		return fmt.Errorf("harness: checkpointing and admission apply to the grid algorithms only")
 	}
-	// The governor fronts the pipelined ingest queue: without a pipeline
-	// there is no queue to govern, and silently ignoring the flags would
-	// publish an ungoverned run as an admission measurement.
-	if (c.Admission || c.MemLimit > 0 || c.AdmissionTarget > 0) && (c.Pipeline <= 0 || c.Algo == AlgoTSL) {
-		return fmt.Errorf("harness: Admission/MemLimit require Pipeline > 0 on a grid algorithm")
+	if err := c.Config.Validate(); err != nil {
+		return err
 	}
 	// Pacing sleeps inside the measured loop: on the synchronous path the
 	// sleep would be booked as engine time and publish bogus per-cycle
 	// figures.
-	if c.IngestInterval > 0 && (c.Pipeline <= 0 || c.Algo == AlgoTSL) {
-		return fmt.Errorf("harness: IngestInterval requires Pipeline > 0 on a grid algorithm")
+	if c.IngestInterval > 0 && (c.PipeDepth <= 0 || c.Algo == AlgoTSL) {
+		return fmt.Errorf("harness: IngestInterval requires PipeDepth > 0 on a grid algorithm")
 	}
 	return nil
 }
@@ -280,23 +247,33 @@ type Result struct {
 	Interrupted bool
 }
 
-// PerCycle returns the average maintenance time per processing cycle.
+// PerCycle returns the average maintenance time per processing cycle
+// run, so an interrupted run reports the cycles it completed.
 func (r Result) PerCycle() time.Duration {
-	if r.Config.Cycles == 0 {
+	if r.CyclesRun == 0 {
 		return 0
 	}
-	return r.RunTime / time.Duration(r.Config.Cycles)
+	return r.RunTime / time.Duration(r.CyclesRun)
 }
 
 // NewMonitor builds the monitor for a config, pre-fills the window with N
 // tuples, and registers the Q queries. It returns the monitor, the stream
 // generator (positioned after the fill), and the next timestamp to use.
+// A grid monitor is the config's whole stack: with PipeDepth > 0 it
+// ingests through its pipeline, not Step.
 func NewMonitor(cfg Config) (core.Monitor, *stream.Generator, int64, error) {
-	cfg = cfg.withDefaults()
+	mon, _, gen, err := build(cfg.withDefaults())
+	return mon, gen, 1, err
+}
+
+// build validates cfg and builds its populated monitor: a bare TSL
+// monitor (st nil), or for a grid algorithm the stack cfg.Config names,
+// populated before any layer wraps the engines.
+func build(cfg Config) (core.Monitor, *stack.Stack, *stream.Generator, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, nil, 0, err
+		return nil, nil, nil, err
 	}
-	var mon core.Monitor
+	gen := stream.NewGenerator(cfg.Dist, cfg.Dims, cfg.Seed)
 	switch cfg.Algo {
 	case AlgoTSL:
 		opts := tsl.Options{Dims: cfg.Dims, Window: window.Count(cfg.N)}
@@ -305,45 +282,32 @@ func NewMonitor(cfg Config) (core.Monitor, *stream.Generator, int64, error) {
 		}
 		m, err := tsl.New(opts)
 		if err != nil {
-			return nil, nil, 0, err
+			return nil, nil, nil, err
 		}
-		mon = m
+		return m, nil, gen, cfg.populate(m, gen)
 	case AlgoTMA, AlgoSMA:
-		opts := core.Options{
+		sc := cfg.Config
+		sc.Engine = core.Options{
 			Dims:           cfg.Dims,
 			Window:         window.Count(cfg.N),
 			GridRes:        cfg.GridRes,
 			TargetCells:    cfg.TargetCells,
 			DeletionsFirst: cfg.DeletionsFirst,
 		}
-		if cfg.Shards > 1 && cfg.DataPartition {
-			s, err := shard.NewData(opts, cfg.Shards)
-			if err != nil {
-				return nil, nil, 0, err
-			}
-			mon = s
-		} else if cfg.Shards > 1 {
-			s, err := shard.New(opts, cfg.Shards)
-			if err != nil {
-				return nil, nil, 0, err
-			}
-			mon = s
-		} else {
-			e, err := core.NewEngine(opts)
-			if err != nil {
-				return nil, nil, 0, err
-			}
-			mon = e
+		st, err := stack.Build(sc, func(m core.StreamMonitor) error { return cfg.populate(m, gen) })
+		if err != nil {
+			return nil, nil, nil, err
 		}
-	default:
-		return nil, nil, 0, fmt.Errorf("harness: unknown algorithm %v", cfg.Algo)
+		return st.Mon, st, gen, nil
 	}
+	return nil, nil, nil, fmt.Errorf("harness: unknown algorithm %v", cfg.Algo)
+}
 
-	gen := stream.NewGenerator(cfg.Dist, cfg.Dims, cfg.Seed)
-	// Fill the window at ts=0, before queries exist, so registration sees
-	// the steady-state data volume.
+// populate fills the window at ts=0 and then registers the Q queries, so
+// registration sees the steady-state data volume.
+func (cfg Config) populate(mon core.Monitor, gen *stream.Generator) error {
 	if _, err := mon.Step(0, gen.Batch(cfg.N, 0)); err != nil {
-		return nil, nil, 0, err
+		return err
 	}
 	policy := core.TMA
 	if cfg.Algo == AlgoSMA {
@@ -385,23 +349,10 @@ func NewMonitor(cfg Config) (core.Monitor, *stream.Generator, int64, error) {
 			spec = core.QuerySpec{F: f, K: cfg.K, Policy: policy}
 		}
 		if _, err := mon.Register(spec); err != nil {
-			return nil, nil, 0, err
+			return err
 		}
 	}
-	// The guard wraps last, so its initial checkpoint already contains the
-	// prefilled window and the registered query set: the run is restorable
-	// from its first measured cycle.
-	if cfg.CheckpointDir != "" {
-		g, err := recovery.NewGuard(mon.(core.StreamMonitor), cfg.CheckpointDir, recovery.GuardOptions{
-			Every: cfg.CheckpointEvery,
-		})
-		if err != nil {
-			_ = mon.(core.StreamMonitor).Close()
-			return nil, nil, 0, err
-		}
-		mon = g
-	}
-	return mon, gen, 1, nil
+	return nil
 }
 
 // stopped reports whether the Stop channel has been closed.
@@ -417,17 +368,23 @@ func (c Config) stopped() bool {
 	}
 }
 
-// progress fires the configured Progress callback after cycle c (0-based)
-// when it is due, handing it the monitor's current shard loads.
-func (c Config) progress(cycle int, mon core.Monitor) {
-	if c.Progress == nil || c.ProgressEvery <= 0 || (cycle+1)%c.ProgressEvery != 0 {
+// progress fires the configured Progress and AdmissionProgress callbacks
+// after cycle c (0-based) when they are due, handing them the monitor's
+// current shard loads and the governor's snapshot.
+func (c Config) progress(cycle int, mon core.Monitor, gov *admission.Governor) {
+	if c.ProgressEvery <= 0 || (cycle+1)%c.ProgressEvery != 0 {
 		return
 	}
-	var loads []shard.ShardLoad
-	if sl, ok := mon.(interface{ ShardLoads() []shard.ShardLoad }); ok {
-		loads = sl.ShardLoads()
+	if c.Progress != nil {
+		var loads []shard.ShardLoad
+		if sl, ok := mon.(interface{ ShardLoads() []shard.ShardLoad }); ok {
+			loads = sl.ShardLoads()
+		}
+		c.Progress(cycle+1, loads)
 	}
-	c.Progress(cycle+1, loads)
+	if gov != nil && c.AdmissionProgress != nil {
+		c.AdmissionProgress(cycle+1, gov.Snapshot())
+	}
 }
 
 // Run executes one full experiment run and collects measurements.
@@ -436,121 +393,78 @@ func Run(cfg Config) (Result, error) {
 	res := Result{Config: cfg}
 
 	t0 := time.Now()
-	mon, gen, ts, err := NewMonitor(cfg)
+	mon, st, gen, err := build(cfg)
 	if err != nil {
 		return res, err
 	}
 	res.InitTime = time.Since(t0)
 
-	// Like Shards, Pipeline applies to the grid algorithms only and is
-	// silently ignored for TSL, so sweep-wide -pipeline flags don't abort
-	// the TSL columns.
-	var runTime time.Duration
-	if cfg.Pipeline > 0 && cfg.Algo != AlgoTSL {
-		// Pipelined path: wrap the pre-filled monitor, drain deliveries on
-		// a consumer goroutine, ingest without waiting, and close the run
-		// with the Flush barrier so every cycle is applied and delivered
-		// inside the measured span.
-		popts := pipeline.Options{Depth: cfg.Pipeline}
-		var gov *admission.Governor
-		if cfg.Admission || cfg.MemLimit > 0 || cfg.AdmissionTarget > 0 {
-			gov = admission.New(admission.Config{
-				Seed:        cfg.Seed,
-				MemLimit:    cfg.MemLimit,
-				CycleTarget: cfg.AdmissionTarget,
-			})
-			popts.Admission = gov
-		}
-		// Init (prefill + registration) ran through the same shard workers
-		// as live cycles but at orders-of-magnitude larger batch sizes;
-		// without a reset the stale EWMA reads as a latency breach and the
-		// governor sheds a perfectly healthy run's first cycles.
-		if gov != nil {
-			if rl, ok := mon.(interface{ ResetLoadStats() }); ok {
-				rl.ResetLoadStats()
-			}
-		}
-		p := pipeline.New(mon.(core.StreamMonitor), popts)
+	// A pipelined run drains deliveries on a consumer goroutine, ingests
+	// without waiting, and closes the measured span with the Flush barrier
+	// so every cycle is applied and delivered inside it.
+	var p *pipeline.Pipeline
+	var gov *admission.Governor
+	if st != nil && st.Pipe != nil {
+		p, gov = st.Pipe, st.Gov
 		consumerDone := p.Drain()
 		// Close is idempotent: the stats epilogue below closes the monitor
 		// too, this deferred close only covers error returns and joins the
 		// consumer either way.
 		defer func() { _ = p.Close(); <-consumerDone }()
-		t1 := time.Now()
-		next := time.Now()
-		for c := 0; c < cfg.Cycles && !res.Interrupted; c++ {
-			if cfg.stopped() {
-				res.Interrupted = true
-				break
-			}
-			if cfg.IngestInterval > 0 {
-				// Fixed-schedule pacing: sleep to the slot, not for the
-				// interval, so a slow Ingest (the queue blocking) eats its
-				// own budget instead of pushing every later arrival back.
-				if d := time.Until(next); d > 0 {
-					time.Sleep(d)
-				}
-				next = next.Add(cfg.IngestInterval)
-			}
-			if err := p.Ingest(ts, gen.Batch(cfg.R, ts)); err != nil {
-				// A governor shed is the run degrading as designed: the
-				// cycle's arrivals are the staleness cost, the run goes on.
-				if gov == nil || !errors.Is(err, admission.ErrOverloaded) {
-					return res, err
-				}
-			}
-			ts++
-			res.CyclesRun++
-			cfg.progress(c, p)
-			if gov != nil && cfg.AdmissionProgress != nil && cfg.ProgressEvery > 0 && (c+1)%cfg.ProgressEvery == 0 {
-				cfg.AdmissionProgress(c+1, gov.Snapshot())
-			}
+	}
+	ts := int64(1)
+	t1 := time.Now()
+	next := t1
+	for c := 0; c < cfg.Cycles; c++ {
+		if cfg.stopped() {
+			res.Interrupted = true
+			break
 		}
+		if cfg.IngestInterval > 0 {
+			// Fixed-schedule pacing: sleep to the slot, not for the
+			// interval, so a slow Ingest (the queue blocking) eats its own
+			// budget instead of pushing every later arrival back.
+			if d := time.Until(next); d > 0 {
+				time.Sleep(d)
+			}
+			next = next.Add(cfg.IngestInterval)
+		}
+		batch := gen.Batch(cfg.R, ts)
+		if p != nil {
+			err = p.Ingest(ts, batch)
+		} else {
+			_, err = mon.Step(ts, batch)
+		}
+		// A governor shed is the run degrading as designed: the cycle's
+		// arrivals are the staleness cost, the run goes on.
+		if err != nil && (gov == nil || !errors.Is(err, admission.ErrOverloaded)) {
+			return res, err
+		}
+		ts++
+		res.CyclesRun++
+		cfg.progress(c, mon, gov)
+	}
+	if p != nil {
 		if err := p.Flush(); err != nil {
 			return res, err
 		}
-		runTime = time.Since(t1)
 		res.DroppedBatches = p.Dropped()
 		res.DroppedTuples = p.DroppedTuples()
-		if gov != nil {
-			snap := gov.Snapshot()
-			res.AdmissionState = snap.State.String()
-			res.SheddingCycles = snap.SheddingDrains
-			res.CriticalCycles = snap.CriticalDrains
-		}
-		mon = p
-	} else {
-		t1 := time.Now()
-		for c := 0; c < cfg.Cycles; c++ {
-			if cfg.stopped() {
-				res.Interrupted = true
-				break
-			}
-			if _, err := mon.Step(ts, gen.Batch(cfg.R, ts)); err != nil {
-				return res, err
-			}
-			ts++
-			res.CyclesRun++
-			cfg.progress(c, mon)
-		}
-		runTime = time.Since(t1)
 	}
-	res.RunTime = runTime
+	res.RunTime = time.Since(t1)
+	if gov != nil {
+		snap := gov.Snapshot()
+		res.AdmissionState = snap.State.String()
+		res.SheddingCycles = snap.SheddingDrains
+		res.CriticalCycles = snap.CriticalDrains
+	}
 	res.SpaceBytes = mon.MemoryBytes()
-	if sh, ok := mon.(interface{ ShardMemoryBytes() []int64 }); ok {
-		for _, b := range sh.ShardMemoryBytes() {
-			if b > res.MaxShardSpaceBytes {
-				res.MaxShardSpaceBytes = b
-			}
-		}
-	}
 	if sl, ok := mon.(interface{ ShardLoads() []shard.ShardLoad }); ok {
 		if loads := sl.ShardLoads(); len(loads) > 0 {
 			var nsSum int64
 			for _, l := range loads {
-				if l.EWMACycleNS > res.MaxShardCycleNS {
-					res.MaxShardCycleNS = l.EWMACycleNS
-				}
+				res.MaxShardSpaceBytes = max(res.MaxShardSpaceBytes, l.MemoryBytes)
+				res.MaxShardCycleNS = max(res.MaxShardCycleNS, l.EWMACycleNS)
 				nsSum += l.EWMACycleNS
 			}
 			res.MeanShardCycleNS = nsSum / int64(len(loads))

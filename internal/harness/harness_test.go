@@ -80,6 +80,31 @@ func TestRunAllAlgorithms(t *testing.T) {
 	}
 }
 
+// TestPerCycleInterrupted: an interrupted run's per-cycle figure divides
+// the measured span by the cycles that ran, not by the cycles configured.
+func TestPerCycleInterrupted(t *testing.T) {
+	cfg := tinyConfig(AlgoTMA)
+	cfg.Cycles = 10
+	stop := make(chan struct{})
+	cfg.Stop = stop
+	cfg.ProgressEvery = 1
+	cfg.Progress = func(cycle int, _ []ShardLoad) {
+		if cycle == 3 {
+			close(stop)
+		}
+	}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Interrupted || res.CyclesRun != 3 {
+		t.Fatalf("interrupted=%v after %d cycles, want an interrupt after 3", res.Interrupted, res.CyclesRun)
+	}
+	if got, want := res.PerCycle(), res.RunTime/3; got != want {
+		t.Fatalf("PerCycle() = %v, want RunTime/3 = %v", got, want)
+	}
+}
+
 func TestNewMonitorRegistersQueries(t *testing.T) {
 	cfg := tinyConfig(AlgoSMA)
 	mon, gen, ts, err := NewMonitor(cfg)

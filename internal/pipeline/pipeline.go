@@ -669,19 +669,6 @@ func (p *Pipeline) MemoryBytes() int64 {
 	return b
 }
 
-// ShardMemoryBytes forwards a sharded wrapped monitor's per-shard
-// footprints as a barrier read (nil for unsharded monitors), so the
-// harness's max-per-shard space metric survives pipelining.
-func (p *Pipeline) ShardMemoryBytes() []int64 {
-	var per []int64
-	p.read(func() {
-		if sh, ok := p.mon.(interface{ ShardMemoryBytes() []int64 }); ok {
-			per = sh.ShardMemoryBytes()
-		}
-	})
-	return per
-}
-
 // ShardLoads forwards a sharded wrapped monitor's per-shard load figures
 // as a barrier read (nil for unsharded monitors), so load observability
 // survives pipelining.

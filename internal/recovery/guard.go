@@ -99,9 +99,6 @@ func NewGuard(inner core.StreamMonitor, dir string, opts GuardOptions) (*Guard, 
 	return g, nil
 }
 
-// Inner returns the wrapped monitor.
-func (g *Guard) Inner() core.StreamMonitor { return g.inner }
-
 // Dir returns the checkpoint directory.
 func (g *Guard) Dir() string { return g.dir }
 
@@ -258,9 +255,6 @@ func (g *Guard) flushDrops() {
 	}
 }
 
-// Epoch returns the epoch of the latest completed checkpoint.
-func (g *Guard) Epoch() uint64 { return g.epoch }
-
 // CurrentClock returns the wrapped monitor's cycle clock — what the
 // facade consults after a restore to resume stamping where the stream
 // left off.
@@ -372,23 +366,6 @@ func (g *Guard) CheckInfluence() error {
 	return nil
 }
 
-// NumShards forwards the wrapped monitor's shard count (1 for a single
-// engine).
-func (g *Guard) NumShards() int {
-	if sh, ok := g.inner.(interface{ NumShards() int }); ok {
-		return sh.NumShards()
-	}
-	return 1
-}
-
-// ShardMemoryBytes forwards per-shard memory figures (nil when unsharded).
-func (g *Guard) ShardMemoryBytes() []int64 {
-	if sh, ok := g.inner.(interface{ ShardMemoryBytes() []int64 }); ok {
-		return sh.ShardMemoryBytes()
-	}
-	return nil
-}
-
 // ShardLoads forwards per-shard load figures (nil when unsharded).
 func (g *Guard) ShardLoads() []shard.ShardLoad {
 	if sh, ok := g.inner.(interface{ ShardLoads() []shard.ShardLoad }); ok {
@@ -399,14 +376,8 @@ func (g *Guard) ShardLoads() []shard.ShardLoad {
 
 // --- restore ---
 
-// RestoreOptions configures Restore.
-type RestoreOptions struct {
-	// Every and Sync configure the restored Guard (see GuardOptions).
-	Every int
-	Sync  SyncPolicy
-	// Aux is the restored Guard's manifest callback (see GuardOptions.Aux).
-	Aux func() []byte
-}
+// RestoreOptions tunes the Guard Restore returns.
+type RestoreOptions = GuardOptions
 
 // Restore rebuilds the monitor whose lineage lives in dir: load the
 // latest checkpoint, reconstruct the monitor byte-identically, replay the

@@ -66,12 +66,12 @@ func TestOverloadedErrorFacade(t *testing.T) {
 	// Park the governor in Shedding with a drained token bucket, so the
 	// next offered batch must be shed.
 	for i := 0; i < 50; i++ {
-		mon.gov.Admit(8, 8, 1, 0)
-		mon.gov.ObserveDrain(8, 8, 0)
+		mon.st.Gov.Admit(8, 8, 1, 0)
+		mon.st.Gov.ObserveDrain(8, 8, 0)
 	}
 	shed := false
 	for i := 0; i < 64 && !shed; i++ {
-		shed = mon.gov.Admit(8, 8, 1, 0) == admission.Shed
+		shed = mon.st.Gov.Admit(8, 8, 1, 0) == admission.Shed
 	}
 	if !shed {
 		t.Fatal("setup: token bucket never drained")

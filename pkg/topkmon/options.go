@@ -3,8 +3,8 @@ package topkmon
 import (
 	"fmt"
 
-	"topkmon/internal/core"
 	"topkmon/internal/pipeline"
+	"topkmon/internal/stack"
 	"topkmon/internal/window"
 )
 
@@ -23,7 +23,7 @@ func (f ClockFunc) Now() int64 { return f() }
 
 // Partitioning selects how a sharded monitor splits work across its
 // engine shards.
-type Partitioning int
+type Partitioning = stack.Partitioning
 
 // Partitioning strategies for sharded monitors (see WithPartitioning).
 const (
@@ -32,7 +32,7 @@ const (
 	// queries. Best pure speed-up when query maintenance dominates, at
 	// the cost of replicating the tuple index per shard (memory and
 	// ingest work × shards). The default.
-	PartitionQueries Partitioning = iota
+	PartitionQueries = stack.PartitionQueries
 	// PartitionData hash-partitions the *stream*: each shard indexes only
 	// its O(N/shards) slice of the tuples, every query runs on every
 	// shard, and the router k-way merges the per-shard partial top-k
@@ -42,20 +42,8 @@ const (
 	// on the benchmark's fullstack-paced workload (two data shards, a
 	// 2-vCPU VM) a sharded cycle takes about 1.3× a single engine's
 	// (shard.tax_ratio in BENCHMARK.json's per-layer pass).
-	PartitionData
+	PartitionData = stack.PartitionData
 )
-
-// String implements fmt.Stringer.
-func (p Partitioning) String() string {
-	switch p {
-	case PartitionQueries:
-		return "queries"
-	case PartitionData:
-		return "data"
-	default:
-		return fmt.Sprintf("Partitioning(%d)", int(p))
-	}
-}
 
 // ParsePartitioning converts "queries"/"data" to a Partitioning.
 func ParsePartitioning(s string) (Partitioning, error) {
@@ -69,20 +57,12 @@ func ParsePartitioning(s string) (Partitioning, error) {
 	}
 }
 
-// config collects the options New accepts.
+// config collects the options New accepts. Everything structural lives in
+// stack: the layers, and the engine options every layer shares.
 type config struct {
-	shards          int
-	partition       Partitioning
-	policy          Policy
-	mode            StreamMode
-	clock           Clock
-	window          window.Spec
-	cells           int
-	pipeDepth       int
-	admission       *AdmissionConfig
-	checkpointDir   string
-	checkpointEvery int
-	checkpointSync  bool
+	stack  stack.Config
+	policy Policy
+	clock  Clock
 }
 
 // Option configures a Monitor.
@@ -94,13 +74,13 @@ type Option func(*config)
 // across shards. Either way results are identical to the single engine on
 // the same stream. The default (and any n <= 1) is the plain
 // single-threaded engine.
-func WithShards(n int) Option { return func(c *config) { c.shards = n } }
+func WithShards(n int) Option { return func(c *config) { c.stack.Shards = n } }
 
 // WithPartitioning selects the sharding strategy: PartitionQueries (the
 // default — full index per shard, disjoint query subsets) or
 // PartitionData (disjoint stream slices per shard, every query everywhere,
 // router-side top-k merge). It has no effect on single-engine monitors.
-func WithPartitioning(p Partitioning) Option { return func(c *config) { c.partition = p } }
+func WithPartitioning(p Partitioning) Option { return func(c *config) { c.stack.Partition = p } }
 
 // WithPipeline enables asynchronous pipelined ingestion with the given
 // queue depth (values below 1 select the tuned default). The monitor then
@@ -120,7 +100,7 @@ func WithPipeline(depth int) Option {
 		if depth < 1 {
 			depth = pipeline.DefaultDepth
 		}
-		c.pipeDepth = depth
+		c.stack.PipeDepth = depth
 	}
 }
 
@@ -145,7 +125,7 @@ func WithPipeline(depth int) Option {
 // package doc's "Overload and admission control" section for the state
 // machine and the bounded-staleness contract.
 func WithAdmission(cfg AdmissionConfig) Option {
-	return func(c *config) { c.admission = &cfg }
+	return func(c *config) { c.stack.Admission = &cfg }
 }
 
 // WithPolicy sets the default maintenance policy used by RegisterTopK.
@@ -156,7 +136,7 @@ func WithPolicy(p Policy) Option { return func(c *config) { c.policy = p } }
 // WithStreamMode selects the stream model. The default is AppendOnly
 // (sliding window); UpdateStream enables explicit deletions via StepUpdate
 // and TickUpdate and needs no window.
-func WithStreamMode(m StreamMode) Option { return func(c *config) { c.mode = m } }
+func WithStreamMode(m StreamMode) Option { return func(c *config) { c.stack.Engine.Mode = m } }
 
 // WithClock installs the clock that stamps Tick/TickUpdate cycles. The
 // default is a logical clock that advances by one per tick.
@@ -165,11 +145,15 @@ func WithClock(clk Clock) Option { return func(c *config) { c.clock = clk } }
 // WithCountWindow monitors the n most recent tuples (count-based window).
 // AppendOnly mode requires exactly one of WithCountWindow or
 // WithTimeWindow.
-func WithCountWindow(n int) Option { return func(c *config) { c.window = window.Count(n) } }
+func WithCountWindow(n int) Option {
+	return func(c *config) { c.stack.Engine.Window = window.Count(n) }
+}
 
 // WithTimeWindow monitors the tuples of the last span time units
 // (time-based window).
-func WithTimeWindow(span int64) Option { return func(c *config) { c.window = window.Time(span) } }
+func WithTimeWindow(span int64) Option {
+	return func(c *config) { c.stack.Engine.Window = window.Time(span) }
+}
 
 // WithCheckpoint enables durability: the monitor write-ahead-logs every
 // batch and query operation into dir and checkpoints its full state there
@@ -183,8 +167,8 @@ func WithTimeWindow(span int64) Option { return func(c *config) { c.window = win
 // contract.
 func WithCheckpoint(dir string, every int) Option {
 	return func(c *config) {
-		c.checkpointDir = dir
-		c.checkpointEvery = every
+		c.stack.Dir = dir
+		c.stack.Every = every
 	}
 }
 
@@ -194,25 +178,21 @@ func WithCheckpoint(dir string, every int) Option {
 // (process crashes still lose nothing; a machine crash can lose the
 // suffix since the last checkpoint). Checkpoints themselves always fsync.
 // It has no effect without WithCheckpoint.
-func WithCheckpointSync() Option { return func(c *config) { c.checkpointSync = true } }
+func WithCheckpointSync() Option { return func(c *config) { c.stack.Sync = true } }
 
 // WithTargetCells sets the approximate total grid cell count from which
 // the per-axis resolution is derived. The default is the paper's tuned
 // 12^4 cells.
-func WithTargetCells(n int) Option { return func(c *config) { c.cells = n } }
+func WithTargetCells(n int) Option { return func(c *config) { c.stack.Engine.TargetCells = n } }
 
-// engineOptions translates the public configuration to core options.
-func (c *config) engineOptions(dims int) (core.Options, error) {
-	if dims <= 0 {
-		return core.Options{}, fmt.Errorf("topkmon: dims must be positive, got %d", dims)
+// validate checks the engine options in the options' own terms;
+// stack.Config.Validate owns the rules about which layers combine.
+func (c *config) validate() error {
+	if c.stack.Engine.Dims <= 0 {
+		return fmt.Errorf("topkmon: dims must be positive, got %d", c.stack.Engine.Dims)
 	}
-	if c.mode == AppendOnly && c.window == (window.Spec{}) {
-		return core.Options{}, fmt.Errorf("topkmon: append-only mode needs WithCountWindow or WithTimeWindow")
+	if c.stack.Engine.Mode == AppendOnly && c.stack.Engine.Window == (window.Spec{}) {
+		return fmt.Errorf("topkmon: append-only mode needs WithCountWindow or WithTimeWindow")
 	}
-	return core.Options{
-		Dims:        dims,
-		Window:      c.window,
-		Mode:        c.mode,
-		TargetCells: c.cells,
-	}, nil
+	return nil
 }

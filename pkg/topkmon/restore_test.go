@@ -223,6 +223,48 @@ func TestNewWritesFullAux(t *testing.T) {
 	}
 }
 
+// TestRestoreRejectsStructuralOptions: the checkpoint records the
+// monitor's structure, so Restore refuses an option that would change it,
+// naming the setting, and still accepts runtime options such as WithClock.
+func TestRestoreRejectsStructuralOptions(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "ckpt")
+	mon, err := New(2, WithCountWindow(50), WithCheckpoint(dir, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mon.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		opt   Option
+		field string
+	}{
+		{WithShards(2), "Shards"},
+		{WithPartitioning(PartitionData), "Partition"},
+		{WithPipeline(2), "PipeDepth"},
+		{WithAdmission(AdmissionConfig{}), "Admission"},
+		{WithCheckpoint(dir, 3), "Dir"},
+		{WithCheckpointSync(), "Sync"},
+		{WithCountWindow(10), "Engine.Window"},
+		{WithPolicy(TMA), "Policy"},
+	} {
+		r, err := Restore(dir, c.opt)
+		if err == nil {
+			r.Close()
+			t.Errorf("Restore accepted an option setting %s", c.field)
+		} else if !strings.Contains(err.Error(), c.field) {
+			t.Errorf("Restore error %q does not name %s", err, c.field)
+		}
+	}
+	r, err := Restore(dir, WithClock(ClockFunc(func() int64 { return 7 })))
+	if err != nil {
+		t.Fatalf("Restore with WithClock: %v", err)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // sameUpdates asserts two cycles reported the same result deltas.
 func sameUpdates(t *testing.T, ts int64, a, b []Update) {
 	t.Helper()

@@ -1,7 +1,9 @@
 // Package topkmon is the public interface to the continuous top-k
 // monitoring system: a facade over the paper-faithful single engine
 // (internal/core) and the sharded concurrent engine (internal/shard),
-// selected by functional options.
+// selected by functional options. The options fill one stack.Config, and
+// internal/stack is the one place that assembles the layers — engine or
+// shards, WAL guard, pipeline, admission governor — for New and Restore.
 //
 // Quickstart:
 //
@@ -92,14 +94,12 @@
 package topkmon
 
 import (
+	"encoding/json"
 	"fmt"
 	"sync"
 
-	"topkmon/internal/admission"
-	"topkmon/internal/core"
 	"topkmon/internal/pipeline"
-	"topkmon/internal/recovery"
-	"topkmon/internal/shard"
+	"topkmon/internal/stack"
 )
 
 // Monitor is the public handle to a monitoring engine (single or sharded,
@@ -109,12 +109,9 @@ import (
 // shard workers and drains the pipeline; it is a no-op for synchronous
 // single engines.
 type Monitor struct {
-	mon    core.StreamMonitor
-	pipe   *pipeline.Pipeline  // non-nil under WithPipeline; then mon == pipe
-	guard  *recovery.Guard     // non-nil under WithCheckpoint; sits inside the pipeline
-	gov    *admission.Governor // non-nil under WithAdmission
+	st     *stack.Stack
+	pipe   *pipeline.Pipeline // st.Pipe, which the ingestion methods branch on
 	policy Policy
-	shards int
 
 	// tickMu guards the clock-driven ingestion state.
 	tickMu sync.Mutex
@@ -131,67 +128,22 @@ func New(dims int, opts ...Option) (*Monitor, error) {
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	engOpts, err := cfg.engineOptions(dims)
+	cfg.stack.Engine.Dims = dims
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	if cfg.stack.Dir != "" {
+		aux, err := json.Marshal(facadeAux{Policy: int(cfg.policy), Config: cfg.stack})
+		if err != nil {
+			return nil, err
+		}
+		cfg.stack.Aux = aux
+	}
+	st, err := stack.Build(cfg.stack, nil)
 	if err != nil {
 		return nil, err
 	}
-	m := &Monitor{policy: cfg.policy, clock: cfg.clock, shards: cfg.shards}
-	if cfg.admission != nil && cfg.pipeDepth <= 0 {
-		return nil, fmt.Errorf("topkmon: WithAdmission requires WithPipeline: the governor fronts the ingest queue")
-	}
-	if cfg.shards > 1 {
-		var sh core.StreamMonitor
-		var err error
-		if cfg.partition == PartitionData {
-			sh, err = shard.NewData(engOpts, cfg.shards)
-		} else {
-			sh, err = shard.New(engOpts, cfg.shards)
-		}
-		if err != nil {
-			return nil, err
-		}
-		m.mon = sh
-	} else {
-		m.shards = 1
-		eng, err := core.NewEngine(engOpts)
-		if err != nil {
-			return nil, err
-		}
-		m.mon = eng
-	}
-	if cfg.checkpointDir != "" {
-		aux, err := facadeAuxBytes(&cfg)
-		if err != nil {
-			m.mon.Close()
-			return nil, err
-		}
-		g, err := recovery.NewGuard(m.mon, cfg.checkpointDir, recovery.GuardOptions{
-			Every: cfg.checkpointEvery,
-			Sync:  walSync(cfg.checkpointSync),
-			Aux:   func() []byte { return aux },
-		})
-		if err != nil {
-			m.mon.Close()
-			return nil, err
-		}
-		m.guard = g
-		m.mon = g
-	}
-	if cfg.pipeDepth > 0 {
-		popts := pipeline.Options{Depth: cfg.pipeDepth}
-		if m.guard != nil {
-			// Batches shed by the admission governor get advisory WAL
-			// records, so load shedding stays visible in the durable lineage.
-			popts.DropLog = m.guard
-		}
-		if cfg.admission != nil {
-			m.gov = admission.New(*cfg.admission)
-			popts.Admission = m.gov
-		}
-		m.pipe = pipeline.New(m.mon, popts)
-		m.mon = m.pipe
-	}
-	return m, nil
+	return &Monitor{st: st, pipe: st.Pipe, policy: cfg.policy, clock: cfg.clock}, nil
 }
 
 // Pipelined reports whether the monitor ingests asynchronously
@@ -244,7 +196,7 @@ func (m *Monitor) Flush() error {
 
 // AdmissionControlled reports whether the monitor runs with the
 // load-shedding governor (WithAdmission).
-func (m *Monitor) AdmissionControlled() bool { return m.gov != nil }
+func (m *Monitor) AdmissionControlled() bool { return m.st.Gov != nil }
 
 // AdmissionState returns the governor's current degradation level:
 // AdmissionNormal (everything admitted — also the answer when admission
@@ -252,10 +204,10 @@ func (m *Monitor) AdmissionControlled() bool { return m.gov != nil }
 // admission) or AdmissionCritical (deletions only, memory over the
 // limit). The read is lock-free and safe to poll from a stats loop.
 func (m *Monitor) AdmissionState() AdmissionState {
-	if m.gov == nil {
+	if m.st.Gov == nil {
 		return AdmissionNormal
 	}
-	return m.gov.State()
+	return m.st.Gov.State()
 }
 
 // AdmissionStats returns a snapshot of the governor's state, admitted
@@ -263,15 +215,15 @@ func (m *Monitor) AdmissionState() AdmissionState {
 // control is disabled. SheddingDrains and CriticalDrains count the cycles
 // processed while degraded — the bounded-staleness figure.
 func (m *Monitor) AdmissionStats() AdmissionSnapshot {
-	if m.gov == nil {
+	if m.st.Gov == nil {
 		return AdmissionSnapshot{}
 	}
-	return m.gov.Snapshot()
+	return m.st.Gov.Snapshot()
 }
 
 // Checkpointed reports whether the monitor runs with durability
 // (WithCheckpoint, or built by Restore).
-func (m *Monitor) Checkpointed() bool { return m.guard != nil }
+func (m *Monitor) Checkpointed() bool { return m.st.Guard != nil }
 
 // Checkpoint writes a full checkpoint immediately and rotates the
 // write-ahead log — the manual form of the WithCheckpoint cadence, for
@@ -280,13 +232,13 @@ func (m *Monitor) Checkpointed() bool { return m.guard != nil }
 // cycle barrier, so it checkpoints only on the configured cadence and at
 // Close.
 func (m *Monitor) Checkpoint() error {
-	if m.guard == nil {
+	if m.st.Guard == nil {
 		return fmt.Errorf("topkmon: Checkpoint requires WithCheckpoint")
 	}
 	if m.pipe != nil {
 		return fmt.Errorf("topkmon: manual Checkpoint is unavailable under WithPipeline; checkpoints run every N cycles and at Close")
 	}
-	return m.guard.Checkpoint()
+	return m.st.Guard.Checkpoint()
 }
 
 // QueryIDs returns the ids of every registered query in ascending order on
@@ -294,21 +246,21 @@ func (m *Monitor) Checkpoint() error {
 // Restore. It requires a quiescent monitor (no concurrent ingestion) and
 // returns nil without WithCheckpoint.
 func (m *Monitor) QueryIDs() []QueryID {
-	if m.guard == nil {
+	if m.st.Guard == nil {
 		return nil
 	}
-	return m.guard.QueryIDs()
+	return m.st.Guard.QueryIDs()
 }
 
 // Shards returns the number of engine shards (1 for the single engine).
-func (m *Monitor) Shards() int { return m.shards }
+func (m *Monitor) Shards() int { return m.st.Shards }
 
 // ShardLoads returns each shard's current load — routed query count, EWMA
 // per-cycle wall time, cumulative attributed query cost, memory footprint
 // — for both sharded layouts, through the pipeline barrier when pipelined.
 // It returns nil on a single-engine monitor.
 func (m *Monitor) ShardLoads() []ShardLoad {
-	if sh, ok := m.mon.(interface{ ShardLoads() []ShardLoad }); ok {
+	if sh, ok := m.st.Mon.(interface{ ShardLoads() []ShardLoad }); ok {
 		return sh.ShardLoads()
 	}
 	return nil
@@ -316,23 +268,23 @@ func (m *Monitor) ShardLoads() []ShardLoad {
 
 // Register installs a query described by a full spec and returns its id.
 func (m *Monitor) Register(spec QuerySpec) (QueryID, error) {
-	return m.mon.Register(spec)
+	return m.st.Mon.Register(spec)
 }
 
 // RegisterTopK installs a top-k query under the monitor's default policy
 // (see WithPolicy).
 func (m *Monitor) RegisterTopK(f ScoringFunction, k int) (QueryID, error) {
-	return m.mon.Register(QuerySpec{F: f, K: k, Policy: m.policy})
+	return m.st.Mon.Register(QuerySpec{F: f, K: k, Policy: m.policy})
 }
 
 // RegisterThreshold installs a threshold query reporting every tuple whose
 // score strictly exceeds threshold.
 func (m *Monitor) RegisterThreshold(f ScoringFunction, threshold float64) (QueryID, error) {
-	return m.mon.Register(QuerySpec{F: f, Threshold: &threshold})
+	return m.st.Mon.Register(QuerySpec{F: f, Threshold: &threshold})
 }
 
 // Unregister removes a query and its bookkeeping.
-func (m *Monitor) Unregister(id QueryID) error { return m.mon.Unregister(id) }
+func (m *Monitor) Unregister(id QueryID) error { return m.st.Mon.Unregister(id) }
 
 // Step runs one processing cycle at timestamp now (append-only mode):
 // arrivals enter the window, expired tuples leave it, and the result
@@ -340,14 +292,14 @@ func (m *Monitor) Unregister(id QueryID) error { return m.mon.Unregister(id) }
 // Arrivals must be stamped with TS = now and strictly increasing Seq; use
 // Tick for automatic stamping.
 func (m *Monitor) Step(now int64, arrivals []*Tuple) ([]Update, error) {
-	return m.mon.Step(now, arrivals)
+	return m.st.Mon.Step(now, arrivals)
 }
 
 // StepUpdate runs one cycle under the explicit-deletion model
 // (UpdateStream mode): arrivals are inserted and the tuples named by
 // deletions are removed.
 func (m *Monitor) StepUpdate(now int64, arrivals []*Tuple, deletions []uint64) ([]Update, error) {
-	return m.mon.StepUpdate(now, arrivals, deletions)
+	return m.st.Mon.StepUpdate(now, arrivals, deletions)
 }
 
 // Tick runs one clock-driven cycle: the configured Clock (default: a
@@ -360,14 +312,14 @@ func (m *Monitor) StepUpdate(now int64, arrivals []*Tuple, deletions []uint64) (
 func (m *Monitor) Tick(arrivals []*Tuple) ([]Update, error) {
 	m.tickMu.Lock()
 	defer m.tickMu.Unlock()
-	return m.mon.Step(m.stampLocked(arrivals), arrivals)
+	return m.st.Mon.Step(m.stampLocked(arrivals), arrivals)
 }
 
 // TickUpdate is Tick for UpdateStream mode.
 func (m *Monitor) TickUpdate(arrivals []*Tuple, deletions []uint64) ([]Update, error) {
 	m.tickMu.Lock()
 	defer m.tickMu.Unlock()
-	return m.mon.StepUpdate(m.stampLocked(arrivals), arrivals, deletions)
+	return m.st.Mon.StepUpdate(m.stampLocked(arrivals), arrivals, deletions)
 }
 
 // stampLocked assigns the cycle timestamp and sequence numbers for a tick.
@@ -401,38 +353,38 @@ func (m *Monitor) LastSeq() uint64 {
 }
 
 // Result returns the current result of a query, best first.
-func (m *Monitor) Result(id QueryID) ([]Entry, error) { return m.mon.Result(id) }
+func (m *Monitor) Result(id QueryID) ([]Entry, error) { return m.st.Mon.Result(id) }
 
 // Stats returns a snapshot of the monitor counters. For sharded monitors
 // the stream-level counters (Arrivals, Expirations) are reported once and
 // the query-attributed counters are summed across shards.
-func (m *Monitor) Stats() Stats { return m.mon.Stats() }
+func (m *Monitor) Stats() Stats { return m.st.Mon.Stats() }
 
 // MemoryBytes estimates the monitor's total memory footprint, summed over
 // shards (the index is replicated per shard).
-func (m *Monitor) MemoryBytes() int64 { return m.mon.MemoryBytes() }
+func (m *Monitor) MemoryBytes() int64 { return m.st.Mon.MemoryBytes() }
 
 // NumPoints returns the number of valid tuples.
-func (m *Monitor) NumPoints() int { return m.mon.NumPoints() }
+func (m *Monitor) NumPoints() int { return m.st.Mon.NumPoints() }
 
 // NumQueries returns the number of registered queries.
-func (m *Monitor) NumQueries() int { return m.mon.NumQueries() }
+func (m *Monitor) NumQueries() int { return m.st.Mon.NumQueries() }
 
 // Now returns the timestamp of the last processed cycle.
-func (m *Monitor) Now() int64 { return m.mon.Now() }
+func (m *Monitor) Now() int64 { return m.st.Mon.Now() }
 
 // Close stops the shard worker goroutines, drains the pipeline, and — on
 // a checkpointed monitor — writes the final checkpoint. The monitor must
 // not be used afterwards. Closing a single-engine monitor is a no-op;
 // closing twice is safe.
-func (m *Monitor) Close() error { return m.mon.Close() }
+func (m *Monitor) Close() error { return m.st.Mon.Close() }
 
 // abandon releases a synchronous checkpointed monitor's resources without
 // the final checkpoint, leaving the directory exactly as a process kill
 // would — the crash-simulation hook restore tests drive.
 func (m *Monitor) abandon() error {
-	if m.guard == nil || m.pipe != nil {
+	if m.st.Guard == nil || m.pipe != nil {
 		return fmt.Errorf("topkmon: abandon requires a synchronous checkpointed monitor")
 	}
-	return m.guard.Abandon()
+	return m.st.Guard.Abandon()
 }
