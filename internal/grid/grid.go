@@ -12,6 +12,17 @@
 //     O(1) operations at both ends. Under the update-stream model of
 //     Section 7 (explicit deletions) an id->slot hash locates victims and
 //     deletion swaps the last slot in, keeping the block dense;
+//   - recycled storage: the five columns are one block of power-of-two
+//     slot capacity (at least 4). A full cell compacts a dead FIFO prefix
+//     in place or moves to a block twice the size; a drained cell, and a
+//     cell that grows, hands its old block back to a per-grid free list
+//     indexed by size class, with every tuple pointer cleared, so a pooled
+//     block pins no tuple. Each class retains at most a fixed fraction of
+//     the indexed population (poolDivisor, floor poolMinSlots); MemoryBytes
+//     counts pooled capacity. A cell that drains holds no block, and at the
+//     cell sizes Section 4.1 picks (a few points per cell) a cell drains and
+//     refills every few cycles, so the steady-state insert path allocates
+//     nothing;
 //   - an influence list IL_c: a sorted small-slice with an entry for every
 //     query whose influence region intersects the cell (binary-search
 //     add/remove, linear iterate — cheaper than a hash set at the observed
@@ -36,6 +47,7 @@ package grid
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"topkmon/internal/geom"
@@ -73,33 +85,46 @@ func (m Mode) String() string {
 	}
 }
 
-// cell is one grid cell: the columnar point block plus the influence list.
-// Live slots occupy positions [head, len); FIFO expiration advances head,
-// Random-mode deletion swap-fills from the tail (head stays 0 there).
-type cell struct {
+// block is the storage of one cell's point columns: five parallel columns
+// sized for the same slot capacity (a power of two, at least minBlockSlots;
+// coords holds dims float64 per slot). Blocks are allocated, grown and
+// recycled as a unit. Pointer slots outside a cell's live range are always
+// nil, so a block handed back to the free list pins no tuple.
+type block struct {
 	coords []float64 // dims-strided coordinates
 	ids    []uint64
 	seqs   []uint64
 	tss    []int64
 	ptrs   []*stream.Tuple
-	head   int
+}
+
+// cell is one grid cell: the columnar point block plus the influence list.
+// Live slots occupy positions [head, len); FIFO expiration advances head,
+// Random-mode deletion swap-fills from the tail (head stays 0 there).
+type cell struct {
+	block
+	head int
 	// Random mode: id -> absolute slot position in the columns.
 	slot map[uint64]int
 	// Influence list: query ids in ascending order.
 	infl []QueryID
 }
 
+// Block pool sizing. A block of minBlockSlots<<c slots lives in size class
+// c. Each class retains at most max(points/poolDivisor, poolMinSlots)
+// slots of pooled capacity: a per-class bound, because a single global one
+// lets the rarer large classes crowd out the small classes that churn. The
+// divisor trades live heap for allocations (a looser one raised the
+// update-stream workload's live heap past its benchmark bound), so it is
+// part of the design, not a tuning knob.
+const (
+	minBlockSlots = 4
+	poolDivisor   = 32
+	poolMinSlots  = 1024
+)
+
 // len reports the number of live slots.
 func (c *cell) len() int { return len(c.ptrs) - c.head }
-
-// release drops the point columns entirely, returning the cell's backing
-// blocks to the allocator. Called whenever the last live tuple leaves the
-// cell, so a drained cell holds no memory (streams sweep across cells; a
-// cell that was hot an hour ago must not pin its high-water block forever).
-func (c *cell) release() {
-	c.coords, c.ids, c.seqs, c.tss, c.ptrs = nil, nil, nil, nil, nil
-	c.head = 0
-}
 
 // compact moves the live slots to the front of the columns, clearing the
 // vacated pointer tail so tuples are not pinned.
@@ -167,9 +192,15 @@ type Grid struct {
 	stride []int // stride[i] = res^i, for index arithmetic
 	points int
 	// maxCellBytesHW is the largest single cell's capacity byte footprint
-	// ever reached — the tuple-hash-skew signal. Updated only when an append grows a cell's backing
-	// block, so the insert hot path pays one capacity comparison.
+	// ever reached — the tuple-hash-skew signal. Updated only when a cell
+	// moves to a larger block, so the insert hot path pays one capacity
+	// comparison.
 	maxCellBytesHW int64
+	// free[c] holds recycled blocks of minBlockSlots<<c slots, each with
+	// zero-length columns and an all-nil pointer column; pooledSlots is
+	// their total slot capacity.
+	free        [][]block
+	pooledSlots int
 }
 
 // New constructs a grid over the unit workspace [0,1]^dims with res cells
@@ -367,22 +398,20 @@ func (g *Grid) Insert(t *stream.Tuple) int {
 
 // InsertAt adds t to cell idx, which must be the cell covering t.Vec
 // (callers that already computed IndexOf avoid recomputing it). The tuple's
-// coordinates are appended to the cell's columnar block.
+// coordinates are appended to the cell's columnar block; a full block is
+// compacted or replaced by grow, off this path.
 //
 //topk:hot
 func (g *Grid) InsertAt(idx int, t *stream.Tuple) {
 	c := &g.cells[idx]
-	pc, cc := cap(c.ptrs), cap(c.coords)
+	if len(c.ptrs) == cap(c.ptrs) {
+		g.grow(idx)
+	}
 	c.coords = append(c.coords, t.Vec...)
 	c.ids = append(c.ids, t.ID)
 	c.seqs = append(c.seqs, t.Seq)
 	c.tss = append(c.tss, t.TS)
 	c.ptrs = append(c.ptrs, t)
-	if cap(c.ptrs) != pc || cap(c.coords) != cc {
-		if b := g.CellCapBytes(idx); b > g.maxCellBytesHW {
-			g.maxCellBytesHW = b
-		}
-	}
 	if g.mode == Random {
 		if c.slot == nil {
 			//topk:allow hotalloc lazy once-per-cell init of a long-lived slot map, reused until the cell drains
@@ -398,8 +427,9 @@ func (g *Grid) InsertAt(idx int, t *stream.Tuple) {
 // In FIFO mode the expiring tuple is, by construction, at the head of its
 // cell's block, so the common case is O(1); a linear fallback keeps the
 // structure correct if callers remove out of order. A cell whose last live
-// tuple leaves releases its backing block entirely (and a long-lived dead
-// prefix is compacted away), so memory tracks the live population.
+// tuple leaves hands its block to the free list, so cell memory tracks the
+// live population; a dead FIFO prefix holds only nil pointers and is
+// compacted away when the cell next fills (grow).
 //
 //topk:hot
 func (g *Grid) Remove(t *stream.Tuple) bool {
@@ -414,10 +444,10 @@ func (g *Grid) Remove(t *stream.Tuple) bool {
 		//topk:allow mapop Random-mode id -> slot map, see InsertAt
 		delete(c.slot, t.ID)
 		c.deleteSlot(pos, g.dims)
-		if len(c.ptrs) == 0 {
-			c.release()
-		}
 		g.points--
+		if len(c.ptrs) == 0 {
+			g.release(c)
+		}
 		return true
 	}
 	n := c.len()
@@ -427,13 +457,10 @@ func (g *Grid) Remove(t *stream.Tuple) bool {
 	if c.ptrs[c.head] == t {
 		c.ptrs[c.head] = nil
 		c.head++
-		switch {
-		case c.head == len(c.ptrs):
-			c.release()
-		case c.head > len(c.ptrs)/2 && c.head > 16:
-			c.compact(g.dims)
-		}
 		g.points--
+		if c.head == len(c.ptrs) {
+			g.release(c)
+		}
 		return true
 	}
 	// Out-of-order fallback: locate the tuple among the live slots and
@@ -454,13 +481,125 @@ func (g *Grid) Remove(t *stream.Tuple) bool {
 		c.seqs = c.seqs[:last]
 		c.tss = c.tss[:last]
 		c.coords = c.coords[:last*g.dims]
-		if c.head == len(c.ptrs) {
-			c.release()
-		}
 		g.points--
+		if c.head == len(c.ptrs) {
+			g.release(c)
+		}
 		return true
 	}
 	return false
+}
+
+// grow makes room for one more slot in full cell idx. A FIFO cell whose
+// dead prefix is at least an eighth of its block compacts in place (the
+// bound keeps the copying amortized O(1) per insert); any other cell moves
+// its live slots into a block of twice the capacity, or of minBlockSlots
+// when it has none, and recycles the old block. Random-mode cells keep
+// head at 0, so their id->slot positions survive the move.
+func (g *Grid) grow(idx int) {
+	c := &g.cells[idx]
+	if c.head > 0 && c.head*8 >= cap(c.ptrs) {
+		c.compact(g.dims)
+		return
+	}
+	slots := max(2*cap(c.ptrs), minBlockSlots)
+	nb := g.takeBlock(slots)
+	nb.coords = append(nb.coords, c.coords[c.head*g.dims:]...)
+	nb.ids = append(nb.ids, c.ids[c.head:]...)
+	nb.seqs = append(nb.seqs, c.seqs[c.head:]...)
+	nb.tss = append(nb.tss, c.tss[c.head:]...)
+	nb.ptrs = append(nb.ptrs, c.ptrs[c.head:]...)
+	g.putBlock(c.block)
+	c.block = nb
+	c.head = 0
+	if b := g.CellCapBytes(idx); b > g.maxCellBytesHW {
+		g.maxCellBytesHW = b
+	}
+}
+
+// release hands a drained cell's block to the free list, so a drained cell
+// holds no memory of its own (streams sweep across cells; a cell that was
+// hot an hour ago must not pin its high-water block forever).
+func (g *Grid) release(c *cell) {
+	g.putBlock(c.block)
+	c.block = block{}
+	c.head = 0
+	if g.points == 0 {
+		g.trimPool()
+	}
+}
+
+// sizeClass maps a block's slot capacity (a power of two, at least
+// minBlockSlots) to its free-list index.
+func sizeClass(slots int) int {
+	return bits.Len(uint(slots)) - bits.Len(minBlockSlots)
+}
+
+// classBlocks is how many blocks of class c the pool may retain at the
+// current population.
+func (g *Grid) classBlocks(c int) int {
+	return max(g.points/poolDivisor, poolMinSlots) / (minBlockSlots << c)
+}
+
+// takeBlock returns an empty block of the given slot capacity, recycled
+// when the free list has one.
+func (g *Grid) takeBlock(slots int) block {
+	if c := sizeClass(slots); c < len(g.free) {
+		if fl := g.free[c]; len(fl) > 0 {
+			b := fl[len(fl)-1]
+			fl[len(fl)-1] = block{}
+			g.free[c] = fl[:len(fl)-1]
+			g.pooledSlots -= slots
+			return b
+		}
+	}
+	return block{
+		coords: make([]float64, 0, slots*g.dims),
+		ids:    make([]uint64, 0, slots),
+		seqs:   make([]uint64, 0, slots),
+		tss:    make([]int64, 0, slots),
+		ptrs:   make([]*stream.Tuple, 0, slots),
+	}
+}
+
+// putBlock recycles b. Its pointer column is cleared (slots past len are
+// nil already) and the block joins its class's free list when the class
+// is under its bound; blocks the pool cannot hold are left to the garbage
+// collector.
+func (g *Grid) putBlock(b block) {
+	slots := cap(b.ptrs)
+	if slots < minBlockSlots {
+		return
+	}
+	clear(b.ptrs)
+	c := sizeClass(slots)
+	for len(g.free) <= c {
+		g.free = append(g.free, nil)
+	}
+	if len(g.free[c]) >= g.classBlocks(c) {
+		return
+	}
+	g.free[c] = append(g.free[c], block{
+		coords: b.coords[:0],
+		ids:    b.ids[:0],
+		seqs:   b.seqs[:0],
+		tss:    b.tss[:0],
+		ptrs:   b.ptrs[:0],
+	})
+	g.pooledSlots += slots
+}
+
+// trimPool re-applies the retention bound to every class. It runs when
+// the grid empties: blocks pooled while the population was larger would
+// otherwise outlive the bound that admitted them.
+func (g *Grid) trimPool() {
+	for c, fl := range g.free {
+		if n := g.classBlocks(c); len(fl) > n {
+			g.pooledSlots -= (len(fl) - n) * (minBlockSlots << c)
+			clear(fl[n:])
+			g.free[c] = fl[:n]
+		}
+	}
 }
 
 // CellBlock returns the columnar view of cell idx's live tuples.
@@ -512,7 +651,7 @@ func (g *Grid) CellCapBytes(idx int) int64 {
 // MaxCellBytesHighWater returns the largest capacity byte footprint any
 // single cell's point columns ever reached. Unlike MemoryBytes it never
 // shrinks — it records the worst skew the tuple hash produced, even
-// after the hot cell drained and released its block.
+// after the hot cell drained and recycled its block.
 func (g *Grid) MaxCellBytesHighWater() int64 { return g.maxCellBytesHW }
 
 // inflFind returns the position of q in cell c's influence list, or the
@@ -594,9 +733,10 @@ func (g *Grid) TotalInfluenceEntries() int {
 
 // MemoryBytes estimates the index footprint: the cell directory, the
 // columnar point blocks (coordinates, ids, sequences, timestamps and tuple
-// pointers at reserved capacity), the influence-list entries, and the
-// tuple payloads (id + d float64 attributes + seq + timestamp), mirroring
-// the O(N*(d+1) + Q*C) terms of Section 6.
+// pointers at reserved capacity, in cells and in the block free list), the
+// influence-list entries, and the tuple payloads (id + d float64
+// attributes + seq + timestamp), mirroring the O(N*(d+1) + Q*C) terms of
+// Section 6.
 func (g *Grid) MemoryBytes() int64 {
 	const (
 		cellOverhead  = int64(160) // five column headers + head + map/list pointers
@@ -604,6 +744,7 @@ func (g *Grid) MemoryBytes() int64 {
 		slotEntrySize = int64(24)  // id->slot entry incl. bucket overhead
 	)
 	total := int64(len(g.cells)) * cellOverhead
+	total += int64(g.pooledSlots) * int64(g.dims+4) * 8
 	for i := range g.cells {
 		c := &g.cells[i]
 		total += g.CellCapBytes(i)

@@ -71,7 +71,15 @@ type Record struct {
 // only for register records carrying a scoring function outside the
 // serializable families.
 func EncodeWALRecord(r Record) ([]byte, error) {
-	e := &enc{}
+	var e enc
+	if err := encodeWALRecord(&e, r); err != nil {
+		return nil, err
+	}
+	return e.buf, nil
+}
+
+// encodeWALRecord appends r's payload to e.buf.
+func encodeWALRecord(e *enc, r Record) error {
 	e.u8(byte(r.Kind))
 	e.uvarint(r.Index)
 	switch r.Kind {
@@ -86,14 +94,14 @@ func EncodeWALRecord(r Record) ([]byte, error) {
 	case RecordRegister:
 		e.uvarint(uint64(r.Query))
 		if err := encodeSpec(e, r.Spec); err != nil {
-			return nil, err
+			return err
 		}
 	case RecordUnregister:
 		e.uvarint(uint64(r.Query))
 	default:
-		return nil, fmt.Errorf("recovery: unknown WAL record kind %d", r.Kind)
+		return fmt.Errorf("recovery: unknown WAL record kind %d", r.Kind)
 	}
-	return e.buf, nil
+	return nil
 }
 
 // DecodeWALRecord parses one record payload (framing excluded). All
@@ -133,17 +141,42 @@ func DecodeWALRecord(payload []byte) (Record, error) {
 	return r, nil
 }
 
+// walFile is the part of *os.File the WAL writes through once the log is
+// open, so tests can inject short writes and failing syscalls.
+type walFile interface {
+	io.Writer
+	io.Seeker
+	Truncate(size int64) error
+	Sync() error
+	Close() error
+}
+
+// maxRetainedFrame caps the frame buffer a WAL keeps between appends: a
+// burst of oversized records must not pin its buffer for the log's life.
+const maxRetainedFrame = 1 << 20
+
 // WAL is an append-only record log. Appends are safe for concurrent use:
 // the processing goroutine logs batches and query operations while the
 // ingestion pipeline's producer goroutine logs drops.
 type WAL struct {
-	// mu guards the file offset and the index counter. It nests inside
-	// every monitor lock (appenders call in with their own serialization
-	// already established) and takes nothing itself.
+	// mu guards the file, the offsets, the index counter and the frame
+	// buffer. It nests inside every monitor lock (appenders call in with
+	// their own serialization already established) and takes nothing
+	// itself.
 	mu   sync.Mutex //topk:lockrank 50 leaf
-	f    *os.File
+	f    walFile
 	sync SyncPolicy
 	next uint64
+	// end is the offset just past the last committed frame: where the next
+	// append starts, and where a failed append rolls the file back to.
+	end int64
+	// failed is set when a rollback itself failed (the file may end in a
+	// partial frame, so every later append must fail rather than land
+	// behind it) and by Close. A rotation, which truncates the body, clears
+	// a rollback failure.
+	failed error
+	// frame is the reused encode buffer: frame header, then payload.
+	frame enc
 }
 
 // OpenWAL opens (creating if absent) the log at path, validates the
@@ -169,7 +202,7 @@ func OpenWAL(path string, pol SyncPolicy) (*WAL, []Record, error) {
 		f.Close()
 		return nil, nil, fmt.Errorf("recovery: seek WAL: %w", err)
 	}
-	w := &WAL{f: f, sync: pol}
+	w := &WAL{f: f, sync: pol, end: end}
 	if n := len(recs); n > 0 {
 		w.next = recs[n-1].Index + 1
 	}
@@ -258,30 +291,61 @@ func (w *WAL) EnsureNextIndex(floor uint64) {
 	}
 }
 
-// Append assigns the record the next index, writes its frame, and — under
-// SyncAlways — fsyncs before returning.
+// Append assigns the record the next index, writes its frame with one
+// Write, and — under SyncAlways — fsyncs before returning. The frame is
+// encoded into a buffer the WAL keeps, so a steady stream of appends
+// allocates nothing.
+//
+// An append either commits whole or leaves the log as it was: when the
+// write or the fsync fails, the file is truncated back to the last
+// committed frame, so a later append never lands behind a torn frame
+// (which Restore would read as mid-log corruption). If that rollback fails
+// too, the WAL refuses every further append.
 func (w *WAL) Append(r Record) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	if w.failed != nil {
+		return w.failed
+	}
 	r.Index = w.next
-	payload, err := EncodeWALRecord(r)
+	var hdr [walFrameOverhead]byte
+	w.frame.buf = append(w.frame.buf[:0], hdr[:]...)
+	err := encodeWALRecord(&w.frame, r)
+	frame := w.frame.buf
+	if cap(frame) > maxRetainedFrame {
+		w.frame.buf = nil
+	}
 	if err != nil {
 		return err
 	}
-	frame := make([]byte, walFrameOverhead, walFrameOverhead+len(payload))
+	payload := frame[walFrameOverhead:]
 	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
 	binary.LittleEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(payload))
-	frame = append(frame, payload...)
 	if _, err := w.f.Write(frame); err != nil {
-		return fmt.Errorf("recovery: append WAL record: %w", err)
+		return w.rollback(fmt.Errorf("recovery: append WAL record: %w", err))
 	}
-	w.next++
 	if w.sync == SyncAlways {
 		if err := w.f.Sync(); err != nil {
-			return fmt.Errorf("recovery: sync WAL: %w", err)
+			return w.rollback(fmt.Errorf("recovery: sync WAL: %w", err))
 		}
 	}
+	w.end += int64(len(frame))
+	w.next++
 	return nil
+}
+
+// rollback truncates the file back to the last committed frame after a
+// failed append and returns cause. Callers hold mu.
+func (w *WAL) rollback(cause error) error {
+	if err := w.f.Truncate(w.end); err != nil {
+		w.failed = fmt.Errorf("%w (rollback: %v)", cause, err)
+		return w.failed
+	}
+	if _, err := w.f.Seek(w.end, io.SeekStart); err != nil {
+		w.failed = fmt.Errorf("%w (rollback: %v)", cause, err)
+		return w.failed
+	}
+	return cause
 }
 
 // Rotate empties the log body after a successful checkpoint. The index
@@ -292,12 +356,19 @@ func (w *WAL) Append(r Record) error {
 func (w *WAL) Rotate() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	if w.f == nil {
+		return os.ErrClosed
+	}
 	if err := w.f.Truncate(int64(walHeaderSize)); err != nil {
 		return fmt.Errorf("recovery: rotate WAL: %w", err)
 	}
-	if _, err := w.f.Seek(int64(walHeaderSize), io.SeekStart); err != nil {
-		return fmt.Errorf("recovery: rotate WAL: %w", err)
+	w.end = int64(walHeaderSize)
+	if _, err := w.f.Seek(w.end, io.SeekStart); err != nil {
+		// The body is gone but the file position is unknown.
+		w.failed = fmt.Errorf("recovery: rotate WAL: %w", err)
+		return w.failed
 	}
+	w.failed = nil
 	return nil
 }
 
@@ -305,6 +376,9 @@ func (w *WAL) Rotate() error {
 func (w *WAL) Sync() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	if w.f == nil {
+		return os.ErrClosed
+	}
 	return w.f.Sync()
 }
 
@@ -318,6 +392,7 @@ func (w *WAL) Close() error {
 	syncErr := w.f.Sync()
 	closeErr := w.f.Close()
 	w.f = nil
+	w.failed = os.ErrClosed
 	if syncErr != nil {
 		return syncErr
 	}

@@ -52,9 +52,12 @@ import (
 // mergedQuery is the router-side state of one query under data
 // partitioning: its spec (for the merge limit) and, for a top-k query, the
 // merged result as last reported to the client, in descending total order.
+// A cycle merges into spare and swaps it with reported when the result
+// changed, so steady merging reuses both arrays.
 type mergedQuery struct {
 	spec     core.QuerySpec
 	reported []core.Entry
+	spare    []core.Entry
 }
 
 // limit returns the merge cutoff: k for top-k queries, unbounded for
@@ -102,6 +105,59 @@ type DataSharded struct {
 
 	// stepMu serializes cycles and the cross-shard query operations.
 	stepMu sync.Mutex //topk:lockrank 20
+
+	// sc is the cycle's working memory, guarded by stepMu.
+	sc cycleScratch
+}
+
+// cycleScratch is the router's per-cycle working memory, reused cycle
+// after cycle so that a cycle allocates little beyond the updates it
+// returns. Every per-shard slice is indexed by shard; a worker job touches
+// only its own shard's entries, handed over by the job channel and handed
+// back through wg. No engine keeps a batch slice past StepExternal or
+// StepUpdate, so the per-shard slices are reused the next cycle.
+type cycleScratch struct {
+	now      int64
+	arrivals [][]*stream.Tuple // arrivals by shard
+	expired  [][]*stream.Tuple // the window's expiration run by shard (AppendOnly)
+	deleted  [][]uint64        // explicit deletions by shard (UpdateStream)
+	run      []*stream.Tuple   // the window's expiration run
+	results  []shardResult
+	dirty    []core.QueryID // queries any shard reported, sorted, unique
+	snaps    []partials
+	parts    [][]core.Entry // one dirty query's partial results by shard
+	stepJobs []func()       // stepJobs[i] runs shard i's slice of the cycle
+	snapJobs []func()       // snapJobs[i] fills snaps[i]
+	wg       sync.WaitGroup
+}
+
+// partials holds one shard's partial results for a cycle's dirty top-k
+// queries back to back: dirty query j's list is entries[ends[j-1]:ends[j]]
+// (from 0 for j = 0), empty for a threshold query.
+type partials struct {
+	entries []core.Entry
+	ends    []int
+}
+
+// list returns dirty query j's partial result.
+func (p *partials) list(j int) []core.Entry {
+	start := 0
+	if j > 0 {
+		start = p.ends[j-1]
+	}
+	return p.entries[start:p.ends[j]]
+}
+
+// release drops the tuple references the cycle staged, keeping every
+// capacity, so the scratch never pins a tuple that has left the window.
+func (sc *cycleScratch) release() {
+	for i := range sc.arrivals {
+		clear(sc.arrivals[i])
+		clear(sc.expired[i])
+		sc.results[i] = shardResult{}
+		clear(sc.snaps[i].entries)
+	}
+	clear(sc.run)
 }
 
 var _ core.StreamMonitor = (*DataSharded)(nil)
@@ -136,6 +192,20 @@ func newDataWithFactory(opts core.Options, n int, factory func(core.Options) (*c
 		return nil, err
 	}
 	d.workers = workers
+	d.sc = cycleScratch{
+		arrivals: make([][]*stream.Tuple, n),
+		expired:  make([][]*stream.Tuple, n),
+		deleted:  make([][]uint64, n),
+		results:  make([]shardResult, n),
+		snaps:    make([]partials, n),
+		parts:    make([][]core.Entry, n),
+		stepJobs: make([]func(), n),
+		snapJobs: make([]func(), n),
+	}
+	for i := range workers {
+		d.sc.stepJobs[i] = func() { d.stepShard(i) }
+		d.sc.snapJobs[i] = func() { d.snapShard(i) }
+	}
 	return d, nil
 }
 
@@ -269,30 +339,32 @@ func (d *DataSharded) RestoreRouterQueries(qs []RouterQuery) error {
 	return nil
 }
 
-// routeTuples splits an arrival batch or an expiration run into per-shard
-// slices by tuple id, so an expiring tuple reaches the shard that indexed
-// it. Order within each slice is preserved (per-shard Seq order — and
-// hence FIFO expiration — survives partitioning).
-func (d *DataSharded) routeTuples(batch []*stream.Tuple) [][]*stream.Tuple {
-	parts := make([][]*stream.Tuple, len(d.workers))
+// routeTuples splits an arrival batch or an expiration run into the
+// per-shard slices parts by tuple id, so an expiring tuple reaches the
+// shard that indexed it. Order within each slice is preserved (per-shard
+// Seq order — and hence FIFO expiration — survives partitioning).
+func routeTuples(batch []*stream.Tuple, parts [][]*stream.Tuple) {
+	for i := range parts {
+		parts[i] = parts[i][:0]
+	}
 	for _, t := range batch {
-		si := shardOfTuple(t.ID, len(d.workers))
+		si := shardOfTuple(t.ID, len(parts))
 		parts[si] = append(parts[si], t)
 	}
-	return parts
 }
 
 // routeDeleted splits explicit deletions (UpdateStream mode), which
 // arrive as bare ids, by the same hash: a deletion always reaches the
 // shard that indexed the tuple, and an unknown id reaches a shard whose
 // engine reports it.
-func (d *DataSharded) routeDeleted(ids []uint64) [][]uint64 {
-	parts := make([][]uint64, len(d.workers))
+func routeDeleted(ids []uint64, parts [][]uint64) {
+	for i := range parts {
+		parts[i] = parts[i][:0]
+	}
 	for _, id := range ids {
-		si := shardOfTuple(id, len(d.workers))
+		si := shardOfTuple(id, len(parts))
 		parts[si] = append(parts[si], id)
 	}
-	return parts
 }
 
 // Register implements core.Monitor. The query is installed on every shard
@@ -508,14 +580,15 @@ func (d *DataSharded) Step(now int64, arrivals []*stream.Tuple) ([]core.Update, 
 	d.started = true
 	d.now = now
 
-	parts := d.routeTuples(arrivals)
+	sc := &d.sc
+	sc.now = now
+	routeTuples(arrivals, sc.arrivals)
 	for _, t := range arrivals {
 		d.win.Push(t)
 	}
-	expParts := d.routeTuples(d.win.Expire(now))
-	return d.runCycle(func(i int, e *core.Engine) ([]core.Update, error) {
-		return e.StepExternal(now, parts[i], expParts[i])
-	})
+	sc.run = d.win.ExpireAppend(now, sc.run[:0])
+	routeTuples(sc.run, sc.expired)
+	return d.runCycle()
 }
 
 // StepUpdate implements core.StreamMonitor for the explicit-deletion
@@ -532,41 +605,27 @@ func (d *DataSharded) StepUpdate(now int64, arrivals []*stream.Tuple, deletions 
 	if d.closed {
 		return nil, ErrStopped
 	}
-	parts := d.routeTuples(arrivals)
-	delParts := d.routeDeleted(deletions)
-	return d.runCycle(func(i int, e *core.Engine) ([]core.Update, error) {
-		return e.StepUpdate(now, parts[i], delParts[i])
-	})
+	sc := &d.sc
+	sc.now = now
+	routeTuples(arrivals, sc.arrivals)
+	routeDeleted(deletions, sc.deleted)
+	return d.runCycle()
 }
 
-// runCycle broadcasts one partitioned cycle, then merges: the union of the
-// queries any shard reported is the set whose merged result may have
-// changed (the merged result is a function of the per-shard partial
-// results, and an engine reports a query exactly when its partial result
-// changed). Those top-k queries are snapshotted on every shard, k-way
-// merged, and diffed against the router cache; a threshold query's Added
-// and Removed are the union of the shards' own — reproducing the single
-// engine's finishCycle reporting exactly. Callers hold stepMu and closeMu.
-func (d *DataSharded) runCycle(step func(i int, e *core.Engine) ([]core.Update, error)) ([]core.Update, error) {
-	n := len(d.workers)
-	type shardResult struct {
-		updates []core.Update
-		err     error
-	}
-	results := make([]shardResult, n)
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for i, w := range d.workers {
-		w.jobs <- func() {
-			defer wg.Done()
-			start := time.Now()
-			updates, err := step(i, w.eng)
-			w.noteCycle(time.Since(start))
-			results[i] = shardResult{updates, err}
-		}
-	}
-	wg.Wait()
-	for _, r := range results {
+// runCycle runs the cycle staged in d.sc on every shard, then merges: the
+// union of the queries any shard reported is the set whose merged result
+// may have changed (the merged result is a function of the per-shard
+// partial results, and an engine reports a query exactly when its partial
+// result changed). Those top-k queries are snapshotted on every shard,
+// k-way merged, and diffed against the router cache; a threshold query's
+// Added and Removed are the union of the shards' own — reproducing the
+// single engine's finishCycle reporting exactly. Callers hold stepMu and
+// closeMu.
+func (d *DataSharded) runCycle() ([]core.Update, error) {
+	sc := &d.sc
+	defer sc.release()
+	d.fanOut(sc.stepJobs)
+	for _, r := range sc.results {
 		if r.err != nil {
 			// Like the single engine, a mid-cycle failure leaves the
 			// monitor in an undefined state.
@@ -574,45 +633,29 @@ func (d *DataSharded) runCycle(step func(i int, e *core.Engine) ([]core.Update, 
 		}
 	}
 
-	var dirty []core.QueryID
-	for _, r := range results {
+	sc.dirty = sc.dirty[:0]
+	for _, r := range sc.results {
 		for _, u := range r.updates {
-			dirty = append(dirty, u.Query)
+			sc.dirty = append(sc.dirty, u.Query)
 		}
 	}
-	if len(dirty) == 0 {
+	if len(sc.dirty) == 0 {
 		return nil, nil
 	}
-	slices.Sort(dirty)
-	dirty = slices.Compact(dirty)
+	slices.Sort(sc.dirty)
+	sc.dirty = slices.Compact(sc.dirty)
 
 	// Snapshot phase: every shard's partial result for every dirty top-k
-	// query, gathered in parallel on the worker goroutines. (No writer
-	// touches d.queries while stepMu is held, so the workers may read it.)
-	snaps := make([][][]core.Entry, n)
-	wg.Add(n)
-	for i, w := range d.workers {
-		w.jobs <- func() {
-			defer wg.Done()
-			out := make([][]core.Entry, len(dirty))
-			for j, q := range dirty {
-				if st := d.queries[q]; st != nil && st.spec.Threshold == nil {
-					out[j], _ = w.eng.AppendResult(q, nil)
-				}
-			}
-			snaps[i] = out
-		}
-	}
-	wg.Wait()
+	// query, gathered in parallel on the worker goroutines.
+	d.fanOut(sc.snapJobs)
 
 	// Merge and diff against the router cache, mirroring the single
 	// engine's finishCycle: Added in descending total order, Removed
 	// likewise, updates ordered by query id (dirty is sorted), queries
 	// whose merged result is unchanged are silent.
 	var updates []core.Update
-	parts := make([][]core.Entry, n)
 	byQuery := func(u core.Update, q core.QueryID) int { return cmp.Compare(u.Query, q) }
-	for j, q := range dirty {
+	for j, q := range sc.dirty {
 		st := d.queries[q]
 		if st == nil {
 			continue // unregistered between cycles; engines no longer know it either
@@ -621,7 +664,7 @@ func (d *DataSharded) runCycle(step func(i int, e *core.Engine) ([]core.Update, 
 			// Every shard's update list is ordered by query id, and a
 			// tuple sits on one shard: the union is the global delta.
 			u := core.Update{Query: q}
-			for _, r := range results {
+			for _, r := range sc.results {
 				if k, ok := slices.BinarySearchFunc(r.updates, q, byQuery); ok {
 					u.Added = append(u.Added, r.updates[k].Added...)
 					u.Removed = append(u.Removed, r.updates[k].Removed...)
@@ -633,19 +676,61 @@ func (d *DataSharded) runCycle(step func(i int, e *core.Engine) ([]core.Update, 
 			d.resultUpdates.Add(1)
 			continue
 		}
-		for i := range snaps {
-			parts[i] = snaps[i][j]
+		for i := range sc.snaps {
+			sc.parts[i] = sc.snaps[i].list(j)
 		}
-		merged := mergeEntries(parts, st.limit(), nil)
+		merged := mergeEntries(sc.parts, st.limit(), st.spare[:0])
 		added, removed := core.DiffResults(st.reported, merged, nil, nil)
 		if len(added) == 0 && len(removed) == 0 {
+			st.spare = merged // the same tuples as reported: pins nothing more
 			continue
 		}
-		st.reported = merged
+		clear(st.reported)
+		st.reported, st.spare = merged, st.reported[:0]
 		updates = append(updates, core.Update{Query: q, Added: added, Removed: removed})
 		d.resultUpdates.Add(1)
 	}
 	return updates, nil
+}
+
+// fanOut runs jobs[i] on shard i's worker for every shard and waits for
+// all of them. Callers hold stepMu and closeMu with the monitor open.
+func (d *DataSharded) fanOut(jobs []func()) {
+	d.sc.wg.Add(len(jobs))
+	for i, w := range d.workers {
+		w.jobs <- jobs[i]
+	}
+	d.sc.wg.Wait()
+}
+
+// stepShard runs shard i's slice of the staged cycle, on its worker.
+func (d *DataSharded) stepShard(i int) {
+	defer d.sc.wg.Done()
+	sc, w := &d.sc, d.workers[i]
+	start := time.Now()
+	var r shardResult
+	if d.mode == core.AppendOnly {
+		r.updates, r.err = w.eng.StepExternal(sc.now, sc.arrivals[i], sc.expired[i])
+	} else {
+		r.updates, r.err = w.eng.StepUpdate(sc.now, sc.arrivals[i], sc.deleted[i])
+	}
+	w.noteCycle(time.Since(start))
+	sc.results[i] = r
+}
+
+// snapShard fills snaps[i] with shard i's partial result of every dirty
+// top-k query, on its worker. (No writer touches d.queries while stepMu is
+// held, so the workers may read it.)
+func (d *DataSharded) snapShard(i int) {
+	defer d.sc.wg.Done()
+	eng, p := d.workers[i].eng, &d.sc.snaps[i]
+	p.entries, p.ends = p.entries[:0], p.ends[:0]
+	for _, q := range d.sc.dirty {
+		if st := d.queries[q]; st != nil && st.spec.Threshold == nil {
+			p.entries, _ = eng.AppendResult(q, p.entries)
+		}
+		p.ends = append(p.ends, len(p.entries))
+	}
 }
 
 // CheckInfluence verifies the influence-list invariant on every shard
@@ -687,9 +772,10 @@ func (d *DataSharded) Stats() core.Stats {
 }
 
 // MemoryBytes implements core.Monitor: the engines' footprints (disjoint
-// index slices, each O(N/shards)) plus the router's global window and
-// per-query merge caches. It serializes against cycles (stepMu): the
-// router's window and merge caches are cycle-owned state.
+// index slices, each O(N/shards)) plus the router's global window, the
+// per-query merge caches (reported and spare, at capacity) and the retained
+// cycle scratch. It serializes against cycles (stepMu): the router's window,
+// merge caches and scratch are cycle-owned state.
 func (d *DataSharded) MemoryBytes() int64 {
 	d.stepMu.Lock()
 	defer d.stepMu.Unlock()
@@ -700,13 +786,31 @@ func (d *DataSharded) MemoryBytes() int64 {
 	if d.win != nil {
 		total += d.win.MemoryBytes()
 	}
-	const entrySize = 24
 	d.qmu.RLock()
 	for _, st := range d.queries {
-		total += int64(len(st.reported)) * entrySize
+		total += int64(cap(st.reported)+cap(st.spare)) * entryBytes
 	}
 	d.qmu.RUnlock()
-	return total
+	return total + d.sc.memoryBytes()
+}
+
+// Footprints of the router's retained element types.
+const (
+	entryBytes = 16 // core.Entry: tuple pointer + score
+	wordBytes  = 8  // a tuple pointer, a deletion id or an end offset
+)
+
+// memoryBytes is the capacity the scratch retains between cycles.
+func (sc *cycleScratch) memoryBytes() int64 {
+	words := cap(sc.run)
+	for i := range sc.arrivals {
+		words += cap(sc.arrivals[i]) + cap(sc.expired[i]) + cap(sc.deleted[i]) + cap(sc.snaps[i].ends)
+	}
+	total := int64(words) * wordBytes
+	for i := range sc.snaps {
+		total += int64(cap(sc.snaps[i].entries)) * entryBytes
+	}
+	return total + int64(cap(sc.dirty))*4 // QueryID is 4 bytes
 }
 
 // ShardLoads returns every shard's current load. Under data partitioning

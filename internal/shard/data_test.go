@@ -130,6 +130,52 @@ func TestDataPerShardMemoryScaling(t *testing.T) {
 	}
 }
 
+// TestDataMemoryBytesCountsRouterBuffers: the buffers the router keeps from
+// cycle to cycle — every query's reported and spare merge lists and the
+// per-shard cycle scratch — are in MemoryBytes at their capacity, as the
+// grid counts its pooled blocks, because the governor's memory watermark
+// reads MemoryBytes.
+func TestDataMemoryBytesCountsRouterBuffers(t *testing.T) {
+	const dims, shards = 3, 2
+	d, err := NewData(core.Options{Dims: dims, Window: window.Count(600), TargetCells: 27}, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	for i := 0; i < 8; i++ {
+		if _, err := d.Register(core.QuerySpec{F: geom.NewLinear(1, float64(i+1), 1), K: 10}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gen := stream.NewGenerator(stream.IND, dims, 7)
+	for ts := int64(0); ts < 20; ts++ {
+		if _, err := d.Step(ts, gen.Batch(100, ts)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var lists, scratch int64
+	for _, st := range d.queries {
+		lists += int64(cap(st.reported)+cap(st.spare)) * 16
+	}
+	sc := &d.sc
+	scratch = int64(cap(sc.run))*8 + int64(cap(sc.dirty))*4
+	for i := 0; i < shards; i++ {
+		scratch += int64(cap(sc.arrivals[i])+cap(sc.expired[i])+cap(sc.deleted[i])+cap(sc.snaps[i].ends)) * 8
+		scratch += int64(cap(sc.snaps[i].entries)) * 16
+	}
+	if lists == 0 || scratch == 0 {
+		t.Fatalf("router retains lists %d B, scratch %d B; the test exercises nothing", lists, scratch)
+	}
+	router := d.MemoryBytes() - d.win.MemoryBytes()
+	for _, b := range d.ShardMemoryBytes() {
+		router -= b
+	}
+	if router < lists+scratch {
+		t.Fatalf("MemoryBytes counts %d B of router state, its merge lists and scratch retain %d B", router, lists+scratch)
+	}
+}
+
 // TestDataCloseSemantics mirrors TestCloseSemantics for the
 // data-partitioned monitor: operations after Close fail cleanly, double
 // Close is a no-op, counter reads keep working.
