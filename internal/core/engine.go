@@ -6,6 +6,7 @@ import (
 	"math/bits"
 	"slices"
 
+	"topkmon/internal/container/idtab"
 	"topkmon/internal/geom"
 	"topkmon/internal/grid"
 	"topkmon/internal/qindex"
@@ -108,9 +109,6 @@ type Engine struct {
 	// predicate absorbs (see probe).
 	qi *qindex.Index
 
-	// byID locates tuples for explicit deletions (UpdateStream mode only).
-	byID map[uint64]*stream.Tuple
-
 	// queries is the query table, indexed by query id (ids are issued
 	// densely from nextID); numQueries counts its non-nil slots.
 	queries    []*query
@@ -151,8 +149,10 @@ type Engine struct {
 	ubRow      []float64
 	skyScratch []skyband.Entry
 	resScratch []Entry
-	batchIDs   map[uint64]struct{}
-	goneIDs    map[uint64]struct{}
+	// batchIDs and goneIDs hold an update cycle's arriving and deleted
+	// ids while CheckUpdate validates it (values unused).
+	batchIDs idtab.Table
+	goneIDs  idtab.Table
 
 	// Pooled reporting scratch (report.go): the cycle's threshold log, the
 	// staged update payloads and their spans, one query's Removed.
@@ -201,12 +201,8 @@ func NewEngine(opts Options) (*Engine, error) {
 		cellMark:    make([]int32, g.NumCells()),
 		qi:          qindex.New(opts.Dims, g),
 	}
-	if opts.Mode == AppendOnly {
-		if !opts.ExternalExpiry {
-			e.w = window.New(opts.Window)
-		}
-	} else {
-		e.byID = make(map[uint64]*stream.Tuple)
+	if opts.Mode == AppendOnly && !opts.ExternalExpiry {
+		e.w = window.New(opts.Window)
 	}
 	return e, nil
 }
@@ -482,61 +478,60 @@ func (e *Engine) thresholdSearch(q *query) []topk.Entry {
 
 // StepUpdate runs one processing cycle under the explicit-deletion stream
 // model of Section 7: arrivals are inserted and the tuples named by
-// deletions are removed, in arbitrary order.
+// deletions are removed, in arbitrary order. The whole cycle is validated
+// (CheckUpdate) before anything is applied, so a rejected batch leaves the
+// clock, the grid and the query state exactly as they were.
 func (e *Engine) StepUpdate(now int64, arrivals []*stream.Tuple, deletions []uint64) ([]Update, error) {
-	if e.opts.Mode != UpdateStream {
-		return nil, fmt.Errorf("core: StepUpdate requires UpdateStream mode")
-	}
-	if e.started && now < e.now {
-		return nil, fmt.Errorf("core: time went backwards: %d after %d", now, e.now)
+	if err := e.CheckUpdate(now, arrivals, deletions); err != nil {
+		return nil, err
 	}
 	e.started = true
 	e.now = now
-	// Validate the whole cycle before mutating anything, so a rejected
-	// batch leaves byID, the grid and the query state exactly as they
-	// were (the per-tuple path used to apply a prefix before erroring;
-	// all-or-nothing is the stronger contract).
-	if e.batchIDs == nil {
-		e.batchIDs = make(map[uint64]struct{}, len(arrivals))
-		e.goneIDs = make(map[uint64]struct{})
-	}
-	clear(e.batchIDs)
-	for _, t := range arrivals {
-		if _, dup := e.byID[t.ID]; dup {
-			return nil, fmt.Errorf("core: duplicate tuple id %d", t.ID)
-		}
-		if _, dup := e.batchIDs[t.ID]; dup {
-			return nil, fmt.Errorf("core: duplicate tuple id %d", t.ID)
-		}
-		e.batchIDs[t.ID] = struct{}{}
-	}
-	clear(e.goneIDs)
-	for _, id := range deletions {
-		if _, dup := e.goneIDs[id]; dup {
-			return nil, fmt.Errorf("core: deletion of unknown tuple %d", id)
-		}
-		e.goneIDs[id] = struct{}{}
-		_, indexed := e.byID[id]
-		_, arriving := e.batchIDs[id]
-		if !indexed && !arriving {
-			return nil, fmt.Errorf("core: deletion of unknown tuple %d", id)
-		}
-	}
-	for _, t := range arrivals {
-		e.byID[t.ID] = t
-	}
 	e.insertBatch(arrivals)
 	// Deletions naming same-cycle arrivals resolve against the freshly
-	// inserted tuples, preserving the old insert-then-delete semantics.
+	// inserted tuples: a tuple may arrive and leave in one cycle.
 	e.expFilter = e.expFilter[:0]
 	for _, id := range deletions {
-		t := e.byID[id]
-		delete(e.byID, id)
+		t, _ := e.g.Lookup(id)
 		e.expFilter = append(e.expFilter, t)
 	}
 	e.expireBatch(e.expFilter)
 	e.releaseExpFilter()
 	return e.finishCycle(), nil
+}
+
+// CheckUpdate reports the error StepUpdate would return for the cycle,
+// without applying it: the engine must be in UpdateStream mode, the clock
+// must not go backwards, arrival ids must be distinct and not indexed, and
+// deletions must be distinct and name a tuple that is indexed or arrives
+// in the same cycle. It changes nothing a caller can observe, so a
+// data-partitioned router checks every shard's slice of a cycle before
+// any shard applies its own.
+func (e *Engine) CheckUpdate(now int64, arrivals []*stream.Tuple, deletions []uint64) error {
+	if e.opts.Mode != UpdateStream {
+		return fmt.Errorf("core: StepUpdate requires UpdateStream mode")
+	}
+	if e.started && now < e.now {
+		return fmt.Errorf("core: time went backwards: %d after %d", now, e.now)
+	}
+	e.batchIDs.Reset()
+	for _, t := range arrivals {
+		if _, dup := e.g.Lookup(t.ID); dup || !e.batchIDs.Put(t.ID, 0) {
+			return fmt.Errorf("core: duplicate tuple id %d", t.ID)
+		}
+	}
+	e.goneIDs.Reset()
+	for _, id := range deletions {
+		if !e.goneIDs.Put(id, 0) {
+			return fmt.Errorf("core: deletion of unknown tuple %d", id)
+		}
+		if _, indexed := e.g.Lookup(id); !indexed {
+			if _, arriving := e.batchIDs.Get(id); !arriving {
+				return fmt.Errorf("core: deletion of unknown tuple %d", id)
+			}
+		}
+	}
+	return nil
 }
 
 // releaseExpFilter drops the tuple references held by the pooled
@@ -1074,24 +1069,22 @@ func (q *query) currentResult(out []Entry) []Entry {
 }
 
 // MemoryBytes implements Monitor, mirroring the space analysis of
-// Section 6: the index (grid + valid list) plus the query-table entries
-// (O(d + 2k) for TMA, O(d + 3k) for SMA, O(d) for a threshold query,
-// which holds no result) and the query index.
+// Section 6: the index (grid + valid list, or under update streams the
+// grid's tuple table and the per-cycle id tables, at capacity) plus the
+// query-table entries (O(d + 2k) for TMA, O(d + 3k) for SMA, O(d) for a
+// threshold query, which holds no result) and the query index.
 func (e *Engine) MemoryBytes() int64 {
 	const (
 		entrySize    = 24 // tuple pointer + score
 		skyEntrySize = 32 // tuple pointer + score + dominance counter
 		idSize       = 8  // one word of an id column
-		mapEntrySize = 16
 		queryBase    = 96
 	)
 	total := e.g.MemoryBytes()
 	if e.w != nil {
 		total += e.w.MemoryBytes()
 	}
-	if e.byID != nil {
-		total += int64(len(e.byID)) * mapEntrySize
-	}
+	total += e.batchIDs.MemoryBytes() + e.goneIDs.MemoryBytes()
 	// The table costs a pointer per issued id.
 	total += int64(len(e.queries)) * 8
 	for _, q := range e.queries {

@@ -27,3 +27,11 @@ func (e *Engine) TopScoreOf(id QueryID) float64 { return e.lookup(id).topScore }
 
 // QueryIndex exposes the engine's query index for white-box tests.
 func (e *Engine) QueryIndex() *qindex.Index { return e.qi }
+
+// RekeyTables switches every tuple table the engine owns to keyed hashing,
+// as an adversarial id stream would.
+func (e *Engine) RekeyTables() {
+	e.g.RekeyIDs()
+	e.batchIDs.Rekey()
+	e.goneIDs.Rekey()
+}

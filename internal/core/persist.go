@@ -60,11 +60,10 @@ func (e *Engine) WindowTail() []*stream.Tuple {
 	if e.w != nil {
 		return e.w.Snapshot()
 	}
-	if e.byID != nil {
-		out := make([]*stream.Tuple, 0, len(e.byID))
-		for _, t := range e.byID {
-			//topk:allow determinism the appended tail is sorted by Seq below
-			out = append(out, t)
+	if e.opts.Mode == UpdateStream {
+		out := make([]*stream.Tuple, 0, e.g.NumPoints())
+		for idx := 0; idx < e.g.NumCells(); idx++ {
+			out = append(out, e.g.CellBlock(idx).Ptrs...)
 		}
 		slices.SortFunc(out, func(a, b *stream.Tuple) int { return cmp.Compare(a.Seq, b.Seq) })
 		return out

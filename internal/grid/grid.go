@@ -10,8 +10,11 @@
 //     filter. Under the append-only stream model insertions and deletions
 //     hit a cell in first-in-first-out order, so the block is a deque with
 //     O(1) operations at both ends. Under the update-stream model of
-//     Section 7 (explicit deletions) an id->slot hash locates victims and
-//     deletion swaps the last slot in, keeping the block dense;
+//     Section 7 (explicit deletions) the grid keeps one tuple table
+//     (internal/container/idtab) mapping every tuple id to its cell and
+//     slot: a deletion resolves its victim with one probe, and swaps the
+//     cell's last slot into the hole, re-pointing the moved tuple's entry,
+//     so the block stays dense;
 //   - recycled storage: the five columns are one block of power-of-two
 //     slot capacity (at least 4). A full cell compacts a dead FIFO prefix
 //     in place or moves to a block twice the size; a drained cell, and a
@@ -50,6 +53,7 @@ import (
 	"math/bits"
 	"sort"
 
+	"topkmon/internal/container/idtab"
 	"topkmon/internal/geom"
 	"topkmon/internal/stream"
 )
@@ -67,9 +71,10 @@ const (
 	// append-only sliding-window model where expiration order equals
 	// arrival order.
 	FIFO Mode = iota
-	// Random augments the point blocks with an id->slot hash, supporting
-	// the explicit-deletion stream model of Section 7 in O(1) expected
-	// time (deletion swaps the last slot into the hole).
+	// Random supports the explicit-deletion stream model of Section 7:
+	// a grid-wide tuple table maps each id to its cell and slot, so a
+	// tuple is found by id (Lookup) and removed in O(1) expected time,
+	// deletion swapping the cell's last slot into the hole.
 	Random
 )
 
@@ -100,12 +105,11 @@ type block struct {
 
 // cell is one grid cell: the columnar point block plus the influence list.
 // Live slots occupy positions [head, len); FIFO expiration advances head,
-// Random-mode deletion swap-fills from the tail (head stays 0 there).
+// Random-mode deletion swap-fills from the tail (head stays 0 there, so
+// the slots the tuple table records are absolute positions).
 type cell struct {
 	block
 	head int
-	// Random mode: id -> absolute slot position in the columns.
-	slot map[uint64]int
 	// Influence list: query ids in ascending order.
 	infl []QueryID
 }
@@ -145,9 +149,11 @@ func (c *cell) compact(dims int) {
 	c.head = 0
 }
 
-// deleteSlot removes absolute slot pos by swapping the last slot in
-// (Random mode: order is not meaningful there).
-func (c *cell) deleteSlot(pos, dims int) {
+// deleteSlot removes absolute slot pos of cell idx by swapping the last
+// slot in and re-pointing the moved tuple's table entry (Random mode:
+// order is not meaningful there).
+func (g *Grid) deleteSlot(idx, pos int) {
+	c, dims := &g.cells[idx], g.dims
 	last := len(c.ptrs) - 1
 	if pos != last {
 		c.ptrs[pos] = c.ptrs[last]
@@ -155,7 +161,7 @@ func (c *cell) deleteSlot(pos, dims int) {
 		c.seqs[pos] = c.seqs[last]
 		c.tss[pos] = c.tss[last]
 		copy(c.coords[pos*dims:(pos+1)*dims], c.coords[last*dims:(last+1)*dims])
-		c.slot[c.ids[pos]] = pos
+		g.ids.Put(c.ids[pos], location(idx, pos))
 	}
 	c.ptrs[last] = nil
 	c.ptrs = c.ptrs[:last]
@@ -201,7 +207,14 @@ type Grid struct {
 	// their total slot capacity.
 	free        [][]block
 	pooledSlots int
+	// ids is the Random-mode tuple table: tuple id -> location(cell, slot).
+	ids idtab.Table
 }
+
+// location packs a Random-mode tuple's cell index and slot into its tuple
+// table value. Cell indexes stay below 2³¹ (New), so the value leaves the
+// table's reserved top bit clear.
+func location(idx, pos int) uint64 { return uint64(idx)<<32 | uint64(uint32(pos)) }
 
 // New constructs a grid over the unit workspace [0,1]^dims with res cells
 // per axis (res^dims cells in total).
@@ -413,15 +426,25 @@ func (g *Grid) InsertAt(idx int, t *stream.Tuple) {
 	c.tss = append(c.tss, t.TS)
 	c.ptrs = append(c.ptrs, t)
 	if g.mode == Random {
-		if c.slot == nil {
-			//topk:allow hotalloc lazy once-per-cell init of a long-lived slot map, reused until the cell drains
-			c.slot = make(map[uint64]int, 4)
-		}
-		//topk:allow mapop Random-mode id -> slot map, the random-deletion locator; ROADMAP item 2's engine-wide tuple table replaces it
-		c.slot[t.ID] = len(c.ptrs) - 1
+		g.ids.Put(t.ID, location(idx, len(c.ptrs)-1))
 	}
 	g.points++
 }
+
+// Lookup returns the indexed tuple with the given id (Random mode; a FIFO
+// grid keeps no tuple table and finds nothing).
+func (g *Grid) Lookup(id uint64) (*stream.Tuple, bool) {
+	loc, ok := g.ids.Get(id)
+	if !ok {
+		return nil, false
+	}
+	return g.cells[loc>>32].ptrs[uint32(loc)], true
+}
+
+// RekeyIDs switches the tuple table to keyed hashing, as an adversarial id
+// stream would. No result or figure the grid reports changes; tests use it
+// to show exactly that.
+func (g *Grid) RekeyIDs() { g.ids.Rekey() }
 
 // Remove deletes t from its covering cell, reporting whether it was found.
 // In FIFO mode the expiring tuple is, by construction, at the head of its
@@ -436,14 +459,12 @@ func (g *Grid) Remove(t *stream.Tuple) bool {
 	idx := g.IndexOf(t.Vec)
 	c := &g.cells[idx]
 	if g.mode == Random {
-		//topk:allow mapop Random-mode id -> slot map, see InsertAt
-		pos, ok := c.slot[t.ID]
-		if !ok {
+		loc, ok := g.ids.Get(t.ID)
+		if !ok || int(loc>>32) != idx {
 			return false
 		}
-		//topk:allow mapop Random-mode id -> slot map, see InsertAt
-		delete(c.slot, t.ID)
-		c.deleteSlot(pos, g.dims)
+		g.ids.Delete(t.ID)
+		g.deleteSlot(idx, int(uint32(loc)))
 		g.points--
 		if len(c.ptrs) == 0 {
 			g.release(c)
@@ -495,7 +516,8 @@ func (g *Grid) Remove(t *stream.Tuple) bool {
 // bound keeps the copying amortized O(1) per insert); any other cell moves
 // its live slots into a block of twice the capacity, or of minBlockSlots
 // when it has none, and recycles the old block. Random-mode cells keep
-// head at 0, so their id->slot positions survive the move.
+// head at 0, so the slots their tuple table entries record survive the
+// move.
 func (g *Grid) grow(idx int) {
 	c := &g.cells[idx]
 	if c.head > 0 && c.head*8 >= cap(c.ptrs) {
@@ -734,24 +756,20 @@ func (g *Grid) TotalInfluenceEntries() int {
 // MemoryBytes estimates the index footprint: the cell directory, the
 // columnar point blocks (coordinates, ids, sequences, timestamps and tuple
 // pointers at reserved capacity, in cells and in the block free list), the
-// influence-list entries, and the tuple payloads (id + d float64
-// attributes + seq + timestamp), mirroring the O(N*(d+1) + Q*C) terms of
-// Section 6.
+// influence-list entries, the Random-mode tuple table at capacity, and the
+// tuple payloads (id + d float64 attributes + seq + timestamp), mirroring
+// the O(N*(d+1) + Q*C) terms of Section 6.
 func (g *Grid) MemoryBytes() int64 {
 	const (
-		cellOverhead  = int64(160) // five column headers + head + map/list pointers
+		cellOverhead  = int64(152) // five column headers + head + list header
 		inflEntrySize = int64(4)   // one QueryID in the sorted slice
-		slotEntrySize = int64(24)  // id->slot entry incl. bucket overhead
 	)
 	total := int64(len(g.cells)) * cellOverhead
 	total += int64(g.pooledSlots) * int64(g.dims+4) * 8
+	total += g.ids.MemoryBytes()
 	for i := range g.cells {
-		c := &g.cells[i]
 		total += g.CellCapBytes(i)
-		if g.mode == Random {
-			total += int64(len(c.slot)) * slotEntrySize
-		}
-		total += int64(cap(c.infl)) * inflEntrySize
+		total += int64(cap(g.cells[i].infl)) * inflEntrySize
 	}
 	// Tuple payloads: ID + Seq + TS + vector header and data.
 	tupleSize := int64(8+8+8+24) + int64(g.dims)*8

@@ -282,6 +282,17 @@ func TestRandomModeInsertRemove(t *testing.T) {
 	if count != 1 || g.NumPoints() != 1 {
 		t.Fatalf("leftover points wrong")
 	}
+	// Lookup resolves ids through the tuple table, including b's moved slot.
+	if got, ok := g.Lookup(2); !ok || got != b {
+		t.Fatalf("Lookup(2) = %v, %v", got, ok)
+	}
+	if _, ok := g.Lookup(1); ok {
+		t.Fatalf("removed tuple still found")
+	}
+	// A tuple whose vector names another cell is not the indexed one.
+	if g.Remove(mkTuple(2, 0.1, 0.1)) || g.NumPoints() != 1 {
+		t.Fatalf("Remove accepted an id indexed in another cell")
+	}
 }
 
 func TestPointsDoEarlyStop(t *testing.T) {

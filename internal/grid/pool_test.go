@@ -143,7 +143,7 @@ func TestPoolBoundAfterDrain(t *testing.T) {
 			t.Fatalf("class %d holds %d slots after the drain, bound %d", c, held, poolMinSlots)
 		}
 	}
-	const cellOverhead = 160
+	const cellOverhead = 152
 	want := int64(g.NumCells())*cellOverhead + int64(g.pooledSlots)*(dims+4)*8
 	if got := g.MemoryBytes(); got != want {
 		t.Fatalf("MemoryBytes = %d, want directory + pool = %d", got, want)
@@ -152,8 +152,8 @@ func TestPoolBoundAfterDrain(t *testing.T) {
 
 // TestRandomModeSlotsAcrossGrowth is the Random-mode property test: random
 // inserts and deletes interleave across block growth, drains and
-// recycling, and after every operation each live tuple's slot[id] indexes
-// its own entry in every column.
+// recycling, and after every operation each live tuple's tuple-table entry
+// names its own cell and a slot holding its own entry in every column.
 func TestRandomModeSlotsAcrossGrowth(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -179,18 +179,20 @@ func TestRandomModeSlotsAcrossGrowth(t *testing.T) {
 				delete(live, id)
 			}
 			for _, tu := range live {
-				c := &g.cells[g.IndexOf(tu.Vec)]
-				pos, ok := c.slot[tu.ID]
-				if !ok || pos < 0 || pos >= len(c.ptrs) {
-					t.Fatalf("seed %d op %d: tuple %d has slot %d (ok=%v) in a cell of %d", seed, op, tu.ID, pos, ok, len(c.ptrs))
+				idx := g.IndexOf(tu.Vec)
+				c := &g.cells[idx]
+				loc, ok := g.ids.Get(tu.ID)
+				pos := int(uint32(loc))
+				if !ok || int(loc>>32) != idx || pos >= len(c.ptrs) {
+					t.Fatalf("seed %d op %d: tuple %d of cell %d located at %d/%d (ok=%v) in a cell of %d", seed, op, tu.ID, idx, loc>>32, pos, ok, len(c.ptrs))
 				}
 				if c.ptrs[pos] != tu || c.ids[pos] != tu.ID || c.seqs[pos] != tu.Seq || c.tss[pos] != tu.TS ||
 					c.coords[pos*2] != tu.Vec[0] || c.coords[pos*2+1] != tu.Vec[1] {
 					t.Fatalf("seed %d op %d: slot %d of tuple %d indexes another tuple's columns", seed, op, pos, tu.ID)
 				}
 			}
-			if g.NumPoints() != len(live) {
-				t.Fatalf("seed %d: grid holds %d points, want %d", seed, g.NumPoints(), len(live))
+			if g.NumPoints() != len(live) || g.ids.Len() != len(live) {
+				t.Fatalf("seed %d: grid holds %d points and %d table entries, want %d", seed, g.NumPoints(), g.ids.Len(), len(live))
 			}
 		}
 		checkPoolClean(t, g)

@@ -419,8 +419,10 @@ func Restore(dir string, opts RestoreOptions) (*Guard, []byte, error) {
 		case RecordBatch:
 			// Apply errors are deliberately not inspected: batch admission
 			// is deterministic, so a batch the original monitor rejected is
-			// rejected identically here — in both timelines it left no
-			// state behind.
+			// rejected identically here and leaves the same state in both
+			// timelines. For an update batch that state is none: every
+			// monitor validates a whole update cycle before applying any
+			// of it, a data-sharded one on every shard first.
 			if rec.IsUpdate {
 				mon.StepUpdate(rec.Now, rec.Arrivals, rec.Deletions)
 			} else {

@@ -128,6 +128,7 @@ type cycleScratch struct {
 	parts    [][]core.Entry // one dirty query's partial results by shard
 	stepJobs []func()       // stepJobs[i] runs shard i's slice of the cycle
 	snapJobs []func()       // snapJobs[i] fills snaps[i]
+	checks   []func()       // checks[i] validates shard i's update slice
 	wg       sync.WaitGroup
 }
 
@@ -201,10 +202,12 @@ func newDataWithFactory(opts core.Options, n int, factory func(core.Options) (*c
 		parts:    make([][]core.Entry, n),
 		stepJobs: make([]func(), n),
 		snapJobs: make([]func(), n),
+		checks:   make([]func(), n),
 	}
 	for i := range workers {
 		d.sc.stepJobs[i] = func() { d.stepShard(i) }
 		d.sc.snapJobs[i] = func() { d.snapShard(i) }
+		d.sc.checks[i] = func() { d.checkShard(i) }
 	}
 	return d, nil
 }
@@ -594,6 +597,11 @@ func (d *DataSharded) Step(now int64, arrivals []*stream.Tuple) ([]core.Update, 
 // StepUpdate implements core.StreamMonitor for the explicit-deletion
 // model: arrivals and deletions alike are routed to the shard owning the
 // tuple id (a deletion always reaches the shard that indexed the tuple).
+// Like the single engine, it applies a cycle only when the whole cycle is
+// valid: every shard checks its slice before any shard applies its own.
+// A per-shard check is complete because arrivals and deletions route by
+// the same id hash, so a duplicate or a deletion's target is always on the
+// shard that sees the id.
 func (d *DataSharded) StepUpdate(now int64, arrivals []*stream.Tuple, deletions []uint64) ([]core.Update, error) {
 	if d.mode != core.UpdateStream {
 		return nil, fmt.Errorf("shard: StepUpdate requires UpdateStream mode")
@@ -609,6 +617,13 @@ func (d *DataSharded) StepUpdate(now int64, arrivals []*stream.Tuple, deletions 
 	sc.now = now
 	routeTuples(arrivals, sc.arrivals)
 	routeDeleted(deletions, sc.deleted)
+	d.fanOut(sc.checks)
+	for _, r := range sc.results {
+		if r.err != nil {
+			sc.release()
+			return nil, r.err
+		}
+	}
 	return d.runCycle()
 }
 
@@ -716,6 +731,14 @@ func (d *DataSharded) stepShard(i int) {
 	}
 	w.noteCycle(time.Since(start))
 	sc.results[i] = r
+}
+
+// checkShard validates shard i's slice of the staged update cycle, on its
+// worker, without applying it.
+func (d *DataSharded) checkShard(i int) {
+	defer d.sc.wg.Done()
+	sc := &d.sc
+	sc.results[i].err = d.workers[i].eng.CheckUpdate(sc.now, sc.arrivals[i], sc.deleted[i])
 }
 
 // snapShard fills snaps[i] with shard i's partial result of every dirty

@@ -331,3 +331,81 @@ func TestDataConcurrentChurnStress(t *testing.T) {
 		t.Fatalf("NumPoints = %d, want %d", got, want)
 	}
 }
+
+// TestDataRejectedUpdateLeavesNoState: an update cycle whose deletion
+// names an unknown id is rejected whole, as by the single engine. The
+// arrivals routed to the other shard must not be applied either, so the
+// point count, the result and the tail are unchanged, and the corrected
+// cycle then yields the single engine's transcript.
+func TestDataRejectedUpdateLeavesNoState(t *testing.T) {
+	opts := core.Options{Dims: 2, Mode: core.UpdateStream, TargetCells: 64}
+	single, err := core.NewEngine(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := NewData(opts, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer data.Close()
+	spec := core.QuerySpec{F: geom.NewLinear(1, 1), K: 3, Policy: core.TMA}
+	mons := []core.StreamMonitor{single, data}
+	seq := uint64(0)
+	batch := func(ts int64, ids ...uint64) []*stream.Tuple {
+		out := make([]*stream.Tuple, len(ids))
+		for i, id := range ids {
+			seq++
+			x := float64(id%97) / 97
+			out[i] = &stream.Tuple{ID: id, Seq: seq, TS: ts, Vec: geom.Vector{x, 1 - x/2}}
+		}
+		return out
+	}
+	seed := batch(1, 1, 2)
+	var fresh []uint64
+	for id := uint64(3); id < 19; id++ {
+		fresh = append(fresh, id)
+	}
+	arrivals := batch(2, fresh...)
+	for _, mon := range mons {
+		if _, err := mon.Register(spec); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := mon.StepUpdate(1, seed, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before, _ := data.Result(0)
+	tail := data.GlobalTail()
+
+	const want = "core: deletion of unknown tuple 999"
+	for i, mon := range mons {
+		if _, err := mon.StepUpdate(2, arrivals, []uint64{999}); err == nil || err.Error() != want {
+			t.Fatalf("monitor %d: rejected cycle returned %v, want %q", i, err, want)
+		}
+		if mon.NumPoints() != 2 {
+			t.Fatalf("monitor %d: a rejected cycle left %d points, want 2", i, mon.NumPoints())
+		}
+	}
+	if after, _ := data.Result(0); !sameKeys(keysOf(before), keysOf(after)) {
+		t.Fatalf("a rejected cycle moved the result: %v -> %v", keysOf(before), keysOf(after))
+	}
+	if got := data.GlobalTail(); len(got) != len(tail) || got[0] != tail[0] || got[1] != tail[1] {
+		t.Fatalf("a rejected cycle moved the tail: %d tuples, want %d", len(got), len(tail))
+	}
+
+	ref, err := single.StepUpdate(2, arrivals, []uint64{2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := data.StepUpdate(2, arrivals, []uint64{2})
+	if err != nil {
+		t.Fatalf("the corrected cycle was rejected: %v", err)
+	}
+	diffUpdates(t, 2, ref, got)
+	r1, _ := single.Result(0)
+	r2, _ := data.Result(0)
+	if !sameKeys(keysOf(r1), keysOf(r2)) || data.NumPoints() != single.NumPoints() {
+		t.Fatalf("after the corrected cycle: %v (%d points) vs single %v (%d points)",
+			keysOf(r2), data.NumPoints(), keysOf(r1), single.NumPoints())
+	}
+}
