@@ -167,6 +167,28 @@
 // → 42.9 (BENCHMARK.json names; medians of ten alternating pairs of 25 s
 // runs, 2-vCPU amd64 VM).
 //
+// Under update streams SMA is unavailable (the expiry order is unknown),
+// so every top-k query is TMA, and the paper's TMA recomputes whenever a
+// deletion takes one of its k result tuples. One deleted tuple that sits
+// in most queries' results then recomputes them all in one cycle. There a
+// TMA query keeps the materialized view of Yi et al. that the TSL baseline
+// keeps: its top list holds the best k' valid tuples, k <= k' <= kmax,
+// with kmax = core.DefaultKMax(k), Section 8's tuned table (20 -> 30),
+// which tsl.DefaultKMax reads too. An arrival that beats the last entry
+// enters and evicts the entry beyond kmax; a deletion leaves the view; the
+// query recomputes, to kmax, only when fewer than k entries are left. The
+// influence region is registered at the kmax-th score. Result, the
+// reported updates and QueryInfo show only the first k entries, so every
+// transcript is the one exactly-k TMA produces; only the work counters
+// differ. Append-only engines keep kmax = k: the same code is then the
+// paper's TMA, and its figures reproduce the paper's algorithm. On
+// churn-update (BENCHMARK.json names) ns_per_tuple fell 672 -> 437 and
+// cycle_tail_us 2573 -> 288 (medians of ten alternating pairs of 25 s
+// runs, 2-vCPU amd64 VM), and the traced pass's core.recomputes_per_cycle
+// 24.6 -> 0.003: what search is left is the Register calls. The price is a
+// wider influence region (core.influence_events_per_tuple 0.47 -> 0.58)
+// and a longer search at Register (topkmon.register_us_p50 9.2 -> 11.1).
+//
 // Reporting ("report changes to the client", the last line of Figures 9
 // and 11) costs what changed, not what the results hold, and touches no
 // hash map. A threshold query holds no result at all: it is its spec and

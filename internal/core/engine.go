@@ -36,9 +36,10 @@ type query struct {
 	kind queryKind
 
 	// topScore is the admission filter compared against arriving tuples.
-	// TMA: the current kth score (rises as better tuples arrive). SMA: the
-	// kth score at the last from-scratch computation (the paper's "score
-	// of the kth element after the last application of top-k computation").
+	// TMA: the score of the last entry of the top list (rises as better
+	// tuples arrive or the last entry is deleted). SMA: the kth score at
+	// the last from-scratch computation (the paper's "score of the kth
+	// element after the last application of top-k computation").
 	// Threshold queries: the fixed threshold. -Inf while the result is
 	// underfull (the influence region is then the whole workspace).
 	topScore float64
@@ -49,10 +50,20 @@ type query struct {
 
 	// TMA state: the top list in descending total order plus its tuple ids
 	// as a parallel column, which the expiration path scans for membership.
+	// The list is always exactly the top-k' of the query's valid tuples,
+	// k' <= kmax: a view in the sense of Yi et al. (the TSL baseline's),
+	// of which only the first k entries are the result. An arrival enters
+	// when it beats the last entry (every arrival while topScore is -Inf,
+	// the list then holding every valid tuple) and evicts the entry beyond
+	// kmax; a deletion leaves the list. kmax is fixed at Register: k on an
+	// append-only engine, where this is exactly the paper's TMA, and
+	// DefaultKMax(k) under update streams, where deletions then cost a
+	// recomputation only once they leave fewer than k entries.
 	top   []Entry
 	topID []uint64
-	// affected marks a TMA query whose result lost an expiring tuple; it
-	// is recomputed from scratch once the whole expiration batch has been
+	kmax  int
+	// affected marks a TMA query whose list fell below k entries; it is
+	// recomputed from scratch once the whole expiration batch has been
 	// applied (Figure 9 lines 12-13).
 	affected bool
 
@@ -115,10 +126,8 @@ type Engine struct {
 	numQueries int
 	nextID     QueryID
 
-	now     int64
-	started bool
-	haveSeq bool
-	lastSeq uint64
+	// clock is the cycle clock and the append-only sequence watermark.
+	clock Clock
 
 	// dirty is a bitmap over the query table marking the queries touched
 	// in the current cycle, and dirtyWords one over dirty marking its
@@ -217,7 +226,7 @@ func (e *Engine) Grid() *grid.Grid { return e.g }
 func (e *Engine) Close() error { return nil }
 
 // Now returns the engine clock: the timestamp of the last processed cycle.
-func (e *Engine) Now() int64 { return e.now }
+func (e *Engine) Now() int64 { return e.clock.Now }
 
 // NumPoints returns the number of valid tuples.
 func (e *Engine) NumPoints() int { return e.g.NumPoints() }
@@ -296,6 +305,7 @@ func (e *Engine) Register(spec QuerySpec) (QueryID, error) {
 			return 0, fmt.Errorf("core: unknown policy %v", spec.Policy)
 		}
 		q.kind = topkKind
+		q.kmax = e.viewCapacity(spec)
 		if spec.Policy == SMA {
 			q.sky = skyband.New(spec.K)
 		}
@@ -361,7 +371,7 @@ func (e *Engine) Step(now int64, arrivals []*stream.Tuple) ([]Update, error) {
 	if e.opts.ExternalExpiry {
 		return nil, fmt.Errorf("core: engine uses external expiry; use StepExternal")
 	}
-	if err := e.admitCycle(now, arrivals); err != nil {
+	if err := e.clock.Admit(now, arrivals); err != nil {
 		return nil, err
 	}
 	// The window decides what expires with the arrivals accounted for; it
@@ -396,27 +406,6 @@ func (e *Engine) applyCycle(arrivals, expirations []*stream.Tuple) []Update {
 	return e.finishCycle()
 }
 
-// admitCycle validates one append-only cycle's inputs and advances the
-// engine clock and sequence watermark. Shared by Step and StepExternal.
-func (e *Engine) admitCycle(now int64, arrivals []*stream.Tuple) error {
-	if e.started && now < e.now {
-		return fmt.Errorf("core: time went backwards: %d after %d", now, e.now)
-	}
-	for _, t := range arrivals {
-		if t.TS != now {
-			return fmt.Errorf("core: arrival %v not stamped with cycle timestamp %d", t, now)
-		}
-		if e.haveSeq && t.Seq <= e.lastSeq {
-			return fmt.Errorf("core: arrival sequence %d not increasing (last %d)", t.Seq, e.lastSeq)
-		}
-		e.haveSeq = true
-		e.lastSeq = t.Seq
-	}
-	e.started = true
-	e.now = now
-	return nil
-}
-
 // StepExternal runs one append-only processing cycle whose expirations are
 // supplied by the caller instead of an engine-owned window (ExternalExpiry
 // mode). The expirations must be tuples previously passed as arrivals, in
@@ -430,14 +419,14 @@ func (e *Engine) StepExternal(now int64, arrivals, expirations []*stream.Tuple) 
 	if e.opts.Mode != AppendOnly || !e.opts.ExternalExpiry {
 		return nil, fmt.Errorf("core: StepExternal requires AppendOnly mode with ExternalExpiry")
 	}
-	if err := e.admitCycle(now, arrivals); err != nil {
-		return nil, err
-	}
 	for i := 1; i < len(expirations); i++ {
 		if expirations[i].Seq <= expirations[i-1].Seq {
 			return nil, fmt.Errorf("core: expirations out of FIFO order: seq %d after %d",
 				expirations[i].Seq, expirations[i-1].Seq)
 		}
+	}
+	if err := e.clock.Admit(now, arrivals); err != nil {
+		return nil, err
 	}
 	return e.applyCycle(arrivals, expirations), nil
 }
@@ -485,8 +474,7 @@ func (e *Engine) StepUpdate(now int64, arrivals []*stream.Tuple, deletions []uin
 	if err := e.CheckUpdate(now, arrivals, deletions); err != nil {
 		return nil, err
 	}
-	e.started = true
-	e.now = now
+	e.clock.Started, e.clock.Now = true, now
 	e.insertBatch(arrivals)
 	// Deletions naming same-cycle arrivals resolve against the freshly
 	// inserted tuples: a tuple may arrive and leave in one cycle.
@@ -511,8 +499,8 @@ func (e *Engine) CheckUpdate(now int64, arrivals []*stream.Tuple, deletions []ui
 	if e.opts.Mode != UpdateStream {
 		return fmt.Errorf("core: StepUpdate requires UpdateStream mode")
 	}
-	if e.started && now < e.now {
-		return fmt.Errorf("core: time went backwards: %d after %d", now, e.now)
+	if e.clock.Started && now < e.clock.Now {
+		return fmt.Errorf("core: time went backwards: %d after %d", now, e.clock.Now)
 	}
 	e.batchIDs.Reset()
 	for _, t := range arrivals {
@@ -762,19 +750,19 @@ func (e *Engine) applyInsertBlock(q *query, blk grid.Block, scores []float64, di
 		}
 		return
 	}
-	// TMA: maintain exactly the top-k list.
+	// TMA: an arrival enters the top list when it beats the last entry
+	// (whose score topScore holds; -Inf admits everything), and the
+	// result changes when it enters the first k.
 	for j, score := range scores {
-		if len(q.top) == q.spec.K {
-			kth := q.top[q.spec.K-1]
-			if !stream.Better(score, blk.Seqs[j], kth.Score, kth.T.Seq) {
-				continue
-			}
+		if score < q.topScore || score == q.topScore && blk.Seqs[j] <= q.top[len(q.top)-1].T.Seq {
+			continue
 		}
 		if cons != nil && !cons.Contains(geom.Vector(blk.Coords[j*dims:(j+1)*dims])) {
 			continue
 		}
-		q.insertTop(Entry{T: blk.Ptrs[j], Score: score})
-		e.markDirty(q)
+		if q.insertTop(Entry{T: blk.Ptrs[j], Score: score}) {
+			e.markDirty(q)
+		}
 	}
 }
 
@@ -872,12 +860,17 @@ func (e *Engine) applyExpireBlock(q *query, tuples []*stream.Tuple) {
 		return
 	}
 	for _, t := range tuples {
-		if slices.Contains(q.topID, t.ID) {
-			// Result tuple expired: mark affected; recomputation happens
-			// after the whole deletion batch (Figure 9 line 11-13).
-			q.affected = true
-			e.markDirty(q)
+		i := slices.Index(q.topID, t.ID)
+		if i < 0 || !q.removeTop(i) {
+			continue
 		}
+		// The result lost a tuple. Fewer than k entries left: mark
+		// affected; recomputation happens after the whole deletion batch
+		// (Figure 9 line 11-13).
+		if len(q.top) < q.spec.K {
+			q.affected = true
+		}
+		e.markDirty(q)
 	}
 }
 
@@ -919,7 +912,7 @@ func (e *Engine) finishCycle() []Update {
 func (e *Engine) computeFromScratch(q *query) {
 	e.stats.Recomputes++
 	work := e.s.CellsProcessed + e.s.HeapOps
-	res := e.s.TopK(topk.Request{F: q.spec.F, K: q.spec.K, Constraint: q.spec.Constraint})
+	res := e.s.TopK(topk.Request{F: q.spec.F, K: q.kmax, Constraint: q.spec.Constraint})
 	q.cost += e.s.CellsProcessed + e.s.HeapOps - work
 
 	if q.spec.Policy == SMA {
@@ -935,8 +928,8 @@ func (e *Engine) computeFromScratch(q *query) {
 			q.topID = append(q.topID, en.T.ID)
 		}
 	}
-	if len(res.Top) == q.spec.K {
-		q.topScore = res.Top[q.spec.K-1].Score
+	if len(res.Top) == q.kmax {
+		q.topScore = res.Top[q.kmax-1].Score
 	} else {
 		q.topScore = math.Inf(-1)
 	}
@@ -1026,11 +1019,12 @@ func (e *Engine) takeDirty(out []QueryID) []QueryID {
 func (e *Engine) isDirty(id QueryID) bool { return e.dirty[id/64]&(1<<(id%64)) != 0 }
 
 // insertTop inserts an entry into a TMA top list, keeping descending total
-// order and at most K entries (the previous kth is dropped, as in the
-// paper: TMA maintains exactly k results).
+// order and at most kmax entries (a full list drops its last entry, as in
+// the paper, where kmax = k: TMA maintains exactly k results), and reports
+// whether it entered the first k, the query's result.
 //
 //topk:hot
-func (q *query) insertTop(en Entry) {
+func (q *query) insertTop(en Entry) bool {
 	lo, hi := 0, len(q.top)
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -1040,20 +1034,36 @@ func (q *query) insertTop(en Entry) {
 			hi = mid
 		}
 	}
-	if len(q.top) < q.spec.K {
+	if len(q.top) < q.kmax {
 		q.top = append(q.top, Entry{})
 		q.topID = append(q.topID, 0)
 	}
 	copy(q.top[lo+1:], q.top[lo:])
 	copy(q.topID[lo+1:], q.topID[lo:])
 	q.top[lo], q.topID[lo] = en, en.T.ID
-	if len(q.top) == q.spec.K {
-		q.topScore = q.top[q.spec.K-1].Score
+	if len(q.top) == q.kmax {
+		q.topScore = q.top[q.kmax-1].Score
 	}
+	return lo < q.spec.K
 }
 
-// currentResult appends a top-k query's current result to out: the TMA top
-// list or the first k skyband entries, in descending total order.
+// removeTop deletes entry i of a TMA top list and reports whether it was
+// among the first k, the query's result. topScore follows the new last
+// entry, unless the list holds every valid tuple (-Inf), which it still
+// does.
+func (q *query) removeTop(i int) bool {
+	q.top = slices.Delete(q.top, i, i+1)
+	q.topID = slices.Delete(q.topID, i, i+1)
+	if n := len(q.top); math.IsInf(q.topScore, -1) || n == 0 {
+		q.topScore = math.Inf(-1)
+	} else {
+		q.topScore = q.top[n-1].Score
+	}
+	return i < q.spec.K
+}
+
+// currentResult appends a top-k query's current result to out: the first k
+// entries of the TMA top list or of the skyband, in descending total order.
 func (q *query) currentResult(out []Entry) []Entry {
 	if q.spec.Policy == SMA {
 		n := q.spec.K
@@ -1065,14 +1075,25 @@ func (q *query) currentResult(out []Entry) []Entry {
 		}
 		return out
 	}
-	return append(out, q.top...)
+	return append(out, q.top[:min(len(q.top), q.spec.K)]...)
+}
+
+// viewCapacity returns kmax, the most entries a top-k query's list holds
+// (see query.top): DefaultKMax(k) for TMA under update streams, k
+// otherwise.
+func (e *Engine) viewCapacity(spec QuerySpec) int {
+	if spec.Policy == TMA && e.opts.Mode == UpdateStream {
+		return DefaultKMax(spec.K)
+	}
+	return spec.K
 }
 
 // MemoryBytes implements Monitor, mirroring the space analysis of
 // Section 6: the index (grid + valid list, or under update streams the
 // grid's tuple table and the per-cycle id tables, at capacity) plus the
-// query-table entries (O(d + 2k) for TMA, O(d + 3k) for SMA, O(d) for a
-// threshold query, which holds no result) and the query index.
+// query-table entries (O(d + 2k') for TMA, k' <= kmax the length of its
+// top list, O(d + 3k) for SMA, O(d) for a threshold query, which holds no
+// result) and the query index.
 func (e *Engine) MemoryBytes() int64 {
 	const (
 		entrySize    = 24 // tuple pointer + score

@@ -973,3 +973,29 @@ func TestUpdateStreamErrorsAreAllOrNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRejectedStepExternalRetries: StepExternal validates its expiration
+// run as well as its arrivals before the clock moves, so a cycle rejected
+// for expirations out of FIFO order is retried with the same arrivals.
+func TestRejectedStepExternalRetries(t *testing.T) {
+	opts := smallOpts(2, 100)
+	opts.ExternalExpiry = true
+	e := mustEngine(t, opts)
+	tuple := func(id uint64, ts int64) *stream.Tuple {
+		return &stream.Tuple{ID: id, Seq: id, TS: ts, Vec: geom.Vector{0.1 * float64(id), 0.5}}
+	}
+	a, b := tuple(1, 1), tuple(2, 1)
+	if _, err := e.StepExternal(1, []*stream.Tuple{a, b}, nil); err != nil {
+		t.Fatal(err)
+	}
+	c := tuple(3, 2)
+	if _, err := e.StepExternal(2, []*stream.Tuple{c}, []*stream.Tuple{b, a}); err == nil {
+		t.Fatal("expirations out of FIFO order were accepted")
+	}
+	if _, err := e.StepExternal(2, []*stream.Tuple{c}, []*stream.Tuple{a, b}); err != nil {
+		t.Fatalf("the corrected retry was rejected: %v", err)
+	}
+	if e.NumPoints() != 1 || e.Now() != 2 {
+		t.Fatalf("after the retry: %d points at %d, want 1 at 2", e.NumPoints(), e.Now())
+	}
+}

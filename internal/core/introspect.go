@@ -12,14 +12,19 @@ type QueryInfo struct {
 	Spec QuerySpec
 	// Kind is "topk" or "threshold".
 	Kind string
-	// ResultSize is the current result cardinality.
+	// ResultSize is the current result cardinality, at most k.
 	ResultSize int
-	// TopScore is the query's current admission threshold (the kth score
-	// for TMA, the kth score at the last recomputation for SMA, the fixed
-	// threshold for threshold queries). NaN while the result is underfull.
+	// TopScore is the score a top-k result must beat: the kth score of
+	// the result for TMA, the kth score at the last recomputation for
+	// SMA, the fixed threshold for threshold queries. NaN while the result
+	// is underfull.
 	TopScore float64
 	// SkybandSize is the current skyband cardinality (SMA queries only).
 	SkybandSize int
+	// ViewSize is the length of the TMA top list, k' (TMA queries only):
+	// under update streams up to DefaultKMax(k) entries, of which the
+	// first k are the result.
+	ViewSize int
 	// InfluenceCells counts the cells of the query's influence region:
 	// for a top-k query the grid cells currently holding an entry for it
 	// (the O(C) bookkeeping term of Section 6), for a threshold query the
@@ -85,7 +90,12 @@ func (e *Engine) Queries() []QueryInfo {
 					info.ResultSize = q.spec.K
 				}
 			} else {
-				info.ResultSize = len(q.top)
+				info.ViewSize = len(q.top)
+				info.ResultSize = min(len(q.top), q.spec.K)
+				info.TopScore = math.NaN()
+				if info.ResultSize == q.spec.K {
+					info.TopScore = q.top[q.spec.K-1].Score
+				}
 			}
 		}
 		out = append(out, info)
@@ -110,6 +120,6 @@ func (qi QueryInfo) String() string {
 		return fmt.Sprintf("%s threshold=%g results=%d cells=%d",
 			base, *qi.Spec.Threshold, qi.ResultSize, qi.InfluenceCells)
 	}
-	return fmt.Sprintf("%s k=%d policy=%s results=%d skyband=%d cells=%d",
-		base, qi.Spec.K, qi.Spec.Policy, qi.ResultSize, qi.SkybandSize, qi.InfluenceCells)
+	return fmt.Sprintf("%s k=%d policy=%s results=%d skyband=%d view=%d cells=%d",
+		base, qi.Spec.K, qi.Spec.Policy, qi.ResultSize, qi.SkybandSize, qi.ViewSize, qi.InfluenceCells)
 }

@@ -57,12 +57,13 @@ func (e *Engine) scratchRect() geom.Rect {
 // dominance, bound ordering, cell-cache completeness) are validated too,
 // and it must hold nothing but the threshold queries. A threshold query's
 // on-demand result must equal a brute-force scan of the valid tuples
-// (validate.Threshold), ids and score bits alike.
+// (validate.Threshold), ids and score bits alike, and a TMA query's top
+// list must be exactly the top entries of the same scan (checkTopList).
 //
-// It is O(Q × (cells + N)) and intended for continuous verification in tests:
-// the shard monitors and the ingestion pipeline expose it as well, so
-// stress and differential suites can assert the invariant after every
-// processing cycle rather than only at end-of-run.
+// It is O(Q × (cells + N log N)) and intended for continuous verification
+// in tests: the shard monitors and the ingestion pipeline expose it as
+// well, so stress and differential suites can assert the invariant after
+// every processing cycle rather than only at end-of-run.
 func (e *Engine) CheckInfluence() error {
 	if err := e.qi.Validate(); err != nil {
 		return err
@@ -70,13 +71,11 @@ func (e *Engine) CheckInfluence() error {
 	r := e.scratchRect()
 	thresholds, listed := 0, 0
 	var valid []*stream.Tuple
-	if e.qi.NumQueries() > 0 {
-		for idx := 0; idx < e.g.NumCells(); idx++ {
-			e.g.PointsDo(idx, func(t *stream.Tuple) bool {
-				valid = append(valid, t)
-				return true
-			})
-		}
+	for idx := 0; idx < e.g.NumCells(); idx++ {
+		e.g.PointsDo(idx, func(t *stream.Tuple) bool {
+			valid = append(valid, t)
+			return true
+		})
 	}
 	for _, q := range e.queries {
 		if q == nil {
@@ -96,6 +95,11 @@ func (e *Engine) CheckInfluence() error {
 				return err
 			}
 			continue
+		}
+		if q.sky == nil {
+			if err := checkTopList(q, valid); err != nil {
+				return err
+			}
 		}
 		for idx := 0; idx < e.g.NumCells(); idx++ {
 			want := e.ruleWants(q, idx, &r)
@@ -137,6 +141,36 @@ func (e *Engine) checkThresholdResult(q *query, valid []*stream.Tuple) error {
 			return fmt.Errorf("threshold query %d: result[%d] = tuple %d score %v, brute force has tuple %d score %v",
 				q.id, i, got[i].T.ID, got[i].Score, w.T.ID, w.Score)
 		}
+	}
+	return nil
+}
+
+// checkTopList verifies a TMA query's view invariant (see query.top): its
+// top list is exactly the best len(top) <= kmax valid tuples, never fewer
+// than k unless it holds them all; topScore is the last entry's score, or
+// -Inf exactly when the list holds every valid tuple of the query. Entries
+// are compared by score and sequence number, so of two tuples tied on both
+// (an update stream does not validate sequence numbers) either may be held.
+func checkTopList(q *query, valid []*stream.Tuple) error {
+	n := len(q.top)
+	if n > q.kmax || len(q.topID) != n {
+		return fmt.Errorf("query %d: top list holds %d entries (%d ids), capacity %d", q.id, n, len(q.topID), q.kmax)
+	}
+	want := validate.TopK(valid, q.spec.F, n+1, q.spec.Constraint)
+	for i, en := range q.top {
+		if i >= len(want) || en.Score != want[i].Score || en.T.Seq != want[i].T.Seq || q.topID[i] != en.T.ID {
+			return fmt.Errorf("query %d: top list entry %d is tuple %d score %v, brute force disagrees", q.id, i, en.T.ID, en.Score)
+		}
+	}
+	switch {
+	case math.IsInf(q.topScore, -1):
+		if len(want) > n {
+			return fmt.Errorf("query %d: top list of %d entries is open (topScore -Inf) but misses a valid tuple", q.id, n)
+		}
+	case n < q.spec.K:
+		return fmt.Errorf("query %d: top list holds %d < k = %d entries between cycles", q.id, n, q.spec.K)
+	case q.topScore != q.top[n-1].Score:
+		return fmt.Errorf("query %d: topScore %v, last entry scores %v", q.id, q.topScore, q.top[n-1].Score)
 	}
 	return nil
 }

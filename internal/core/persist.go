@@ -17,7 +17,7 @@ import (
 
 // Clock is the engine's cycle-clock state: the timestamp of the last
 // processed cycle plus the stream-admission watermarks. Together with the
-// window tail and the per-query snapshots it pins everything admitCycle
+// window tail and the per-query snapshots it pins everything Admit
 // consults, so a restored engine accepts and rejects exactly the batches
 // the original would have.
 type Clock struct {
@@ -31,22 +31,40 @@ type Clock struct {
 // normalized by validation).
 func (e *Engine) Options() Options { return e.opts }
 
-// ExportClock snapshots the engine clock and admission watermarks.
-func (e *Engine) ExportClock() Clock {
-	return Clock{Now: e.now, Started: e.started, HaveSeq: e.haveSeq, LastSeq: e.lastSeq}
+// Admit validates one append-only cycle's arrivals against the clock —
+// time must not go backwards, every arrival must carry the cycle's
+// timestamp, and sequence numbers must increase across the stream — and
+// advances the clock and watermark only once the whole batch has passed,
+// so a rejected cycle changes nothing and its corrected retry is judged
+// against the same watermark. The engine, the data-partitioned router and
+// the TSL baseline admit their cycles through it.
+func (c *Clock) Admit(now int64, arrivals []*stream.Tuple) error {
+	if c.Started && now < c.Now {
+		return fmt.Errorf("core: time went backwards: %d after %d", now, c.Now)
+	}
+	have, last := c.HaveSeq, c.LastSeq
+	for _, t := range arrivals {
+		if t.TS != now {
+			return fmt.Errorf("core: arrival %v not stamped with cycle timestamp %d", t, now)
+		}
+		if have && t.Seq <= last {
+			return fmt.Errorf("core: arrival sequence %d not increasing (last %d)", t.Seq, last)
+		}
+		have, last = true, t.Seq
+	}
+	c.Started, c.Now, c.HaveSeq, c.LastSeq = true, now, have, last
+	return nil
 }
+
+// ExportClock snapshots the engine clock and admission watermarks.
+func (e *Engine) ExportClock() Clock { return e.clock }
 
 // RestoreClock overwrites the engine clock and admission watermarks. It is
 // a restore-path primitive: callers replay the window tail first (which
 // advances the clock to the tail's last timestamp) and then pin the exact
 // exported clock, which may be ahead of the tail when trailing cycles
 // carried no surviving arrivals.
-func (e *Engine) RestoreClock(c Clock) {
-	e.now = c.Now
-	e.started = c.Started
-	e.haveSeq = c.HaveSeq
-	e.lastSeq = c.LastSeq
-}
+func (e *Engine) RestoreClock(c Clock) { e.clock = c }
 
 // WindowTail returns the engine's live tuples in replay order: arrival
 // (FIFO) order for an engine-owned sliding window, ascending sequence

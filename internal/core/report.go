@@ -118,13 +118,15 @@ func (e *Engine) report() []Update {
 		// against this cycle's drops — a tuple on both sides (admitted
 		// and dropped within the cycle: r > N, or an update-stream
 		// deletion naming a same-cycle arrival) cancels.
-		last, cur := q.reported, q.top
+		var last, cur []Entry
 		switch {
 		case q.kind == thresholdKind:
 			last, cur = e.thresholdSides(q)
 		case q.spec.Policy == SMA:
 			e.resScratch = q.currentResult(e.resScratch[:0])
-			cur = e.resScratch
+			last, cur = q.reported, e.resScratch
+		default:
+			last, cur = q.reported, q.top[:min(len(q.top), q.spec.K)]
 		}
 		mark := len(e.payload)
 		e.payload, e.remScratch = DiffResults(last, cur, e.payload, e.remScratch[:0])

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"topkmon/internal/skyband"
@@ -41,7 +42,9 @@ type QuerySnapshot struct {
 	RegScore float64
 
 	// Top is the TMA top list in descending total order (nil for SMA and
-	// threshold queries).
+	// threshold queries): the query's whole view, up to kmax entries, of
+	// which the first k are the result. A list of at most k entries, all
+	// an engine without views ever wrote, imports as a view of that size.
 	Top []Entry
 	// Skyband is the full SMA skyband — entries with their dominance
 	// counters, descending total order (nil for TMA and threshold queries).
@@ -150,6 +153,7 @@ func (e *Engine) ImportQueryAt(snap QuerySnapshot, id QueryID) error {
 			return fmt.Errorf("core: K must be positive, got %d", snap.Spec.K)
 		}
 		q.kind = topkKind
+		q.kmax = e.viewCapacity(snap.Spec)
 		q.sky = skyband.New(snap.Spec.K)
 		if err := q.sky.Restore(snap.Skyband); err != nil {
 			return err
@@ -159,6 +163,13 @@ func (e *Engine) ImportQueryAt(snap QuerySnapshot, id QueryID) error {
 			return fmt.Errorf("core: K must be positive, got %d", snap.Spec.K)
 		}
 		q.kind = topkKind
+		q.kmax = e.viewCapacity(snap.Spec)
+		if len(snap.Top) > q.kmax {
+			return fmt.Errorf("core: snapshot top list holds %d entries, capacity %d", len(snap.Top), q.kmax)
+		}
+		if !math.IsInf(snap.TopScore, -1) && (len(snap.Top) == 0 || snap.Top[len(snap.Top)-1].Score != snap.TopScore) {
+			return fmt.Errorf("core: snapshot admission score %g is not the last entry's", snap.TopScore)
+		}
 		q.top = slices.Clone(snap.Top)
 		for _, en := range q.top {
 			q.topID = append(q.topID, en.T.ID)

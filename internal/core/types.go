@@ -39,13 +39,38 @@ type Policy int
 // Monitoring policies.
 const (
 	// TMA recomputes a query's result from scratch whenever one of its
-	// current top-k tuples expires (Figure 9).
+	// current top-k tuples expires (Figure 9). Under update streams it
+	// keeps a materialized view of up to DefaultKMax(k) tuples and
+	// recomputes only when deletions leave fewer than k of them.
 	TMA Policy = iota
 	// SMA maintains the k-skyband of the query's influence region,
 	// partially pre-computing future results and recomputing from scratch
 	// only when the skyband underflows (Figure 11).
 	SMA
 )
+
+// DefaultKMax returns the view capacity of a top-k query of size k: the
+// fine-tuned values Section 8 reports for the TSL baseline's materialized
+// top-k views — (1,5,10,20,50,100) -> (4,10,20,30,70,120) — and a smooth
+// interpolation elsewhere. The TSL baseline sizes its views with it, and a
+// TMA query under update streams its result list.
+func DefaultKMax(k int) int {
+	switch k {
+	case 1:
+		return 4
+	case 5:
+		return 10
+	case 10:
+		return 20
+	case 20:
+		return 30
+	case 50:
+		return 70
+	case 100:
+		return 120
+	}
+	return k + min(max(k/2, 3), 20)
+}
 
 // String implements fmt.Stringer.
 func (p Policy) String() string {

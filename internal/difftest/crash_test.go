@@ -2,6 +2,8 @@ package difftest
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"topkmon/internal/core"
@@ -123,6 +125,80 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
 			runCrashDifferential(t, seed)
+		})
+	}
+}
+
+// TestRestoreKEntryLineage restores checkpoints written by a build whose
+// TMA queries kept exactly k entries under update streams, before the
+// top lists became views of up to core.DefaultKMax(k) entries: the files
+// in testdata/kentry-lineage are GenScenario(11) checkpointed after cycle
+// 9 by that build, on the engine and on data-sharded-3 (the guard
+// checkpointed explicitly, then was abandoned). The format did not change,
+// so no ckptVersion bump: each restored list imports as a view of k
+// entries, and the replay that continues from the restored monitor must
+// match the naive reference to the end, with the invariant checker on.
+func TestRestoreKEntryLineage(t *testing.T) {
+	const seed, crash = 11, 9
+	s := GenScenario(seed)
+	naive, err := NewNaive(s.Options())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := Replay(naive, s, ReplayConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []execMode{allModes()[0], allModes()[2]} {
+		src := filepath.Join("testdata", "kentry-lineage", m.name)
+		t.Run(m.name, func(t *testing.T) {
+			dir := t.TempDir()
+			files, err := os.ReadDir(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range files {
+				b, err := os.ReadFile(filepath.Join(src, f.Name()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(dir, f.Name()), b, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			st, err := m.build(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var restored *stack.Stack
+			cfg := ReplayConfig{
+				CheckInvariants: true,
+				Swap: func(cycle int, mon core.StreamMonitor) (core.StreamMonitor, error) {
+					if cycle != crash {
+						return nil, nil
+					}
+					if err := mon.Close(); err != nil {
+						return nil, err
+					}
+					if restored, _, err = stack.Restore(dir); err != nil {
+						return nil, err
+					}
+					return restored.Mon, nil
+				},
+			}
+			got, err := Replay(st.Mon, s, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if restored == nil {
+				t.Fatal("the replay never reached the checkpointed cycle")
+			}
+			if err := restored.Mon.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if d := got.Diff(ref); d != "" {
+				t.Fatalf("%v: restored %s diverged from naive reference:\n%s", s, m.name, d)
+			}
 		})
 	}
 }

@@ -18,6 +18,7 @@ package difftest
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -59,6 +60,10 @@ type Scenario struct {
 	// index collapses the set into few clusters — the workload its
 	// whole-cluster skips and multi-query kernels exist for.
 	NearDup bool
+	// Lattice, when positive, snaps every generated coordinate to a
+	// multiple of 1/Lattice: many tuples then share a point and tie
+	// exactly on score, and points fall on grid cell boundaries.
+	Lattice int
 	// Initial is the query set registered after the prefill.
 	Initial []core.QuerySpec
 	// Cycles are the processing cycles at ts=1,2,...
@@ -70,6 +75,9 @@ func (s Scenario) String() string {
 	shape := ""
 	if s.NearDup {
 		shape = " near-dup"
+	}
+	if s.Lattice > 0 {
+		shape += fmt.Sprintf(" lattice=1/%d", s.Lattice)
 	}
 	return fmt.Sprintf("seed=%d d=%d mode=%v win=%v cells=%d prefill=%d q0=%d cycles=%d%s",
 		s.Seed, s.Dims, s.Mode, s.Window, s.TargetCells, s.Prefill, len(s.Initial), len(s.Cycles), shape)
@@ -379,6 +387,18 @@ func Replay(mon core.StreamMonitor, s Scenario, cfg ReplayConfig) (Transcript, e
 		return tr, fmt.Errorf("difftest: Swap requires a synchronous replay")
 	}
 	gen := stream.NewGenerator(s.Dist, s.Dims, s.Seed+2)
+	batch := func(n int, ts int64) []*stream.Tuple {
+		out := gen.Batch(n, ts)
+		if s.Lattice > 0 {
+			l := float64(s.Lattice)
+			for _, t := range out {
+				for d, x := range t.Vec {
+					t.Vec[d] = math.Round(x*l) / l
+				}
+			}
+		}
+		return out
+	}
 
 	// Pipelined replays gather delivered batches concurrently; collected is
 	// read only after Flush, which orders it after every delivery.
@@ -412,7 +432,7 @@ func Replay(mon core.StreamMonitor, s Scenario, cfg ReplayConfig) (Transcript, e
 		}
 	}
 
-	if _, err := step(0, gen.Batch(s.Prefill, 0), nil); err != nil {
+	if _, err := step(0, batch(s.Prefill, 0), nil); err != nil {
 		return tr, fmt.Errorf("prefill: %w", err)
 	}
 	var live []core.QueryID
@@ -452,7 +472,7 @@ func Replay(mon core.StreamMonitor, s Scenario, cfg ReplayConfig) (Transcript, e
 			live = append(live, id)
 			nextID++
 		}
-		updates, err := step(now, gen.Batch(ops.Arrivals, now), ops.Deletions)
+		updates, err := step(now, batch(ops.Arrivals, now), ops.Deletions)
 		if err != nil {
 			return tr, fmt.Errorf("cycle %d: %w", c, err)
 		}

@@ -3,6 +3,7 @@ package difftest
 import (
 	"fmt"
 	"math"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"topkmon/internal/core"
 	"topkmon/internal/geom"
 	"topkmon/internal/stack"
+	"topkmon/internal/stream"
 )
 
 // execMode is one execution mode under differential test: the stack a
@@ -95,17 +97,28 @@ func allModes() []execMode {
 // checker (CheckInfluence) after every cycle of the synchronous grid modes.
 func runDifferential(t *testing.T, seed int64, checkInvariants bool) {
 	t.Helper()
-	s := GenScenario(seed)
+	runScenario(t, GenScenario(seed), allModes(), checkInvariants, nil)
+}
+
+// runScenario replays s through the naive reference and the given modes,
+// asserting byte-identical transcripts; refHook, when non-nil, runs after
+// every cycle of the reference replay.
+func runScenario(t *testing.T, s Scenario, modes []execMode, checkInvariants bool, refHook func(naive *Naive) func(cycle int, live []core.QueryID) error) {
+	t.Helper()
 	naive, err := NewNaive(s.Options())
 	if err != nil {
 		t.Fatalf("%v: naive: %v", s, err)
 	}
-	ref, err := Replay(naive, s, ReplayConfig{})
+	var refCfg ReplayConfig
+	if refHook != nil {
+		refCfg.PostCycle = refHook(naive)
+	}
+	ref, err := Replay(naive, s, refCfg)
 	if err != nil {
 		t.Fatalf("%v: naive replay: %v", s, err)
 	}
 
-	for _, m := range allModes() {
+	for _, m := range modes {
 		st, err := m.build(s)
 		if err != nil {
 			t.Fatalf("%v: build %s: %v", s, m.name, err)
@@ -341,4 +354,57 @@ func TestMetamorphicDoubledWeights(t *testing.T) {
 	if ran < want || !topk || !thr {
 		t.Fatalf("ran %d scalable scenarios (want %d), top-k %v, threshold %v", ran, want, topk, thr)
 	}
+}
+
+// TestUpdateStreamLatticeTies replays update-stream scenarios whose
+// coordinates are snapped to multiples of 1/4 and 1/8, so exact score ties
+// fall on the result boundary k and on the view boundary kmax a TMA query
+// searches to (core.DefaultKMax), through the engine (with its snapshot
+// round trip) and data-sharded-3, against the naive reference. The
+// reference's hook counts the ties at both boundaries, so the test fails
+// if the lattice stops producing them.
+func TestUpdateStreamLatticeTies(t *testing.T) {
+	modes := []execMode{allModes()[0], allModes()[2]}
+	var kTies, kmaxTies int
+	countTies := func(naive *Naive) func(int, []core.QueryID) error {
+		return func(int, []core.QueryID) error {
+			for _, q := range naive.queries {
+				if q.spec.Threshold != nil {
+					continue
+				}
+				var scores []float64
+				naive.eachLive(func(tu *stream.Tuple) {
+					if q.spec.Constraint == nil || q.spec.Constraint.Contains(tu.Vec) {
+						scores = append(scores, q.spec.F.Score(tu.Vec))
+					}
+				})
+				sort.Sort(sort.Reverse(sort.Float64Slice(scores)))
+				tied := func(rank int) bool { return rank < len(scores) && scores[rank-1] == scores[rank] }
+				if tied(q.spec.K) {
+					kTies++
+				}
+				if tied(core.DefaultKMax(q.spec.K)) {
+					kmaxTies++
+				}
+			}
+			return nil
+		}
+	}
+	n := 16
+	if testing.Short() {
+		n = 6
+	}
+	for seed := int64(1); n > 0; seed++ {
+		s := GenScenario(seed)
+		if s.Mode != core.UpdateStream {
+			continue
+		}
+		n--
+		s.Lattice = 4 << (n % 2)
+		runScenario(t, s, modes, true, countTies)
+	}
+	if kTies == 0 || kmaxTies == 0 {
+		t.Fatalf("the lattice produced %d ties at rank k and %d at rank kmax; both must occur", kTies, kmaxTies)
+	}
+	t.Logf("ties at rank k: %d, at rank kmax: %d", kTies, kmaxTies)
 }

@@ -2,10 +2,12 @@ package harness
 
 import (
 	"fmt"
+	"math/rand"
 	"time"
 
 	"topkmon/internal/admission"
 	"topkmon/internal/analytic"
+	"topkmon/internal/core"
 	"topkmon/internal/stack"
 	"topkmon/internal/stream"
 )
@@ -330,7 +332,7 @@ func Experiments() []Experiment {
 		},
 		{
 			ID:    "kmax",
-			Title: "kmax tuning for TSL (Section 8 remark)",
+			Title: "kmax tuning for TSL (Section 8 remark), beside the grid TMA view under updates",
 			Run: func(scale float64, seed int64) ([]Table, error) {
 				base := Defaults(scale, seed)
 				var points []sweepPoint
@@ -344,10 +346,20 @@ func Experiments() []Experiment {
 						},
 					})
 				}
-				tbl, err := runMatrix("TSL CPU time vs kmax (k=20, IND)", "kmax", base, points, []Algo{AlgoTSL}, cpuMetric)
+				tbl, err := runMatrix("TSL CPU time vs kmax (k=20, IND); last row: grid TMA under update streams", "kmax", base, points, []Algo{AlgoTSL}, cpuMetric)
 				if err != nil {
 					return nil, err
 				}
+				// The grid engine's TMA keeps the same kind of view under
+				// update streams, at the fixed capacity core.DefaultKMax(k).
+				upd, err := runUpdateTMA(base)
+				if err != nil {
+					return nil, err
+				}
+				tbl.Rows = append(tbl.Rows, Row{
+					X:     fmt.Sprintf("%d (grid TMA, updates)", core.DefaultKMax(base.K)),
+					Cells: []string{cpuMetric(upd)},
+				})
 				return []Table{tbl}, nil
 			},
 		},
@@ -709,4 +721,62 @@ func kPoints() []sweepPoint {
 		})
 	}
 	return points
+}
+
+// runUpdateTMA runs the grid TMA under the explicit-deletion model of
+// Section 7 at cfg's sizes, on a bare engine: N live tuples, then per
+// cycle R arrivals and R deletions of random live tuples, against Q top-K
+// queries. RunTime, Recomputes and CellsProcessed cover the cycles.
+func runUpdateTMA(cfg Config) (Result, error) {
+	cfg = cfg.withDefaults()
+	res := Result{Config: cfg}
+	e, err := core.NewEngine(core.Options{
+		Dims: cfg.Dims, Mode: core.UpdateStream, GridRes: cfg.GridRes, TargetCells: cfg.TargetCells,
+	})
+	if err != nil {
+		return res, err
+	}
+	gen := stream.NewGenerator(cfg.Dist, cfg.Dims, cfg.Seed)
+	t0 := time.Now()
+	fill := gen.Batch(cfg.N, 0)
+	if _, err := e.StepUpdate(0, fill, nil); err != nil {
+		return res, err
+	}
+	live := make([]uint64, 0, cfg.N+cfg.R)
+	for _, t := range fill {
+		live = append(live, t.ID)
+	}
+	qg := stream.NewQueryGenerator(cfg.Func, cfg.Dims, cfg.Seed+1)
+	for i := 0; i < cfg.Q; i++ {
+		if _, err := e.Register(core.QuerySpec{F: qg.Next(), K: cfg.K, Policy: core.TMA}); err != nil {
+			return res, err
+		}
+	}
+	res.InitTime = time.Since(t0)
+	base := e.Stats()
+	rng := rand.New(rand.NewSource(cfg.Seed + 4))
+	deletions := make([]uint64, min(cfg.R, cfg.N))
+	t1 := time.Now()
+	for ts := int64(1); ts <= int64(cfg.Cycles); ts++ {
+		for i := range deletions {
+			j := rng.Intn(len(live))
+			deletions[i] = live[j]
+			live[j] = live[len(live)-1]
+			live = live[:len(live)-1]
+		}
+		arrivals := gen.Batch(cfg.R, ts)
+		for _, t := range arrivals {
+			live = append(live, t.ID)
+		}
+		if _, err := e.StepUpdate(ts, arrivals, deletions); err != nil {
+			return res, err
+		}
+		res.CyclesRun++
+	}
+	res.RunTime = time.Since(t1)
+	s := e.Stats()
+	res.Recomputes = s.Recomputes - base.Recomputes
+	res.CellsProcessed = s.CellsProcessed - base.CellsProcessed
+	res.SpaceBytes = e.MemoryBytes()
+	return res, nil
 }

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"topkmon/internal/core"
@@ -869,4 +870,97 @@ func FuzzWALDecode(f *testing.F) {
 			t.Fatalf("re-encoded record fails to decode: %v", err)
 		}
 	})
+}
+
+// TestViewCheckpointRoundTrip moves an update-stream TMA query whose view
+// holds k < k' < kmax entries through the query codec and through a full
+// checkpoint and restore: deletions of view entries beyond rank k shrink
+// the view without a recomputation, the snapshot carries all k' entries
+// and the admission score of the last, and the restored monitor holds the
+// same view (the invariant checker compares it with the window) and keeps
+// reporting exactly what a reference that never stopped reports.
+func TestViewCheckpointRoundTrip(t *testing.T) {
+	const k = 5
+	kmax := core.DefaultKMax(k)
+	opts := core.Options{Dims: 2, Mode: core.UpdateStream, TargetCells: 64}
+	dir := t.TempDir()
+	eng, err := core.NewEngine(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := NewGuard(eng, dir, GuardOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := newDriver(t, opts, g)
+	d.cycle(200, 0)
+	d.register(core.QuerySpec{F: geom.NewLinear(1, 2), K: k, Policy: core.TMA})
+	id := d.ids[0]
+	full, err := eng.ExportQuery(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(full.Top) != kmax {
+		t.Fatalf("view holds %d entries after registration, want kmax = %d", len(full.Top), kmax)
+	}
+
+	// Delete the view entries at ranks k+1 and kmax: k' = kmax-2.
+	victims := []uint64{full.Top[k].T.ID, full.Top[kmax-1].T.ID}
+	recomputes := eng.Stats().Recomputes
+	d.now++
+	for _, mon := range []core.StreamMonitor{d.mon, d.eng} {
+		if u, err := mon.StepUpdate(d.now, nil, victims); err != nil || len(u) != 0 {
+			t.Fatalf("deleting beyond rank k: %v, updates %v", err, u)
+		}
+	}
+	d.live = slices.DeleteFunc(d.live, func(id uint64) bool { return slices.Contains(victims, id) })
+	if n := eng.Stats().Recomputes; n != recomputes {
+		t.Fatalf("deleting beyond rank k recomputed %d times", n-recomputes)
+	}
+	snap, err := eng.ExportQuery(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Top) != kmax-2 || snap.TopScore != snap.Top[kmax-3].Score {
+		t.Fatalf("view of %d entries, admission score %v (last entry %v)", len(snap.Top), snap.TopScore, snap.Top[len(snap.Top)-1].Score)
+	}
+
+	// The query codec keeps every view entry and the admission score.
+	e := &enc{}
+	if err := encodeSnapshot(e, snap); err != nil {
+		t.Fatal(err)
+	}
+	dc := &dec{buf: e.buf}
+	back := decodeSnapshot(dc, newResolver(eng.WindowTail()))
+	if err := dc.done(); err != nil {
+		t.Fatal(err)
+	}
+	if renderEntries(back.Top) != renderEntries(snap.Top) || back.TopScore != snap.TopScore || back.RegScore != snap.RegScore {
+		t.Fatalf("codec round trip moved the view:\n  %s %v %v\n  %s %v %v", renderEntries(back.Top), back.TopScore, back.RegScore,
+			renderEntries(snap.Top), snap.TopScore, snap.RegScore)
+	}
+
+	if err := g.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Abandon(); err != nil {
+		t.Fatal(err)
+	}
+	restored, _, err := Restore(dir, RestoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restored.Close()
+	d.mon = restored
+	d.checkState()
+	if err := restored.CheckInfluence(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 12; i++ {
+		d.cycle(10, 12)
+		if err := restored.CheckInfluence(); err != nil {
+			t.Fatalf("cycle %d: %v", i, err)
+		}
+	}
+	d.checkState()
 }

@@ -83,11 +83,8 @@ type DataSharded struct {
 	// owns expiration so count-based windows see the global tuple count.
 	win *window.Window
 
-	// Stream admission watermarks, guarded by stepMu.
-	now     int64
-	started bool
-	haveSeq bool
-	lastSeq uint64
+	// clock holds the stream admission watermarks, guarded by stepMu.
+	clock core.Clock
 
 	// qmu guards the queries map structure (NumQueries may read it while a
 	// cycle runs); all writers additionally hold stepMu.
@@ -231,7 +228,7 @@ func (d *DataSharded) Options() core.Options {
 func (d *DataSharded) ExportClock() core.Clock {
 	d.stepMu.Lock()
 	defer d.stepMu.Unlock()
-	return core.Clock{Now: d.now, Started: d.started, HaveSeq: d.haveSeq, LastSeq: d.lastSeq}
+	return d.clock
 }
 
 // RestoreClock pins the router's cycle clock and admission watermarks —
@@ -240,10 +237,7 @@ func (d *DataSharded) ExportClock() core.Clock {
 func (d *DataSharded) RestoreClock(c core.Clock) {
 	d.stepMu.Lock()
 	defer d.stepMu.Unlock()
-	d.now = c.Now
-	d.started = c.Started
-	d.haveSeq = c.HaveSeq
-	d.lastSeq = c.LastSeq
+	d.clock = c
 }
 
 // GlobalTail returns the fleet's live tuples in replay order: the router
@@ -564,24 +558,12 @@ func (d *DataSharded) Step(now int64, arrivals []*stream.Tuple) ([]core.Update, 
 		return nil, ErrStopped
 	}
 
-	// Global admission checks mirror the single engine's, and must run
-	// before the window sees the batch (window.Push treats out-of-order
-	// arrivals as a programming error).
-	if d.started && now < d.now {
-		return nil, fmt.Errorf("shard: time went backwards: %d after %d", now, d.now)
+	// Global admission is the single engine's, and must run before the
+	// window sees the batch (window.Push treats out-of-order arrivals as a
+	// programming error).
+	if err := d.clock.Admit(now, arrivals); err != nil {
+		return nil, err
 	}
-	for _, t := range arrivals {
-		if t.TS != now {
-			return nil, fmt.Errorf("shard: arrival %v not stamped with cycle timestamp %d", t, now)
-		}
-		if d.haveSeq && t.Seq <= d.lastSeq {
-			return nil, fmt.Errorf("shard: arrival sequence %d not increasing (last %d)", t.Seq, d.lastSeq)
-		}
-		d.haveSeq = true
-		d.lastSeq = t.Seq
-	}
-	d.started = true
-	d.now = now
 
 	sc := &d.sc
 	sc.now = now

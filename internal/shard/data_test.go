@@ -409,3 +409,69 @@ func TestDataRejectedUpdateLeavesNoState(t *testing.T) {
 			keysOf(r2), data.NumPoints(), keysOf(r1), single.NumPoints())
 	}
 }
+
+// TestRejectedStepRetries pins the validate-then-commit contract of the
+// append-only Step on the single engine and both sharded monitors: a cycle
+// rejected for one bad arrival must leave the clock and the sequence
+// watermark where they were, so its corrected retry, carrying the same
+// valid arrivals, is accepted and produces the same results everywhere.
+func TestRejectedStepRetries(t *testing.T) {
+	opts := core.Options{Dims: 2, Window: window.Count(8), TargetCells: 16}
+	single, err := core.NewEngine(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	query, err := New(opts, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer query.Close()
+	data, err := NewData(opts, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer data.Close()
+	tuple := func(id uint64, ts int64) *stream.Tuple {
+		x := float64(id%13) / 13
+		return &stream.Tuple{ID: id, Seq: id, TS: ts, Vec: geom.Vector{x, 1 - x/2}}
+	}
+	spec := core.QuerySpec{F: geom.NewLinear(1, 1), K: 3, Policy: core.TMA}
+	for i, mon := range []core.StreamMonitor{single, query, data} {
+		if _, err := mon.Register(spec); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := mon.Step(1, []*stream.Tuple{tuple(1, 1), tuple(2, 1)}); err != nil {
+			t.Fatal(err)
+		}
+		// A valid prefix, then an arrival stamped with the wrong cycle.
+		bad := []*stream.Tuple{tuple(3, 2), tuple(4, 2), tuple(5, 9)}
+		if _, err := mon.Step(2, bad); err == nil {
+			t.Fatalf("monitor %d: a mis-stamped arrival was accepted", i)
+		}
+		// A valid prefix, then a repeated sequence number.
+		if _, err := mon.Step(2, []*stream.Tuple{tuple(3, 2), tuple(4, 2), tuple(4, 2)}); err == nil {
+			t.Fatalf("monitor %d: a repeated sequence number was accepted", i)
+		}
+		// A time regression after the rejected cycles is still one.
+		if _, err := mon.Step(0, nil); err == nil {
+			t.Fatalf("monitor %d: time went backwards without an error", i)
+		}
+		if _, err := mon.Step(2, []*stream.Tuple{tuple(3, 2), tuple(4, 2), tuple(5, 2)}); err != nil {
+			t.Fatalf("monitor %d: the corrected retry was rejected: %v", i, err)
+		}
+		if mon.NumPoints() != 5 {
+			t.Fatalf("monitor %d: %d points after the retry, want 5", i, mon.NumPoints())
+		}
+		res, err := mon.Result(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ids []uint64
+		for _, en := range res {
+			ids = append(ids, en.T.ID)
+		}
+		if got := fmt.Sprint(ids); got != "[5 4 3]" {
+			t.Fatalf("monitor %d: result %s after the retry, want [5 4 3]", i, got)
+		}
+	}
+}

@@ -107,32 +107,9 @@ type Options struct {
 }
 
 // DefaultKMax returns the fine-tuned view capacities reported in Section 8
-// for the paper's k values — (1,5,10,20,50,100) -> (4,10,20,30,70,120) —
-// and a smooth interpolation elsewhere.
-func DefaultKMax(k int) int {
-	switch k {
-	case 1:
-		return 4
-	case 5:
-		return 10
-	case 10:
-		return 20
-	case 20:
-		return 30
-	case 50:
-		return 70
-	case 100:
-		return 120
-	}
-	extra := k / 2
-	if extra < 3 {
-		extra = 3
-	}
-	if extra > 20 {
-		extra = 20
-	}
-	return k + extra
-}
+// (core.DefaultKMax, which also sizes the grid engine's TMA views under
+// update streams).
+func DefaultKMax(k int) int { return core.DefaultKMax(k) }
 
 // Monitor is the TSL engine. It implements core.Monitor.
 type Monitor struct {
@@ -144,10 +121,7 @@ type Monitor struct {
 	nextID  core.QueryID
 	kmaxFn  func(k int) int
 
-	now     int64
-	started bool
-	haveSeq bool
-	lastSeq uint64
+	clock core.Clock
 
 	dirtyList []*view
 	stats     Stats
@@ -236,21 +210,9 @@ func (m *Monitor) Unregister(id core.QueryID) error {
 // Step implements core.Monitor: one processing cycle, arrivals before
 // expirations.
 func (m *Monitor) Step(now int64, arrivals []*stream.Tuple) ([]core.Update, error) {
-	if m.started && now < m.now {
-		return nil, fmt.Errorf("tsl: time went backwards: %d after %d", now, m.now)
+	if err := m.clock.Admit(now, arrivals); err != nil {
+		return nil, err
 	}
-	for _, t := range arrivals {
-		if t.TS != now {
-			return nil, fmt.Errorf("tsl: arrival %v not stamped with cycle timestamp %d", t, now)
-		}
-		if m.haveSeq && t.Seq <= m.lastSeq {
-			return nil, fmt.Errorf("tsl: arrival sequence %d not increasing (last %d)", t.Seq, m.lastSeq)
-		}
-		m.haveSeq = true
-		m.lastSeq = t.Seq
-	}
-	m.started = true
-	m.now = now
 
 	for _, t := range arrivals {
 		m.w.Push(t)

@@ -91,7 +91,10 @@ var (
 // Monitoring policies.
 const (
 	// TMA recomputes a query's result from scratch whenever one of its
-	// current top-k tuples expires (Figure 9 of the paper).
+	// current top-k tuples expires (Figure 9 of the paper). Under update
+	// streams it keeps a view of up to kmax tuples (the paper's Section 8
+	// tuning, 30 for k = 20) and recomputes only once deletions leave
+	// fewer than k; results are the same.
 	TMA = core.TMA
 	// SMA maintains the k-skyband of the query's influence region,
 	// pre-computing future results (Figure 11). The paper's recommendation.
