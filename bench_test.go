@@ -17,7 +17,6 @@ import (
 	"topkmon/internal/grid"
 	"topkmon/internal/harness"
 	"topkmon/internal/pipeline"
-	"topkmon/internal/stack"
 	"topkmon/internal/stream"
 	"topkmon/internal/topk"
 	"topkmon/internal/tsl"
@@ -263,42 +262,32 @@ func BenchmarkTable2AuxSize(b *testing.B) {
 
 // BenchmarkShardedStep measures per-cycle throughput of the sharded
 // concurrent engine as the shard count grows, on a query-heavy workload
-// (Q=64 SMA queries — the regime sharding targets, since per-query
-// maintenance dominates and is split across shards while index upkeep is
-// replicated). shards=1 is the single-engine reference. Parallel speedup
-// requires GOMAXPROCS > 1; on a single-core host the sweep instead
-// measures the broadcast overhead. Both partitioning layouts run: under
-// query partitioning the shard-space-MB metric (largest single shard)
-// stays O(N) — the index is replicated — while under data partitioning it
-// drops to O(N/shards), the memory trade the partition layout exists for.
+// (Q=64 SMA queries). Tuples are hash-partitioned, so each shard indexes
+// O(N/shards) of the window and runs every query; shards=1 is the
+// single-engine reference. Parallel speedup requires GOMAXPROCS > 1; on a
+// single-core host the sweep instead measures the fan-out and merge
+// overhead.
 func BenchmarkShardedStep(b *testing.B) {
-	for _, part := range []string{"query-part", "data-part"} {
-		for _, shards := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("%s/shards=%d", part, shards), func(b *testing.B) {
-				cfg := benchBase()
-				cfg.Q = 64
-				cfg.Shards = shards
-				if part == "data-part" {
-					cfg.Partition = stack.PartitionData
-				}
-				runCycles(b, cfg)
-			})
-		}
+	for _, shards := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("data-part/shards=%d", shards), func(b *testing.B) {
+			cfg := benchBase()
+			cfg.Q = 64
+			cfg.Shards = shards
+			runCycles(b, cfg)
+		})
 	}
 }
 
 // BenchmarkPipelinedStep measures the asynchronous ingestion pipeline
 // against the synchronous Step loop on the same query-heavy workload as
-// BenchmarkShardedStep (Q=64 SMA queries, query partitioning). The sync
-// variant is the BenchmarkShardedStep loop: generate a batch, block in
-// Step, repeat — per-cycle latency on the caller's critical path. The
-// pipelined variant ingests without waiting while a consumer drains the
-// delivery channel, so batch generation, shard cycles and the merge all
-// overlap; with ≥4 shards (and cores to run them) per-op time drops below
-// the synchronous variant because the caller-side work and the cycle
-// fan-in wait are hidden behind the shards' own processing. Flush inside
-// the timed region charges the pipelined variant for completing every
-// cycle — the comparison is throughput-honest, not fire-and-forget.
+// BenchmarkShardedStep (Q=64 SMA queries). The sync variant is the
+// BenchmarkShardedStep loop: generate a batch, block in Step, repeat —
+// per-cycle latency on the caller's critical path. The pipelined variant
+// ingests without waiting while a consumer drains the delivery channel, so
+// batch generation overlaps the cycles, which run one at a time on the
+// pipeline's runner. Flush inside the timed region charges the pipelined
+// variant for completing every cycle — the comparison is
+// throughput-honest, not fire-and-forget.
 func BenchmarkPipelinedStep(b *testing.B) {
 	for _, mode := range []string{"sync", "pipelined"} {
 		for _, shards := range []int{1, 2, 4, 8} {

@@ -23,7 +23,6 @@ import (
 
 	"topkmon/internal/harness"
 	"topkmon/internal/stack"
-	"topkmon/pkg/topkmon"
 )
 
 // watchSignals makes the first SIGINT/SIGTERM close the returned channel —
@@ -46,24 +45,18 @@ func watchSignals() <-chan struct{} {
 
 func main() {
 	var (
-		expFlag       = flag.String("exp", "all", "experiment id (fig14..fig21, table2, kmax, model, order, shards, partition, pipeline, querycount, overload), comma-separated, or 'all'")
-		scaleFlag     = flag.Float64("scale", 0.02, "workload scale relative to the paper's defaults (1 = full N=1M, Q=1K)")
-		seedFlag      = flag.Int64("seed", 1, "workload seed")
-		csvFlag       = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		listFlag      = flag.Bool("list", false, "list available experiments and exit")
-		shardsFlag    = flag.Int("shards", 0, "run grid algorithms on this many engine shards (0/1 = single engine)")
-		partitionFlag = flag.String("partition", "queries", "sharding layout for -shards > 1: 'queries' (index replicated per shard) or 'data' (tuples hashed across shards, router-side top-k merge)")
-		pipelineFlag  = flag.Int("pipeline", 0, "drive runs through async pipelined ingestion with this queue depth (0 = synchronous Step)")
+		expFlag      = flag.String("exp", "all", "experiment id (fig14..fig21, table2, kmax, model, order, shards, partition, pipeline, querycount, overload), comma-separated, or 'all'")
+		scaleFlag    = flag.Float64("scale", 0.02, "workload scale relative to the paper's defaults (1 = full N=1M, Q=1K)")
+		seedFlag     = flag.Int64("seed", 1, "workload seed")
+		csvFlag      = flag.Bool("csv", false, "emit CSV instead of aligned tables")
+		listFlag     = flag.Bool("list", false, "list available experiments and exit")
+		shardsFlag   = flag.Int("shards", 0, "run grid algorithms on this many engine shards (0/1 = single engine)")
+		pipelineFlag = flag.Int("pipeline", 0, "drive runs through async pipelined ingestion with this queue depth (0 = synchronous Step)")
 	)
 	flag.Parse()
 	stop := watchSignals()
 	harness.DefaultStop = stop
-	partition, err := topkmon.ParsePartitioning(*partitionFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	harness.DefaultStack = stack.Config{Shards: *shardsFlag, Partition: partition, PipeDepth: *pipelineFlag}
+	harness.DefaultStack = stack.Config{Shards: *shardsFlag, PipeDepth: *pipelineFlag}
 
 	if *listFlag {
 		for _, e := range harness.Experiments() {

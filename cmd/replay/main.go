@@ -59,7 +59,6 @@ func main() {
 		inFlag        = flag.String("i", "", "trace file (default stdin)")
 		everyFlag     = flag.Int64("print-every", 1, "print results every this many cycles")
 		shardsFlag    = flag.Int("shards", 1, "engine shards (>1 runs the concurrent sharded engine)")
-		partitionFlag = flag.String("partition", "queries", "sharding layout for -shards > 1: 'queries' or 'data'")
 		pipelineFlag  = flag.Int("pipeline", 0, "async pipelined ingestion queue depth (0 = synchronous Step)")
 		admFlag       = flag.Bool("admission", false, "front pipelined ingestion with the load-shedding admission governor (requires -pipeline)")
 		memLimitFlag  = flag.Int64("mem-limit", 0, "hard memory limit in bytes for the governor's Critical watermark (implies -admission; requires -pipeline)")
@@ -99,12 +98,7 @@ func main() {
 		if *spanFlag > 0 {
 			windowOpt = topkmon.WithTimeWindow(*spanFlag)
 		}
-		partition, perr := topkmon.ParsePartitioning(*partitionFlag)
-		if perr != nil {
-			fatal(perr)
-		}
-		monOpts := []topkmon.Option{windowOpt,
-			topkmon.WithShards(*shardsFlag), topkmon.WithPartitioning(partition)}
+		monOpts := []topkmon.Option{windowOpt, topkmon.WithShards(*shardsFlag)}
 		if *pipelineFlag > 0 {
 			monOpts = append(monOpts, topkmon.WithPipeline(*pipelineFlag))
 		}

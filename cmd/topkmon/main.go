@@ -19,7 +19,6 @@ import (
 	"topkmon/internal/harness"
 	"topkmon/internal/stack"
 	"topkmon/internal/stream"
-	"topkmon/pkg/topkmon"
 )
 
 // watchSignals installs graceful-shutdown handling shared by the
@@ -56,7 +55,6 @@ func main() {
 		resFlag       = flag.Int("res", 0, "cells per axis (overrides -cells)")
 		kmaxFlag      = flag.Int("kmax", 0, "TSL view capacity (0 = tuned default)")
 		shardsFlag    = flag.Int("shards", 1, "engine shards (grid algorithms; >1 runs the concurrent sharded engine)")
-		partitionFlag = flag.String("partition", "queries", "sharding layout for -shards > 1: 'queries' or 'data'")
 		pipelineFlag  = flag.Int("pipeline", 0, "async pipelined ingestion queue depth (grid algorithms; 0 = synchronous Step)")
 		admFlag       = flag.Bool("admission", false, "front pipelined ingestion with the load-shedding admission governor (requires -pipeline)")
 		memLimitFlag  = flag.Int64("mem-limit", 0, "hard memory limit in bytes for the governor's Critical watermark (implies -admission)")
@@ -84,11 +82,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	partition, err := topkmon.ParsePartitioning(*partitionFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
 	var adm *admission.Config
 	if *admFlag || *memLimitFlag > 0 || *admTargetFlag > 0 {
 		adm = &admission.Config{Seed: *seedFlag, MemLimit: *memLimitFlag, CycleTarget: *admTargetFlag}
@@ -110,7 +103,6 @@ func main() {
 		Seed:           *seedFlag,
 		Config: stack.Config{
 			Shards:    *shardsFlag,
-			Partition: partition,
 			PipeDepth: *pipelineFlag,
 			Admission: adm,
 			Dir:       *ckptFlag,

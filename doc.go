@@ -10,29 +10,30 @@
 // future results) — together with the TSL baseline (Fagin's threshold
 // algorithm plus materialized top-k views) the paper compares against.
 //
-// Beyond the paper, the engine scales across cores: pkg/topkmon can run N
+// Beyond the paper, the engine scales across cores: WithShards(n) runs n
 // independent engine shards with results provably identical to the single
-// engine on the same stream, in either of two layouts selected by
-// WithPartitioning:
+// engine on the same stream. Each shard indexes a disjoint hash-slice of
+// the tuples (O(N/shards) index memory per shard, O(N) in total), every
+// query runs on every shard, and the router k-way merges the per-shard
+// partial top-k lists into the exact global result. The merge is not
+// free: on the benchmark's fullstack-paced workload (a 2-vCPU VM) two
+// shards take about 1.3× one engine's cycle time (shard.tax_ratio in
+// BENCHMARK.json's per-layer pass).
 //
-//   - PartitionQueries (default): every shard indexes the full stream and
-//     maintains a disjoint hash-slice of the query set. Query maintenance
-//     — the dominant cost at large Q — parallelizes perfectly, but the
-//     tuple index is replicated, so memory and ingest work grow ×shards.
-//   - PartitionData: each shard indexes a disjoint hash-slice of the
-//     tuples (O(N/shards) index memory per shard, O(N) in total), every
-//     query runs on every shard, and the router k-way merges the
-//     per-shard partial top-k lists into the exact global result, paying
-//     a per-update merge cost instead of the memory blow-up. The merge is
-//     not free: on the benchmark's fullstack-paced workload (a 2-vCPU VM)
-//     two data shards take about 1.3× one engine's cycle time
-//     (shard.tax_ratio in BENCHMARK.json's per-layer pass).
+// An earlier layout partitioned the queries instead, copying the whole
+// tuple index onto every shard. It was measured before it was removed:
+// topk-sma (N=100k, Q=1000 SMA) at two shards against one engine, ten
+// alternating 10 s pairs on a 2-vCPU VM, ran 885 against 862 ns/tuple at
+// the median and was slower in 7 of 10 pairs, at 1.7× the CPU per tuple
+// (median; 1.1–2.3×) and 64.6 against 40.3 MB of live heap. Grid insert
+// and expire, which every shard repeated, are about half of that
+// workload's CPU.
 //
-// Queries are hash-placed and tuples hash-routed: nothing moves between
-// shards once it has arrived, and Monitor.ShardLoads reports per-shard
-// query counts, EWMA cycle time, attributed cost and memory.
+// Tuples are hash-routed: nothing moves between shards once it has
+// arrived, and Monitor.ShardLoads reports per-shard query counts, EWMA
+// cycle time, attributed cost and memory.
 //
-// Orthogonally to partitioning, WithPipeline(depth) decouples ingestion
+// Orthogonally to sharding, WithPipeline(depth) decouples ingestion
 // from query maintenance: Ingest enqueues a batch into a bounded queue
 // and returns immediately, cycles run behind the caller's back, and each
 // cycle's merged updates arrive in order on the Updates channel — the
@@ -53,15 +54,12 @@
 //     is acceptable — it sheds early, proportionally and reproducibly,
 //     bounds memory, and turns the stall into a typed ErrOverloaded the
 //     producer can back off on.
-//   - Overlap: under query partitioning, cycles additionally overlap
-//     *each other* — shards consume bounded per-shard job queues, so a
-//     fast shard runs ahead while the router merges finished cycles.
-//     Under data partitioning the router's per-cycle merge is a barrier,
-//     so the pipeline overlaps ingestion and delivery with cycles only.
+//   - Overlap: cycles run one at a time (the router's per-cycle merge is
+//     a barrier across shards), so the pipeline overlaps ingestion and
+//     delivery with the cycles, not cycles with each other.
 //   - Prefer pipelined ingestion when the producer must not block on
-//     cycle latency or when shard counts (and cores) are high enough that
-//     cycle/delivery overlap pays; prefer synchronous Step when the
-//     caller needs each cycle's updates before producing the next batch.
+//     cycle latency; prefer synchronous Step when the caller needs each
+//     cycle's updates before producing the next batch.
 //
 // # Overload and admission control
 //
@@ -391,7 +389,7 @@
 // (monitor a recorded trace), cmd/datagen (synthetic datasets and
 // traces), cmd/benchreport (the hot-path benchmark report and regression
 // gate). The grid commands (cmd/topkmon, cmd/replay, cmd/experiments)
-// accept -shards and -partition=queries|data. See the examples/ directory
-// for runnable end-to-end programs and EXPERIMENTS.md for the
+// accept -shards. See the examples/ directory for runnable end-to-end
+// programs; go run ./cmd/experiments -exp all regenerates the
 // reproduction results.
 package topkmon

@@ -390,9 +390,9 @@ func (g *Governor) shedLocked(arrivals, deletions int) {
 
 // ObserveDrain folds one drained batch into the controllers: the queue now
 // holds occupied of capacity slots and the cycle took cycleNS wall
-// nanoseconds (zero when the caller has no per-cycle measurement, e.g. on
-// the overlapped sharded path — the hot-shard EWMA carries the latency
-// signal there). Refills the AIMD token bucket and adjusts the rate.
+// nanoseconds (zero when the caller has no per-cycle measurement; the
+// hot-shard EWMA then carries the latency signal). Refills the AIMD token
+// bucket and adjusts the rate.
 //
 //topk:deterministic
 func (g *Governor) ObserveDrain(occupied, capacity int, cycleNS int64) {
@@ -409,8 +409,8 @@ func (g *Governor) ObserveDrain(occupied, capacity int, cycleNS int64) {
 	if latencyBreach {
 		g.breaches++
 	} else if cycleNS > 0 {
-		// Only a measured healthy cycle breaks the streak: the overlapped
-		// sharded path drains with cycleNS == 0 and must not launder a
+		// Only a measured healthy cycle breaks the streak: a drain with
+		// cycleNS == 0 carries no measurement and must not launder a
 		// breach streak the hot-shard EWMA built up.
 		g.breaches = 0
 	}
@@ -471,10 +471,9 @@ func (g *Governor) ObserveShard(depth, capacity int, ewmaNS int64) {
 		frac = 1
 	}
 	if g.cfg.CycleTarget > 0 && ewmaNS > 0 && ewmaNS <= g.cfg.CycleTarget.Nanoseconds() {
-		// A deep inbox on a shard that drains within budget is pipelined
-		// ingestion doing its job — the headroom exists precisely so a fast
-		// shard can run ahead — not overload. Only a shard that is also over
-		// the latency budget registers as occupancy pressure.
+		// A deep inbox on a shard that drains within budget is not
+		// overload. Only a shard that is also over the latency budget
+		// registers as occupancy pressure.
 		frac = 0
 	}
 	g.avgShard += g.cfg.OccupancyAlpha * (frac - g.avgShard)

@@ -7,6 +7,7 @@ import (
 	"go/token"
 	"io/fs"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -118,5 +119,20 @@ func TestAllowDirectivePolicy(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestBenchModuleVets runs go vet over the benchmark module, bench/, which
+// is a module of its own that go test ./... never builds, and fails on any
+// output. bench/layers imports internal/shard, internal/pipeline and
+// internal/recovery, so a change to a signature it uses fails here rather
+// than only when the benchmark next runs.
+func TestBenchModuleVets(t *testing.T) {
+	cmd := exec.Command("go", "vet", "-C", "bench", "./...")
+	cmd.Dir = moduleRoot
+	cmd.Env = append(os.Environ(), "GOTOOLCHAIN=local")
+	out, err := cmd.CombinedOutput()
+	if err != nil || len(out) > 0 {
+		t.Fatalf("go vet -C bench ./...: %v\n%s", err, out)
 	}
 }

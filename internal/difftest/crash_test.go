@@ -149,7 +149,7 @@ func TestRestoreKEntryLineage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range []execMode{allModes()[0], allModes()[2]} {
+	for _, m := range allModes()[:2] {
 		src := filepath.Join("testdata", "kentry-lineage", m.name)
 		t.Run(m.name, func(t *testing.T) {
 			dir := t.TempDir()

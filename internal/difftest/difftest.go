@@ -1,11 +1,11 @@
 // Package difftest is the systematic correctness harness for the
 // monitoring system: a seeded randomized workload generator, a naive
 // O(N·k) reference scorer, and a replay driver that runs the identical
-// scenario through every execution mode — the single engine, the query-
-// and data-partitioned sharded monitors, and the pipelined wrapper over
-// each — and asserts byte-identical update streams and final results.
+// scenario through every execution mode — the single engine, the
+// data-partitioned sharded monitor, and the pipelined wrapper over each —
+// and asserts byte-identical update streams and final results.
 //
-// With three exactness-equivalent execution modes (and their pipelined
+// With two exactness-equivalent execution modes (and their pipelined
 // fronts) in-tree, hand-written scenario tests cannot cover the
 // interaction space: query mix (TMA/SMA/threshold/constrained), window
 // kind (count/time), stream model (append-only/update-stream), query

@@ -79,10 +79,9 @@ func snapshotRoundTrip(mon core.StreamMonitor) func(cycle int, live []core.Query
 func allModes() []execMode {
 	modes := []execMode{
 		{name: "engine", postCycle: snapshotRoundTrip},
-		{name: "query-sharded-3", cfg: stack.Config{Shards: diffShards}},
-		{name: "data-sharded-3", cfg: stack.Config{Shards: diffShards, Partition: stack.PartitionData}},
+		{name: "data-sharded-3", cfg: stack.Config{Shards: diffShards}},
 	}
-	for _, m := range modes[:3] {
+	for _, m := range modes[:2] {
 		// A small depth, so the queue actually fills and cycles
 		// genuinely overlap ingestion.
 		m.cfg.PipeDepth = 2
@@ -364,7 +363,7 @@ func TestMetamorphicDoubledWeights(t *testing.T) {
 // reference's hook counts the ties at both boundaries, so the test fails
 // if the lattice stops producing them.
 func TestUpdateStreamLatticeTies(t *testing.T) {
-	modes := []execMode{allModes()[0], allModes()[2]}
+	modes := allModes()[:2]
 	var kTies, kmaxTies int
 	countTies := func(naive *Naive) func(int, []core.QueryID) error {
 		return func(int, []core.QueryID) error {

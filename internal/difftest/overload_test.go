@@ -22,8 +22,7 @@ func TestOverloadDifferential(t *testing.T) {
 		layout stack.Config
 	}{
 		{"engine", stack.Config{}},
-		{"query-sharded", stack.Config{Shards: 3}},
-		{"data-sharded", stack.Config{Shards: 3, Partition: stack.PartitionData}},
+		{"data-sharded", stack.Config{Shards: 3}},
 	}
 	seeds := int64(20)
 	if testing.Short() {

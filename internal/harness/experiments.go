@@ -14,8 +14,8 @@ import (
 
 // DefaultStack is the layer stack every configuration Defaults produces
 // runs on (grid algorithms only; TSL runs bare). cmd/experiments sets its
-// shards, partitioning and pipeline from its flags so whole sweeps run
-// sharded or pipelined.
+// shards and pipeline from its flags so whole sweeps run sharded or
+// pipelined.
 var DefaultStack stack.Config
 
 // DefaultStop, when non-nil, is the cancellation channel every
@@ -445,70 +445,46 @@ func Experiments() []Experiment {
 		},
 		{
 			ID:    "partition",
-			Title: "Partitioning: query-sharding vs data-sharding across shard counts (beyond the paper)",
+			Title: "Partitioning: data-sharding across shard counts (beyond the paper)",
 			Run: func(scale float64, seed int64) ([]Table, error) {
-				timeTbl := Table{
-					Title:  "Partitioning: per-run CPU time vs shards (SMA, IND)",
+				tbl := Table{
+					Title:  "Partitioning: per-run CPU time, total space and max per-shard space vs shards (SMA, IND; a shard holds O(N/shards))",
 					XLabel: "shards",
-					Cols:   []string{"query-part", "data-part"},
-				}
-				spaceTbl := Table{
-					Title:  "Partitioning: total space vs shards",
-					XLabel: "shards",
-					Cols:   []string{"query-part", "data-part"},
-				}
-				shardSpaceTbl := Table{
-					Title:  "Partitioning: max per-shard space vs shards (query-part replicates the index; data-part holds O(N/shards))",
-					XLabel: "shards",
-					Cols:   []string{"query-part", "data-part"},
+					Cols:   []string{"time", "space", "max shard space"},
 				}
 				for _, n := range []int{1, 2, 4, 8, 16} {
-					timeRow := Row{X: fmt.Sprintf("%d", n)}
-					spaceRow := Row{X: fmt.Sprintf("%d", n)}
-					shardRow := Row{X: fmt.Sprintf("%d", n)}
-					for _, part := range []stack.Partitioning{stack.PartitionQueries, stack.PartitionData} {
-						cfg := Defaults(scale, seed)
-						cfg.Algo = AlgoSMA
-						cfg.Shards, cfg.Partition = n, part
-						res, err := Run(cfg)
-						if err != nil {
-							return nil, fmt.Errorf("partition [shards=%d partition=%v]: %w", n, part, err)
-						}
-						timeRow.Cells = append(timeRow.Cells, FormatDuration(res.RunTime))
-						spaceRow.Cells = append(spaceRow.Cells, FormatMB(res.SpaceBytes))
-						perShard := res.MaxShardSpaceBytes
-						if perShard == 0 {
-							perShard = res.SpaceBytes // single engine: the one "shard"
-						}
-						shardRow.Cells = append(shardRow.Cells, FormatMB(perShard))
+					cfg := Defaults(scale, seed)
+					cfg.Algo = AlgoSMA
+					cfg.Shards = n
+					res, err := Run(cfg)
+					if err != nil {
+						return nil, fmt.Errorf("partition [shards=%d]: %w", n, err)
 					}
-					timeTbl.Rows = append(timeTbl.Rows, timeRow)
-					spaceTbl.Rows = append(spaceTbl.Rows, spaceRow)
-					shardSpaceTbl.Rows = append(shardSpaceTbl.Rows, shardRow)
+					perShard := res.MaxShardSpaceBytes
+					if perShard == 0 {
+						perShard = res.SpaceBytes // single engine: the one "shard"
+					}
+					tbl.Rows = append(tbl.Rows, Row{X: fmt.Sprintf("%d", n), Cells: []string{
+						FormatDuration(res.RunTime), FormatMB(res.SpaceBytes), FormatMB(perShard),
+					}})
 				}
-				// Query-count axis: how each layout carries pub/sub-scale
-				// query sets. Query partitioning splits the set across
-				// shards; data partitioning replicates it onto every shard.
+				// Query-count axis: every shard runs the whole query set.
 				qTbl := Table{
 					Title:  "Partitioning: run time vs query count (near-dup threshold queries, shards=4)",
 					XLabel: "Q",
-					Cols:   []string{"query-part", "data-part"},
+					Cols:   []string{"time"},
 				}
 				for _, q := range queryCounts(scale) {
-					row := Row{X: fmt.Sprintf("%d", q)}
-					for _, part := range []stack.Partitioning{stack.PartitionQueries, stack.PartitionData} {
-						cfg := pubsubBase(scale, seed)
-						cfg.Shards, cfg.Partition = 4, part
-						cfg.Q = q
-						res, err := Run(cfg)
-						if err != nil {
-							return nil, fmt.Errorf("partition querycount [Q=%d partition=%v]: %w", q, part, err)
-						}
-						row.Cells = append(row.Cells, FormatDuration(res.RunTime))
+					cfg := pubsubBase(scale, seed)
+					cfg.Shards = 4
+					cfg.Q = q
+					res, err := Run(cfg)
+					if err != nil {
+						return nil, fmt.Errorf("partition querycount [Q=%d]: %w", q, err)
 					}
-					qTbl.Rows = append(qTbl.Rows, row)
+					qTbl.Rows = append(qTbl.Rows, Row{X: fmt.Sprintf("%d", q), Cells: []string{FormatDuration(res.RunTime)}})
 				}
-				return []Table{timeTbl, spaceTbl, shardSpaceTbl, qTbl}, nil
+				return []Table{tbl, qTbl}, nil
 			},
 		},
 		{
@@ -546,22 +522,20 @@ func Experiments() []Experiment {
 				tbl := Table{
 					Title:  "Pipelined ingestion: wall-clock run time, sync vs pipelined (SMA, IND, depth 4)",
 					XLabel: "shards",
-					Cols:   []string{"sync q-part", "piped q-part", "sync d-part", "piped d-part"},
+					Cols:   []string{"sync", "piped"},
 				}
 				for _, n := range []int{1, 2, 4, 8} {
 					row := Row{X: fmt.Sprintf("%d", n)}
-					for _, part := range []stack.Partitioning{stack.PartitionQueries, stack.PartitionData} {
-						for _, depth := range []int{0, 4} {
-							cfg := Defaults(scale, seed)
-							cfg.Algo = AlgoSMA
-							cfg.Shards, cfg.Partition = n, part
-							cfg.PipeDepth = depth
-							res, err := Run(cfg)
-							if err != nil {
-								return nil, fmt.Errorf("pipeline [shards=%d partition=%v depth=%d]: %w", n, part, depth, err)
-							}
-							row.Cells = append(row.Cells, FormatDuration(res.RunTime))
+					for _, depth := range []int{0, 4} {
+						cfg := Defaults(scale, seed)
+						cfg.Algo = AlgoSMA
+						cfg.Shards = n
+						cfg.PipeDepth = depth
+						res, err := Run(cfg)
+						if err != nil {
+							return nil, fmt.Errorf("pipeline [shards=%d depth=%d]: %w", n, depth, err)
 						}
+						row.Cells = append(row.Cells, FormatDuration(res.RunTime))
 					}
 					tbl.Rows = append(tbl.Rows, row)
 				}

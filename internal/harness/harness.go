@@ -201,9 +201,7 @@ type Result struct {
 	// SpaceBytes is the monitor footprint at the end of the run.
 	SpaceBytes int64
 	// MaxShardSpaceBytes is the largest single shard's footprint (sharded
-	// monitors only; zero otherwise). Query partitioning keeps it O(N) —
-	// the full index on every shard — while data partitioning drops it to
-	// O(N/shards).
+	// monitors only; zero otherwise), O(N/shards).
 	MaxShardSpaceBytes int64
 	// MaxShardCycleNS / MeanShardCycleNS are the hottest and the average
 	// shard's EWMA per-cycle wall time at the end of the run (sharded

@@ -270,28 +270,42 @@ func TestExperimentsSmoke(t *testing.T) {
 }
 
 // TestHeadlineClaim verifies the paper's central experimental finding at a
-// small scale: SMA is at least as fast as TMA, and both grid algorithms
-// beat TSL.
+// small scale: SMA recomputes no more often than TMA, and both grid
+// algorithms beat TSL. The first claim is an exact count on the same
+// seeded workload. The second is a time, taken for each algorithm as the
+// minimum over fresh runs, so one slow run on a busy host cannot decide it.
 func TestHeadlineClaim(t *testing.T) {
 	if testing.Short() {
 		t.Skip("comparison test is slow")
 	}
+	const runs = 5
 	base := Defaults(0.01, 3)
 	base.Cycles = 10
 	times := map[Algo]time.Duration{}
+	recomputes := map[Algo]int64{}
 	for _, algo := range allAlgos {
 		cfg := base
 		cfg.Algo = algo
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
+		for i := 0; i < runs; i++ {
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 || res.RunTime < times[algo] {
+				times[algo] = res.RunTime
+			}
+			recomputes[algo] = res.Recomputes
 		}
-		times[algo] = res.RunTime
+	}
+	t.Logf("recomputes SMA %d TMA %d; best run times SMA %v TMA %v TSL %v",
+		recomputes[AlgoSMA], recomputes[AlgoTMA], times[AlgoSMA], times[AlgoTMA], times[AlgoTSL])
+	if recomputes[AlgoSMA] > recomputes[AlgoTMA] {
+		t.Errorf("SMA recomputed %d times, more than TMA's %d", recomputes[AlgoSMA], recomputes[AlgoTMA])
 	}
 	if times[AlgoTMA] > times[AlgoTSL] {
-		t.Errorf("TMA (%v) slower than TSL (%v)", times[AlgoTMA], times[AlgoTSL])
+		t.Errorf("TMA (%v) slower than TSL (%v), best of %d runs each", times[AlgoTMA], times[AlgoTSL], runs)
 	}
 	if times[AlgoSMA] > times[AlgoTSL] {
-		t.Errorf("SMA (%v) slower than TSL (%v)", times[AlgoSMA], times[AlgoTSL])
+		t.Errorf("SMA (%v) slower than TSL (%v), best of %d runs each", times[AlgoSMA], times[AlgoTSL], runs)
 	}
 }

@@ -429,12 +429,12 @@ func TestAIMDConvergence(t *testing.T) {
 }
 
 // TestAdmissionLifecycleRace is the -race proof for the governor inside a
-// live pipeline: producers ingest against a query-sharded monitor (the
-// async path, so ObserveShard and LoadSignal run every cycle) while
+// live pipeline: producers ingest against a sharded monitor (so
+// ObserveShard and LoadSignal run every cycle) while
 // churners register, read and unregister queries through the barrier API
 // and a reader hammers the governor's snapshot surface.
 func TestAdmissionLifecycleRace(t *testing.T) {
-	mon, err := shard.New(core.Options{Dims: 2, Window: window.Count(400), TargetCells: 32}, 2)
+	mon, err := shard.NewData(core.Options{Dims: 2, Window: window.Count(400), TargetCells: 32}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

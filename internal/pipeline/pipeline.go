@@ -1,30 +1,14 @@
 // Package pipeline decouples stream ingestion from query maintenance: a
-// Pipeline wraps any core.StreamMonitor — the single engine, the
-// query-partitioned Sharded or the data-partitioned DataSharded — behind a
-// non-blocking Ingest call, a bounded ingest queue, and an ordered delivery
-// channel carrying each cycle's merged []core.Update. Distributed
-// sliding-window monitors overlap communication with computation in exactly
-// this way (Papapetrou et al.; Chan et al.); here the overlap is between
-// the producer (batch construction, result consumption) and the processing
-// cycles, and — for the query-partitioned sharded monitor — between the
-// shards themselves.
+// Pipeline wraps any core.StreamMonitor — the single engine or the
+// data-partitioned shard.DataSharded — behind a non-blocking Ingest call, a
+// bounded ingest queue, and an ordered delivery channel carrying each
+// cycle's merged []core.Update. Distributed sliding-window monitors overlap
+// communication with computation in exactly this way (Papapetrou et al.;
+// Chan et al.); here the overlap is between the producer (batch
+// construction, result consumption) and the processing cycles, which run
+// one at a time, synchronously, on the pipeline's runner goroutine.
 //
-// Two pipelining depths apply, depending on the wrapped monitor:
-//
-//   - *shard.Sharded (query partitioning): cycles are submitted through
-//     StepAsync into bounded per-shard job queues, so a fast shard runs
-//     several cycles ahead of a slow one; the delivery stage waits the
-//     completion tickets in submission order and merges off the critical
-//     path. Per-query maintenance is independent across shards, which is
-//     what makes running shard s's cycle t+1 concurrently with shard r's
-//     cycle t safe.
-//   - the single engine and *shard.DataSharded: cycles apply synchronously
-//     on the pipeline's runner goroutine (the data-partitioned router's
-//     k-way merge is a per-cycle barrier across shards, so cycles cannot
-//     overlap each other without breaking exactness). The pipeline still
-//     overlaps ingestion and delivery with the cycles.
-//
-// Ordering and delivery guarantees, both layouts alike:
+// Ordering and delivery guarantees:
 //
 //   - Batches are applied in Ingest order, exactly once each. A full queue
 //     makes Ingest wait; only an admission governor (Options.Admission)
@@ -73,12 +57,9 @@ const DefaultDepth = 4
 
 // Options configures a Pipeline.
 type Options struct {
-	// Depth bounds the ingest queue and the delivery channel. The sharded
-	// fast path's per-shard job queues are bounded separately, at a fixed
-	// depth (shard.jobQueueDepth), so raising Depth past that widens only
-	// the router-side buffers. Zero means DefaultDepth. The depth is fixed
-	// for the pipeline's lifetime; the largest occupancy ever reached is
-	// reported in Stats.QueueHighWater.
+	// Depth bounds the ingest queue and the delivery channel. Zero means
+	// DefaultDepth. The depth is fixed for the pipeline's lifetime; the
+	// largest occupancy ever reached is reported in Stats.QueueHighWater.
 	Depth int
 	// DropLog, when non-nil, observes every batch the admission governor
 	// sheds and the arrivals it strips in Critical — the hook the
@@ -113,14 +94,6 @@ type DropLogger interface {
 	LogDrop(now int64, isUpdate bool, arrivals []*stream.Tuple, deletions []uint64)
 }
 
-// asyncStepper is the fast path: the query-partitioned sharded monitor
-// accepts cycle submissions without waiting for completion, letting shard
-// cycles overlap each other.
-type asyncStepper interface {
-	StepAsync(now int64, arrivals []*stream.Tuple) (*shard.Ticket, error)
-	StepUpdateAsync(now int64, arrivals []*stream.Tuple, deletions []uint64) (*shard.Ticket, error)
-}
-
 // job is one entry of the ingest queue: either a stream batch or a control
 // operation to run on the runner goroutine (barrier ops, stop sentinel).
 // Control jobs are exempt from the queue bound and are never dropped.
@@ -138,13 +111,10 @@ type job struct {
 	stop bool
 }
 
-// delivery is one entry of the runner→deliverer FIFO: a completed cycle
-// (or its ticket, still in flight on the shards), a flush marker, or the
-// stop sentinel.
+// delivery is one entry of the runner→deliverer FIFO: a completed cycle's
+// updates, a flush marker, or the stop sentinel.
 type delivery struct {
 	updates []core.Update
-	err     error
-	ticket  *shard.Ticket
 	flush   chan error
 	stop    bool
 }
@@ -387,9 +357,8 @@ func (p *Pipeline) read(fn func()) {
 	}
 }
 
-// runner drains the ingest queue: batches are applied (or, on the sharded
-// fast path, submitted) in order; control jobs run on this goroutine,
-// which is what makes them barriers.
+// runner drains the ingest queue: batches are applied in order; control
+// jobs run on this goroutine, which is what makes them barriers.
 func (p *Pipeline) runner() {
 	for {
 		p.mu.Lock()
@@ -417,11 +386,12 @@ func (p *Pipeline) runner() {
 			close(j.done)
 		default:
 			if failed {
-				// A cycle failed: like the synchronous monitors, the engine
-				// state is undefined; the error is sticky and batches not yet
-				// started are discarded. (On the async fast path, cycles
-				// submitted before the failure surfaced at the delivery stage
-				// may still run — undefined state either way.)
+				// A cycle failed. Every monitor rejects a cycle whole and
+				// stays unchanged, but the producer learns of the rejection
+				// only later, from Ingest, Flush or Close, by which time it
+				// may have queued batches that depend on the rejected one
+				// (deletions of its arrivals, timestamps after it). So the
+				// error is sticky and batches not yet started are discarded.
 				continue
 			}
 			cycleNS := p.apply(j)
@@ -433,7 +403,7 @@ func (p *Pipeline) runner() {
 }
 
 // memSampleEvery spaces the governor's memory-watermark observations: the
-// engine footprint walk is not free (on the sharded monitors it drains the
+// engine footprint walk is not free (on the sharded monitor it drains the
 // shard queues), so the runner samples it every memSampleEvery applied
 // batches rather than per cycle. Memory moves on window scale, not batch
 // scale, so the lag is bounded and harmless.
@@ -471,28 +441,8 @@ func heapInUseBytes() int64 {
 	return 0
 }
 
-// apply runs one batch and returns the cycle's wall time in nanoseconds on
-// the synchronous path (zero on the async fast path, where submission
-// returns before the shards finish and the hot-shard EWMA carries the
-// latency signal instead). The sharded fast path submits the cycle and
-// hands its ticket to the delivery stage, freeing this goroutine to apply
-// the next batch while the shards still work; other monitors process the
-// cycle here, synchronously.
+// apply runs one batch and returns the cycle's wall time in nanoseconds.
 func (p *Pipeline) apply(j *job) int64 {
-	if as, ok := p.mon.(asyncStepper); ok {
-		var t *shard.Ticket
-		var err error
-		if j.isUpdate {
-			t, err = as.StepUpdateAsync(j.now, j.arrivals, j.deletions)
-		} else {
-			t, err = as.StepAsync(j.now, j.arrivals)
-		}
-		if err != nil {
-			p.recordErr(err)
-		}
-		p.deliveries <- delivery{ticket: t, err: err}
-		return 0
-	}
 	start := time.Now()
 	var updates []core.Update
 	var err error
@@ -503,20 +453,19 @@ func (p *Pipeline) apply(j *job) int64 {
 	}
 	cycleNS := time.Since(start).Nanoseconds()
 	if err != nil {
-		// Record here, on the runner, not only at the delivery stage: the
-		// next queued batch is dequeued immediately after this return, and
-		// it must see the failure instead of stepping an undefined-state
-		// engine.
+		// Record here, on the runner: the next queued batch is dequeued
+		// immediately after this return, and it must see the sticky error
+		// (see runner) before it is applied.
 		p.recordErr(err)
+		return cycleNS
 	}
-	p.deliveries <- delivery{updates: updates, err: err}
+	p.deliveries <- delivery{updates: updates}
 	return cycleNS
 }
 
-// deliverer resolves completed cycles in submission order and forwards
-// non-empty update batches to the output channel. Waiting the sharded
-// tickets here — off the runner goroutine — is what lets cycle t+1 start
-// on the shards while cycle t's fan-in is still being merged.
+// deliverer forwards completed cycles' non-empty update batches to the
+// output channel in cycle order, off the runner goroutine, so a slow
+// consumer stalls the cycles only once the delivery buffer is full.
 func (p *Pipeline) deliverer() {
 	defer close(p.delivererDone)
 	for d := range p.deliveries {
@@ -530,31 +479,8 @@ func (p *Pipeline) deliverer() {
 			p.mu.Unlock()
 			d.flush <- err
 		default:
-			updates, err := d.updates, d.err
-			if err == nil && d.ticket != nil {
-				updates, err = d.ticket.Wait()
-			}
-			if err != nil {
-				p.recordErr(err)
-				continue
-			}
-			// Async fast path only: suppress deliveries from cycles that ran
-			// after a failure — cycles t+1.. may already have been submitted
-			// when cycle t's ticket surfaces its error here, and their
-			// results were computed on undefined-state engines. Synchronous
-			// deliveries need no check: the runner stops applying batches
-			// once the error is recorded, so any queued sync delivery was
-			// computed before the failure and is legitimate.
-			if d.ticket != nil {
-				p.mu.Lock()
-				failed := p.err != nil
-				p.mu.Unlock()
-				if failed {
-					continue
-				}
-			}
-			if len(updates) > 0 {
-				p.out <- updates
+			if len(d.updates) > 0 {
+				p.out <- d.updates
 			}
 		}
 	}

@@ -294,7 +294,7 @@ func TestCycleErrorSticky(t *testing.T) {
 // TestPreFailureDeliveriesSurvive: updates computed before a failing
 // cycle must still reach the consumer even when the error is recorded
 // before the deliverer gets to them (slow consumer); only post-failure
-// async cycles are suppressed.
+// cycles are never applied.
 func TestPreFailureDeliveriesSurvive(t *testing.T) {
 	eng, err := core.NewEngine(core.Options{Dims: 2, Window: window.Count(100), TargetCells: 16})
 	if err != nil {
@@ -332,109 +332,101 @@ func TestPreFailureDeliveriesSurvive(t *testing.T) {
 // influence-list invariant is verified behind the pipeline barrier every
 // few cycles, continuously rather than only at end-of-run.
 func TestConcurrentLifecycleStress(t *testing.T) {
-	for _, mode := range []string{"query-part", "data-part"} {
-		t.Run(mode, func(t *testing.T) {
-			opts := core.Options{Dims: 3, Window: window.Count(1200), TargetCells: 64}
-			var mon core.StreamMonitor
-			var err error
-			if mode == "data-part" {
-				mon, err = shard.NewData(opts, 4)
-			} else {
-				mon, err = shard.New(opts, 4)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			p := New(mon, Options{Depth: 3})
-			_, done := collect(p)
+	t.Run("data-part", func(t *testing.T) {
+		opts := core.Options{Dims: 3, Window: window.Count(1200), TargetCells: 64}
+		mon, err := shard.NewData(opts, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := New(mon, Options{Depth: 3})
+		_, done := collect(p)
 
-			gen := stream.NewGenerator(stream.IND, 3, 9)
-			if err := p.Ingest(0, gen.Batch(1200, 0)); err != nil {
-				t.Fatal(err)
-			}
+		gen := stream.NewGenerator(stream.IND, 3, 9)
+		if err := p.Ingest(0, gen.Batch(1200, 0)); err != nil {
+			t.Fatal(err)
+		}
 
-			const cycles = 60
-			var stop atomic.Bool
-			var wg sync.WaitGroup
-			errc := make(chan error, 8)
+		const cycles = 60
+		var stop atomic.Bool
+		var wg sync.WaitGroup
+		errc := make(chan error, 8)
 
-			for c := 0; c < 3; c++ {
-				wg.Add(1)
-				go func(seed int64) {
-					defer wg.Done()
-					qg := stream.NewQueryGenerator(stream.FuncLinear, 3, seed)
-					rng := rand.New(rand.NewSource(seed))
-					var owned []core.QueryID
-					for !stop.Load() {
-						switch {
-						case len(owned) < 5:
-							id, err := p.Register(core.QuerySpec{F: qg.Next(), K: 1 + rng.Intn(8), Policy: core.SMA})
-							if err != nil {
-								errc <- err
-								return
-							}
-							owned = append(owned, id)
-						case rng.Intn(3) == 0:
-							if _, err := p.Result(owned[rng.Intn(len(owned))]); err != nil {
-								errc <- err
-								return
-							}
-							p.Stats()
-							p.MemoryBytes()
-						case rng.Intn(3) == 0:
-							if err := p.Flush(); err != nil {
-								errc <- err
-								return
-							}
-						default:
-							j := rng.Intn(len(owned))
-							if err := p.Unregister(owned[j]); err != nil {
-								errc <- err
-								return
-							}
-							owned = append(owned[:j], owned[j+1:]...)
-						}
-					}
-					for _, id := range owned {
-						if err := p.Unregister(id); err != nil {
+		for c := 0; c < 3; c++ {
+			wg.Add(1)
+			go func(seed int64) {
+				defer wg.Done()
+				qg := stream.NewQueryGenerator(stream.FuncLinear, 3, seed)
+				rng := rand.New(rand.NewSource(seed))
+				var owned []core.QueryID
+				for !stop.Load() {
+					switch {
+					case len(owned) < 5:
+						id, err := p.Register(core.QuerySpec{F: qg.Next(), K: 1 + rng.Intn(8), Policy: core.SMA})
+						if err != nil {
 							errc <- err
 							return
 						}
+						owned = append(owned, id)
+					case rng.Intn(3) == 0:
+						if _, err := p.Result(owned[rng.Intn(len(owned))]); err != nil {
+							errc <- err
+							return
+						}
+						p.Stats()
+						p.MemoryBytes()
+					case rng.Intn(3) == 0:
+						if err := p.Flush(); err != nil {
+							errc <- err
+							return
+						}
+					default:
+						j := rng.Intn(len(owned))
+						if err := p.Unregister(owned[j]); err != nil {
+							errc <- err
+							return
+						}
+						owned = append(owned[:j], owned[j+1:]...)
 					}
-				}(int64(300 + c))
-			}
+				}
+				for _, id := range owned {
+					if err := p.Unregister(id); err != nil {
+						errc <- err
+						return
+					}
+				}
+			}(int64(300 + c))
+		}
 
-			for ts := int64(1); ts <= cycles; ts++ {
-				if err := p.Ingest(ts, gen.Batch(60, ts)); err != nil {
-					t.Fatal(err)
+		for ts := int64(1); ts <= cycles; ts++ {
+			if err := p.Ingest(ts, gen.Batch(60, ts)); err != nil {
+				t.Fatal(err)
+			}
+			if ts%8 == 0 {
+				if err := p.CheckInfluence(); err != nil {
+					t.Fatalf("cycle %d: %v", ts, err)
 				}
-				if ts%8 == 0 {
-					if err := p.CheckInfluence(); err != nil {
-						t.Fatalf("cycle %d: %v", ts, err)
-					}
-				}
 			}
-			stop.Store(true)
-			wg.Wait()
-			close(errc)
-			for err := range errc {
-				t.Fatal(err)
-			}
-			if err := p.CheckInfluence(); err != nil {
-				t.Fatal(err)
-			}
-			if n := p.NumQueries(); n != 0 {
-				t.Fatalf("%d queries left registered", n)
-			}
-			if got := p.NumPoints(); got != 1200 {
-				t.Fatalf("NumPoints = %d, want 1200", got)
-			}
-			if err := p.Close(); err != nil {
-				t.Fatal(err)
-			}
-			<-done
-		})
-	}
+		}
+		stop.Store(true)
+		wg.Wait()
+		close(errc)
+		for err := range errc {
+			t.Fatal(err)
+		}
+		if err := p.CheckInfluence(); err != nil {
+			t.Fatal(err)
+		}
+		if n := p.NumQueries(); n != 0 {
+			t.Fatalf("%d queries left registered", n)
+		}
+		if got := p.NumPoints(); got != 1200 {
+			t.Fatalf("NumPoints = %d, want 1200", got)
+		}
+		if err := p.Close(); err != nil {
+			t.Fatal(err)
+		}
+		<-done
+	})
 }
 
 // TestCloseReleasesBlockedProducer: a producer blocked on a full queue is

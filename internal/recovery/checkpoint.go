@@ -44,11 +44,12 @@ const (
 	walName        = "wal.log"
 )
 
-// Monitor layouts a checkpoint can describe.
+// Monitor layouts a checkpoint can describe. Layout 2, the retired
+// query-partitioned shard layout, is refused on restore.
 const (
-	layoutEngine      = 1 // single core.Engine
-	layoutSharded     = 2 // query-partitioned shard.Sharded
-	layoutDataSharded = 3 // data-partitioned shard.DataSharded
+	layoutEngine         = 1 // single core.Engine
+	layoutRetiredQueries = 2 // query-partitioned shards, retired
+	layoutDataSharded    = 3 // data-partitioned shard.DataSharded
 )
 
 // manifest is the decoded router-level state of a checkpoint.
@@ -60,15 +61,11 @@ type manifest struct {
 	opts    core.Options
 	aux     []byte
 
-	// Shared stream state. For layoutEngine both live in the shard-0
-	// file instead; for layoutSharded they are the broadcast window every
-	// engine replicates; for layoutDataSharded the router's global window.
+	// Shared stream state: the router's global window for
+	// layoutDataSharded. For layoutEngine both live in the shard-0 file
+	// instead.
 	clock core.Clock
 	tail  []*stream.Tuple
-
-	// layoutSharded routing table.
-	globalNext core.QueryID
-	routes     []shard.QueryRoute
 
 	// layoutDataSharded router merge caches.
 	routerQueries []shard.RouterQuery
@@ -171,16 +168,6 @@ func encodeManifest(m *manifest) ([]byte, error) {
 	e.bytes(m.aux)
 	switch m.layout {
 	case layoutEngine:
-	case layoutSharded:
-		encodeClock(e, m.clock)
-		encodeTuples(e, m.tail)
-		e.uvarint(uint64(m.globalNext))
-		e.uvarint(uint64(len(m.routes)))
-		for _, r := range m.routes {
-			e.uvarint(uint64(r.Global))
-			e.uvarint(uint64(r.Shard))
-			e.uvarint(uint64(r.Local))
-		}
 	case layoutDataSharded:
 		encodeClock(e, m.clock)
 		encodeTuples(e, m.tail)
@@ -212,17 +199,9 @@ func decodeManifest(payload []byte) (*manifest, error) {
 	m.aux = append([]byte(nil), d.bytes()...)
 	switch m.layout {
 	case layoutEngine:
-	case layoutSharded:
-		m.clock = decodeClock(d)
-		m.tail = decodeTuples(d)
-		m.globalNext = core.QueryID(d.uvarint())
-		n := d.count(3)
-		for i := 0; i < n && d.err == nil; i++ {
-			m.routes = append(m.routes, shard.QueryRoute{
-				Global: core.QueryID(d.uvarint()),
-				Shard:  int(d.uvarint()),
-				Local:  core.QueryID(d.uvarint()),
-			})
+	case layoutRetiredQueries:
+		if d.err == nil {
+			return nil, fmt.Errorf("%w: manifest: layout %d, the query-partitioned shard layout, is retired; this build restores the engine and data-partitioned shards", ErrVersion, m.layout)
 		}
 	case layoutDataSharded:
 		m.clock = decodeClock(d)
@@ -373,24 +352,6 @@ func collect(mon core.StreamMonitor, epoch, walNext uint64, aux []byte) (*manife
 			return nil, nil, err
 		}
 		states = []*engineState{st}
-	case *shard.Sharded:
-		m.layout = layoutSharded
-		m.shards = inner.NumShards()
-		m.opts = inner.Options()
-		states = make([]*engineState, m.shards)
-		err := inner.Barrier(func(i int, eng *core.Engine) error {
-			if i == 0 {
-				m.clock = eng.ExportClock()
-				m.tail = eng.WindowTail()
-			}
-			st := &engineState{}
-			states[i] = st
-			return collectQueries(eng, st)
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		m.globalNext, m.routes = inner.ExportRouting()
 	case *shard.DataSharded:
 		m.layout = layoutDataSharded
 		m.shards = inner.NumShards()
@@ -571,28 +532,6 @@ func buildMonitor(m *manifest, states []*engineState) (core.StreamMonitor, error
 			return nil, err
 		}
 		return eng, nil
-	case layoutSharded:
-		s, err := shard.New(m.opts, m.shards)
-		if err != nil {
-			return nil, fmt.Errorf("recovery: rebuild sharded monitor: %w", err)
-		}
-		if err := replayTail(s, m.opts.Mode, m.clock, m.tail); err != nil {
-			s.Close()
-			return nil, err
-		}
-		err = s.Barrier(func(i int, eng *core.Engine) error {
-			eng.RestoreClock(m.clock)
-			return importQueries(eng, states[i])
-		})
-		if err != nil {
-			s.Close()
-			return nil, err
-		}
-		if err := s.RestoreRouting(m.globalNext, m.routes); err != nil {
-			s.Close()
-			return nil, err
-		}
-		return s, nil
 	case layoutDataSharded:
 		d, err := shard.NewData(m.opts, m.shards)
 		if err != nil {

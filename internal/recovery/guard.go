@@ -20,12 +20,6 @@ import (
 // the facade and the ingestion pipeline already serialize all operations
 // onto one — with a single exception: LogDrop may be called concurrently
 // from the pipeline's producer goroutine (the WAL carries its own lock).
-//
-// A Guard deliberately does not implement the sharded monitor's async
-// step surface, so a pipelined, checkpointed sharded monitor falls back
-// to synchronous per-cycle fan-out: the write-ahead contract needs a
-// serialization point per batch, and that is the documented cost of
-// durability.
 type Guard struct {
 	inner core.StreamMonitor
 	dir   string
@@ -264,15 +258,6 @@ func (g *Guard) CurrentClock() core.Clock {
 		return m.ExportClock()
 	case *shard.DataSharded:
 		return m.ExportClock()
-	case *shard.Sharded:
-		var c core.Clock
-		m.Barrier(func(i int, eng *core.Engine) error {
-			if i == 0 {
-				c = eng.ExportClock()
-			}
-			return nil
-		})
-		return c
 	}
 	return core.Clock{}
 }
@@ -284,13 +269,6 @@ func (g *Guard) QueryIDs() []core.QueryID {
 	switch m := g.inner.(type) {
 	case *core.Engine:
 		return m.QueryIDs()
-	case *shard.Sharded:
-		_, routes := m.ExportRouting()
-		ids := make([]core.QueryID, len(routes))
-		for i, r := range routes {
-			ids[i] = r.Global
-		}
-		return ids
 	case *shard.DataSharded:
 		qs := m.ExportRouterQueries()
 		ids := make([]core.QueryID, len(qs))

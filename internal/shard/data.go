@@ -70,11 +70,11 @@ func (m *mergedQuery) limit() int {
 }
 
 // DataSharded is the data-partitioned concurrent monitor. It implements
-// core.StreamMonitor with results provably identical to the single engine:
-// per-shard index memory is O(N/shards) instead of the O(N) replication of
-// the query-partitioned Sharded. Register, Unregister and Result serialize
-// against cycles (queries span every shard, so cross-shard consistency
-// requires it), but all methods remain safe for concurrent use.
+// core.StreamMonitor with results provably identical to the single engine,
+// and per-shard index memory of O(N/shards). Register, Unregister and
+// Result serialize against cycles (queries span every shard, so
+// cross-shard consistency requires it), but all methods remain safe for
+// concurrent use.
 type DataSharded struct {
 	workers []*worker
 	mode    core.StreamMode
@@ -96,7 +96,9 @@ type DataSharded struct {
 	// internal counts.
 	resultUpdates atomic.Int64
 
-	// closeMu / closed guard the worker channels' lifetime, as in Sharded.
+	// closeMu guards the worker channels' lifetime: every operation holds
+	// it for reading while it may send jobs, Close holds it for writing
+	// while closing the channels. closed is written under the write lock.
 	closeMu sync.RWMutex //topk:lockrank 30
 	closed  bool
 
@@ -127,6 +129,12 @@ type cycleScratch struct {
 	snapJobs []func()       // snapJobs[i] fills snaps[i]
 	checks   []func()       // checks[i] validates shard i's update slice
 	wg       sync.WaitGroup
+}
+
+// shardResult is one shard's contribution to a cycle.
+type shardResult struct {
+	updates []core.Update
+	err     error
 }
 
 // partials holds one shard's partial results for a cycle's dirty top-k
@@ -166,8 +174,9 @@ func NewData(opts core.Options, n int) (*DataSharded, error) {
 	return newDataWithFactory(opts, n, core.NewEngine)
 }
 
-// newDataWithFactory is NewData with an injectable engine constructor
-// (see newWithFactory).
+// newDataWithFactory is NewData with an injectable engine constructor, so
+// tests can exercise the mid-construction failure path (identical options
+// otherwise fail deterministically on the first shard or none at all).
 func newDataWithFactory(opts core.Options, n int, factory func(core.Options) (*core.Engine, error)) (*DataSharded, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("shard: need at least 1 shard, got %d", n)
@@ -739,8 +748,7 @@ func (d *DataSharded) snapShard(i int) {
 }
 
 // CheckInfluence verifies the influence-list invariant on every shard
-// engine, continuously checkable from stress and differential tests (see
-// checkInfluenceAll in shard.go).
+// engine, continuously checkable from stress and differential tests.
 func (d *DataSharded) CheckInfluence() error {
 	return checkInfluenceAll(len(d.workers), d.broadcast)
 }
@@ -818,10 +826,11 @@ func (sc *cycleScratch) memoryBytes() int64 {
 	return total + int64(cap(sc.dirty))*4 // QueryID is 4 bytes
 }
 
-// ShardLoads returns every shard's current load. Under data partitioning
-// every query runs on every shard, so the query count is uniform — the
-// per-shard EWMA cycle time and memory figures are the useful part (skew
-// here means the *tuple* hash is unbalanced).
+// ShardLoads returns every shard's current load. Every query runs on every
+// shard, so the query count is uniform — the per-shard EWMA cycle time and
+// memory figures are the useful part (skew here means the *tuple* hash is
+// unbalanced). The gather runs on the worker goroutines, serialized
+// against queued cycles.
 func (d *DataSharded) ShardLoads() []ShardLoad {
 	per := make([]ShardLoad, len(d.workers))
 	d.broadcast(func(i int, _ *core.Engine) {
@@ -831,25 +840,27 @@ func (d *DataSharded) ShardLoads() []ShardLoad {
 }
 
 // LoadSignal returns a lock-free snapshot of the busiest shard's ingest
-// pressure (deepest job queue, capacity, largest EWMA cycle time) — see
-// Sharded.LoadSignal. Data-partitioned cycles are per-cycle barriers, so
-// queue depth rarely exceeds one, but the EWMA still carries the
-// hot-shard latency signal.
+// pressure (deepest job queue, capacity, largest EWMA cycle time; see
+// loadSignal). Cycles are per-cycle barriers, so queue depth rarely
+// exceeds one, but the EWMA still carries the hot-shard latency signal.
 func (d *DataSharded) LoadSignal() (depth, capacity int, ewmaNS int64) {
 	return loadSignal(d.workers)
 }
 
-// ResetLoadStats clears the per-worker cycle-time EWMAs — see
-// Sharded.ResetLoadStats.
+// ResetLoadStats clears the per-worker cycle-time EWMAs so the next cycle
+// seeds them fresh. Bulk initialization (window prefill, query
+// registration) runs through the same workers as live cycles but costs
+// orders of magnitude more; a caller that measures — or feeds the signal
+// to the admission governor — calls this at measurement start so stale
+// init latency cannot masquerade as overload.
 func (d *DataSharded) ResetLoadStats() {
 	for _, w := range d.workers {
 		w.ewmaNS.Store(0)
 	}
 }
 
-// ShardMemoryBytes returns each shard engine's individual footprint —
-// under data partitioning each entry is O(N/shards), the property the
-// partition benchmark asserts.
+// ShardMemoryBytes returns each shard engine's individual footprint: each
+// entry is O(N/shards), the property the partition benchmark asserts.
 func (d *DataSharded) ShardMemoryBytes() []int64 {
 	per := make([]int64, len(d.workers))
 	d.broadcast(func(i int, e *core.Engine) {
@@ -904,7 +915,7 @@ func (d *DataSharded) callShard0(fn func(e *core.Engine)) {
 // broadcast runs fn for every shard in parallel on the shards' own
 // goroutines and waits for all of them; against a closed monitor it runs
 // synchronously on the quiescent engines (counter reads keep working after
-// Close, as on Sharded).
+// Close).
 func (d *DataSharded) broadcast(fn func(i int, e *core.Engine)) {
 	d.closeMu.RLock()
 	defer d.closeMu.RUnlock()
@@ -925,9 +936,11 @@ func (d *DataSharded) broadcast(fn func(i int, e *core.Engine)) {
 	wg.Wait()
 }
 
-// Close implements core.StreamMonitor with the same semantics as
-// Sharded.Close: workers stop and drain, mutating operations fail
-// afterwards, counter reads keep working, double Close is safe.
+// Close implements core.StreamMonitor: it stops the worker goroutines and
+// waits for them to drain. After Close, mutating operations and cycles
+// return ErrStopped, while the counter reads (Stats, MemoryBytes,
+// NumPoints, NumQueries, Now) keep working against the quiescent engines.
+// Calling Close twice is safe.
 func (d *DataSharded) Close() error {
 	d.closeMu.Lock()
 	defer d.closeMu.Unlock()

@@ -21,8 +21,7 @@ func dataBuild(shards int) func(core.Options) (core.StreamMonitor, error) {
 // TestDataDifferentialCountWindow proves the data-partitioned monitor
 // emits byte-identical update streams and results to the single engine
 // over a count-based window, for TMA, SMA, constrained and threshold
-// queries, at every shard count including beyond the query-sharding
-// sweet spot.
+// queries, at every shard count up to 16.
 func TestDataDifferentialCountWindow(t *testing.T) {
 	for _, shards := range []int{1, 2, 3, 4, 8, 16} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -70,9 +69,7 @@ func TestDataTupleDistribution(t *testing.T) {
 }
 
 // TestDataPerShardMemoryScaling: with tuples partitioned, each shard's
-// index must hold roughly N/shards tuples — the whole point of the mode.
-// The query-partitioned monitor replicates the index instead, so its
-// per-shard footprint stays O(N).
+// index must hold roughly N/shards tuples — the whole point of the layout.
 func TestDataPerShardMemoryScaling(t *testing.T) {
 	const (
 		dims   = 4
@@ -90,13 +87,8 @@ func TestDataPerShardMemoryScaling(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer data.Close()
-	queryPart, err := New(opts, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer queryPart.Close()
 
-	for _, mon := range []core.StreamMonitor{single, data, queryPart} {
+	for _, mon := range []core.StreamMonitor{single, data} {
 		gen := stream.NewGenerator(stream.IND, dims, 42)
 		if _, err := mon.Step(0, gen.Batch(n, 0)); err != nil {
 			t.Fatal(err)
@@ -113,20 +105,10 @@ func TestDataPerShardMemoryScaling(t *testing.T) {
 			maxData = b
 		}
 	}
-	minQuery := int64(1) << 62
-	for _, b := range queryPart.ShardMemoryBytes() {
-		if b < minQuery {
-			minQuery = b
-		}
-	}
-	// Data partitioning: the largest shard holds ~N/shards tuples, so its
-	// footprint must be well under half the single engine's. Query
-	// partitioning replicates the index: every shard stays O(N).
+	// The largest shard holds ~N/shards tuples, so its footprint must be
+	// well under half the single engine's.
 	if maxData*2 >= singleMem {
 		t.Fatalf("data-partitioned shard memory %d not O(N/shards) of single %d", maxData, singleMem)
-	}
-	if minQuery*2 < singleMem {
-		t.Fatalf("query-partitioned shard memory %d unexpectedly below O(N): single %d", minQuery, singleMem)
 	}
 }
 
@@ -176,8 +158,7 @@ func TestDataMemoryBytesCountsRouterBuffers(t *testing.T) {
 	}
 }
 
-// TestDataCloseSemantics mirrors TestCloseSemantics for the
-// data-partitioned monitor: operations after Close fail cleanly, double
+// TestDataCloseSemantics: operations after Close fail cleanly, double
 // Close is a no-op, counter reads keep working.
 func TestDataCloseSemantics(t *testing.T) {
 	d, err := NewData(core.Options{Dims: 2, Window: window.Count(100), TargetCells: 16}, 3)
@@ -411,7 +392,7 @@ func TestDataRejectedUpdateLeavesNoState(t *testing.T) {
 }
 
 // TestRejectedStepRetries pins the validate-then-commit contract of the
-// append-only Step on the single engine and both sharded monitors: a cycle
+// append-only Step on the single engine and the sharded monitor: a cycle
 // rejected for one bad arrival must leave the clock and the sequence
 // watermark where they were, so its corrected retry, carrying the same
 // valid arrivals, is accepted and produces the same results everywhere.
@@ -421,11 +402,6 @@ func TestRejectedStepRetries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	query, err := New(opts, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer query.Close()
 	data, err := NewData(opts, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -436,7 +412,7 @@ func TestRejectedStepRetries(t *testing.T) {
 		return &stream.Tuple{ID: id, Seq: id, TS: ts, Vec: geom.Vector{x, 1 - x/2}}
 	}
 	spec := core.QuerySpec{F: geom.NewLinear(1, 1), K: 3, Policy: core.TMA}
-	for i, mon := range []core.StreamMonitor{single, query, data} {
+	for i, mon := range []core.StreamMonitor{single, data} {
 		if _, err := mon.Register(spec); err != nil {
 			t.Fatal(err)
 		}

@@ -33,10 +33,6 @@ func failAfter(n int) func(core.Options) (*core.Engine, error) {
 func TestNewFailureStopsWorkers(t *testing.T) {
 	opts := core.Options{Dims: 2, Window: window.Count(100), TargetCells: 16}
 	for name, construct := range map[string]func() error{
-		"query": func() error {
-			_, err := newWithFactory(opts, 4, failAfter(2))
-			return err
-		},
 		"data": func() error {
 			_, err := newDataWithFactory(opts, 4, failAfter(2))
 			return err
@@ -81,84 +77,12 @@ func TestNewFailureStopsWorkers(t *testing.T) {
 	}
 }
 
-// TestRegisterRollbackInterleaved pins down the exact interleaving that
-// used to burn a query id: a rejected registration is held in flight on a
-// stalled shard worker while a second registration completes. The serial-
-// ized registration path makes the outcome deterministic — the rejected
-// spec rolls back before the next registration allocates, so the valid
-// query still receives id 0.
-func TestRegisterRollbackInterleaved(t *testing.T) {
-	// Pick a shard count where ids 0 and 1 land on different shards, so
-	// the stalled worker blocks only the rejected registration.
-	n := 0
-	for _, cand := range []int{2, 3, 4, 5, 8} {
-		if shardOf(0, cand) != shardOf(1, cand) {
-			n = cand
-			break
-		}
-	}
-	if n == 0 {
-		t.Fatal("no shard count separates ids 0 and 1")
-	}
-	sh, err := New(core.Options{Dims: 2, Window: window.Count(100), TargetCells: 16}, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sh.Close()
-
-	// Stall the worker that owns id 0: the rejected registration will be
-	// parked behind this job, holding its allocated id in limbo.
-	release := make(chan struct{})
-	stalled := make(chan struct{})
-	sh.workers[shardOf(0, n)].jobs <- func() {
-		close(stalled)
-		<-release
-	}
-	<-stalled
-
-	invalidDone := make(chan error, 1)
-	go func() {
-		_, err := sh.Register(core.QuerySpec{F: geom.NewLinear(1, 1), K: 0})
-		invalidDone <- err
-	}()
-	// Let the rejected registration allocate its id and park on the
-	// stalled worker (serialized registration blocks here either way).
-	time.Sleep(50 * time.Millisecond)
-
-	validID := make(chan core.QueryID, 1)
-	go func() {
-		id, err := sh.Register(core.QuerySpec{F: geom.NewLinear(1, 1), K: 2})
-		if err != nil {
-			t.Error(err)
-		}
-		validID <- id
-	}()
-	time.Sleep(50 * time.Millisecond)
-	close(release)
-
-	if err := <-invalidDone; err == nil {
-		t.Fatal("K=0 should be rejected")
-	}
-	if id := <-validID; id != 0 {
-		t.Fatalf("valid registration got id %d, want 0 (rejected spec burned an id)", id)
-	}
-	next, err := sh.Register(core.QuerySpec{F: geom.NewLinear(1, 1), K: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if next != 1 {
-		t.Fatalf("next registration got id %d, want 1", next)
-	}
-}
-
 // TestRegisterRollbackConcurrent: rejected specs must never burn query
 // ids, even when registrations race — the documented "ids match the
-// single engine" property. Before registrations were serialized, a
-// rejected spec's best-effort rollback silently failed whenever another
-// registration had allocated the next id in between, leaving permanent
-// gaps in the id sequence.
+// single engine" property. Registration validates on shard 0 before any
+// other shard sees the spec, serialized against every other registration.
 func TestRegisterRollbackConcurrent(t *testing.T) {
-	sh, err := New(core.Options{Dims: 2, Window: window.Count(100), TargetCells: 16}, 4)
+	sh, err := NewData(core.Options{Dims: 2, Window: window.Count(100), TargetCells: 16}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

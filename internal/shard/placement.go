@@ -1,22 +1,17 @@
-// Placement: where queries and tuples live. Both layouts place by hash
-// alone. Under query partitioning a query lives on shardOf(id, n) for its
-// whole life; under data partitioning a tuple lives on shardOfTuple(id, n)
-// from arrival to expiry or deletion. Neither mapping reads load, so the
-// router keeps no per-query or per-tuple placement state, and a restore
-// re-derives every tuple's shard from its id.
+// Placement: where tuples live. A tuple lives on shardOfTuple(id, n) from
+// arrival to expiry or deletion, and every query lives on every shard. The
+// mapping reads no load, so the router keeps no per-tuple placement state,
+// and a restore re-derives every tuple's shard from its id.
 
 package shard
-
-import (
-	"topkmon/internal/core"
-)
 
 // ShardLoad describes one shard's current load, the per-shard figure
 // surfaced through the public API.
 type ShardLoad struct {
 	// Shard is the shard index.
 	Shard int
-	// Queries is the number of queries currently routed to the shard.
+	// Queries is the number of queries registered on the shard (every
+	// query runs on every shard).
 	Queries int
 	// EWMACycleNS is an exponentially weighted moving average (alpha 0.2)
 	// of the shard's per-cycle wall time in nanoseconds.
@@ -46,7 +41,7 @@ type ShardLoad struct {
 
 // gatherLoad reads one shard engine's current load. It must run on the
 // worker's goroutine (broadcast closure): ewmaNS and the engine are
-// worker-owned. Shared by both shard layouts' ShardLoads.
+// worker-owned.
 func gatherLoad(i int, w *worker) ShardLoad {
 	var cost int64
 	for _, qc := range w.eng.AppendQueryCosts(nil) {
@@ -76,7 +71,7 @@ func gatherLoad(i int, w *worker) ShardLoad {
 // state does not hold them.
 const TupleBuckets = 256
 
-// mix64 is the splitmix64 finalizer both routing hashes share, so
+// mix64 is the splitmix64 finalizer the tuple routing hashes with, so
 // sequential ids spread uniformly rather than striping.
 func mix64(id uint64) uint64 {
 	x := id
@@ -86,11 +81,6 @@ func mix64(id uint64) uint64 {
 	x *= 0x94d049bb133111eb
 	x ^= x >> 31
 	return x
-}
-
-// shardOf hash-partitions a global query id across n shards.
-func shardOf(id core.QueryID, n int) int {
-	return int(mix64(uint64(id)) % uint64(n))
 }
 
 // shardOfTuple hash-partitions a tuple id across n shards through the

@@ -98,16 +98,15 @@ func registerMixedQueries(t *testing.T, mon core.StreamMonitor, mode core.Stream
 	return ids
 }
 
-// runDifferential drives a single engine and a sharded monitor (built by
-// build — query- or data-partitioned) through an identical stream and
-// asserts equal ids, updates, results and counters. compareWork controls
-// the query-attributed work counters: under query partitioning they sum to
-// the single engine's exactly (each shard runs the full index for a
-// disjoint query subset); under data partitioning each shard sees only a
-// slice of the stream, so influence events, recomputations and processed
-// cells legitimately differ while the client-visible figures (updates,
-// results, stream-level counts) must still match.
-func runDifferential(t *testing.T, build func(core.Options) (core.StreamMonitor, error), compareWork bool, mode core.StreamMode, spec window.Spec) {
+// runDifferential drives a single engine and a data-sharded monitor
+// (built by build) through an identical stream and asserts equal ids,
+// updates, results and the client-visible counters. Each shard sees only
+// a slice of the stream, so influence events, recomputations and processed
+// cells legitimately differ from the single engine's and are not compared.
+// With coldStart the queries are registered on the empty monitors and the
+// 1000-tuple prefill is their first cycle; otherwise they are registered
+// after it, over a populated window.
+func runDifferential(t *testing.T, build func(core.Options) (core.StreamMonitor, error), coldStart bool, mode core.StreamMode, spec window.Spec) {
 	t.Helper()
 	const (
 		dims    = 4
@@ -133,20 +132,24 @@ func runDifferential(t *testing.T, build func(core.Options) (core.StreamMonitor,
 	genRef := stream.NewGenerator(stream.IND, dims, 11)
 	genSh := stream.NewGenerator(stream.IND, dims, 11)
 
-	// Pre-fill before registration so initial computations see data.
-	preFill := func(mon core.StreamMonitor, gen *stream.Generator) {
+	// The prefill: before registration, so initial computations see data,
+	// or after it on a cold start.
+	preFill := func(mon core.StreamMonitor, gen *stream.Generator) []core.Update {
+		var upd []core.Update
 		var err error
 		if mode == core.UpdateStream {
-			_, err = mon.StepUpdate(0, gen.Batch(1000, 0), nil)
+			upd, err = mon.StepUpdate(0, gen.Batch(1000, 0), nil)
 		} else {
-			_, err = mon.Step(0, gen.Batch(1000, 0))
+			upd, err = mon.Step(0, gen.Batch(1000, 0))
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
+		return upd
 	}
-	preFill(ref, genRef)
-	preFill(sh, genSh)
+	if !coldStart {
+		diffUpdates(t, 0, preFill(ref, genRef), preFill(sh, genSh))
+	}
 
 	refIDs := registerMixedQueries(t, ref, mode, stream.NewQueryGenerator(stream.FuncLinear, dims, 7), queries)
 	shIDs := registerMixedQueries(t, sh, mode, stream.NewQueryGenerator(stream.FuncLinear, dims, 7), queries)
@@ -154,6 +157,9 @@ func runDifferential(t *testing.T, build func(core.Options) (core.StreamMonitor,
 		if refIDs[i] != shIDs[i] {
 			t.Fatalf("query id divergence at %d: %d vs %d", i, refIDs[i], shIDs[i])
 		}
+	}
+	if coldStart {
+		diffUpdates(t, 0, preFill(ref, genRef), preFill(sh, genSh))
 	}
 
 	// Mid-stream churn below exercises unregistration and late registration
@@ -250,7 +256,7 @@ func runDifferential(t *testing.T, build func(core.Options) (core.StreamMonitor,
 	}
 
 	// Stream-level counters and the client-visible update count must equal
-	// the single engine's in both partitioning modes.
+	// the single engine's.
 	rs, ss := ref.Stats(), sh.Stats()
 	if rs.Arrivals != ss.Arrivals || rs.Expirations != ss.Expirations {
 		t.Fatalf("stream counters diverged: ref %+v sharded %+v", rs, ss)
@@ -258,138 +264,145 @@ func runDifferential(t *testing.T, build func(core.Options) (core.StreamMonitor,
 	if rs.ResultUpdates != ss.ResultUpdates {
 		t.Fatalf("ResultUpdates diverged: ref %d sharded %d", rs.ResultUpdates, ss.ResultUpdates)
 	}
-	if compareWork {
-		// Query partitioning: the query-attributed work sums to the same
-		// totals because the shards partition the query set.
-		if rs.InfluenceEvents != ss.InfluenceEvents ||
-			rs.Recomputes != ss.Recomputes ||
-			rs.InitialComputations != ss.InitialComputations ||
-			rs.CellsProcessed != ss.CellsProcessed ||
-			rs.SkybandSizeSum != ss.SkybandSizeSum ||
-			rs.SkybandSamples != ss.SkybandSamples {
-			t.Fatalf("query-attributed counters diverged:\nref:     %+v\nsharded: %+v", rs, ss)
-		}
-	}
 }
 
-// queryBuild constructs a query-partitioned monitor for runDifferential.
-func queryBuild(shards int) func(core.Options) (core.StreamMonitor, error) {
-	return func(opts core.Options) (core.StreamMonitor, error) { return New(opts, shards) }
-}
-
-// TestDifferentialCountWindow proves sharded results identical to the
-// single engine over a count-based window for every shard count.
+// TestDifferentialCountWindow is the cold-start differential over a
+// count-based window: queries registered on empty shards, whose first
+// cycle fills them, must report exactly what the single engine reports.
 func TestDifferentialCountWindow(t *testing.T) {
 	for _, shards := range []int{1, 2, 3, 4, 8} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			runDifferential(t, queryBuild(shards), true, core.AppendOnly, window.Count(2000))
+			runDifferential(t, dataBuild(shards), true, core.AppendOnly, window.Count(2000))
 		})
 	}
 }
 
-// TestDifferentialTimeWindow repeats the differential over a time-based
-// window, where expirations are driven by timestamps rather than counts.
+// TestDifferentialTimeWindow repeats the cold-start differential over a
+// time-based window, where expirations are driven by timestamps.
 func TestDifferentialTimeWindow(t *testing.T) {
 	for _, shards := range []int{2, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			runDifferential(t, queryBuild(shards), true, core.AppendOnly, window.Time(8))
+			runDifferential(t, dataBuild(shards), true, core.AppendOnly, window.Time(8))
 		})
 	}
 }
 
-// TestDifferentialUpdateStream repeats the differential under the
-// explicit-deletion stream model of Section 7.
+// TestDifferentialUpdateStream repeats the cold-start differential under
+// the explicit-deletion stream model of Section 7.
 func TestDifferentialUpdateStream(t *testing.T) {
 	for _, shards := range []int{2, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			runDifferential(t, queryBuild(shards), true, core.UpdateStream, window.Spec{})
+			runDifferential(t, dataBuild(shards), true, core.UpdateStream, window.Spec{})
 		})
 	}
 }
 
-// TestShardDistribution checks that hash partitioning spreads sequential
-// query ids over all shards rather than clumping.
-func TestShardDistribution(t *testing.T) {
-	const n = 8
-	counts := make([]int, n)
-	for id := core.QueryID(0); id < 1024; id++ {
-		counts[shardOf(id, n)]++
-	}
-	for i, c := range counts {
-		if c == 0 {
-			t.Fatalf("shard %d received no queries out of 1024", i)
+// TestCloseSemantics: after Close every mutating operation reports
+// ErrStopped through errors.Is, and the counter reads keep working on the
+// quiescent engines.
+func TestCloseSemantics(t *testing.T) {
+	for _, mode := range []core.StreamMode{core.AppendOnly, core.UpdateStream} {
+		opts := core.Options{Dims: 2, Window: window.Count(100), Mode: mode, TargetCells: 16}
+		if mode == core.UpdateStream {
+			opts.Window = window.Spec{}
+		}
+		d, err := NewData(opts, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gen := stream.NewGenerator(stream.IND, 2, 1)
+		if mode == core.UpdateStream {
+			_, err = d.StepUpdate(0, gen.Batch(50, 0), nil)
+		} else {
+			_, err = d.Step(0, gen.Batch(50, 0))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.Register(core.QuerySpec{F: geom.NewLinear(1, 1), K: 3}); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+		ops := map[string]func() error{
+			"Register":   func() error { _, err := d.Register(core.QuerySpec{F: geom.NewLinear(1, 1), K: 3}); return err },
+			"Unregister": func() error { return d.Unregister(0) },
+			"Result":     func() error { _, err := d.Result(0); return err },
+			"Barrier":    func() error { return d.Barrier(func(int, *core.Engine) error { return nil }) },
+			"RestoreRouterQueries": func() error {
+				return d.RestoreRouterQueries([]RouterQuery{{ID: 9, Spec: core.QuerySpec{F: geom.NewLinear(1, 1), K: 3}}})
+			},
+		}
+		if mode == core.AppendOnly {
+			ops["Step"] = func() error { _, err := d.Step(1, gen.Batch(10, 1)); return err }
+		} else {
+			ops["StepUpdate"] = func() error { _, err := d.StepUpdate(1, gen.Batch(10, 1), nil); return err }
+		}
+		for name, op := range ops {
+			if err := op(); !errors.Is(err, ErrStopped) {
+				t.Fatalf("%v: %s after Close: got %v, want ErrStopped", mode, name, err)
+			}
+		}
+		if got := d.NumPoints(); got != 50 {
+			t.Fatalf("%v: NumPoints after Close = %d, want 50", mode, got)
+		}
+		if got := d.NumQueries(); got != 1 {
+			t.Fatalf("%v: NumQueries after Close = %d, want 1", mode, got)
+		}
+		if got := len(d.ShardLoads()); got != 3 {
+			t.Fatalf("%v: ShardLoads after Close has %d shards, want 3", mode, got)
+		}
+		if d.MemoryBytes() <= 0 {
+			t.Fatalf("%v: MemoryBytes after Close is not positive", mode)
 		}
 	}
 }
 
-// TestCloseSemantics: operations after Close fail cleanly, double Close is
-// a no-op, and counter reads still work on the quiescent engines.
-func TestCloseSemantics(t *testing.T) {
-	sh, err := New(core.Options{Dims: 2, Window: window.Count(100), TargetCells: 16}, 3)
+// TestRegisterValidationRollback: a rejected spec leaves no query behind
+// on any shard engine and burns no id, so id assignment stays aligned
+// with the single engine after the rejection.
+func TestRegisterValidationRollback(t *testing.T) {
+	d, err := NewData(core.Options{Dims: 2, Window: window.Count(100), TargetCells: 16}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen := stream.NewGenerator(stream.IND, 2, 1)
-	if _, err := sh.Step(0, gen.Batch(50, 0)); err != nil {
+	defer d.Close()
+	if _, err := d.Register(core.QuerySpec{F: geom.NewLinear(1, 1), K: 3}); err != nil {
 		t.Fatal(err)
 	}
-	if err := sh.Close(); err != nil {
-		t.Fatal(err)
+	if _, err := d.Register(core.QuerySpec{F: geom.NewLinear(1, 1), K: 0}); err == nil {
+		t.Fatal("K=0 should be rejected")
 	}
-	if err := sh.Close(); err != nil {
-		t.Fatal(err)
+	perShard := make([]int, d.NumShards())
+	d.broadcast(func(i int, e *core.Engine) { perShard[i] = e.NumQueries() })
+	for i, n := range perShard {
+		if n != 1 {
+			t.Fatalf("shard %d holds %d queries after a rejected registration, want 1", i, n)
+		}
 	}
-	if _, err := sh.Step(1, gen.Batch(10, 1)); !errors.Is(err, ErrStopped) {
-		t.Fatalf("Step after Close: got %v, want ErrStopped", err)
-	}
-	if _, err := sh.Register(core.QuerySpec{F: geom.NewLinear(1, 1), K: 3}); !errors.Is(err, ErrStopped) {
-		t.Fatalf("Register after Close: got %v, want ErrStopped", err)
-	}
-	if err := sh.Unregister(0); !errors.Is(err, ErrStopped) {
-		t.Fatalf("Unregister after Close: got %v, want ErrStopped", err)
-	}
-	if _, err := sh.Result(0); !errors.Is(err, ErrStopped) {
-		t.Fatalf("Result after Close: got %v, want ErrStopped", err)
-	}
-
-	// The data-partitioned layout honors the same typed contract.
-	ds, err := NewData(core.Options{Dims: 2, Window: window.Count(100), TargetCells: 16}, 2)
+	id, err := d.Register(core.QuerySpec{F: geom.NewLinear(1, 1), K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ds.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ds.Step(1, gen.Batch(10, 1)); !errors.Is(err, ErrStopped) {
-		t.Fatalf("data-sharded Step after Close: got %v, want ErrStopped", err)
-	}
-	if _, err := ds.Register(core.QuerySpec{F: geom.NewLinear(1, 1), K: 3}); !errors.Is(err, ErrStopped) {
-		t.Fatalf("data-sharded Register after Close: got %v, want ErrStopped", err)
-	}
-	if got := sh.NumPoints(); got != 50 {
-		t.Fatalf("NumPoints after Close = %d, want 50", got)
-	}
-	if got := sh.Stats().Arrivals; got != 50 {
-		t.Fatalf("Stats().Arrivals after Close = %d, want 50", got)
+	if id != 1 {
+		t.Fatalf("registration after the rejection got id %d, want 1", id)
 	}
 }
 
-// TestRegisterValidationRollback: a rejected spec must not burn a query id
-// in serial use, so id assignment stays aligned with the single engine.
-func TestRegisterValidationRollback(t *testing.T) {
-	sh, err := New(core.Options{Dims: 2, Window: window.Count(100), TargetCells: 16}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sh.Close()
-	if _, err := sh.Register(core.QuerySpec{F: geom.NewLinear(1, 1), K: 0}); err == nil {
-		t.Fatal("K=0 should be rejected")
-	}
-	id, err := sh.Register(core.QuerySpec{F: geom.NewLinear(1, 1), K: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id != 0 {
-		t.Fatalf("first successful registration got id %d, want 0", id)
+// TestShardDistribution checks that tuple routing reaches every shard at
+// every shard count up to 16, through the TupleBuckets bucket space, with
+// no shard holding more than twice its share of sequential ids.
+func TestShardDistribution(t *testing.T) {
+	for n := 1; n <= 16; n++ {
+		counts := make([]int, n)
+		for id := uint64(0); id < 4096; id++ {
+			counts[shardOfTuple(id, n)]++
+		}
+		for i, c := range counts {
+			if c == 0 || c > 2*4096/n {
+				t.Fatalf("n=%d: shard %d received %d of 4096 tuples (%v)", n, i, c, counts)
+			}
+		}
 	}
 }

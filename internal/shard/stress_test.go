@@ -9,31 +9,33 @@ import (
 
 	"topkmon/internal/core"
 	"topkmon/internal/stream"
-	"topkmon/internal/window"
 )
 
-// TestConcurrentChurnStress drives processing cycles while other
-// goroutines register, unregister, read results and sample counters — the
-// access pattern the single engine forbids and the sharded monitor exists
-// to serve. Run under -race this is the memory-safety proof; the
-// functional assertions are deliberately weak (counts, error-freedom)
-// because interleaving is nondeterministic.
+// TestConcurrentChurnStress drives explicit-deletion cycles, each checked
+// on every shard before any shard applies it, while other goroutines
+// register, unregister, read results and sample counters — the access
+// pattern the single engine forbids and the sharded monitor exists to
+// serve. TestDataConcurrentChurnStress covers the append-only cycle. Run
+// under -race this is the memory-safety proof; the functional assertions
+// are deliberately weak (counts, error-freedom) because interleaving is
+// nondeterministic.
 func TestConcurrentChurnStress(t *testing.T) {
 	const (
 		dims     = 3
 		shards   = 4
 		cycles   = 60
 		rate     = 80
+		live     = 1500
 		churners = 3
 	)
-	sh, err := New(core.Options{Dims: dims, Window: window.Count(1500), TargetCells: 64}, shards)
+	sh, err := NewData(core.Options{Dims: dims, Mode: core.UpdateStream, TargetCells: 64}, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sh.Close()
 
 	gen := stream.NewGenerator(stream.IND, dims, 5)
-	if _, err := sh.Step(0, gen.Batch(1500, 0)); err != nil {
+	if _, err := sh.StepUpdate(0, gen.Batch(live, 0), nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -52,7 +54,7 @@ func TestConcurrentChurnStress(t *testing.T) {
 			for !stop.Load() {
 				switch {
 				case len(owned) < 8:
-					id, err := sh.Register(core.QuerySpec{F: qg.Next(), K: 1 + rng.Intn(10), Policy: core.SMA})
+					id, err := sh.Register(core.QuerySpec{F: qg.Next(), K: 1 + rng.Intn(10), Policy: core.TMA})
 					if err != nil {
 						errc <- err
 						return
@@ -65,6 +67,8 @@ func TestConcurrentChurnStress(t *testing.T) {
 						return
 					}
 					sh.Stats()
+					sh.ShardLoads()
+					sh.LoadSignal()
 				default:
 					j := rng.Intn(len(owned))
 					if err := sh.Unregister(owned[j]); err != nil {
@@ -83,15 +87,22 @@ func TestConcurrentChurnStress(t *testing.T) {
 		}(int64(100 + c))
 	}
 
-	// Driver: the stream never pauses while queries churn. Influence-list
+	// The stepping goroutine: the stream never pauses while queries
+	// churn, and every cycle deletes the rate oldest tuples. Influence-list
 	// invariants are verified after every cycle, continuously, with the
 	// churners still racing.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		defer stop.Store(true)
+		next := uint64(0)
 		for ts := int64(1); ts <= cycles; ts++ {
-			if _, err := sh.Step(ts, gen.Batch(rate, ts)); err != nil {
+			deletions := make([]uint64, rate)
+			for i := range deletions {
+				deletions[i] = next
+				next++
+			}
+			if _, err := sh.StepUpdate(ts, gen.Batch(rate, ts), deletions); err != nil {
 				errc <- err
 				return
 			}
@@ -111,7 +122,7 @@ func TestConcurrentChurnStress(t *testing.T) {
 	if n := sh.NumQueries(); n != 0 {
 		t.Fatalf("expected all churned queries unregistered, %d left", n)
 	}
-	if got, want := sh.NumPoints(), 1500; got != want {
+	if got, want := sh.NumPoints(), live; got != want {
 		t.Fatalf("NumPoints = %d, want %d", got, want)
 	}
 }

@@ -2,7 +2,7 @@
 // one engine (internal/core); everything this repository adds around it
 // composes in one order, inner to outer:
 //
-//	engine, or query- or data-partitioned shards (internal/shard)
+//	engine, or data-partitioned shards (internal/shard)
 //	→ durability guard (internal/recovery)
 //	→ ingestion pipeline (internal/pipeline), with the admission
 //	  governor (internal/admission) in front of its queue
@@ -24,41 +24,18 @@ import (
 	"topkmon/internal/shard"
 )
 
-// Partitioning selects how a sharded stack splits work across its engines.
-type Partitioning int
-
-// Partitioning strategies (see Config.Partition).
-const (
-	// PartitionQueries gives every shard the full stream and a disjoint
-	// subset of the queries.
-	PartitionQueries Partitioning = iota
-	// PartitionData gives every shard a disjoint slice of the stream and
-	// every query, merging partial results at the router.
-	PartitionData
-)
-
-// String implements fmt.Stringer.
-func (p Partitioning) String() string {
-	switch p {
-	case PartitionQueries:
-		return "queries"
-	case PartitionData:
-		return "data"
-	default:
-		return fmt.Sprintf("Partitioning(%d)", int(p))
-	}
-}
-
 // Config is a stack's shape. Its JSON form is the structural part of a
 // checkpoint lineage's application blob: Restore rebuilds the same stack
 // from it. Engine, Dir and Aux are runtime values the blob does not carry
-// (the engine options live in the checkpoint itself).
+// (the engine options live in the checkpoint itself). A blob written
+// before the query-partitioned layout was retired also carries a
+// "partition" key, which decoding ignores.
 type Config struct {
 	// Engine configures every engine in the stack.
 	Engine core.Options `json:"-"`
-	// Shards > 1 runs that many engines, split by Partition.
-	Shards    int          `json:"shards"`
-	Partition Partitioning `json:"partition"`
+	// Shards > 1 runs that many engines, each indexing a hash slice of the
+	// stream and running every query (shard.DataSharded).
+	Shards int `json:"shards"`
 	// PipeDepth > 0 fronts the stack with the asynchronous ingestion
 	// pipeline at that queue depth.
 	PipeDepth int `json:"pipeDepth,omitempty"`
@@ -177,11 +154,8 @@ func Restore(dir string) (*Stack, []byte, error) {
 
 // inner builds the engine layer: one engine, or cfg.Shards of them.
 func (c Config) inner() (core.StreamMonitor, error) {
-	switch {
-	case c.Shards > 1 && c.Partition == PartitionData:
+	if c.Shards > 1 {
 		return shard.NewData(c.Engine, c.Shards)
-	case c.Shards > 1:
-		return shard.New(c.Engine, c.Shards)
 	}
 	return core.NewEngine(c.Engine)
 }

@@ -31,7 +31,6 @@ func TestRestoreRebuildsEveryLayer(t *testing.T) {
 	cfg := Config{
 		Engine:    core.Options{Dims: 2, Window: window.Count(100), TargetCells: 16},
 		Shards:    2,
-		Partition: PartitionData,
 		PipeDepth: 3,
 		Dir:       dir,
 		Every:     2,

@@ -46,7 +46,7 @@ type (
 	Generator = stream.Generator
 	// CSVReader decodes "ts,x1,...,xd" tuple traces into per-cycle batches.
 	CSVReader = stream.CSVReader
-	// ShardLoad describes one shard's load: routed query count, EWMA
+	// ShardLoad describes one shard's load: query count, EWMA
 	// per-cycle wall time, cumulative attributed query cost, memory.
 	ShardLoad = shard.ShardLoad
 	// AdmissionConfig tunes the load-shedding governor enabled by

@@ -21,41 +21,15 @@ type ClockFunc func() int64
 // Now implements Clock.
 func (f ClockFunc) Now() int64 { return f() }
 
-// Partitioning selects how a sharded monitor splits work across its
-// engine shards.
-type Partitioning = stack.Partitioning
+// Partitioning is the argument of WithPartitioning.
+//
+// Deprecated: data partitioning is the only layout.
+type Partitioning int
 
-// Partitioning strategies for sharded monitors (see WithPartitioning).
-const (
-	// PartitionQueries hash-partitions the *query set*: every shard
-	// indexes the full stream and maintains a disjoint subset of the
-	// queries. Best pure speed-up when query maintenance dominates, at
-	// the cost of replicating the tuple index per shard (memory and
-	// ingest work × shards). The default.
-	PartitionQueries = stack.PartitionQueries
-	// PartitionData hash-partitions the *stream*: each shard indexes only
-	// its O(N/shards) slice of the tuples, every query runs on every
-	// shard, and the router k-way merges the per-shard partial top-k
-	// results into the exact global answer. Index memory and ingest work
-	// stay O(N) in total regardless of the shard count, where
-	// PartitionQueries grows them ×shards. The router merge is not free:
-	// on the benchmark's fullstack-paced workload (two data shards, a
-	// 2-vCPU VM) a sharded cycle takes about 1.3× a single engine's
-	// (shard.tax_ratio in BENCHMARK.json's per-layer pass).
-	PartitionData = stack.PartitionData
-)
-
-// ParsePartitioning converts "queries"/"data" to a Partitioning.
-func ParsePartitioning(s string) (Partitioning, error) {
-	switch s {
-	case "queries", "query":
-		return PartitionQueries, nil
-	case "data", "tuples":
-		return PartitionData, nil
-	default:
-		return 0, fmt.Errorf("topkmon: unknown partitioning %q", s)
-	}
-}
+// PartitionData names the data-partitioned layout, the only one.
+//
+// Deprecated: data partitioning is the only layout; WithShards selects it.
+const PartitionData Partitioning = 1
 
 // config collects the options New accepts. Everything structural lives in
 // stack: the layers, and the engine options every layer shares.
@@ -69,18 +43,23 @@ type config struct {
 type Option func(*config)
 
 // WithShards sets the number of engine shards. With n > 1 the monitor runs
-// n independent engines (one goroutine each) and splits the work per the
-// configured Partitioning — queries across shards (default) or tuples
-// across shards. Either way results are identical to the single engine on
-// the same stream. The default (and any n <= 1) is the plain
-// single-threaded engine.
+// n independent engines (one goroutine each): tuples are hash-partitioned
+// across the shards, every query runs on every shard, and the router
+// merges the per-shard partial results. Results are identical to the
+// single engine on the same stream. The default (and any n <= 1) is the
+// plain single-threaded engine.
+//
+// The merge is not free: on the benchmark's fullstack-paced workload (two
+// shards, a 2-vCPU VM) a sharded cycle takes about 1.3× a single engine's
+// (shard.tax_ratio in BENCHMARK.json's per-layer pass).
 func WithShards(n int) Option { return func(c *config) { c.stack.Shards = n } }
 
-// WithPartitioning selects the sharding strategy: PartitionQueries (the
-// default — full index per shard, disjoint query subsets) or
-// PartitionData (disjoint stream slices per shard, every query everywhere,
-// router-side top-k merge). It has no effect on single-engine monitors.
-func WithPartitioning(p Partitioning) Option { return func(c *config) { c.stack.Partition = p } }
+// WithPartitioning does nothing. It remains only because the benchmark
+// module (bench/work) still passes it; a change to the benchmark removes
+// that call, and then this option.
+//
+// Deprecated: data partitioning is the only layout.
+func WithPartitioning(Partitioning) Option { return func(*config) {} }
 
 // WithPipeline enables asynchronous pipelined ingestion with the given
 // queue depth (values below 1 select the tuned default). The monitor then

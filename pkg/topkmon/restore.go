@@ -16,9 +16,11 @@ import (
 // deliberately absent: the engine clock in the checkpoint is the
 // authority, and Restore resumes stamping from it. Decoding ignores keys
 // older manifests carry for retired options: the queue's growth and drop
-// policy (see testdata/legacy_aux.json), and query placement and
-// rebalancing (testdata/legacy_rebalance_aux.json). Such a lineage
-// restores with a fixed-depth blocking queue and hash placement.
+// policy (see testdata/legacy_aux.json), query placement and rebalancing
+// (testdata/legacy_rebalance_aux.json), and the shard layout
+// ("partition"). Such a lineage restores with a fixed-depth blocking queue
+// and data-partitioned shards; one whose checkpoint holds query-partitioned
+// shards is refused as ErrVersion (testdata/query-sharded-lineage).
 type facadeAux struct {
 	Policy int `json:"policy"`
 	stack.Config
@@ -29,7 +31,7 @@ type facadeAux struct {
 // checkpoint and replaying the write-ahead log suffix. The restored
 // monitor is byte-identical to the one that died at its last logged cycle:
 // same query ids, same results, same future update streams. Structural
-// configuration (window, shards, partitioning, pipeline, admission,
+// configuration (window, shards, pipeline, admission,
 // checkpoint cadence, default policy) comes from the checkpoint itself;
 // the options accepted here cover only runtime collaborators the file
 // cannot hold, such as WithClock, and an option that would change the

@@ -56,8 +56,7 @@ func TestFacadeCheckpointRestore(t *testing.T) {
 		opts []Option
 	}{
 		{"engine", nil},
-		{"query-sharded", []Option{WithShards(3)}},
-		{"data-sharded", []Option{WithShards(3), WithPartitioning(PartitionData)}},
+		{"data-sharded", []Option{WithShards(3)}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			dir := filepath.Join(t.TempDir(), "ckpt")
@@ -205,7 +204,7 @@ func TestNewWritesFullAux(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := filepath.Join(t.TempDir(), "ckpt")
-	mon, err := New(2, WithCountWindow(100), WithShards(2), WithPartitioning(PartitionData), WithPipeline(3),
+	mon, err := New(2, WithCountWindow(100), WithShards(2), WithPipeline(3),
 		WithAdmission(AdmissionConfig{Seed: 7, MemLimit: 1 << 20}), WithCheckpoint(dir, 5), WithCheckpointSync(), WithPolicy(TMA))
 	if err != nil {
 		t.Fatal(err)
@@ -240,7 +239,6 @@ func TestRestoreRejectsStructuralOptions(t *testing.T) {
 		field string
 	}{
 		{WithShards(2), "Shards"},
-		{WithPartitioning(PartitionData), "Partition"},
 		{WithPipeline(2), "PipeDepth"},
 		{WithAdmission(AdmissionConfig{}), "Admission"},
 		{WithCheckpoint(dir, 3), "Dir"},
@@ -291,16 +289,16 @@ func sameUpdates(t *testing.T, ts int64, a, b []Update) {
 // placement policy and a rebalancer (testdata/legacy_rebalance_aux.json,
 // byte for byte what a three-shard monitor with least-loaded placement,
 // rebalancing every 2 cycles at threshold 1.05 and a checkpoint every 4
-// cycles wrote) restores into a hash-placed query-sharded monitor. Queries registered after the restore
-// land on the shards an uninterrupted hash-placed twin puts them on, and
-// every update and result matches the twin's.
+// cycles wrote) restores into a three-shard monitor whose every update and
+// result matches an uninterrupted twin's, and whose shards hold the
+// twin's query counts.
 func TestRestoreLegacyRebalanceKeys(t *testing.T) {
 	aux, err := os.ReadFile(filepath.Join("testdata", "legacy_rebalance_aux.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := filepath.Join(t.TempDir(), "ckpt")
-	inner, err := shard.New(core.Options{Dims: 2, Window: window.Count(200), TargetCells: 64}, 3)
+	inner, err := shard.NewData(core.Options{Dims: 2, Window: window.Count(200), TargetCells: 64}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,11 +375,43 @@ func TestRestoreLegacyRebalanceKeys(t *testing.T) {
 	got, want := mon.ShardLoads(), twin.ShardLoads()
 	for i := range want {
 		if got[i].Queries != want[i].Queries {
-			t.Fatalf("shard %d holds %d queries, hash placement puts %d there", i, got[i].Queries, want[i].Queries)
+			t.Fatalf("shard %d holds %d queries, the twin's holds %d", i, got[i].Queries, want[i].Queries)
 		}
 	}
 	for _, id := range ids {
 		sameResults(t, mon, twin, id)
+	}
+}
+
+// TestRestoreQueryShardedLineage: testdata/query-sharded-lineage is the
+// directory a WithShards(3) monitor wrote while query-partitioned shards
+// were the default layout (count window 200, 64 cells, three top-k
+// queries, six ticks of 25 tuples, checkpoint every 4 cycles, then Close).
+// That layout is retired, so Restore refuses the lineage as ErrVersion and
+// says which layout it holds.
+func TestRestoreQueryShardedLineage(t *testing.T) {
+	src := filepath.Join("testdata", "query-sharded-lineage")
+	files, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for _, f := range files {
+		b, err := os.ReadFile(filepath.Join(src, f.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, f.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mon, err := Restore(dir)
+	if err == nil {
+		mon.Close()
+		t.Fatal("a query-partitioned lineage restored")
+	}
+	if !errors.Is(err, recovery.ErrVersion) || !strings.Contains(err.Error(), "query-partitioned") {
+		t.Fatalf("got %v, want ErrVersion naming the query-partitioned layout", err)
 	}
 }
 

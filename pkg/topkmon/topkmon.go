@@ -16,12 +16,10 @@
 //	updates, err := mon.Step(ts, batch) // or mon.Tick(batch)
 //
 // Sharding never changes results: the sharded monitor produces exactly the
-// updates of the single engine on the same stream, only faster on
-// multi-core hosts. Two layouts are available via WithPartitioning —
-// PartitionQueries (default: full index per shard, disjoint query subsets,
-// memory ×shards) and PartitionData (disjoint stream slices per shard,
-// every query on every shard, router-side top-k merge, O(N) total index
-// memory).
+// updates of the single engine on the same stream. Each shard indexes a
+// disjoint hash slice of the stream and runs every query; the router
+// k-way merges the per-shard partial top-k lists, so total index memory
+// stays O(N) whatever the shard count.
 //
 // WithPipeline(depth) additionally decouples ingestion from processing:
 // Ingest enqueues batches without waiting, cycle results arrive in order
@@ -255,9 +253,9 @@ func (m *Monitor) QueryIDs() []QueryID {
 // Shards returns the number of engine shards (1 for the single engine).
 func (m *Monitor) Shards() int { return m.st.Shards }
 
-// ShardLoads returns each shard's current load — routed query count, EWMA
+// ShardLoads returns each shard's current load — query count, EWMA
 // per-cycle wall time, cumulative attributed query cost, memory footprint
-// — for both sharded layouts, through the pipeline barrier when pipelined.
+// — through the pipeline barrier when pipelined.
 // It returns nil on a single-engine monitor.
 func (m *Monitor) ShardLoads() []ShardLoad {
 	if sh, ok := m.st.Mon.(interface{ ShardLoads() []ShardLoad }); ok {
@@ -356,12 +354,13 @@ func (m *Monitor) LastSeq() uint64 {
 func (m *Monitor) Result(id QueryID) ([]Entry, error) { return m.st.Mon.Result(id) }
 
 // Stats returns a snapshot of the monitor counters. For sharded monitors
-// the stream-level counters (Arrivals, Expirations) are reported once and
-// the query-attributed counters are summed across shards.
+// every counter is summed across shards, except ResultUpdates, which
+// counts the merged updates the monitor reported.
 func (m *Monitor) Stats() Stats { return m.st.Mon.Stats() }
 
-// MemoryBytes estimates the monitor's total memory footprint, summed over
-// shards (the index is replicated per shard).
+// MemoryBytes estimates the monitor's total memory footprint: on a sharded
+// monitor the shards' disjoint index slices plus the router's window and
+// merge state.
 func (m *Monitor) MemoryBytes() int64 { return m.st.Mon.MemoryBytes() }
 
 // NumPoints returns the number of valid tuples.

@@ -79,35 +79,27 @@ func TestSingleVsShardedFacade(t *testing.T) {
 		t.Fatalf("Now %d vs %d", single.Now(), sharded.Now())
 	}
 
-	// Per-shard loads: one entry per shard, their query counts summing to
-	// the registrations; a single engine has none.
+	// Per-shard loads: one entry per shard, each shard running every
+	// registered query; a single engine has none.
 	loads := sharded.ShardLoads()
 	if len(loads) != 4 {
 		t.Fatalf("ShardLoads returned %d entries, want 4", len(loads))
 	}
-	total := 0
 	for _, l := range loads {
-		total += l.Queries
-	}
-	if total != sharded.NumQueries() {
-		t.Fatalf("loads count %d queries, want %d", total, sharded.NumQueries())
+		if l.Queries != sharded.NumQueries() {
+			t.Fatalf("shard %d runs %d queries, want all %d", l.Shard, l.Queries, sharded.NumQueries())
+		}
 	}
 	if single.ShardLoads() != nil {
 		t.Fatal("single engine should report nil loads")
 	}
 }
 
-// TestPartitioningFacade drives a single engine and a data-partitioned
-// sharded monitor through identical streams via the public API and
-// requires identical update streams and results.
+// TestPartitioningFacade drives a single engine and two four-shard
+// monitors, one of them built with the deprecated no-op WithPartitioning,
+// through identical streams via the public API and requires identical
+// update streams and results.
 func TestPartitioningFacade(t *testing.T) {
-	if p, err := topkmon.ParsePartitioning("data"); err != nil || p != topkmon.PartitionData {
-		t.Fatalf("ParsePartitioning(data) = %v, %v", p, err)
-	}
-	if _, err := topkmon.ParsePartitioning("bogus"); err == nil {
-		t.Fatal("bogus partitioning should be rejected")
-	}
-
 	build := func(opts ...topkmon.Option) *topkmon.Monitor {
 		base := []topkmon.Option{topkmon.WithCountWindow(600), topkmon.WithTargetCells(64)}
 		m, err := topkmon.New(3, append(base, opts...)...)
@@ -117,11 +109,13 @@ func TestPartitioningFacade(t *testing.T) {
 		return m
 	}
 	single := build()
-	data := build(topkmon.WithShards(4), topkmon.WithPartitioning(topkmon.PartitionData))
+	data := build(topkmon.WithShards(4))
+	legacy := build(topkmon.WithShards(4), topkmon.WithPartitioning(topkmon.PartitionData))
 	defer single.Close()
 	defer data.Close()
+	defer legacy.Close()
 
-	for _, m := range []*topkmon.Monitor{single, data} {
+	for _, m := range []*topkmon.Monitor{single, data, legacy} {
 		if _, err := m.RegisterTopK(topkmon.Linear(1, 2, 0.5), 5); err != nil {
 			t.Fatal(err)
 		}
@@ -132,6 +126,7 @@ func TestPartitioningFacade(t *testing.T) {
 
 	genA := topkmon.NewGenerator(topkmon.IND, 3, 7)
 	genB := topkmon.NewGenerator(topkmon.IND, 3, 7)
+	genC := topkmon.NewGenerator(topkmon.IND, 3, 7)
 	for ts := int64(0); ts < 12; ts++ {
 		ua, err := single.Step(ts, genA.Batch(100, ts))
 		if err != nil {
@@ -141,28 +136,34 @@ func TestPartitioningFacade(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(ua) != len(ub) {
-			t.Fatalf("ts=%d: %d vs %d updates", ts, len(ua), len(ub))
+		uc, err := legacy.Step(ts, genC.Batch(100, ts))
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := range ua {
-			if ua[i].Query != ub[i].Query ||
-				len(ua[i].Added) != len(ub[i].Added) ||
-				len(ua[i].Removed) != len(ub[i].Removed) {
-				t.Fatalf("ts=%d update %d diverged", ts, i)
+		for _, ub := range [][]topkmon.Update{ub, uc} {
+			if len(ua) != len(ub) {
+				t.Fatalf("ts=%d: %d vs %d updates", ts, len(ua), len(ub))
 			}
-			for j := range ua[i].Added {
-				if ua[i].Added[j].T.ID != ub[i].Added[j].T.ID {
-					t.Fatalf("ts=%d query %d added[%d]: p%d vs p%d", ts, ua[i].Query, j,
-						ua[i].Added[j].T.ID, ub[i].Added[j].T.ID)
+			for i := range ua {
+				if ua[i].Query != ub[i].Query ||
+					len(ua[i].Added) != len(ub[i].Added) ||
+					len(ua[i].Removed) != len(ub[i].Removed) {
+					t.Fatalf("ts=%d update %d diverged", ts, i)
+				}
+				for j := range ua[i].Added {
+					if ua[i].Added[j].T.ID != ub[i].Added[j].T.ID {
+						t.Fatalf("ts=%d query %d added[%d]: p%d vs p%d", ts, ua[i].Query, j,
+							ua[i].Added[j].T.ID, ub[i].Added[j].T.ID)
+					}
 				}
 			}
 		}
 	}
-	if single.NumPoints() != data.NumPoints() {
-		t.Fatalf("NumPoints %d vs %d", single.NumPoints(), data.NumPoints())
+	if single.NumPoints() != data.NumPoints() || single.NumPoints() != legacy.NumPoints() {
+		t.Fatalf("NumPoints %d vs %d and %d", single.NumPoints(), data.NumPoints(), legacy.NumPoints())
 	}
-	// Data partitioning must not replicate the index: the sharded
-	// monitor's total footprint stays comparable to the single engine's
+	// Sharding must not replicate the index: the sharded monitor's total
+	// footprint stays comparable to the single engine's
 	// (router window + per-shard grid overhead), far from ×shards.
 	if sm, dm := single.MemoryBytes(), data.MemoryBytes(); dm > 3*sm {
 		t.Fatalf("data-partitioned memory %d suggests index replication (single %d)", dm, sm)
