@@ -74,29 +74,28 @@
 //     lock round-trip per batch (pinned allocation-free and under 2% of
 //     a steady-state cycle by the AdmissionOverhead benchmarks and
 //     their benchreport ratio invariant).
-//   - Shedding, entered when the smoothed queue pressure — the EWMA of
-//     ingest-queue occupancy, or of the busiest shard's job-queue
-//     occupancy, whichever is higher, so one hot shard triggers shedding
-//     before the global queue backs up — crosses the high watermark, or
-//     when cycle latency breaches AdmissionConfig.CycleTarget. Two
-//     controllers thin the stream: an AIMD token bucket converges the
-//     admitted-batch rate onto the measured drain rate (additive raise
-//     per healthy cycle, multiplicative cut per breach, floored at
-//     MinRate so the stream is never starved), and a RED-style dropper
-//     sheds probabilistically with probability ramping from zero at the
-//     low watermark to MaxDropProb at the high one — random early
-//     dropping instead of deterministic tail-dropping, from a seeded
-//     PRNG so runs reproduce. Shedding exits to Normal only after
-//     HealthyExit consecutive healthy drains below the low watermark
-//     (hysteresis against square-wave flapping).
+//   - Shedding, entered when the smoothed ingest-queue occupancy (an
+//     EWMA) crosses the high watermark, 0.85 of the queue depth, or when
+//     two cycles in a row breach AdmissionConfig.CycleTarget. A sharded
+//     cycle waits for every shard, so its latency already is the slowest
+//     shard's. Two controllers thin the stream: an AIMD token bucket
+//     converges the admitted-batch rate onto the measured drain rate
+//     (additive raise per healthy cycle, multiplicative cut per breach,
+//     floored at 0.125 batches per drained batch so the stream is never
+//     starved), and a RED-style dropper sheds probabilistically with
+//     probability ramping from zero at the low watermark, 0.5, to 0.9 at
+//     the high one — random early dropping instead of deterministic
+//     tail-dropping, from a seeded PRNG so runs reproduce. Shedding exits
+//     to Normal only after 4 consecutive healthy drains below the low
+//     watermark (hysteresis against square-wave flapping).
 //   - Critical, forced from any state when the larger of the engine's
-//     cap-aware footprint and the process heap crosses
-//     MemHighFraction of AdmissionConfig.MemLimit bytes. Critical admits
-//     nothing but deletions: arrivals are stripped from admitted batches
-//     while the cycles themselves still run, so window expiry keeps
-//     shrinking state instead of the queue pinning memory in place. It
-//     steps back down to Shedding (never straight to Normal) once memory
-//     falls below MemLowFraction and the queue has drained.
+//     cap-aware footprint and the process heap crosses 0.9 of
+//     AdmissionConfig.MemLimit bytes. Critical admits nothing but
+//     deletions: arrivals are stripped from admitted batches while the
+//     cycles themselves still run, so window expiry keeps shrinking state
+//     instead of the queue pinning memory in place. It steps back down to
+//     Shedding (never straight to Normal) once memory falls below 0.7 of
+//     the limit and the queue has drained.
 //
 // The bounded-staleness contract: a governed monitor under overload
 // serves results that are exact for the admitted subsequence of the

@@ -16,7 +16,7 @@
 //     admitted fraction converges onto what the engine actually sustains.
 //   - A RED-style probabilistic dropper ramps its drop probability with
 //     the smoothed queue occupancy between the low and high watermarks
-//     (and on to certainty as the queue approaches full), shedding early
+//     (and holds it below certainty beyond the high one), shedding early
 //     and randomly instead of deterministically tail-dropping bursts. The
 //     PRNG is explicitly seeded, so a replay of the same decision inputs
 //     reproduces the same decisions.
@@ -112,103 +112,76 @@ func (d Decision) String() string {
 	}
 }
 
-// Config tunes the governor. The zero value selects workable defaults for
-// every field (and no memory limit); see each field's default.
+// Config tunes the governor. The zero value is valid: no latency trigger
+// and no memory limit. Everything else the controllers run on is fixed
+// (see the constants below).
 type Config struct {
-	// RateIncrease is the AIMD additive raise: how much the token refill
-	// rate (admitted batches per drained batch) grows on each healthy
-	// drain observation. Default 0.25.
-	RateIncrease float64
-	// RateDecrease is the AIMD multiplicative cut factor in (0, 1),
-	// applied when queue depth or cycle latency breaches its target.
-	// Default 0.5.
-	RateDecrease float64
-	// MinRate floors the admitted rate so shedding never starves the
-	// stream entirely while the engine drains. Default 0.125 (one batch
-	// admitted per eight drained).
-	MinRate float64
-	// MaxRate caps the token refill rate. Default 64.
-	MaxRate float64
-
-	// LowWatermark and HighWatermark bound the RED ramp, as fractions of
-	// the queue capacity: below Low the drop probability is zero (and
-	// sustained occupancy there exits Shedding); at and beyond High it
-	// holds at MaxDropProb (and crossing High enters Shedding). The
-	// probability is deliberately capped below certainty: past the high
-	// watermark the AIMD token bucket is the binding constraint, and the
-	// cap keeps its MinRate floor meaningful — shedding thins the stream,
-	// it never starves it. Defaults 0.5 and 0.85.
-	LowWatermark  float64
-	HighWatermark float64
-	// MaxDropProb is the RED drop probability at and beyond the high
-	// watermark. Default 0.9.
-	MaxDropProb float64
-	// OccupancyAlpha is the EWMA smoothing factor for queue occupancy
-	// (higher = more reactive). Default 0.25.
-	OccupancyAlpha float64
 	// Seed seeds the RED dropper's PRNG. The same seed and the same
 	// decision-input sequence reproduce the same decisions.
 	Seed int64
 
-	// CycleTarget is the per-cycle latency target: a drain or hot-shard
-	// EWMA observation above it counts as a breach even while the queue
-	// looks shallow. Zero disables the latency trigger.
+	// CycleTarget is the per-cycle latency target: a drain observation
+	// above it counts as a breach even while the queue looks shallow.
+	// Zero disables the latency trigger.
 	CycleTarget time.Duration
 
 	// MemLimit is the hard memory limit in bytes. When the larger of the
-	// engine footprint and the process heap crosses MemHighFraction of it
+	// engine footprint and the process heap crosses memHighFraction of it
 	// the governor forces Critical; it leaves Critical once memory falls
-	// below MemLowFraction and the queue has drained below the low
+	// below memLowFraction and the queue has drained below the low
 	// watermark. Zero disables the memory watermark.
 	MemLimit int64
-	// MemHighFraction and MemLowFraction are the enter/leave fractions of
-	// MemLimit for the Critical state. Defaults 0.9 and 0.7.
-	MemHighFraction float64
-	MemLowFraction  float64
+}
 
-	// HealthyExit is the number of consecutive healthy drain observations
+// The controllers' fixed tuning.
+const (
+	// rateIncrease is the AIMD additive raise: how much the token refill
+	// rate (admitted batches per drained batch) grows on each healthy
+	// drain observation.
+	rateIncrease = 0.25
+	// rateDecrease is the AIMD multiplicative cut, applied when queue
+	// occupancy or cycle latency breaches its target.
+	rateDecrease = 0.5
+	// minRate floors the admitted rate so shedding never starves the
+	// stream while the engine drains: one batch admitted per eight
+	// drained.
+	minRate = 0.125
+	// maxRate caps the token refill rate.
+	maxRate = 64
+
+	// lowWatermark and highWatermark bound the RED ramp, as fractions of
+	// the queue capacity: below low the drop probability is zero (and
+	// sustained occupancy there exits Shedding); at and beyond high it
+	// holds at maxDropProb (and crossing high enters Shedding). The
+	// probability is deliberately capped below certainty: past the high
+	// watermark the AIMD token bucket is the binding constraint, and the
+	// cap keeps its minRate floor meaningful — shedding thins the stream,
+	// it never starves it.
+	lowWatermark  = 0.5
+	highWatermark = 0.85
+	// maxDropProb is the RED drop probability at and beyond the high
+	// watermark.
+	maxDropProb = 0.9
+	// occupancyAlpha is the EWMA smoothing factor for queue occupancy
+	// (higher = more reactive).
+	occupancyAlpha = 0.25
+
+	// memHighFraction and memLowFraction are the enter/leave fractions of
+	// Config.MemLimit for the Critical state.
+	memHighFraction = 0.9
+	memLowFraction  = 0.7
+
+	// healthyExit is the number of consecutive healthy drain observations
 	// required to leave Shedding — the hysteresis that keeps a square-wave
-	// load from flapping the state machine every cycle. Default 4.
-	HealthyExit int
-}
+	// load from flapping the state machine every cycle.
+	healthyExit = 4
 
-// withDefaults fills zero fields with the documented defaults.
-func (c Config) withDefaults() Config {
-	if c.RateIncrease <= 0 {
-		c.RateIncrease = 0.25
-	}
-	if c.RateDecrease <= 0 || c.RateDecrease >= 1 {
-		c.RateDecrease = 0.5
-	}
-	if c.MinRate <= 0 {
-		c.MinRate = 0.125
-	}
-	if c.MaxRate <= c.MinRate {
-		c.MaxRate = 64
-	}
-	if c.LowWatermark <= 0 {
-		c.LowWatermark = 0.5
-	}
-	if c.HighWatermark <= c.LowWatermark || c.HighWatermark > 1 {
-		c.HighWatermark = 0.85
-	}
-	if c.MaxDropProb <= 0 || c.MaxDropProb > 1 {
-		c.MaxDropProb = 0.9
-	}
-	if c.OccupancyAlpha <= 0 || c.OccupancyAlpha > 1 {
-		c.OccupancyAlpha = 0.25
-	}
-	if c.MemHighFraction <= 0 || c.MemHighFraction > 1 {
-		c.MemHighFraction = 0.9
-	}
-	if c.MemLowFraction <= 0 || c.MemLowFraction >= c.MemHighFraction {
-		c.MemLowFraction = 0.7
-	}
-	if c.HealthyExit <= 0 {
-		c.HealthyExit = 4
-	}
-	return c
-}
+	// breachEnter is the consecutive-latency-breach streak that moves
+	// Normal to Shedding on its own: two measured cycles over budget rule
+	// out a one-off stall without letting a sustained breach hide behind a
+	// shallow queue.
+	breachEnter = 2
+)
 
 // Snapshot is a consistent read of the governor's state and counters, for
 // stats lines, sweeps and tests.
@@ -244,12 +217,6 @@ type Snapshot struct {
 // all methods are safe for concurrent use. State reads are lock-free; the
 // decision and observation paths share one leaf mutex and never allocate,
 // so the Normal-state fast path adds only a lock round-trip per batch.
-// breachEnter is the consecutive-latency-breach streak that moves Normal
-// to Shedding on its own: two measured cycles over budget rule out a
-// one-off stall without letting a sustained breach hide behind a shallow
-// queue.
-const breachEnter = 2
-
 type Governor struct {
 	cfg Config
 
@@ -265,12 +232,8 @@ type Governor struct {
 	// bucket (capped at a small burst allowance).
 	rate   float64
 	tokens float64
-	// avgOcc is the EWMA ingest-queue occupancy fraction (RED's \bar{q});
-	// avgShard is the EWMA of the busiest shard's job-queue occupancy,
-	// kept separate so an empty ingest queue cannot dilute a pegged
-	// shard's signal. Decisions use the larger of the two.
-	avgOcc   float64
-	avgShard float64
+	// avgOcc is the EWMA ingest-queue occupancy fraction (RED's \bar{q}).
+	avgOcc float64
 	// healthy counts consecutive healthy drain observations (hysteresis
 	// for leaving Shedding).
 	healthy int
@@ -288,17 +251,16 @@ type Governor struct {
 	sheddingDrains, criticalDrains                     int64
 }
 
-// New builds a governor. The zero Config is valid: defaults throughout and
+// New builds a governor. The zero Config is valid: no latency trigger and
 // no memory limit.
 func New(cfg Config) *Governor {
-	cfg = cfg.withDefaults()
 	g := &Governor{
 		cfg: cfg,
 		rng: rand.New(rand.NewSource(cfg.Seed)),
 		// Start at the ceiling: overload is discovered by cuts, so an
 		// unloaded system admits everything from the first batch.
-		rate:   cfg.MaxRate,
-		tokens: cfg.MaxRate,
+		rate:   maxRate,
+		tokens: maxRate,
 	}
 	return g
 }
@@ -313,7 +275,7 @@ func (g *Governor) Snapshot() Snapshot {
 	return Snapshot{
 		State:           State(g.state.Load()),
 		Rate:            g.rate,
-		AvgOccupancy:    g.pressureLocked(),
+		AvgOccupancy:    g.avgOcc,
 		EngineBytes:     g.engineBytes,
 		ProcessBytes:    g.processBytes,
 		Admitted:        g.admitted,
@@ -390,9 +352,8 @@ func (g *Governor) shedLocked(arrivals, deletions int) {
 
 // ObserveDrain folds one drained batch into the controllers: the queue now
 // holds occupied of capacity slots and the cycle took cycleNS wall
-// nanoseconds (zero when the caller has no per-cycle measurement; the
-// hot-shard EWMA then carries the latency signal). Refills the AIMD token
-// bucket and adjusts the rate.
+// nanoseconds (zero when the caller has no per-cycle measurement). Refills
+// the AIMD token bucket and adjusts the rate.
 //
 //topk:deterministic
 func (g *Governor) ObserveDrain(occupied, capacity int, cycleNS int64) {
@@ -410,24 +371,17 @@ func (g *Governor) ObserveDrain(occupied, capacity int, cycleNS int64) {
 		g.breaches++
 	} else if cycleNS > 0 {
 		// Only a measured healthy cycle breaks the streak: a drain with
-		// cycleNS == 0 carries no measurement and must not launder a
-		// breach streak the hot-shard EWMA built up.
+		// cycleNS == 0 carries no measurement.
 		g.breaches = 0
 	}
 	switch {
-	case latencyBreach || g.pressureLocked() >= g.cfg.HighWatermark:
+	case latencyBreach || g.avgOcc >= highWatermark:
 		// Multiplicative decrease: the engine is not keeping up.
-		g.rate *= g.cfg.RateDecrease
-		if g.rate < g.cfg.MinRate {
-			g.rate = g.cfg.MinRate
-		}
+		g.rate = max(g.rate*rateDecrease, minRate)
 		g.healthy = 0
-	case g.pressureLocked() < g.cfg.LowWatermark:
+	case g.avgOcc < lowWatermark:
 		// Additive increase on a healthy cycle.
-		g.rate += g.cfg.RateIncrease
-		if g.rate > g.cfg.MaxRate {
-			g.rate = g.cfg.MaxRate
-		}
+		g.rate = min(g.rate+rateIncrease, maxRate)
 		g.healthy++
 	default:
 		// Between the watermarks: hold the rate, break the healthy streak.
@@ -441,7 +395,7 @@ func (g *Governor) ObserveDrain(occupied, capacity int, cycleNS int64) {
 // refillLocked adds one rate's worth of tokens, capped at a small burst
 // allowance so a long idle stretch cannot bank unlimited credit. The cap
 // never falls below two whole credits: with the rate floored at
-// MinRate < 1 the bucket must still be able to accumulate a full token,
+// minRate < 1 the bucket must still be able to accumulate a full token,
 // or shedding would starve the stream outright. Callers hold mu.
 func (g *Governor) refillLocked() {
 	g.tokens += g.rate
@@ -452,40 +406,6 @@ func (g *Governor) refillLocked() {
 	if g.tokens > burst {
 		g.tokens = burst
 	}
-}
-
-// ObserveShard folds the busiest shard's signals in: its job queue holds
-// depth of capacity slots and its per-cycle EWMA is ewmaNS. A single hot
-// shard raises the smoothed occupancy (and, past the latency target,
-// breaks the healthy streak) before the global ingest queue ever backs up.
-//
-//topk:deterministic
-func (g *Governor) ObserveShard(depth, capacity int, ewmaNS int64) {
-	if capacity <= 0 {
-		return
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	frac := float64(depth) / float64(capacity)
-	if frac > 1 {
-		frac = 1
-	}
-	if g.cfg.CycleTarget > 0 && ewmaNS > 0 && ewmaNS <= g.cfg.CycleTarget.Nanoseconds() {
-		// A deep inbox on a shard that drains within budget is not
-		// overload. Only a shard that is also over the latency budget
-		// registers as occupancy pressure.
-		frac = 0
-	}
-	g.avgShard += g.cfg.OccupancyAlpha * (frac - g.avgShard)
-	if g.cfg.CycleTarget > 0 && ewmaNS > 0 {
-		if ewmaNS > g.cfg.CycleTarget.Nanoseconds() {
-			g.healthy = 0
-			g.breaches++
-		} else {
-			g.breaches = 0
-		}
-	}
-	g.reviewLocked()
 }
 
 // ObserveMemory records the latest memory figures: the engine's cap-aware
@@ -515,16 +435,7 @@ func (g *Governor) observeOccupancyLocked(occupied, capacity int) {
 	if frac > 1 {
 		frac = 1
 	}
-	g.avgOcc += g.cfg.OccupancyAlpha * (frac - g.avgOcc)
-}
-
-// pressureLocked is the occupancy figure decisions run on: the larger of
-// the smoothed ingest-queue and hot-shard occupancies. Callers hold mu.
-func (g *Governor) pressureLocked() float64 {
-	if g.avgShard > g.avgOcc {
-		return g.avgShard
-	}
-	return g.avgOcc
+	g.avgOcc += occupancyAlpha * (frac - g.avgOcc)
 }
 
 // memLocked returns the memory figure the Critical watermark judges: the
@@ -536,21 +447,18 @@ func (g *Governor) memLocked() int64 {
 	return g.engineBytes
 }
 
-// dropProbLocked is the RED ramp over the smoothed occupancy pressure:
-// zero below the low watermark, linear to MaxDropProb at the high
-// watermark, held there beyond it (the token bucket binds past the high
-// watermark; capping below certainty keeps the MinRate floor meaningful).
-// Callers hold mu.
+// dropProbLocked is the RED ramp over the smoothed occupancy: zero below
+// the low watermark, linear to maxDropProb at the high watermark, held
+// there beyond it (the token bucket binds past the high watermark; capping
+// below certainty keeps the minRate floor meaningful). Callers hold mu.
 func (g *Governor) dropProbLocked() float64 {
-	lo, hi := g.cfg.LowWatermark, g.cfg.HighWatermark
-	occ := g.pressureLocked()
-	switch {
-	case occ <= lo:
+	switch occ := g.avgOcc; {
+	case occ <= lowWatermark:
 		return 0
-	case occ >= hi:
-		return g.cfg.MaxDropProb
+	case occ >= highWatermark:
+		return maxDropProb
 	default:
-		return g.cfg.MaxDropProb * (occ - lo) / (hi - lo)
+		return maxDropProb * (occ - lowWatermark) / (highWatermark - lowWatermark)
 	}
 }
 
@@ -560,16 +468,16 @@ func (g *Governor) dropProbLocked() float64 {
 // Callers hold mu.
 func (g *Governor) reviewLocked() {
 	memHigh := g.cfg.MemLimit > 0 &&
-		float64(g.memLocked()) >= float64(g.cfg.MemLimit)*g.cfg.MemHighFraction
+		float64(g.memLocked()) >= float64(g.cfg.MemLimit)*memHighFraction
 	memRecovered := g.cfg.MemLimit <= 0 ||
-		float64(g.memLocked()) < float64(g.cfg.MemLimit)*g.cfg.MemLowFraction
+		float64(g.memLocked()) < float64(g.cfg.MemLimit)*memLowFraction
 	switch State(g.state.Load()) {
 	case Normal:
 		if memHigh {
 			g.transitionLocked(Critical)
 			return
 		}
-		if g.pressureLocked() >= g.cfg.HighWatermark || g.breaches >= breachEnter {
+		if g.avgOcc >= highWatermark || g.breaches >= breachEnter {
 			g.transitionLocked(Shedding)
 		}
 	case Shedding:
@@ -577,11 +485,11 @@ func (g *Governor) reviewLocked() {
 			g.transitionLocked(Critical)
 			return
 		}
-		if g.pressureLocked() < g.cfg.LowWatermark && g.healthy >= g.cfg.HealthyExit {
+		if g.avgOcc < lowWatermark && g.healthy >= healthyExit {
 			g.transitionLocked(Normal)
 		}
 	case Critical:
-		if !memHigh && memRecovered && g.pressureLocked() < g.cfg.LowWatermark {
+		if !memHigh && memRecovered && g.avgOcc < lowWatermark {
 			// Step down one level: the queue still re-earns Normal through
 			// the Shedding hysteresis.
 			g.transitionLocked(Shedding)
@@ -602,10 +510,7 @@ func (g *Governor) transitionLocked(next State) {
 	g.healthy = 0
 	g.breaches = 0
 	if next == Shedding {
-		g.rate *= g.cfg.RateDecrease
-		if g.rate < g.cfg.MinRate {
-			g.rate = g.cfg.MinRate
-		}
+		g.rate = max(g.rate*rateDecrease, minRate)
 		if g.tokens > g.rate+1 {
 			g.tokens = g.rate + 1
 		}

@@ -98,8 +98,7 @@ type OverloadReport struct {
 }
 
 // slowMonitor delays every cycle apply, simulating an engine that cannot
-// keep up with the arrival rate. LoadSignal is forwarded so a wrapped
-// sharded monitor still feeds the governor's hot-shard observations.
+// keep up with the arrival rate.
 type slowMonitor struct {
 	core.StreamMonitor
 	delay time.Duration
@@ -117,13 +116,6 @@ func (s *slowMonitor) StepUpdate(now int64, arrivals []*stream.Tuple, deletions 
 		time.Sleep(s.delay)
 	}
 	return s.StreamMonitor.StepUpdate(now, arrivals, deletions)
-}
-
-func (s *slowMonitor) LoadSignal() (int, int, int64) {
-	if ls, ok := s.StreamMonitor.(interface{ LoadSignal() (int, int, int64) }); ok {
-		return ls.LoadSignal()
-	}
-	return 0, 0, 0
 }
 
 // ReplayOverload runs one governed overload replay and verifies the

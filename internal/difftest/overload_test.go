@@ -36,13 +36,8 @@ func TestOverloadDifferential(t *testing.T) {
 			for seed := int64(1); seed <= seeds; seed++ {
 				run := GenOverload(seed)
 				rep, err := ReplayOverload(run, OverloadConfig{
-					Layout: m.layout,
-					Governor: admission.New(admission.Config{
-						Seed:          seed,
-						LowWatermark:  0.3,
-						HighWatermark: 0.6,
-						MemLimit:      memLimit,
-					}),
+					Layout:     m.layout,
+					Governor:   admission.New(admission.Config{Seed: seed, MemLimit: memLimit}),
 					Depth:      4,
 					ApplyDelay: 300 * time.Microsecond,
 				})

@@ -270,16 +270,20 @@ func TestExperimentsSmoke(t *testing.T) {
 }
 
 // TestHeadlineClaim verifies the paper's central experimental finding at a
-// small scale: SMA recomputes no more often than TMA, and both grid
+// small scale: SMA recomputes less often than TMA, and both grid
 // algorithms beat TSL. The first claim is an exact count on the same
-// seeded workload. The second is a time, taken for each algorithm as the
-// minimum over fresh runs, so one slow run on a busy host cannot decide it.
+// seeded workload; 500 arrivals per cycle against a 10k window expire
+// enough of each top-k list that both algorithms recompute (SMA 8, TMA 51),
+// so the count claim cannot hold vacuously. The second is a time, taken
+// for each algorithm as the minimum over fresh runs, so one slow run on a
+// busy host cannot decide it.
 func TestHeadlineClaim(t *testing.T) {
 	if testing.Short() {
 		t.Skip("comparison test is slow")
 	}
 	const runs = 5
 	base := Defaults(0.01, 3)
+	base.R = 500
 	base.Cycles = 10
 	times := map[Algo]time.Duration{}
 	recomputes := map[Algo]int64{}
@@ -299,8 +303,8 @@ func TestHeadlineClaim(t *testing.T) {
 	}
 	t.Logf("recomputes SMA %d TMA %d; best run times SMA %v TMA %v TSL %v",
 		recomputes[AlgoSMA], recomputes[AlgoTMA], times[AlgoSMA], times[AlgoTMA], times[AlgoTSL])
-	if recomputes[AlgoSMA] > recomputes[AlgoTMA] {
-		t.Errorf("SMA recomputed %d times, more than TMA's %d", recomputes[AlgoSMA], recomputes[AlgoTMA])
+	if !(0 < recomputes[AlgoSMA] && recomputes[AlgoSMA] < recomputes[AlgoTMA]) {
+		t.Errorf("recomputes SMA %d, TMA %d: want 0 < SMA < TMA", recomputes[AlgoSMA], recomputes[AlgoTMA])
 	}
 	if times[AlgoTMA] > times[AlgoTSL] {
 		t.Errorf("TMA (%v) slower than TSL (%v), best of %d runs each", times[AlgoTMA], times[AlgoTSL], runs)

@@ -18,9 +18,10 @@ import (
 // countMon is a non-blocking stub monitor that records the shape of every
 // applied batch — what the governor actually let through. An optional
 // per-cycle delay makes it a controllable slow consumer for overload
-// tests.
+// tests, and an optional gate holds every cycle until it is closed.
 type countMon struct {
 	delay   time.Duration
+	gate    chan struct{}
 	mu      sync.Mutex
 	applied []appliedRec
 }
@@ -34,6 +35,9 @@ type appliedRec struct {
 func (m *countMon) record(now int64, arrivals, deletions int) {
 	if m.delay > 0 {
 		time.Sleep(m.delay)
+	}
+	if m.gate != nil {
+		<-m.gate
 	}
 	m.mu.Lock()
 	m.applied = append(m.applied, appliedRec{now, arrivals, deletions})
@@ -103,11 +107,21 @@ func (l *decLog) fates(t *testing.T) map[int64]admission.Decision {
 	return out
 }
 
-// shedding returns a governor deterministically parked in Shedding with an
-// empty token bucket, so its next Admit must return Shed.
+// sheddingGovernor returns a governor deterministically parked in
+// Shedding with an empty token bucket, so its next Admit must return Shed.
 func sheddingGovernor(t *testing.T, seed int64) *admission.Governor {
 	t.Helper()
 	gov := admission.New(admission.Config{Seed: seed})
+	parkShedding(t, gov)
+	return gov
+}
+
+// parkShedding drives gov into Shedding through a sustained full queue and
+// spends its token bucket: the first Shed proves the bucket ran dry or the
+// dropper fired, and further offers at a full queue, which earn no refill,
+// spend whatever credit the dropper left.
+func parkShedding(t *testing.T, gov *admission.Governor) {
+	t.Helper()
 	for i := 0; i < 50; i++ {
 		gov.Admit(8, 8, 1, 0)
 		gov.ObserveDrain(8, 8, 0)
@@ -120,11 +134,13 @@ func sheddingGovernor(t *testing.T, seed int64) *admission.Governor {
 	// fall below one and every further decision is Shed.
 	for i := 0; i < 64; i++ {
 		if gov.Admit(8, 8, 1, 0) == admission.Shed {
-			return gov
+			for j := 0; j < 200; j++ {
+				gov.Admit(8, 8, 1, 0)
+			}
+			return
 		}
 	}
 	t.Fatal("setup: token bucket never drained")
-	return nil
 }
 
 // TestAdmissionNormalPassthrough: an unloaded governor must change nothing
@@ -230,41 +246,36 @@ func TestAdmissionShedBlockPolicy(t *testing.T) {
 // to the configured DropLogger. A batch count alone would hide how much
 // data a drop actually destroyed.
 func TestShedTupleAccounting(t *testing.T) {
-	m := &countMon{}
-	// Watermarks this low keep the smoothed occupancy above the high one
-	// through every offer below, and a certain drop probability there makes
-	// each offer in Shedding a shed.
-	gov := admission.New(admission.Config{Seed: 8, LowWatermark: 0.001, HighWatermark: 0.002, MaxDropProb: 1})
+	// The gate holds the runner inside batch 1's cycle, so batch 2 stays
+	// queued while batches 3 and 4 are offered: the governor sees a busy
+	// queue, which earns no idle refill, and its spent bucket sheds both.
+	m := &countMon{gate: make(chan struct{})}
+	gov := admission.New(admission.Config{Seed: 8})
 	rec := &dropRecorder{}
 	p := New(m, Options{Depth: 2, Admission: gov, DropLog: rec})
 	_, done := collect(p)
 
-	// Batch 1 meets a Normal governor and is applied; then a full queue
-	// observed by the governor parks it in Shedding.
-	if err := p.Ingest(1, mkTuples(1)); err != nil {
-		t.Fatal(err)
+	// Batches 1 and 2 meet a Normal governor and are admitted; then a full
+	// queue observed by the governor parks it in Shedding.
+	for ts := int64(1); ts <= 2; ts++ {
+		if err := p.Ingest(ts, mkTuples(1)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := p.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 20; i++ {
-		gov.Admit(1, 1, 0, 0)
-	}
-	if gov.State() != admission.Shedding {
-		t.Fatalf("setup: governor state %v, want shedding", gov.State())
-	}
-	// Batch 2 carries 3 events, batch 3 carries 7 (5 arrivals + 2 deletions).
-	if err := p.Ingest(2, mkTuples(3)); !errors.Is(err, admission.ErrOverloaded) {
-		t.Fatalf("batch 2: got %v, want ErrOverloaded", err)
-	}
-	if err := p.IngestUpdate(3, mkTuples(5), []uint64{90, 91}); !errors.Is(err, admission.ErrOverloaded) {
+	parkShedding(t, gov)
+	// Batch 3 carries 3 events, batch 4 carries 7 (5 arrivals + 2 deletions).
+	if err := p.Ingest(3, mkTuples(3)); !errors.Is(err, admission.ErrOverloaded) {
 		t.Fatalf("batch 3: got %v, want ErrOverloaded", err)
 	}
+	if err := p.IngestUpdate(4, mkTuples(5), []uint64{90, 91}); !errors.Is(err, admission.ErrOverloaded) {
+		t.Fatalf("batch 4: got %v, want ErrOverloaded", err)
+	}
+	close(m.gate)
 	if err := p.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if applied := m.appliedNow(); len(applied) != 1 || applied[0].now != 1 {
-		t.Fatalf("applied %+v, want batch 1 only", applied)
+	if applied := m.appliedNow(); len(applied) != 2 || applied[0].now != 1 || applied[1].now != 2 {
+		t.Fatalf("applied %+v, want batches 1 and 2 only", applied)
 	}
 	if d := p.DroppedTuples(); d != 10 {
 		t.Fatalf("DroppedTuples = %d, want 10", d)
@@ -278,10 +289,10 @@ func TestShedTupleAccounting(t *testing.T) {
 	if len(rec.recs) != 2 {
 		t.Fatalf("DropLog saw %d batches, want 2", len(rec.recs))
 	}
-	if r := rec.recs[0]; r.now != 2 || r.isUpdate || r.arrivals != 3 || r.deletions != 0 {
+	if r := rec.recs[0]; r.now != 3 || r.isUpdate || r.arrivals != 3 || r.deletions != 0 {
 		t.Fatalf("first shed batch logged as %+v", r)
 	}
-	if r := rec.recs[1]; r.now != 3 || !r.isUpdate || r.arrivals != 5 || r.deletions != 2 {
+	if r := rec.recs[1]; r.now != 4 || !r.isUpdate || r.arrivals != 5 || r.deletions != 2 {
 		t.Fatalf("second shed batch logged as %+v", r)
 	}
 	if err := p.Close(); err != nil {
@@ -350,6 +361,50 @@ func TestAdmissionCriticalStripsArrivals(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-done
+}
+
+// TestRefusedBatchNotGoverned: a batch a closed pipeline refuses had no
+// admission fate. Even in Critical, where an admitted batch's arrivals are
+// stripped, counted and drop-logged, Ingest after Close must report
+// ErrClosed and leave the governor's counters, the drop figures, the drop
+// log and the decision log untouched.
+func TestRefusedBatchNotGoverned(t *testing.T) {
+	m := &countMon{}
+	gov := admission.New(admission.Config{Seed: 4, MemLimit: 1 << 20})
+	gov.ObserveMemory(1<<20, 0)
+	if gov.State() != admission.Critical {
+		t.Fatalf("setup: governor state %v, want critical", gov.State())
+	}
+	rec := &dropRecorder{}
+	dl := &decLog{}
+	p := New(m, Options{Depth: 4, Admission: gov, DropLog: rec, AdmissionLog: dl.log})
+	_, done := collect(p)
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	<-done
+	before, dropped := gov.Snapshot(), p.Stats().DroppedTuples
+	if err := p.Ingest(1, mkTuples(5)); !errors.Is(err, ErrClosed) {
+		t.Fatalf("ingest after Close: got %v, want ErrClosed", err)
+	}
+	if err := p.IngestUpdate(2, mkTuples(3), []uint64{9}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("update ingest after Close: got %v, want ErrClosed", err)
+	}
+	if after := gov.Snapshot(); after != before {
+		t.Fatalf("refused batches moved the governor:\n before %+v\n after  %+v", before, after)
+	}
+	if got := p.Stats().DroppedTuples; got != dropped {
+		t.Fatalf("DroppedTuples %d -> %d on refused batches", dropped, got)
+	}
+	rec.mu.Lock()
+	nrec := len(rec.recs)
+	rec.mu.Unlock()
+	if nrec != 0 {
+		t.Fatalf("DropLog saw %d refused batches, want 0", nrec)
+	}
+	if n := len(dl.fates(t)); n != 0 {
+		t.Fatalf("decision log holds %d refused batches, want 0", n)
+	}
 }
 
 // TestAIMDConvergence is the anti-livelock property test: a fixed-depth
@@ -429,19 +484,16 @@ func TestAIMDConvergence(t *testing.T) {
 }
 
 // TestAdmissionLifecycleRace is the -race proof for the governor inside a
-// live pipeline: producers ingest against a sharded monitor (so
-// ObserveShard and LoadSignal run every cycle) while
-// churners register, read and unregister queries through the barrier API
-// and a reader hammers the governor's snapshot surface.
+// live pipeline: producers ingest against a data-sharded monitor (so every
+// governed cycle is a barrier over the shard workers) while churners
+// register, read and unregister queries through the barrier API and a
+// reader hammers the governor's snapshot surface.
 func TestAdmissionLifecycleRace(t *testing.T) {
 	mon, err := shard.NewData(core.Options{Dims: 2, Window: window.Count(400), TargetCells: 32}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gov := admission.New(admission.Config{
-		Seed: 17, LowWatermark: 0.3, HighWatermark: 0.6,
-		CycleTarget: 50 * time.Microsecond, MemLimit: 1 << 40,
-	})
+	gov := admission.New(admission.Config{Seed: 17, CycleTarget: 50 * time.Microsecond, MemLimit: 1 << 40})
 	p := New(mon, Options{Depth: 4, Admission: gov})
 	_, done := collect(p)
 

@@ -75,8 +75,9 @@ type Options struct {
 	// admission.ErrOverloaded and the batch is counted in
 	// Stats.DroppedBatches — and an AdmitDeletions verdict (Critical state)
 	// strips the batch's arrivals while the cycle still runs. The pipeline
-	// feeds the governor its drain, hot-shard and memory observations from
-	// the runner goroutine.
+	// feeds the governor its drain and memory observations from the runner
+	// goroutine. A batch the pipeline refuses because it is closed or has
+	// failed never reaches the governor.
 	Admission *admission.Governor
 	// AdmissionLog, when non-nil, observes the decision on every batch
 	// offered while a governor is installed, exactly once per batch (a
@@ -241,13 +242,18 @@ func (p *Pipeline) IngestUpdate(now int64, arrivals []*stream.Tuple, deletions [
 func (p *Pipeline) enqueueBatch(j *job) error {
 	// The admission decision runs before the queue is touched: a shed
 	// batch never contends for a slot, and the governor sees the
-	// occupancy the batch would have joined.
+	// occupancy the batch would have joined. A closed or failed pipeline
+	// refuses the batch first: it has no admission fate, so it must not
+	// move the governor's counters or the drop figures.
 	dec := admission.Admit
 	if p.gov != nil {
-		var done bool
-		var err error
-		dec, done, err = p.admitBatch(j)
-		if done {
+		p.mu.Lock()
+		err := p.refusalLocked()
+		p.mu.Unlock()
+		if err != nil {
+			return err
+		}
+		if dec, err = p.admitBatch(j); err != nil {
 			return err
 		}
 	}
@@ -258,26 +264,14 @@ func (p *Pipeline) enqueueBatch(j *job) error {
 	return err
 }
 
-// admitBatch consults the governor about one offered batch. done reports
-// that the batch must not be enqueued: the producer sees err, an
-// ErrOverloaded wrap for a shed batch. An AdmitDeletions verdict strips
-// the batch's arrivals in place (drop-logging them) and lets it proceed.
-func (p *Pipeline) admitBatch(j *job) (dec admission.Decision, done bool, err error) {
+// admitBatch consults the governor about one offered batch. A shed batch
+// must not be enqueued: the producer sees err, an ErrOverloaded wrap. An
+// AdmitDeletions verdict strips the batch's arrivals in place
+// (drop-logging them) and lets it proceed.
+func (p *Pipeline) admitBatch(j *job) (dec admission.Decision, err error) {
 	dec = p.gov.Admit(int(p.qBatches.Load()), p.depth, len(j.arrivals), len(j.deletions))
 	switch dec {
 	case admission.Shed:
-		// A closed (or failed) pipeline reports its terminal error, not a
-		// drop: the batch was never going to be applied either way, and
-		// counting it as shed would misattribute the loss.
-		p.mu.Lock()
-		closed, cycleErr := p.closed, p.err
-		p.mu.Unlock()
-		if closed {
-			return dec, true, ErrClosed
-		}
-		if cycleErr != nil {
-			return dec, true, cycleErr
-		}
 		p.dropped.Add(1)
 		p.droppedTuples.Add(int64(len(j.arrivals) + len(j.deletions)))
 		if p.admLog != nil {
@@ -286,7 +280,7 @@ func (p *Pipeline) admitBatch(j *job) (dec admission.Decision, done bool, err er
 		if p.dropLog != nil {
 			p.dropLog.LogDrop(j.now, j.isUpdate, j.arrivals, j.deletions)
 		}
-		return dec, true, fmt.Errorf("pipeline: batch at t=%d shed by the admission governor (state %s): %w",
+		return dec, fmt.Errorf("pipeline: batch at t=%d shed by the admission governor (state %s): %w",
 			j.now, p.gov.State(), admission.ErrOverloaded)
 	case admission.AdmitDeletions:
 		if len(j.arrivals) > 0 {
@@ -297,18 +291,24 @@ func (p *Pipeline) admitBatch(j *job) (dec admission.Decision, done bool, err er
 			j.arrivals = nil
 		}
 	}
-	return dec, false, nil
+	return dec, nil
+}
+
+// refusalLocked is the error a closed or failed pipeline answers every
+// new batch with, nil while it accepts batches. Callers hold mu.
+func (p *Pipeline) refusalLocked() error {
+	if p.closed {
+		return ErrClosed
+	}
+	return p.err
 }
 
 func (p *Pipeline) enqueueBatchLocked(j *job) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for {
-		if p.closed {
-			return ErrClosed
-		}
-		if p.err != nil {
-			return p.err
+		if err := p.refusalLocked(); err != nil {
+			return err
 		}
 		if p.batches < p.depth {
 			break
@@ -410,16 +410,13 @@ func (p *Pipeline) runner() {
 const memSampleEvery = 16
 
 // observeGovernor feeds the runner's post-apply signals to the admission
-// governor: the queue occupancy and cycle time it just drained, the
-// busiest shard's backlog when the wrapped monitor exposes one, and —
-// every memSampleEvery batches — the engine footprint plus the process
-// heap. Runs on the runner goroutine with no pipeline locks held.
+// governor: the queue occupancy and cycle time it just drained and, every
+// memSampleEvery batches, the engine footprint plus the process heap. A
+// sharded cycle is a barrier over every shard, so cycleNS already is the
+// slowest shard's time. Runs on the runner goroutine with no pipeline
+// locks held.
 func (p *Pipeline) observeGovernor(cycleNS int64) {
 	p.gov.ObserveDrain(int(p.qBatches.Load()), p.depth, cycleNS)
-	if ls, ok := p.mon.(interface{ LoadSignal() (int, int, int64) }); ok {
-		depth, capacity, ewmaNS := ls.LoadSignal()
-		p.gov.ObserveShard(depth, capacity, ewmaNS)
-	}
 	p.appliedBatches++
 	if p.appliedBatches%memSampleEvery == 0 {
 		p.gov.ObserveMemory(p.mon.MemoryBytes(), heapInUseBytes())

@@ -839,26 +839,6 @@ func (d *DataSharded) ShardLoads() []ShardLoad {
 	return per
 }
 
-// LoadSignal returns a lock-free snapshot of the busiest shard's ingest
-// pressure (deepest job queue, capacity, largest EWMA cycle time; see
-// loadSignal). Cycles are per-cycle barriers, so queue depth rarely
-// exceeds one, but the EWMA still carries the hot-shard latency signal.
-func (d *DataSharded) LoadSignal() (depth, capacity int, ewmaNS int64) {
-	return loadSignal(d.workers)
-}
-
-// ResetLoadStats clears the per-worker cycle-time EWMAs so the next cycle
-// seeds them fresh. Bulk initialization (window prefill, query
-// registration) runs through the same workers as live cycles but costs
-// orders of magnitude more; a caller that measures — or feeds the signal
-// to the admission governor — calls this at measurement start so stale
-// init latency cannot masquerade as overload.
-func (d *DataSharded) ResetLoadStats() {
-	for _, w := range d.workers {
-		w.ewmaNS.Store(0)
-	}
-}
-
 // ShardMemoryBytes returns each shard engine's individual footprint: each
 // entry is O(N/shards), the property the partition benchmark asserts.
 func (d *DataSharded) ShardMemoryBytes() []int64 {

@@ -16,13 +16,6 @@ type ShardLoad struct {
 	// EWMACycleNS is an exponentially weighted moving average (alpha 0.2)
 	// of the shard's per-cycle wall time in nanoseconds.
 	EWMACycleNS int64
-	// QueueDepth is the number of cycles queued on the shard's bounded
-	// job channel at gather time (capacity QueueCap) — nonzero only under
-	// pipelined ingestion, where it is the per-shard backlog signal the
-	// admission governor sheds on.
-	QueueDepth int
-	// QueueCap is the job channel's capacity.
-	QueueCap int
 	// Cost is the cumulative attributed maintenance cost of the queries
 	// currently on the shard (see core.Stats: influence events + cells
 	// processed + heap ops + cells walked).
@@ -54,9 +47,7 @@ func gatherLoad(i int, w *worker) ShardLoad {
 	return ShardLoad{
 		Shard:                 i,
 		Queries:               w.eng.NumQueries(),
-		EWMACycleNS:           w.ewmaNS.Load(),
-		QueueDepth:            len(w.jobs),
-		QueueCap:              cap(w.jobs),
+		EWMACycleNS:           w.ewmaNS,
 		Cost:                  cost,
 		MemoryBytes:           mem,
 		MemoryHighWater:       st.MemoryHighWater,

@@ -22,7 +22,6 @@ package shard
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"topkmon/internal/core"
@@ -34,11 +33,10 @@ import (
 // fault. Counter reads keep working after Close and never report it.
 var ErrStopped = errors.New("shard: monitor stopped")
 
-// jobQueueDepth bounds each shard's job channel. A cycle queues one job
+// jobChanCap bounds each shard's job channel. A cycle queues one job
 // per worker and waits for the fan-in, so only counter reads racing a
-// cycle ever queue behind it; the depth is also the capacity LoadSignal
-// reports to the admission governor.
-const jobQueueDepth = 8
+// cycle ever queue behind it.
+const jobChanCap = 8
 
 // worker owns one engine. Every access to eng happens on the worker
 // goroutine, which drains jobs sequentially — the channel is the only
@@ -47,23 +45,20 @@ type worker struct {
 	eng     *core.Engine
 	jobs    chan func()
 	stopped chan struct{}
-	// ewmaNS smooths the shard's per-cycle wall time (alpha 0.2). Written
-	// on the worker goroutine only (cycle jobs); atomic because the
-	// lock-free LoadSignal read crosses goroutines — the admission
-	// governor samples it from the pipeline runner while cycles run.
-	ewmaNS atomic.Int64
+	// ewmaNS smooths the shard's per-cycle wall time (alpha 0.2). Like
+	// eng, it is read and written on the worker goroutine only.
+	ewmaNS int64
 }
 
 // noteCycle folds one cycle's wall time into the worker's EWMA. It runs on
 // the worker goroutine (the only writer).
 func (w *worker) noteCycle(d time.Duration) {
 	ns := d.Nanoseconds()
-	prev := w.ewmaNS.Load()
-	if prev == 0 {
-		w.ewmaNS.Store(ns)
+	if w.ewmaNS == 0 {
+		w.ewmaNS = ns
 		return
 	}
-	w.ewmaNS.Store(prev + (ns-prev)/5)
+	w.ewmaNS += (ns - w.ewmaNS) / 5
 }
 
 func (w *worker) loop() {
@@ -104,7 +99,7 @@ func spawnWorkers(opts core.Options, n int, factory func(core.Options) (*core.En
 		}
 		w := &worker{
 			eng:     eng,
-			jobs:    make(chan func(), jobQueueDepth),
+			jobs:    make(chan func(), jobChanCap),
 			stopped: make(chan struct{}),
 		}
 		workers[i] = w
@@ -128,23 +123,4 @@ func checkInfluenceAll(n int, broadcast func(func(int, *core.Engine))) error {
 		}
 	}
 	return nil
-}
-
-// loadSignal returns a lock-free snapshot of the busiest worker's ingest
-// pressure: the deepest job queue, the queue capacity, and the largest
-// EWMA cycle time. It never touches the worker goroutines (channel length
-// and atomic reads only), so the admission governor can sample it from the
-// pipeline runner without stalling in-flight cycles. The figures are
-// approximate by nature — queue depths move concurrently — which is all a
-// load controller needs.
-func loadSignal(workers []*worker) (depth, capacity int, ewmaNS int64) {
-	for _, w := range workers {
-		if d := len(w.jobs); d > depth {
-			depth = d
-		}
-		if e := w.ewmaNS.Load(); e > ewmaNS {
-			ewmaNS = e
-		}
-	}
-	return depth, jobQueueDepth, ewmaNS
 }

@@ -68,7 +68,6 @@ func TestConcurrentChurnStress(t *testing.T) {
 					}
 					sh.Stats()
 					sh.ShardLoads()
-					sh.LoadSignal()
 				default:
 					j := rng.Intn(len(owned))
 					if err := sh.Unregister(owned[j]); err != nil {

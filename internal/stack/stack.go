@@ -29,7 +29,8 @@ import (
 // from it. Engine, Dir and Aux are runtime values the blob does not carry
 // (the engine options live in the checkpoint itself). A blob written
 // before the query-partitioned layout was retired also carries a
-// "partition" key, which decoding ignores.
+// "partition" key, and one written while the governor's tunables were
+// settable carries them inside "admission"; decoding ignores both.
 type Config struct {
 	// Engine configures every engine in the stack.
 	Engine core.Options `json:"-"`
@@ -92,12 +93,6 @@ func Build(cfg Config, prefill func(core.StreamMonitor) error) (*Stack, error) {
 		if err := prefill(inner); err != nil {
 			inner.Close()
 			return nil, err
-		}
-		// Prefill runs at batch sizes far above a live cycle's; left in
-		// place, its shard EWMAs read as a latency breach and the governor
-		// sheds a healthy stack's first cycles.
-		if rl, ok := inner.(interface{ ResetLoadStats() }); ok && cfg.Admission != nil {
-			rl.ResetLoadStats()
 		}
 	}
 	s := &Stack{Mon: inner, Shards: max(cfg.Shards, 1)}

@@ -49,10 +49,10 @@ type (
 	// ShardLoad describes one shard's load: query count, EWMA
 	// per-cycle wall time, cumulative attributed query cost, memory.
 	ShardLoad = shard.ShardLoad
-	// AdmissionConfig tunes the load-shedding governor enabled by
-	// WithAdmission: AIMD rate bounds, RED watermarks, the per-cycle
-	// latency target and the memory limit. The zero value selects workable
-	// defaults for every field.
+	// AdmissionConfig configures the load-shedding governor enabled by
+	// WithAdmission: the dropper's seed, the per-cycle latency target and
+	// the memory limit. The zero value is valid: no latency trigger and no
+	// memory limit.
 	AdmissionConfig = admission.Config
 	// AdmissionState is the governor's degradation level: AdmissionNormal,
 	// AdmissionShedding or AdmissionCritical.

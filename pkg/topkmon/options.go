@@ -90,17 +90,18 @@ func WithPipeline(depth int) Option {
 // or the memory footprint grow without limit: an AIMD rate controller
 // converges the admitted batch rate onto what the engine actually drains,
 // a RED-style dropper thins bursts probabilistically as smoothed queue
-// occupancy climbs between the config's watermarks, and a memory
-// watermark forces the deletions-only Critical state once the larger of
-// the engine's cap-aware footprint and the process heap crosses
-// cfg.MemHighFraction of cfg.MemLimit bytes: arrivals are then stripped
-// while cycles — and window expiry — keep running, so state shrinks until
-// memory falls below cfg.MemLowFraction of the limit. Shed batches are
+// occupancy climbs from 0.5 to 0.85 of the queue depth (drop probability
+// 0 to 0.9), and a memory watermark forces the deletions-only Critical
+// state once the larger of the engine's cap-aware footprint and the
+// process heap crosses 0.9 of cfg.MemLimit bytes: arrivals are then
+// stripped while cycles — and window expiry — keep running, so state
+// shrinks until memory falls below 0.7 of the limit. Two consecutive
+// cycles over cfg.CycleTarget also enter shedding. Shed batches are
 // counted in Stats.DroppedBatches/DroppedTuples, drop-logged into the WAL
 // on a checkpointed monitor, and surface as ErrOverloaded from Ingest.
 // Decisions are deterministic given cfg.Seed and the observed load, which
 // is what the overload differential suite leans on. The zero
-// AdmissionConfig is valid: defaults throughout, no memory limit. See the
+// AdmissionConfig is valid: no latency trigger, no memory limit. See the
 // package doc's "Overload and admission control" section for the state
 // machine and the bounded-staleness contract.
 func WithAdmission(cfg AdmissionConfig) Option {

@@ -17,10 +17,15 @@ import (
 // authority, and Restore resumes stamping from it. Decoding ignores keys
 // older manifests carry for retired options: the queue's growth and drop
 // policy (see testdata/legacy_aux.json), query placement and rebalancing
-// (testdata/legacy_rebalance_aux.json), and the shard layout
-// ("partition"). Such a lineage restores with a fixed-depth blocking queue
-// and data-partitioned shards; one whose checkpoint holds query-partitioned
-// shards is refused as ErrVersion (testdata/query-sharded-lineage).
+// (testdata/legacy_rebalance_aux.json), the shard layout ("partition"),
+// and the governor tunables that are now fixed: the "admission" object's
+// RateIncrease, RateDecrease, MinRate, MaxRate, LowWatermark,
+// HighWatermark, MaxDropProb, OccupancyAlpha, MemHighFraction,
+// MemLowFraction and HealthyExit (testdata/legacy_admission_aux.json).
+// Such a lineage restores with a fixed-depth blocking queue, data-partitioned
+// shards and the fixed governor tuning; one whose checkpoint holds
+// query-partitioned shards is refused as ErrVersion
+// (testdata/query-sharded-lineage).
 type facadeAux struct {
 	Policy int `json:"policy"`
 	stack.Config

@@ -222,6 +222,63 @@ func TestNewWritesFullAux(t *testing.T) {
 	}
 }
 
+// TestRestoreLegacyAdmissionKeys: a lineage whose facade state spells out
+// every governor tunable (testdata/legacy_admission_aux.json, byte for
+// byte what a two-shard pipelined monitor with WithAdmission(Seed 7,
+// MemLimit 1 MiB) wrote while those tunables were settable) restores into
+// the same stack: two shards, the depth-3 pipeline, and a governor that
+// still enforces the recorded memory limit. Decoding ignores the keys of
+// the fixed tunables.
+func TestRestoreLegacyAdmissionKeys(t *testing.T) {
+	aux, err := os.ReadFile(filepath.Join("testdata", "legacy_admission_aux.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "ckpt")
+	inner, err := shard.NewData(core.Options{Dims: 2, Window: window.Count(100)}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := recovery.NewGuard(inner, dir, recovery.GuardOptions{Every: 5, Aux: func() []byte { return aux }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	mon, err := Restore(dir)
+	if err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	drainUpdates(mon)
+	if mon.Shards() != 2 || !mon.Pipelined() || mon.pipe.Depth() != 3 {
+		t.Fatalf("restored shards %d, pipelined %v: want 2 shards behind a depth-3 pipeline", mon.Shards(), mon.Pipelined())
+	}
+	if !mon.AdmissionControlled() {
+		t.Fatal("restored monitor lost its admission governor")
+	}
+	gen := NewGenerator(IND, 2, 5)
+	for ts := int64(1); ts <= 5; ts++ {
+		if err := mon.Ingest(ts, gen.Batch(10, ts)); err != nil {
+			t.Fatalf("ingest %d: %v", ts, err)
+		}
+	}
+	if err := mon.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if n := mon.NumPoints(); n != 50 {
+		t.Fatalf("NumPoints = %d, want all 50 ingested tuples", n)
+	}
+	mon.st.Gov.ObserveMemory(1<<20, 0)
+	if got := mon.AdmissionState(); got != AdmissionCritical {
+		t.Fatalf("AdmissionState() at the recorded 1 MiB limit = %v, want critical", got)
+	}
+	if err := mon.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestRestoreRejectsStructuralOptions: the checkpoint records the
 // monitor's structure, so Restore refuses an option that would change it,
 // naming the setting, and still accepts runtime options such as WithClock.
